@@ -39,6 +39,10 @@ PYTHONPATH=src python benchmarks/emit.py --pr 8
 PYTHONPATH=src python benchmarks/emit.py --pr 9
 PYTHONPATH=src python benchmarks/emit.py --pr 10
 
+# Benchmark self-test: every workload of benchmarks/suite/run.py at
+# --smoke sizes, traced and untraced (~1 min).
+python3 -m pytest -q benchmarks/suite/test_suite.py
+
 # Perf-regression gate: fleet-64 control-plane + I/O points against
 # the committed baseline (deterministic dims exact, wall in-band).
 PYTHONPATH=src python benchmarks/perf_gate.py

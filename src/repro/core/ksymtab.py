@@ -23,6 +23,11 @@ from repro.errors import SideloadError
 IDENTIFIER_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
+# bytes.translate table classing each byte: b"I" for an identifier
+# byte, b"." for anything else.
+_CLASSES = bytes(
+    ord("I") if byte in IDENTIFIER_BYTES else ord(".") for byte in range(256)
+)
 
 MIN_STRING_REGION = 32          # bytes
 MIN_RUN_LENGTH = 8              # entries
@@ -88,12 +93,12 @@ def parse_ksymtab(gateway: GuestMemoryGateway, location: KernelLocation) -> Pars
 def _find_string_regions(image: bytes) -> List[Tuple[int, int]]:
     """Maximal runs of NUL-separated identifiers, largest first."""
     regions: List[Tuple[int, int]] = []
-    pos = 0
     size = len(image)
-    while pos < size:
-        if image[pos] not in IDENTIFIER_BYTES:
-            pos += 1
-            continue
+    # A kernel image is mostly zeros: find the next identifier byte in
+    # C rather than stepping over the gaps one byte at a time.
+    classes = image.translate(_CLASSES)
+    pos = classes.find(b"I")
+    while pos != -1:
         start = pos
         identifiers = 0
         cursor = pos
@@ -111,7 +116,7 @@ def _find_string_regions(image: bytes) -> List[Tuple[int, int]]:
         end = cursor
         if identifiers >= 3 and end - start >= MIN_STRING_REGION:
             regions.append((start, end))
-        pos = max(end, pos + 1)
+        pos = classes.find(b"I", max(end, pos + 1))
     regions.sort(key=lambda r: r[1] - r[0], reverse=True)
     return regions[:8]
 

@@ -154,10 +154,14 @@ def quiesce(session) -> Optional[Callable[[Any], None]]:
 
 
 def _environment_of(hv) -> List[Any]:
-    """The simulation singletons a VM graph references but never owns."""
+    """The simulation singletons a VM graph references but never owns.
+
+    The metrics tree is environment too, but needs no pin here: every
+    registry scope view deepcopies to itself.
+    """
     host = hv.host
     env = [host, hv.kvm, host.clock, host.costs, host.obs, host.arch,
-           host.faults, host.obs.spans, host.obs.metrics]
+           host.faults, host.obs.spans]
     if host.tracer is not None:
         env.append(host.tracer)
     if host.scheduler is not None:
@@ -640,31 +644,25 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
 
         device._irq_signal = inject_irq
 
-    _rebind_metrics(hv, host, source_pid)
+    _rebind_metrics(hv, host)
 
     host.tracer.emit(
         "vmm", "cloned", name=hv.NAME, pid=process.pid, source=source_pid
     )
 
 
-def _rebind_metrics(hv, host, source_pid: int) -> None:
-    """Re-home deepcopied (registry-detached) counters under the new pid."""
+def _rebind_metrics(hv, host) -> None:
+    """Re-home the clone's metric cells onto the live registry.
+
+    Registry scope views are shared, but the Counter/Gauge/Histogram
+    cells a VM graph caches were copied with it: detached cells no
+    export sees.  Each holder re-resolves them to the series a fresh
+    launch binds — per-pid series under the clone's new pid, and the
+    pid-less device/driver series a second VM of the flavor shares.
+    """
     pid = hv.process.pid
     registry = host.obs.metrics
-    vm = hv.vm
-
-    kvm_scope = registry.scope("kvm", vm=pid)
-    vm.metrics = kvm_scope
-    vm._m_exits = kvm_scope.counter("vmexits")
-    vm._m_exit_ioeventfd = kvm_scope.counter("vmexits_ioeventfd")
-    vm._m_exit_ioregionfd = kvm_scope.counter("vmexits_ioregionfd")
-    vm._m_exit_userspace = kvm_scope.counter("vmexits_userspace")
-    vm._m_irq_injected = kvm_scope.counter("irq_injected")
-    vm._m_msi_injected = kvm_scope.counter("msi_injected")
-    vm._m_irqfd_assigned = kvm_scope.counter("irqfd_assigned")
-    vm._m_irqfd_deassigned = kvm_scope.counter("irqfd_deassigned")
-    vm._m_ioeventfd_registered = kvm_scope.counter("ioeventfd_registered")
-    vm._m_ioregion_registered = kvm_scope.counter("ioregion_registered")
+    hv.vm.bind_metrics()
 
     hv.metrics = registry.scope("vm", vm=pid, flavor=hv.NAME)
     hv.metrics.gauge("vcpus").set(hv.vcpu_count)
@@ -673,24 +671,26 @@ def _rebind_metrics(hv, host, source_pid: int) -> None:
 
     for device in hv._mmio_devices.values():
         stats = device.mem.stats
-        # The copied value cells are detached from the registry; a
-        # clone starts its memio accounting from zero under its pid.
+        # A clone starts its memio accounting from zero under its pid.
         for name in stats.FIELDS:
             setattr(stats, name, 0)
         short = device.name.split("-blk-", 1)[-1]
         stats.bind(registry.scope("memio", role="vmm", vm=pid, device=short))
-        for index, queue in enumerate(device.queues):
-            ring = queue.ring
-            if ring is None or ring._m_publishes is None:
-                continue
-            # Per-queue vring counters are labelled by device name (no
-            # pid), matching how a second normally-launched VM of the
-            # same flavor shares these series.
-            vring_scope = registry.scope("vring", device=device.name, queue=index)
-            ring._m_publishes = vring_scope.counter("used_publishes")
-            ring._m_entries = vring_scope.counter("used_entries")
-            ring._m_irq_delivered = vring_scope.counter("interrupts_delivered")
-            ring._m_irq_suppressed = vring_scope.counter("interrupts_suppressed")
+        device.bind_metrics()
+
+    # Guest drivers, deduped by identity: a sideloaded vmsh driver (a
+    # detached session leaves them behind) is both a platform device
+    # and a block device.
+    guest = hv.guest
+    drivers = {
+        id(driver): driver
+        for table in (guest.block_devices, guest.net_devices,
+                      guest.platform_devices)
+        for driver in table.values()
+    }
+    for driver in drivers.values():
+        if hasattr(driver, "bind_metrics"):     # the exec driver has none
+            driver.bind_metrics()
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,16 @@ class VmFd(FileObject):
         self.userspace_exit_handler: Optional[Callable[[VcpuFd, MmioExit], None]] = None
         #: guest kernel's interrupt entry point
         self.guest_irq_sink: Optional[Callable[[int], None]] = None
-        # Per-VM KVM metrics, labelled by the owning hypervisor's pid:
-        # the VMEXIT funnel splits by consumption path (ioeventfd /
-        # ioregionfd / userspace) — the mechanism split behind Fig. 6.
-        metrics = self.kernel.obs.metrics.scope("kvm", vm=owner.pid)
+        self.bind_metrics()
+
+    def bind_metrics(self) -> None:
+        """Resolve the per-VM KVM metrics under the owner's current pid.
+
+        The VMEXIT funnel splits by consumption path (ioeventfd /
+        ioregionfd / userspace) — the mechanism split behind Fig. 6.
+        A snapshot clone re-binds once its process has a fresh pid.
+        """
+        metrics = self.kernel.obs.metrics.scope("kvm", vm=self.owner.pid)
         self.metrics = metrics
         self._m_exits = metrics.counter("vmexits")
         self._m_exit_ioeventfd = metrics.counter("vmexits_ioeventfd")

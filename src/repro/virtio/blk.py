@@ -286,12 +286,6 @@ class GuestVirtioBlkDisk(BlockDevice):
         # the observability hub rides on it, so gate everything here.
         costs = guest_kernel.costs
         self._obs = costs.obs if costs is not None else None
-        if self._obs is not None:
-            self._m_windows = self._obs.metrics.scope(
-                "blk", role="driver", device=name
-            ).counter("windows")
-        else:
-            self._m_windows = None
         # The shared driver-side engine owns doorbells, window posting
         # and harvesting; blk contributes the request encoding and the
         # status/data read-back as closures.
@@ -304,11 +298,18 @@ class GuestVirtioBlkDisk(BlockDevice):
             obs=self._obs,
             span_name="blk.window",
             track=f"blk:{name}",
-            windows_counter=self._m_windows,
             per_chain_cost=(
                 costs.guest_block_submit if costs is not None else None
             ),
         )
+        self.bind_metrics()
+
+    def bind_metrics(self) -> None:
+        """Resolve the driver's registry handles (again, on a clone)."""
+        if self._obs is not None:
+            self._engine._m_windows = self._obs.metrics.scope(
+                "blk", role="driver", device=self.name
+            ).counter("windows")
 
     @property
     def capacity_sectors(self) -> int:

@@ -176,13 +176,21 @@ class GuestVirtioConsole:
         self._tx_buffer_gpa = guest_kernel.alloc_guest_pages(1)
         self._rx_chains: dict = {}
         self._input_sink: Optional[Callable[[bytes], None]] = None
-        # Queued-submission counters, mirroring what the blk driver
-        # reports: doorbell rings, coalesced completions per interrupt,
-        # and the per-harvest batch-depth distribution.
-        costs = guest_kernel.costs
+        self.bind_metrics()
+        guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
+        self._post_rx_buffers()
+
+    def bind_metrics(self) -> None:
+        """Resolve the driver's registry handles (again, on a clone).
+
+        Queued-submission counters, mirroring what the blk driver
+        reports: doorbell rings, coalesced completions per interrupt,
+        and the per-harvest batch-depth distribution.
+        """
+        costs = self.kernel.costs
         obs = costs.obs if costs is not None else None
         if obs is not None:
-            scope = obs.metrics.scope("console", role="driver", device=name)
+            scope = obs.metrics.scope("console", role="driver", device=self.name)
             self._m_kicks = scope.counter("kicks")
             self._m_irq_coalesced = scope.counter("irq_coalesced")
             self._m_batch_depth = scope.histogram("batch_depth")
@@ -190,8 +198,6 @@ class GuestVirtioConsole:
             self._m_kicks = None
             self._m_irq_coalesced = None
             self._m_batch_depth = None
-        guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        self._post_rx_buffers()
 
     def on_input(self, sink: Callable[[bytes], None]) -> None:
         """Register the tty-side consumer of host input."""

@@ -83,6 +83,10 @@ class VirtioDeviceCore(VirtioMmioDevice):
         self.device_features |= extra_features
         self._posted: Dict[int, List[int]] = {}
         self._obs = getattr(costs, "obs", None)
+        self.bind_metrics()
+
+    def bind_metrics(self) -> None:
+        super().bind_metrics()
         if self._obs is not None:
             scope = self._obs.metrics.scope("virtio", device=self.name)
             self._m_batch_depth = scope.histogram("batch_depth")
@@ -181,7 +185,6 @@ class QueuedWindowDriver:
         obs=None,
         span_name: Optional[str] = None,
         track: Optional[str] = None,
-        windows_counter=None,
         per_chain_cost: Optional[Callable[[], None]] = None,
     ):
         self.ring = ring
@@ -192,7 +195,9 @@ class QueuedWindowDriver:
         self._obs = obs
         self._span_name = span_name
         self._track = track
-        self._m_windows = windows_counter
+        # The owning driver's ``windows`` counter, set by its
+        # ``bind_metrics`` (None while observability is off).
+        self._m_windows = None
         self._per_chain_cost = per_chain_cost
 
     def kick(self) -> None:

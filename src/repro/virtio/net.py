@@ -295,17 +295,6 @@ class GuestVirtioNic:
         self.queue_pairs = max(1, min(queue_pairs, max_pairs or 1))
         costs = guest_kernel.costs
         self._obs = costs.obs if costs is not None else None
-        if self._obs is not None:
-            scope = self._obs.metrics.scope("net", role="driver", device=name)
-            self._m_windows = scope.counter("windows")
-            self._m_kicks = scope.counter("kicks")
-            self._m_irq_coalesced = scope.counter("irq_coalesced")
-            self._m_batch_depth = scope.histogram("batch_depth")
-        else:
-            self._m_windows = None
-            self._m_kicks = None
-            self._m_irq_coalesced = None
-            self._m_batch_depth = None
         self.rx_rings = []
         self.tx_rings = []
         self._engines: List[QueuedWindowDriver] = []
@@ -324,12 +313,12 @@ class GuestVirtioNic:
                     obs=self._obs,
                     span_name="net.window",
                     track=f"net:{name}",
-                    windows_counter=self._m_windows,
                     per_chain_cost=(
                         costs.guest_net_submit if costs is not None else None
                     ),
                 )
             )
+        self.bind_metrics()
         transport.driver_ok()
         rx_pages = (self.RX_BUFFER_SIZE * self.RX_BUFFER_COUNT + 4095) // 4096
         tx_pages = (self.RX_BUFFER_SIZE * self.MAX_TX_WINDOW + 4095) // 4096
@@ -348,6 +337,22 @@ class GuestVirtioNic:
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
         for pair in range(self.queue_pairs):
             self._post_rx_buffers(pair)
+
+    def bind_metrics(self) -> None:
+        """Resolve the driver's registry handles (again, on a clone)."""
+        if self._obs is not None:
+            scope = self._obs.metrics.scope("net", role="driver", device=self.name)
+            windows = scope.counter("windows")
+            self._m_kicks = scope.counter("kicks")
+            self._m_irq_coalesced = scope.counter("irq_coalesced")
+            self._m_batch_depth = scope.histogram("batch_depth")
+        else:
+            windows = None
+            self._m_kicks = None
+            self._m_irq_coalesced = None
+            self._m_batch_depth = None
+        for engine in self._engines:
+            engine._m_windows = windows
 
     # -- receive path ----------------------------------------------------------
 

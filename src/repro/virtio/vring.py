@@ -226,6 +226,15 @@ class DeviceRing:
         # Optional registry scope (transports pass one per queue); the
         # counters are cached so the per-batch overhead is one branch.
         self._metrics = metrics
+        self.bind_metrics()
+
+    def bind_metrics(self) -> None:
+        """Resolve the cached counters from the ring's registry scope.
+
+        A snapshot clone re-binds: its deepcopied counters are detached
+        from the registry, while the scope view is the shared tree.
+        """
+        metrics = self._metrics
         if metrics is not None:
             self._m_publishes = metrics.counter("used_publishes")
             self._m_entries = metrics.counter("used_entries")

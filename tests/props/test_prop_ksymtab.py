@@ -7,12 +7,20 @@ arbitrary bytes.
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kaslr import KernelLocation
-from repro.core.ksymtab import parse_ksymtab
+from repro.core.ksymtab import (
+    IDENTIFIER_BYTES,
+    MIN_STRING_REGION,
+    _find_string_regions,
+    parse_ksymtab,
+)
 from repro.errors import SideloadError
+from repro.guestos.loader import KERNEL_IMAGE_SIZE, build_kernel_image
 from repro.guestos.symbols import ENTRY_SIZES, build_symbol_sections
+from repro.guestos.version import KernelVersion
 from repro.mem.layout import KERNEL_TEXT_BASE
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB
@@ -82,3 +90,72 @@ def test_parser_never_crashes_on_noise(noise):
     # MIN_RUN_LENGTH entries whose names are genuine identifiers.
     assert len(parsed.symbols) >= 8
     assert all(name.isidentifier() for name in parsed.symbols)
+
+
+# -- the string-region scan against its byte-at-a-time reference --------------------
+
+
+def _reference_string_regions(image: bytes):
+    """The scan as first written: one loop iteration per image byte."""
+    regions = []
+    pos = 0
+    size = len(image)
+    while pos < size:
+        if image[pos] not in IDENTIFIER_BYTES:
+            pos += 1
+            continue
+        start = pos
+        identifiers = 0
+        cursor = pos
+        while cursor < size:
+            word_start = cursor
+            while cursor < size and image[cursor] in IDENTIFIER_BYTES:
+                cursor += 1
+            if cursor >= size or image[cursor] != 0:
+                break
+            if cursor > word_start:
+                identifiers += 1
+            cursor += 1  # consume the NUL
+            if cursor < size and image[cursor] not in IDENTIFIER_BYTES:
+                break
+        end = cursor
+        if identifiers >= 3 and end - start >= MIN_STRING_REGION:
+            regions.append((start, end))
+        pos = max(end, pos + 1)
+    regions.sort(key=lambda r: r[1] - r[0], reverse=True)
+    return regions[:8]
+
+
+_word = st.text(alphabet=string.ascii_letters + string.digits + "_",
+                min_size=1, max_size=24).map(lambda w: w.encode() + b"\x00")
+# Byte-level: identifier bytes, NUL and everything else, freely mixed.
+_byte_soup = st.lists(
+    st.one_of(st.sampled_from(sorted(IDENTIFIER_BYTES)), st.just(0),
+              st.integers(0, 255)),
+    max_size=1024,
+).map(bytes)
+# Token-level: runs of NUL-terminated words (long enough to pass the
+# region filters), NUL gaps and junk, in any order.
+_token_soup = st.lists(
+    st.one_of(st.lists(_word, min_size=1, max_size=8).map(b"".join),
+              st.integers(1, 16).map(lambda n: b"\x00" * n),
+              st.binary(max_size=8)),
+    max_size=32,
+).map(b"".join)
+
+
+@given(image=st.one_of(_byte_soup, _token_soup))
+@settings(max_examples=200, deadline=None)
+def test_string_region_scan_matches_reference(image):
+    assert _find_string_regions(image) == _reference_string_regions(image)
+
+
+@pytest.mark.parametrize("layout", sorted(ENTRY_SIZES))
+def test_string_region_scan_matches_reference_on_kernel_images(layout):
+    mem = PhysicalMemory(KERNEL_IMAGE_SIZE)
+    build_kernel_image(KernelVersion(5, 10), KERNEL_TEXT_BASE, 0, mem.write,
+                       ksymtab_layout=layout)
+    image = mem.read(0, KERNEL_IMAGE_SIZE)
+    regions = _find_string_regions(image)
+    assert regions                      # the .ksymtab_strings section
+    assert regions == _reference_string_regions(image)

@@ -9,10 +9,15 @@ satellite bugfixes (mid-yield instance termination, instance reaping,
 sector-torn backend writes).
 """
 
+import copy
+import types
+
 import pytest
 
-from repro.core.snapshot import VmSnapshot
+from repro.core import snapshot as snapshot_module
+from repro.core.snapshot import VmSnapshot, _environment_of
 from repro.errors import SnapshotError, VirtioError, VmshError
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
 from repro.testbed import Testbed
@@ -156,6 +161,102 @@ def test_snapshot_and_clone_charge_virtual_time():
     t2 = tb.clock.now
     tb.clone(snap, charge=False)
     assert tb.clock.now == t2
+
+
+_ATOMS = (str, bytes, bytearray, memoryview, int, float, type(None), type,
+          types.FunctionType, types.BuiltinFunctionType, types.ModuleType)
+
+
+def _metric_cells(root, env):
+    """Every metric cell reachable from ``root`` through attributes,
+    containers and bound methods, without entering ``env`` objects,
+    registry views (the shared tree) or closures."""
+    stop = {id(obj) for obj in env}
+    seen, cells, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in stop:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Counter, Gauge, Histogram)):
+            cells.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        elif not isinstance(obj, _ATOMS + (MetricsRegistry,)):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return cells
+
+
+def test_clone_rehomes_device_and_driver_counters():
+    tb = Testbed()
+    hv = tb.launch_qemu(disk=tb.nvme_partition())
+    # A detached session leaves its console and vmsh-blk guest drivers.
+    tb.vmsh().attach(hv.pid).detach()
+    clone = tb.clone(tb.snapshot(hv))
+    requests = tb.obs.metrics.scope(
+        "virtio", device=next(iter(clone._mmio_devices.values())).name
+    ).counter("requests")
+    before = requests.value
+    disk = clone.guest.block_devices["vda"]
+    for i in range(4):
+        disk.write_sectors(8 * i, bytes([i + 1]) * 4096)
+    assert requests.value == before + 4
+    live = {id(metric) for metric in tb.obs.metrics._store.values()}
+    cells = _metric_cells(clone, _environment_of(clone))
+    # kvm, memio, vring, virtio device, blk and console driver cells
+    assert {"vmexits", "reads", "used_publishes", "requests", "windows",
+            "kicks"} <= {cell.name for cell in cells}
+    detached = [(c.name, c.labels) for c in cells if id(c) not in live]
+    assert detached == []
+
+
+def _freeze_and_clone(others, monkeypatch):
+    """Freeze one VM of a fleet of ``others`` + 1, grow the fleet, clone.
+
+    Returns the testbed, source, snapshot, clone and the number of
+    objects the freeze and the clone each deepcopied.
+    """
+    copied = []
+
+    def counting_deepcopy(obj, memo):
+        pinned = len(memo)
+        result = copy.deepcopy(obj, memo)
+        copied.append(len(memo) - pinned)
+        return result
+
+    monkeypatch.setattr(
+        snapshot_module, "copy", types.SimpleNamespace(deepcopy=counting_deepcopy)
+    )
+    tb = Testbed()
+    for _ in range(others):
+        tb.launch_firecracker(seccomp=False)
+    hv = tb.launch_firecracker(seccomp=False)
+    snap = tb.snapshot(hv)
+    tb.launch_firecracker(seccomp=False)         # grows the registry
+    clone = tb.clone(snap)
+    return tb, hv, snap, clone, copied
+
+
+def test_clone_shares_the_metrics_tree_at_any_fleet_size(monkeypatch):
+    copied = {}
+    for others in (2, 32):
+        tb, hv, snap, clone, copied[others] = _freeze_and_clone(others, monkeypatch)
+        store = tb.obs.metrics._store
+        assert snap._frozen.metrics is hv.metrics        # the view itself
+        assert snap._frozen.vm.metrics is hv.vm.metrics
+        assert clone.metrics._store is store
+        assert clone.vm.metrics._store is store
+    assert len(copied[2]) == 2                           # freeze, clone
+    assert copied[2] == copied[32]
 
 
 # -- attached sessions --------------------------------------------------------------
