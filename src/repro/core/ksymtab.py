@@ -140,6 +140,14 @@ def _identifier_at(image: bytes, offset: int, region: Tuple[int, int]) -> Option
 # Pass 2: entry-run scan per layout
 # ---------------------------------------------------------------------------
 
+#: image words per vectorised block of :func:`_candidate_offsets`.
+#: Whole-image int64 temporaries would be 16 MiB per call on a 2 MiB
+#: kernel image: transient heap blocks that large, freed mid-run, leave
+#: the resident size of a long run differing by ~12 MiB from one run to
+#: the next, depending on where the allocator placed them.
+_BLOCK_WORDS = 1 << 14
+
+
 def _candidate_offsets(
     image: bytes,
     location: KernelLocation,
@@ -149,38 +157,45 @@ def _candidate_offsets(
 ) -> List[int]:
     """Vectorised pre-filter: offsets whose value/name references are
     plausible for this layout.  Final validation stays byte-exact in
-    :func:`_decode_entry`; this only prunes the search space."""
+    :func:`_decode_entry`; this only prunes the search space.
+
+    The image is read through a zero-copy array view, one block of
+    :data:`_BLOCK_WORDS` entries at a time.
+    """
     import numpy as np
 
     image_span = location.vend - location.vbase
+    found: List[int] = []
     if layout == "absolute":
-        n = len(image) & ~7
-        if n < 16:
-            return []
-        words = np.frombuffer(image[:n], dtype="<u8")
-        value, name = words[:-1], words[1:]
-        ok = (
-            (value >= location.vbase)
-            & (value < location.vend)
-            & (name >= location.vbase + region_start)
-            & (name < location.vbase + region_end)
-        )
-        return [int(k) * 8 for k in np.nonzero(ok)[0]]
+        words = np.frombuffer(image, dtype="<u8", count=len(image) // 8)
+        # entry k pairs word k (value) with word k + 1 (name)
+        for base in range(0, len(words) - 1, _BLOCK_WORDS):
+            stop = min(base + _BLOCK_WORDS, len(words) - 1)
+            value, name = words[base:stop], words[base + 1 : stop + 1]
+            ok = (
+                (value >= location.vbase)
+                & (value < location.vend)
+                & (name >= location.vbase + region_start)
+                & (name < location.vbase + region_end)
+            )
+            found.extend((base + int(k)) * 8 for k in np.nonzero(ok)[0])
+        return found
 
-    n = len(image) & ~3
-    if n < 8:
-        return []
-    rel = np.frombuffer(image[:n], dtype="<u4").view(np.int32).astype(np.int64)
-    offsets = np.arange(0, n, 4, dtype=np.int64)
-    value_target = offsets[:-1] + rel[:-1]
-    name_target = offsets[:-1] + 4 + rel[1:]
-    ok = (
-        (value_target >= 0)
-        & (value_target < image_span)
-        & (name_target >= region_start)
-        & (name_target < region_end)
-    )
-    return [int(k) * 4 for k in np.nonzero(ok)[0]]
+    rel = np.frombuffer(image, dtype="<i4", count=len(image) // 4)
+    # entry k's value is relative to word k, its name to word k + 1
+    for base in range(0, len(rel) - 1, _BLOCK_WORDS):
+        stop = min(base + _BLOCK_WORDS, len(rel) - 1)
+        offsets = np.arange(base * 4, stop * 4, 4, dtype=np.int64)
+        value_target = offsets + rel[base:stop]
+        name_target = offsets + 4 + rel[base + 1 : stop + 1]
+        ok = (
+            (value_target >= 0)
+            & (value_target < image_span)
+            & (name_target >= region_start)
+            & (name_target < region_end)
+        )
+        found.extend((base + int(k)) * 4 for k in np.nonzero(ok)[0])
+    return found
 
 
 def _scan_entries(

@@ -320,7 +320,18 @@ class Vmsh:
         self.host = host
         self.process: Process = host.spawn_process("vmsh")
         self.procfs = ProcFs(host)
-        self.image = image if image is not None else build_admin_image()
+        self._image = image
+
+    @property
+    def image(self) -> bytes:
+        """The default overlay image: the caller's, else the admin image.
+
+        The admin image (8 MiB) is built on first use, so a caller that
+        passes its own image to every attach never builds it.
+        """
+        if self._image is None:
+            self._image = build_admin_image()
+        return self._image
 
     @property
     def _thread(self) -> Thread:

@@ -6,14 +6,19 @@ arbitrary bytes.
 """
 
 import string
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ksymtab
 from repro.core.kaslr import KernelLocation
 from repro.core.ksymtab import (
+    ENTRY_STRIDES,
     IDENTIFIER_BYTES,
     MIN_STRING_REGION,
+    _candidate_offsets,
     _find_string_regions,
     parse_ksymtab,
 )
@@ -159,3 +164,77 @@ def test_string_region_scan_matches_reference_on_kernel_images(layout):
     regions = _find_string_regions(image)
     assert regions                      # the .ksymtab_strings section
     assert regions == _reference_string_regions(image)
+
+
+# -- the blocked candidate pre-filter against its whole-image reference ------------
+
+
+def _reference_candidate_offsets(image, location, layout, region_start, region_end):
+    """The pre-filter as first written: whole-image int64 arrays."""
+    image_span = location.vend - location.vbase
+    if layout == "absolute":
+        n = len(image) & ~7
+        if n < 16:
+            return []
+        words = np.frombuffer(image[:n], dtype="<u8")
+        value, name = words[:-1], words[1:]
+        ok = (
+            (value >= location.vbase)
+            & (value < location.vend)
+            & (name >= location.vbase + region_start)
+            & (name < location.vbase + region_end)
+        )
+        return [int(k) * 8 for k in np.nonzero(ok)[0]]
+    n = len(image) & ~3
+    if n < 8:
+        return []
+    rel = np.frombuffer(image[:n], dtype="<u4").view(np.int32).astype(np.int64)
+    offsets = np.arange(0, n, 4, dtype=np.int64)
+    value_target = offsets[:-1] + rel[:-1]
+    name_target = offsets[:-1] + 4 + rel[1:]
+    ok = (
+        (value_target >= 0)
+        & (value_target < image_span)
+        & (name_target >= region_start)
+        & (name_target < region_end)
+    )
+    return [int(k) * 4 for k in np.nonzero(ok)[0]]
+
+
+@given(
+    layout=st.sampled_from(sorted(ENTRY_STRIDES)),
+    # small words so that many of them reference inside the image
+    words=st.lists(st.integers(-64, 64), max_size=200),
+    tail=st.binary(max_size=7),
+    region=st.tuples(st.integers(0, 512), st.integers(0, 512)).map(sorted),
+    block=st.sampled_from([1, 2, 3, 7, 64, ksymtab._BLOCK_WORDS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_candidate_offsets_match_reference(layout, words, tail, region, block):
+    if layout == "absolute":
+        image = b"".join((KERNEL_TEXT_BASE + 8 * w).to_bytes(8, "little")
+                         for w in words)
+    else:
+        image = b"".join(w.to_bytes(4, "little", signed=True) for w in words)
+    image += tail
+    location = KernelLocation(KERNEL_TEXT_BASE, KERNEL_TEXT_BASE + len(image))
+    with mock.patch.object(ksymtab, "_BLOCK_WORDS", block):
+        got = _candidate_offsets(image, location, layout, *region)
+    assert got == _reference_candidate_offsets(image, location, layout, *region)
+
+
+@pytest.mark.parametrize("image_layout", sorted(ENTRY_SIZES))
+def test_candidate_offsets_match_reference_on_kernel_images(image_layout):
+    mem = PhysicalMemory(KERNEL_IMAGE_SIZE)
+    build_kernel_image(KernelVersion(5, 10), KERNEL_TEXT_BASE, 0, mem.write,
+                       ksymtab_layout=image_layout)
+    image = mem.read(0, KERNEL_IMAGE_SIZE)
+    location = KernelLocation(KERNEL_TEXT_BASE, KERNEL_TEXT_BASE + len(image))
+    hits = 0
+    for layout in ENTRY_STRIDES:
+        for region in _find_string_regions(image):
+            got = _candidate_offsets(image, location, layout, *region)
+            assert got == _reference_candidate_offsets(
+                image, location, layout, *region)
+            hits += len(got)
+    assert hits                         # the real table is among them

@@ -137,6 +137,31 @@ def test_debug_shell_pins_against_scale_down():
     assert len(platform.scale_down()) == 1      # released
 
 
+def test_debug_shell_never_builds_the_admin_image(monkeypatch):
+    """The debugger attaches with its own image, so its Vmsh never
+    builds the 8 MiB default admin image; a Vmsh that needs it builds
+    it once, on first use."""
+    import repro.core.vmsh as vmsh_module
+
+    built = []
+    real = vmsh_module.build_admin_image
+
+    def counting_build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(vmsh_module, "build_admin_image", counting_build)
+    tb, platform = _platform()
+    platform.invoke("resize", {"bad": 1})
+    session = ServerlessDebugger(platform).debug_shell()
+    session.close()
+    assert built == []
+    vmsh = tb.vmsh()
+    assert built == []
+    assert vmsh.image == vmsh.image
+    assert built == [1]
+
+
 def test_debug_shell_too_late_after_scale_down():
     tb, platform = _platform()
     platform.invoke("resize", {"bad": 1})
