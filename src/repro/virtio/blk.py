@@ -14,6 +14,7 @@ The same device class serves two masters:
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Callable, List, Optional
 
@@ -92,6 +93,17 @@ class RawDiskBackend(BlockBackend):
         self._kernel.syscall(self._iothread, "fsync", self._fd)
 
 
+def _mapped(image: bytes) -> mmap.mmap:
+    """``image`` in an anonymous mapping of its own.
+
+    Each attach maps a multi-MiB image; outside the allocator's heap it
+    cannot fragment it, and unmapping returns the pages at once.
+    """
+    mapping = mmap.mmap(-1, len(image))
+    mapping[:] = image
+    return mapping
+
+
 class MappedImageBackend(BlockBackend):
     """VMSH backend: the file-system image mmap-ed into the VMSH process.
 
@@ -103,9 +115,17 @@ class MappedImageBackend(BlockBackend):
 
     def __init__(self, costs: CostModel, image_bytes: bytes, writable: bool = True):
         self._costs = costs
-        self._data = bytearray(image_bytes)
+        self._data = _mapped(image_bytes)
         self.writable = writable
         self.capacity_sectors = len(self._data) // SECTOR_SIZE
+
+    def __getstate__(self):
+        # an mmap neither pickles nor deep-copies: carry the contents
+        return {**vars(self), "_data": bytes(self._data)}
+
+    def __setstate__(self, state) -> None:
+        vars(self).update(state)
+        self._data = _mapped(state["_data"])
 
     def read(self, sector: int, count: int) -> bytes:
         start = sector * SECTOR_SIZE
@@ -113,7 +133,7 @@ class MappedImageBackend(BlockBackend):
         if end > len(self._data):
             raise VirtioError("read beyond image end")
         self._costs.memcpy(end - start)
-        return bytes(self._data[start:end])
+        return self._data[start:end]
 
     def write(self, sector: int, data: bytes) -> None:
         if not self.writable:

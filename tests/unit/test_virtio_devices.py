@@ -100,6 +100,29 @@ def test_mapped_image_backend():
     assert backend.snapshot()[4 * 512 : 4 * 512 + 8] == b"\xaa" * 8
 
 
+def test_mapped_image_backend_deepcopies_its_contents():
+    """A VM graph deepcopy (snapshot freeze/clone) can reach a session's
+    backend: the copy carries the written sectors in a mapping of its
+    own."""
+    import copy
+    import pickle
+
+    from repro.sim.clock import Clock
+    from repro.sim.costs import CostModel
+
+    costs = CostModel(Clock())
+    backend = MappedImageBackend(costs, b"\x00" * 4096)
+    backend.write(1, b"\xaa" * 512)
+    clone = copy.deepcopy(backend, {id(costs): costs})
+    assert clone._costs is costs
+    assert clone.capacity_sectors == backend.capacity_sectors
+    clone.write(2, b"\xbb" * 512)
+    assert clone.read(1, 2) == b"\xaa" * 512 + b"\xbb" * 512
+    assert backend.read(2, 1) == b"\x00" * 512
+    restored = pickle.loads(pickle.dumps(backend))
+    assert restored.snapshot() == backend.snapshot()
+
+
 def test_mapped_image_backend_readonly():
     from repro.sim.clock import Clock
     from repro.sim.costs import CostModel
