@@ -12,11 +12,13 @@ against the committed baseline
   execution changed — that is a correctness regression (or an
   intentional change: re-run with ``--update-baseline``).
 * **Wall-clock dimension — tolerance band.**  Events-dispatched/sec of
-  the optimized control-plane burst must stay at or above
-  ``WALL_TOLERANCE`` x the baseline machine's rate.  The band is wide
-  because CI boxes differ; what it catches is the order-of-magnitude
-  slip of accidentally shipping the unoptimized path (the ablation
-  bundle runs ~3-6x slower, far below the band).
+  the optimized control-plane burst and of the dispatch storm, and the
+  I/O fleet's requests/sec (its 4,096 queued requests through the
+  guest-memory data plane), must stay at or above ``WALL_TOLERANCE`` x
+  the baseline machine's rate.  The band is wide because CI boxes
+  differ; what it catches is the order-of-magnitude slip of
+  accidentally shipping the unoptimized path (the ablation bundle runs
+  ~3-6x slower, far below the band).
 
 Run from the repo root::
 
@@ -68,6 +70,7 @@ def measure() -> dict:
         "wall": {
             "plane_events_per_s": round(plane["events_per_s_wall"]),
             "storm_events_per_s": round(storm["events_per_s_wall"]),
+            "io_ops_per_s": round(io["io_ops_per_s_wall"]),
         },
     }
 

@@ -674,8 +674,7 @@ def _rebind_metrics(hv, host) -> None:
         # A clone starts its memio accounting from zero under its pid.
         for name in stats.FIELDS:
             setattr(stats, name, 0)
-        short = device.name.split("-blk-", 1)[-1]
-        stats.bind(registry.scope("memio", role="vmm", vm=pid, device=short))
+        hv.bind_memio(device.mem)
         device.bind_metrics()
 
     # Guest drivers, deduped by identity: a sideloaded vmsh driver (a

@@ -172,24 +172,20 @@ class HostKernel:
         if counter is None:
             counter = self._m_host.counter("syscalls", syscall=name)
             self._m_syscalls[name] = counter
-        counter.inc()
+        counter.value += 1
         hook = self._syscall_hooks.get(thread.tid)
         if hook is not None:
             self.costs.ptrace_stop()
             hook(thread, name, "entry")
         self.costs.syscall()
-        result = self._dispatch(thread, name, args)
+        impl = _SYSCALLS.get(name)
+        if impl is None:
+            raise HostError(f"unimplemented syscall {name!r}")
+        result = impl(self, thread, *args)
         if hook is not None:
             self.costs.ptrace_stop()
             hook(thread, name, "exit")
         return result
-
-    def _dispatch(self, thread: Thread, name: str, args: Tuple[Any, ...]) -> Any:
-        try:
-            impl = getattr(self, f"_sys_{name}")
-        except AttributeError:
-            raise HostError(f"unimplemented syscall {name!r}") from None
-        return impl(thread, *args)
 
     # -- syscall implementations -------------------------------------------------------
 
@@ -223,12 +219,11 @@ class HostKernel:
         segments as ``remote_addr`` — one syscall, charged per call +
         per segment + per byte, exactly like the real vectored call.
         """
-        self._check_vm_access(thread.process, pid)
-        remote = self.process(pid)
+        remote = self._check_vm_access(thread.process, pid)
         if length is not None:
-            iov = ((remote_addr, length),)
-        else:
-            iov = tuple(remote_addr)
+            self.costs.procvm_vectored(length, 1)
+            return remote.address_space.read(remote_addr, length)
+        iov = tuple(remote_addr)
         self.costs.procvm_vectored(sum(l for _, l in iov), len(iov))
         return b"".join(remote.address_space.read(a, l) for a, l in iov)
 
@@ -236,12 +231,12 @@ class HostKernel:
         self, thread: Thread, pid: int, remote_addr, data: Optional[bytes] = None
     ) -> int:
         """Write remote memory: ``(addr, data)`` or an iovec of them."""
-        self._check_vm_access(thread.process, pid)
-        remote = self.process(pid)
+        remote = self._check_vm_access(thread.process, pid)
         if data is not None:
-            iov = ((remote_addr, data),)
-        else:
-            iov = tuple(remote_addr)
+            self.costs.procvm_vectored(len(data), 1)
+            remote.address_space.write(remote_addr, data)
+            return len(data)
+        iov = tuple(remote_addr)
         total = sum(len(d) for _, d in iov)
         self.costs.procvm_vectored(total, len(iov))
         for addr, chunk in iov:
@@ -326,7 +321,8 @@ class HostKernel:
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _check_vm_access(self, caller: Process, target_pid: int) -> None:
+    def _check_vm_access(self, caller: Process, target_pid: int) -> Process:
+        """The target of a process_vm_* call, if ``caller`` may access it."""
         target = self.process(target_pid)
         if caller.uid != 0 and caller.uid != target.uid and not caller.has_capability(
             "CAP_SYS_PTRACE"
@@ -334,3 +330,12 @@ class HostKernel:
             raise PermissionDeniedError(
                 f"{caller.name} may not access memory of pid {target_pid}"
             )
+        return target
+
+
+#: syscall name -> its ``HostKernel._sys_*`` implementation
+_SYSCALLS = {
+    name[len("_sys_"):]: impl
+    for name, impl in vars(HostKernel).items()
+    if name.startswith("_sys_")
+}

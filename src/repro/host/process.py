@@ -172,9 +172,6 @@ class Mapping:
     def end(self) -> int:
         return self.start + self.size
 
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.start <= addr and addr + length <= self.end
-
 
 class AddressSpace:
     """A process's virtual address space: a set of mappings.
@@ -206,19 +203,20 @@ class AddressSpace:
                 return
         raise MemoryError_(f"no mapping starts at {start:#x}")
 
-    def find(self, addr: int, length: int = 1) -> Mapping:
+    def read(self, addr: int, length: int) -> bytes:
+        end = addr + length
         for m in self._mappings:
-            if m.contains(addr, length):
-                return m
+            if m.start <= addr and end <= m.start + m.size:
+                return m.backing.read(addr - m.start + m.backing_offset, length)
         raise MemoryError_(f"address {addr:#x} (+{length}) is unmapped")
 
-    def read(self, addr: int, length: int) -> bytes:
-        m = self.find(addr, length)
-        return m.backing.read(addr - m.start + m.backing_offset, length)
-
     def write(self, addr: int, data: bytes) -> None:
-        m = self.find(addr, len(data))
-        m.backing.write(addr - m.start + m.backing_offset, data)
+        end = addr + len(data)
+        for m in self._mappings:
+            if m.start <= addr and end <= m.start + m.size:
+                m.backing.write(addr - m.start + m.backing_offset, data)
+                return
+        raise MemoryError_(f"address {addr:#x} (+{len(data)}) is unmapped")
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")

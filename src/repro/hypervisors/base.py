@@ -177,6 +177,26 @@ class Hypervisor:
 
     # Device plumbing ----------------------------------------------------------------------
 
+    def _memio_accessor(self, name: str) -> InProcessAccessor:
+        """A device's guest-memory accessor, counted as ``memio{device=name}``."""
+        assert self.vm is not None
+        accessor = InProcessAccessor(self.vm.guest_memory(), self.host.costs, label=name)
+        self.bind_memio(accessor)
+        return accessor
+
+    def bind_memio(self, accessor: InProcessAccessor) -> None:
+        """Bind a device accessor's stats under the VM's current pid.
+
+        A snapshot clone re-binds once its process has a fresh pid,
+        keeping the label the device was launched with.
+        """
+        assert self.process is not None
+        accessor.stats.bind(
+            self.host.obs.metrics.scope(
+                "memio", role="vmm", vm=self.process.pid, device=accessor.label
+            )
+        )
+
     def add_disk(self, host_file: HostFile, name: str = "disk0") -> None:
         """Register a raw disk to expose as a virtio-blk device."""
         if self.launched:
@@ -203,14 +223,8 @@ class Hypervisor:
             costs.syscall()
             vm.inject_irq(gsi)
 
-        accessor = InProcessAccessor(vm.guest_memory(), costs)
-        accessor.stats.bind(
-            self.host.obs.metrics.scope(
-                "memio", role="vmm", vm=self.process.pid, device=name
-            )
-        )
         device = VirtioBlkDevice(
-            accessor=accessor,
+            accessor=self._memio_accessor(name),
             irq_signal=inject_irq,
             costs=costs,
             backend=backend,
@@ -246,14 +260,8 @@ class Hypervisor:
             costs.syscall()
             vm.inject_irq(gsi)
 
-        accessor = InProcessAccessor(vm.guest_memory(), costs)
-        accessor.stats.bind(
-            self.host.obs.metrics.scope(
-                "memio", role="vmm", vm=self.process.pid, device=name
-            )
-        )
         device = VirtioNetDevice(
-            accessor=accessor,
+            accessor=self._memio_accessor(name),
             irq_signal=inject_irq,
             costs=costs,
             mac=port.mac,

@@ -17,10 +17,17 @@ _SHELL = b"#!SIMELF:shell\n"
 
 
 def _tool(name: str, size: int = 8192) -> bytes:
-    """A deterministic standalone 'binary' body."""
+    """A deterministic standalone 'binary' body.
+
+    Byte ``i`` of the filler is ``(c * 131 + i) & 0xFF`` over the name
+    repeated past ``size`` bytes, computed in one array pass.
+    """
+    import numpy as np
+
     header = _SHELL
-    body = bytes((b * 131 + i) & 0xFF for i, b in enumerate(name.encode() * (size // len(name) + 1)))
-    return header + body[: size - len(header)]
+    codes = np.frombuffer(name.encode() * (size // len(name) + 1), dtype=np.uint8)
+    body = (codes.astype(np.int64) * 131 + np.arange(codes.size)) & 0xFF
+    return header + body.astype(np.uint8).tobytes()[: size - len(header)]
 
 
 def _base_spec(extra_tools: Iterable[str] = ()) -> ImageSpec:

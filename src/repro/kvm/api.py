@@ -457,12 +457,14 @@ class GuestPhysMemory:
         return self._vm._memslots.try_lookup(gpa, length) is not None
 
     def read(self, gpa: int, length: int) -> bytes:
-        slot = self._vm._memslots.lookup(gpa, length)
-        return self._vm.owner.address_space.read(slot.gpa_to_hva(gpa), length)
+        vm = self._vm
+        slot = vm._memslots.lookup(gpa, length)
+        return vm.owner.address_space.read(slot.hva + (gpa - slot.gpa), length)
 
     def write(self, gpa: int, data: bytes) -> None:
-        slot = self._vm._memslots.lookup(gpa, len(data))
-        self._vm.owner.address_space.write(slot.gpa_to_hva(gpa), data)
+        vm = self._vm
+        slot = vm._memslots.lookup(gpa, len(data))
+        vm.owner.address_space.write(slot.hva + (gpa - slot.gpa), data)
 
     def read_u16(self, gpa: int) -> int:
         return int.from_bytes(self.read(gpa, 2), "little")

@@ -28,14 +28,6 @@ class Memslot:
     def gpa_end(self) -> int:
         return self.gpa + self.size
 
-    def contains(self, gpa: int, length: int = 1) -> bool:
-        return self.gpa <= gpa and gpa + length <= self.gpa_end
-
-    def gpa_to_hva(self, gpa: int) -> int:
-        if not self.contains(gpa):
-            raise InvalidGpaError(f"gpa {gpa:#x} outside slot {self.slot}")
-        return self.hva + (gpa - self.gpa)
-
 
 class MemslotTable:
     """The kernel-internal array of memslots for one VM."""
@@ -66,8 +58,10 @@ class MemslotTable:
         return new
 
     def lookup(self, gpa: int, length: int = 1) -> Memslot:
+        """The slot holding all of ``[gpa, gpa+length)``."""
+        end = gpa + length
         for s in self._slots:
-            if s.contains(gpa, length):
+            if s.gpa <= gpa and end <= s.gpa + s.size:
                 return s
         raise InvalidGpaError(f"gpa {gpa:#x} (+{length}) not backed by any memslot")
 

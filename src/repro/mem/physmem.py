@@ -16,6 +16,8 @@ from typing import Dict, Iterator, Tuple
 from repro.errors import MemoryError_
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 
+_PAGE_MASK = PAGE_SIZE - 1
+
 
 class PhysicalMemory:
     """A sparse, bounds-checked byte-addressable physical memory."""
@@ -33,37 +35,36 @@ class PhysicalMemory:
         self.size = size_bytes
         self._pages: Dict[int, bytearray] = {}
 
-    # -- page helpers ---------------------------------------------------------
-
-    def _check_range(self, addr: int, length: int) -> None:
-        if addr < 0 or length < 0 or addr + length > self.size:
-            raise MemoryError_(
-                f"physical access [{addr:#x}, {addr + length:#x}) outside "
-                f"memory of size {self.size:#x}"
-            )
-
-    def _page(self, index: int, create: bool) -> bytearray | None:
-        page = self._pages.get(index)
-        if page is None and create:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        return page
-
     # -- byte access -----------------------------------------------------------
+    #
+    # Almost every access lies inside one page: it costs one dict lookup
+    # and one slice.  Page-crossing accesses take the page loop.
+
+    def _out_of_range(self, addr: int, length: int) -> MemoryError_:
+        return MemoryError_(
+            f"physical access [{addr:#x}, {addr + length:#x}) outside "
+            f"memory of size {self.size:#x}"
+        )
 
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at physical address ``addr``."""
         if PhysicalMemory.fault_check is not None:
             PhysicalMemory.fault_check("physmem.read", addr=addr, length=length)
-        self._check_range(addr, length)
+        if addr < 0 or length < 0 or addr + length > self.size:
+            raise self._out_of_range(addr, length)
+        offset = addr & _PAGE_MASK
+        if offset + length <= PAGE_SIZE:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is None:
+                return bytes(length)
+            return bytes(page[offset : offset + length])
         out = bytearray(length)
         pos = 0
         while pos < length:
             cur = addr + pos
-            page_index = cur >> PAGE_SHIFT
-            offset = cur & (PAGE_SIZE - 1)
+            offset = cur & _PAGE_MASK
             chunk = min(length - pos, PAGE_SIZE - offset)
-            page = self._pages.get(page_index)
+            page = self._pages.get(cur >> PAGE_SHIFT)
             if page is not None:
                 out[pos : pos + chunk] = page[offset : offset + chunk]
             pos += chunk
@@ -71,17 +72,30 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at physical address ``addr``."""
+        length = len(data)
         if PhysicalMemory.fault_check is not None:
-            PhysicalMemory.fault_check("physmem.write", addr=addr, length=len(data))
-        self._check_range(addr, len(data))
+            PhysicalMemory.fault_check("physmem.write", addr=addr, length=length)
+        if addr < 0 or addr + length > self.size:
+            raise self._out_of_range(addr, length)
+        offset = addr & _PAGE_MASK
+        pages = self._pages
+        if offset + length <= PAGE_SIZE:
+            if length:
+                index = addr >> PAGE_SHIFT
+                page = pages.get(index)
+                if page is None:
+                    page = pages[index] = bytearray(PAGE_SIZE)
+                page[offset : offset + length] = data
+            return
         pos = 0
-        while pos < len(data):
+        while pos < length:
             cur = addr + pos
-            page_index = cur >> PAGE_SHIFT
-            offset = cur & (PAGE_SIZE - 1)
-            chunk = min(len(data) - pos, PAGE_SIZE - offset)
-            page = self._page(page_index, create=True)
-            assert page is not None
+            index = cur >> PAGE_SHIFT
+            offset = cur & _PAGE_MASK
+            chunk = min(length - pos, PAGE_SIZE - offset)
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(PAGE_SIZE)
             page[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
 

@@ -165,7 +165,10 @@ class CostModel:
         return c
 
     def _charge(self, counter: str, ns: int) -> None:
-        self._counter(counter).value += 1
+        c = self._cache.get(counter)
+        if c is None:
+            c = self._counter(counter)
+        c.value += 1
         self.clock.advance(ns)
 
     def bump(self, counter: str, n: int = 1) -> None:
@@ -247,12 +250,11 @@ class CostModel:
 
     # -- memory copies --------------------------------------------------------
 
-    def _copy_ns(self, nbytes: int, bytes_per_us: int, call_ns: int) -> int:
-        return call_ns + (nbytes * 1_000) // max(1, bytes_per_us)
-
     def memcpy(self, nbytes: int) -> None:
+        p = self.p
         self._charge(
-            "memcpy", self._copy_ns(nbytes, self.p.memcpy_bytes_per_us, self.p.memcpy_call_ns)
+            "memcpy",
+            p.memcpy_call_ns + (nbytes * 1_000) // max(1, p.memcpy_bytes_per_us),
         )
 
     def procvm_copy(self, nbytes: int) -> None:
@@ -267,20 +269,20 @@ class CostModel:
         and per-byte terms.  A single-segment call costs exactly what
         :meth:`procvm_copy` always charged.
         """
-        nsegs = max(1, nsegs)
-        self._charge(
-            "procvm_copy",
-            self._copy_ns(nbytes, self.p.procvm_bytes_per_us, self.p.procvm_call_ns)
-            + (nsegs - 1) * self.p.procvm_seg_ns,
-        )
+        p = self.p
+        ns = p.procvm_call_ns + (nbytes * 1_000) // max(1, p.procvm_bytes_per_us)
+        if nsegs > 1:
+            ns += (nsegs - 1) * p.procvm_seg_ns
+        self._charge("procvm_copy", ns)
         if nsegs > 1:
             self.bump("procvm_sg_segments", nsegs)
 
     def bytewise_copy(self, nbytes: int) -> None:
         """Unoptimised copy path, kept for the §5 ablation."""
+        p = self.p
         self._charge(
             "bytewise_copy",
-            self._copy_ns(nbytes, self.p.bytewise_bytes_per_us, self.p.procvm_call_ns),
+            p.procvm_call_ns + (nbytes * 1_000) // max(1, p.bytewise_bytes_per_us),
         )
 
     # -- storage ---------------------------------------------------------------

@@ -63,11 +63,12 @@ class AccessorStats:
     them into a :class:`~repro.obs.metrics.MetricsRegistry` scope, after
     which the attributes are thin shims over shared registry counters —
     the pre-PR5 ``stats.reads`` API keeps working while exporters see
-    every accessor in one tree.
+    every accessor in one tree.  Accessors update them through
+    :meth:`read_op`/:meth:`write_op`/:meth:`copies`, one call per copy.
     """
 
     FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "calls", "segments")
-    __slots__ = ("_counters",)
+    __slots__ = tuple("_" + name for name in FIELDS)
 
     def __init__(self, **initial: int) -> None:
         unknown = set(initial) - set(self.FIELDS)
@@ -77,9 +78,10 @@ class AccessorStats:
         # so the properties below have a single read/write path.
         from repro.obs.metrics import Counter
 
-        self._counters = {name: Counter(name, ()) for name in self.FIELDS}
-        for name, value in initial.items():
-            self._counters[name].value = value
+        for name in self.FIELDS:
+            counter = Counter(name, ())
+            counter.value = initial.get(name, 0)
+            setattr(self, "_" + name, counter)
 
     def bind(self, registry) -> "AccessorStats":
         """Re-home the counters into ``registry`` (a metrics scope).
@@ -90,20 +92,39 @@ class AccessorStats:
         ``GuestMemoryGateway.refresh_memslots`` carries stats objects
         across accessor rebuilds.
         """
-        bound = {}
         for name in self.FIELDS:
             counter = registry.counter(name)
-            counter.value += self._counters[name].value
-            bound[name] = counter
-        self._counters = bound
+            counter.value += getattr(self, "_" + name).value
+            setattr(self, "_" + name, counter)
         return self
+
+    def read_op(self, nbytes: int, calls: int, segments: int) -> None:
+        """One API-level read of ``nbytes`` that took ``calls`` charged
+        copies carrying ``segments`` segments.  A read whose copies are
+        counted one by one with :meth:`copies` passes 0 and 0."""
+        self._reads.value += 1
+        self._bytes_read.value += nbytes
+        self._calls.value += calls
+        self._segments.value += segments
+
+    def write_op(self, nbytes: int, calls: int, segments: int) -> None:
+        """The write-side twin of :meth:`read_op`."""
+        self._writes.value += 1
+        self._bytes_written.value += nbytes
+        self._calls.value += calls
+        self._segments.value += segments
+
+    def copies(self, calls: int, segments: int) -> None:
+        """``calls`` more charged copies carrying ``segments`` segments."""
+        self._calls.value += calls
+        self._segments.value += segments
 
     @property
     def segments_coalesced(self) -> int:
         return self.segments - self.calls
 
     def as_dict(self) -> Dict[str, int]:
-        out = {name: self._counters[name].value for name in self.FIELDS}
+        out = {name: getattr(self, "_" + name).value for name in self.FIELDS}
         out["segments_coalesced"] = self.segments_coalesced
         return out
 
@@ -118,11 +139,13 @@ class AccessorStats:
 
 
 def _stats_field(name: str):
+    slot = "_" + name
+
     def _get(self: AccessorStats) -> int:
-        return self._counters[name].value
+        return getattr(self, slot).value
 
     def _set(self: AccessorStats, value: int) -> None:
-        self._counters[name].value = value
+        getattr(self, slot).value = value
 
     return property(_get, _set)
 
@@ -193,12 +216,17 @@ class GuestMemoryAccessor:
 
 
 class InProcessAccessor(GuestMemoryAccessor):
-    """Device-in-hypervisor access: direct mapped memory."""
+    """Device-in-hypervisor access: direct mapped memory.
 
-    def __init__(self, guest_memory: GuestPhysMemory, costs: CostModel):
+    ``label`` names the device in the VMM's ``memio`` metric series.
+    """
+
+    def __init__(self, guest_memory: GuestPhysMemory, costs: CostModel,
+                 label: Optional[str] = None):
         super().__init__()
         self._mem = guest_memory
         self._costs = costs
+        self.label = label
 
     def covers(self, gpa: int, length: int) -> Optional[bool]:
         backing = getattr(self._mem, "covers", None)
@@ -206,18 +234,12 @@ class InProcessAccessor(GuestMemoryAccessor):
 
     def read(self, gpa: int, length: int) -> bytes:
         self._costs.memcpy(length)
-        self.stats.reads += 1
-        self.stats.bytes_read += length
-        self.stats.calls += 1
-        self.stats.segments += 1
+        self.stats.read_op(length, 1, 1)
         return self._mem.read(gpa, length)
 
     def write(self, gpa: int, data: bytes) -> None:
         self._costs.memcpy(len(data))
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-        self.stats.calls += 1
-        self.stats.segments += 1
+        self.stats.write_op(len(data), 1, 1)
         self._mem.write(gpa, data)
 
     def read_vectored(self, iov: Sequence[Tuple[int, int]]) -> bytes:
@@ -227,10 +249,7 @@ class InProcessAccessor(GuestMemoryAccessor):
             return b""
         total = sum(length for _, length in iov)
         self._costs.memcpy(total)
-        self.stats.reads += 1
-        self.stats.bytes_read += total
-        self.stats.calls += 1
-        self.stats.segments += len(iov)
+        self.stats.read_op(total, 1, len(iov))
         return b"".join(self._mem.read(gpa, length) for gpa, length in iov)
 
     def write_vectored(self, iov: Sequence[Tuple[int, bytes]]) -> None:
@@ -239,10 +258,7 @@ class InProcessAccessor(GuestMemoryAccessor):
             return
         total = sum(len(data) for _, data in iov)
         self._costs.memcpy(total)
-        self.stats.writes += 1
-        self.stats.bytes_written += total
-        self.stats.calls += 1
-        self.stats.segments += len(iov)
+        self.stats.write_op(total, 1, len(iov))
         for gpa, data in iov:
             self._mem.write(gpa, data)
 
@@ -267,6 +283,17 @@ class GpaTranslator:
             record = self._slots[index]
             if gpa < record.gpa + record.size:
                 return index
+        return None
+
+    def single_slot_hva(self, gpa: int, length: int) -> Optional[int]:
+        """The hva of ``[gpa, gpa+length)`` if one memslot holds all of
+        it (``length > 0``), else ``None``: the caller then splits the
+        range with :meth:`to_hva_iov`."""
+        index = bisect_right(self._starts, gpa) - 1
+        if index >= 0 and length > 0:
+            record = self._slots[index]
+            if gpa + length <= record.gpa + record.size:
+                return record.hva + (gpa - record.gpa)
         return None
 
     def to_hva_iov(self, gpa: int, length: int) -> List[Tuple[int, int]]:
@@ -296,14 +323,12 @@ class GpaTranslator:
         Callers that can handle an access spanning gpa-contiguous
         memslots should use :meth:`to_hva_iov` instead.
         """
-        index = self._slot_index(gpa)
-        if index is not None:
-            record = self._slots[index]
-            if gpa + length <= record.gpa + record.size:
-                return record.hva + (gpa - record.gpa)
-        raise VmshError(
-            f"gpa {gpa:#x} (+{length}) not covered by a single snooped memslot"
-        )
+        hva = self.single_slot_hva(gpa, max(1, length))
+        if hva is None:
+            raise VmshError(
+                f"gpa {gpa:#x} (+{length}) not covered by a single snooped memslot"
+            )
+        return hva
 
     def slots(self) -> List:
         return list(self._slots)
@@ -342,6 +367,8 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
         self._translator = translator
 
     def covers(self, gpa: int, length: int) -> Optional[bool]:
+        if self._translator.single_slot_hva(gpa, length) is not None:
+            return True
         try:
             self._translator.to_hva_iov(gpa, length)
         except VmshError:
@@ -382,8 +409,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
         out = []
         for start in range(0, len(runs), IOV_MAX):
             chunk = runs[start : start + IOV_MAX]
-            self.stats.calls += 1
-            self.stats.segments += len(chunk)
+            self.stats.copies(1, len(chunk))
             if len(chunk) == 1:
                 hva, length = chunk[0]
                 out.append(
@@ -402,8 +428,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
     def _writev(self, runs: List[Tuple[int, bytes]]) -> None:
         for start in range(0, len(runs), IOV_MAX):
             chunk = runs[start : start + IOV_MAX]
-            self.stats.calls += 1
-            self.stats.segments += len(chunk)
+            self.stats.copies(1, len(chunk))
             if len(chunk) == 1:
                 hva, data = chunk[0]
                 self._kernel.syscall(
@@ -416,24 +441,34 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
 
     # -- accessor API ---------------------------------------------------------
 
+    # A range inside one memslot is one single-segment syscall; only a
+    # slot-spanning range builds hva runs.
+
     def read(self, gpa: int, length: int) -> bytes:
-        self.stats.reads += 1
-        self.stats.bytes_read += length
-        return self._readv(self._read_runs([(gpa, length)]))
+        hva = self._translator.single_slot_hva(gpa, length)
+        if hva is None:
+            self.stats.read_op(length, 0, 0)
+            return self._readv(self._read_runs([(gpa, length)]))
+        self.stats.read_op(length, 1, 1)
+        return self._kernel.syscall(
+            self._thread, "process_vm_readv", self._pid, hva, length
+        )
 
     def write(self, gpa: int, data: bytes) -> None:
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-        self._writev(self._write_runs([(gpa, data)]))
+        hva = self._translator.single_slot_hva(gpa, len(data))
+        if hva is None:
+            self.stats.write_op(len(data), 0, 0)
+            self._writev(self._write_runs([(gpa, data)]))
+            return
+        self.stats.write_op(len(data), 1, 1)
+        self._kernel.syscall(self._thread, "process_vm_writev", self._pid, hva, data)
 
     def read_vectored(self, iov: Sequence[Tuple[int, int]]) -> bytes:
-        self.stats.reads += 1
-        self.stats.bytes_read += sum(length for _, length in iov)
+        self.stats.read_op(sum(length for _, length in iov), 0, 0)
         return self._readv(self._read_runs(iov))
 
     def write_vectored(self, iov: Sequence[Tuple[int, bytes]]) -> None:
-        self.stats.writes += 1
-        self.stats.bytes_written += sum(len(data) for _, data in iov)
+        self.stats.write_op(sum(len(data) for _, data in iov), 0, 0)
         self._writev(self._write_runs(iov))
 
 
@@ -462,14 +497,12 @@ class BytewiseRemoteAccessor(RemoteProcessAccessor):
     """
 
     def read(self, gpa: int, length: int) -> bytes:
-        self.stats.reads += 1
-        self.stats.bytes_read += length
+        self.stats.read_op(length, 0, 0)
         out = []
         for hva, run_len in self._translator.to_hva_iov(gpa, length):
             # Staged copy: the data crosses an intermediate userspace
             # buffer at a much lower effective bandwidth.
-            self.stats.calls += 1
-            self.stats.segments += 1
+            self.stats.copies(1, 1)
             self._kernel.costs.bytewise_copy(run_len)
             out.append(
                 self._kernel.processes[self._pid].address_space.read(hva, run_len)
@@ -477,12 +510,10 @@ class BytewiseRemoteAccessor(RemoteProcessAccessor):
         return b"".join(out)
 
     def write(self, gpa: int, data: bytes) -> None:
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
+        self.stats.write_op(len(data), 0, 0)
         pos = 0
         for hva, run_len in self._translator.to_hva_iov(gpa, len(data)):
-            self.stats.calls += 1
-            self.stats.segments += 1
+            self.stats.copies(1, 1)
             self._kernel.costs.bytewise_copy(run_len)
             self._kernel.processes[self._pid].address_space.write(
                 hva, data[pos : pos + run_len]

@@ -22,6 +22,7 @@ from repro.virtio.constants import (
 )
 
 DESC_SIZE = 16
+_DESC = struct.Struct("<QIHH")  # addr, len, flags, next
 AVAIL_HEADER = 4            # u16 flags + u16 idx
 USED_HEADER = 4
 USED_ELEM_SIZE = 8          # u32 id + u32 len
@@ -351,11 +352,9 @@ class DeviceRing:
                     "desc_index", f"descriptor index {index} out of range"
                 )
             seen.add(index)
-            base = index * DESC_SIZE
-            addr = int.from_bytes(table[base : base + 8], "little")
-            length = int.from_bytes(table[base + 8 : base + 12], "little")
-            flags = int.from_bytes(table[base + 12 : base + 14], "little")
-            next_index = int.from_bytes(table[base + 14 : base + 16], "little")
+            addr, length, flags, next_index = _DESC.unpack_from(
+                table, index * DESC_SIZE
+            )
             has_next = bool(flags & VRING_DESC_F_NEXT)
             if length == 0:
                 self._parse_error(

@@ -513,3 +513,22 @@ def test_raw_disk_backend_rejects_torn_sector():
         backend.write(0, b"short")
     backend.write(0, b"\xbb" * SECTOR_SIZE)
     assert backend.read(0, 1) == b"\xbb" * SECTOR_SIZE
+
+
+def _vmm_memio_devices(tb, pid):
+    """The ``device`` labels of the VMM memio series bound for ``pid``."""
+    devices = set()
+    for (_, _, labels), _ in tb.obs.metrics.scope("memio").walk():
+        labels = dict(labels)
+        if labels.get("role") == "vmm" and labels.get("vm") == str(pid):
+            devices.add(labels["device"])
+    return devices
+
+
+def test_clone_binds_the_memio_labels_of_a_fresh_launch():
+    tb = Testbed()
+    for kwargs in ({"disk": tb.nvme_partition()}, {"nic": True}):
+        hv = tb.launch_qemu(**kwargs)
+        fresh = _vmm_memio_devices(tb, hv.pid)
+        clone = tb.clone(tb.snapshot(hv, freeze=True))
+        assert fresh and _vmm_memio_devices(tb, clone.pid) == fresh, kwargs
