@@ -1,8 +1,8 @@
 """CI perf-regression gate for the fleet hot paths (PR 8).
 
 Re-measures the fleet-64 gate points — the control-plane burst, the
-I/O fleet, and the pure scheduler dispatch storm — and compares them
-against the committed baseline
+I/O fleet, the pure scheduler dispatch storm and snapshot-pool clones —
+and compares them against the committed baseline
 (``benchmarks/results/PERF_BASELINE.json``):
 
 * **Deterministic dimensions — exact.**  Virtual results are a pure
@@ -15,10 +15,13 @@ against the committed baseline
   the optimized control-plane burst and of the dispatch storm, and the
   I/O fleet's requests/sec (its 4,096 queued requests through the
   guest-memory data plane), must stay at or above ``WALL_TOLERANCE`` x
-  the baseline machine's rate.  The band is wide because CI boxes
-  differ; what it catches is the order-of-magnitude slip of
-  accidentally shipping the unoptimized path (the ablation bundle runs
-  ~3-6x slower, far below the band).
+  the baseline machine's rate, and so must the clones/sec of a
+  Firecracker snapshot on a host running the gate fleet (a clone loads
+  the snapshot's serialized image; a deep copy of the VM graph runs at
+  ~0.22x that rate).  The band is wide because CI boxes differ; what
+  it catches is the order-of-magnitude slip of accidentally shipping
+  the unoptimized path (the ablation bundle runs ~3-6x slower, far
+  below the band).
 
 Run from the repo root::
 
@@ -29,18 +32,41 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "results" / "PERF_BASELINE.json"
 
-GATE_FLEET = 64          # both gate points run at fleet 64
+GATE_FLEET = 64          # every gate point runs at fleet 64
 PLANE_INVOCATIONS_PER_FN = 64
 IO_SECTORS = 32          # per-VM: 32 writes + 32 reads, iodepth 4
 WALL_TOLERANCE = 0.35    # optimized events/s >= 35% of baseline rate
+CLONES = 256             # clones timed at the clone point
+
+
+def clone_point(fleet: int, clones: int) -> dict:
+    """Snapshot-pool restores: ``clones`` clones of one Firecracker
+    snapshot, on a host running ``fleet`` VMs."""
+    from repro.testbed import Testbed
+
+    tb = Testbed()
+    for _ in range(fleet - 1):
+        tb.launch_firecracker(seccomp=False)
+    snap = tb.snapshot(tb.launch_firecracker(seccomp=False))
+    tb.clone(snap, charge=False)     # warm-up outside the timed loop
+    gc.collect()
+    gc.freeze()                      # same GC regime as plane_point
+    wall0 = time.perf_counter()
+    for _ in range(clones):
+        tb.clone(snap, charge=False)
+    wall_s = time.perf_counter() - wall0
+    gc.unfreeze()
+    return {"clones_per_s_wall": clones / wall_s}
 
 
 def measure() -> dict:
@@ -54,6 +80,7 @@ def measure() -> dict:
     # refactor that leaks per-event work into the dispatch loop shows
     # up here even when the diluted plane point absorbs it.
     storm = sched_storm_point()
+    clone = clone_point(GATE_FLEET, CLONES)
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,
@@ -71,6 +98,7 @@ def measure() -> dict:
             "plane_events_per_s": round(plane["events_per_s_wall"]),
             "storm_events_per_s": round(storm["events_per_s_wall"]),
             "io_ops_per_s": round(io["io_ops_per_s_wall"]),
+            "clones_per_s": round(clone["clones_per_s_wall"]),
         },
     }
 

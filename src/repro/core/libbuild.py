@@ -168,6 +168,11 @@ def build_library(plan: LibraryPlan) -> bytes:
     )
 
 
+#: one period of the stage-2 body's filler ``(i * 37 + 11) & 0xFF``,
+#: which repeats every 256 bytes
+_STAGE2_PERIOD = bytes((i * 37 + 11) & 0xFF for i in range(256))
+
+
 def _stage2_binary() -> bytes:
     """The statically linked guest userspace program (§5), as bytes.
 
@@ -176,5 +181,4 @@ def _stage2_binary() -> bytes:
     binary body (so the kernel_write copy loop moves real data).
     """
     header = f"#!SIMELF:{STAGE2_PROGRAM_ID}\n".encode()
-    body = bytes((i * 37 + 11) & 0xFF for i in range(32 * 1024))
-    return header + body
+    return header + _STAGE2_PERIOD * 128     # 32 KiB

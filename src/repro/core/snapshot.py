@@ -22,10 +22,11 @@ simulated stack, in three layers:
   accounting and observability happen in the Testbed entry points.
 
 * :meth:`VmSnapshot.clone_into` — materializes a *new* VM from the
-  snapshot's frozen object graph: a fresh process (new pid/tids) on a
-  chosen host, with irqfd callbacks re-armed against the clone, device
-  interrupt closures rebound, and metrics re-homed under the new pid.
-  This is the substrate for the serverless snapshot pool and for
+  snapshot's frozen image (the VM's object graph serialized once, at
+  freeze): a fresh process (new pid/tids) on a chosen host, with irqfd
+  callbacks re-armed against the clone, device interrupt closures
+  rebound, and metrics re-homed under the new pid.  This is the
+  substrate for the serverless snapshot pool and for
   :func:`migrate_vm`.
 
 Quiesce semantics: a live session's device-host service task is
@@ -39,13 +40,17 @@ snapshots because both operate on the same RAM image.
 
 from __future__ import annotations
 
-import copy
+import io
+import pickle
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SnapshotError
 from repro.kvm.memslots import Memslot
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 
 # ---------------------------------------------------------------------------
 # Plain-data state fragments
@@ -156,8 +161,8 @@ def quiesce(session) -> Optional[Callable[[Any], None]]:
 def _environment_of(hv) -> List[Any]:
     """The simulation singletons a VM graph references but never owns.
 
-    The metrics tree is environment too, but needs no pin here: every
-    registry scope view deepcopies to itself.
+    Host and KVM come first: migration swaps the destination's in at
+    those two slots of an image's reference table.
     """
     host = hv.host
     env = [host, hv.kvm, host.clock, host.costs, host.obs, host.arch,
@@ -169,8 +174,92 @@ def _environment_of(hv) -> List[Any]:
     return env
 
 
-def _pin(objects) -> Dict[int, Any]:
-    return {id(obj): obj for obj in objects}
+def freeze_refusal(hv) -> Optional[str]:
+    """Why ``hv`` cannot be frozen for cloning right now, or ``None``.
+
+    A live VMSH session is host-local state a clone cannot carry: its
+    ptrace link, or the device host answering its ioregionfd sockets.
+    Detaching closes the session's socket ends, which leaves the VM's
+    ioregions peerless.
+    """
+    if hv.process.tracer is not None:
+        return "a ptrace-attached session"
+    if any(region.socket.peer is not None for region in hv.vm.ioregions):
+        return "a live ioregionfd session"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Images: a VM graph serialized once, loaded once per clone
+# ---------------------------------------------------------------------------
+
+#: The types ``copy.deepcopy`` returns as-is (besides classes and
+#: plain values): an image keeps them by reference too.  Closures are
+#: among them, which is why ``_rebind_clone`` finds the stale ones by
+#: identity.
+_BY_REFERENCE_TYPES = frozenset((
+    types.FunctionType, types.BuiltinFunctionType, types.CodeType,
+    weakref.ref, property,
+))
+
+#: Exact types pickle saves by value without consulting
+#: ``reducer_override``; no environment object may be one.
+_PICKLED_BY_VALUE = (type(None), bool, int, float, str, bytes, bytearray,
+                     dict, list, tuple, set, frozenset)
+
+
+def _ref(index: int) -> Any:
+    """The global an image names for an object kept by reference.
+
+    Never called: :class:`_ImageLoader` resolves this name to its
+    reference table's ``__getitem__``.
+    """
+    raise AssertionError("an image reference resolves through its loader")
+
+
+class _ImageWriter(pickle.Pickler):
+    """Serializes a VM graph, keeping what it does not own by reference.
+
+    Kept by reference, as entries of :attr:`refs`: the environment
+    (seeded first, in :func:`_environment_of` order), registry scope
+    views (handles onto the one shared metrics tree), and every
+    deepcopy atom — classes, functions, closures, builtins, weakrefs,
+    code objects, properties.  Everything else is copied by value.
+    """
+
+    def __init__(self, buffer, environment: List[Any]) -> None:
+        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        for obj in environment:
+            assert type(obj) not in _PICKLED_BY_VALUE, type(obj)
+        self.refs = list(environment)
+        self._env = {id(obj): index for index, obj in enumerate(environment)}
+
+    def reducer_override(self, obj: Any) -> Any:
+        # Called once per object (pickle memoizes), never for the
+        # _PICKLED_BY_VALUE types.
+        index = self._env.get(id(obj))
+        if index is None:
+            if obj is _ref or not (
+                type(obj) in _BY_REFERENCE_TYPES
+                or isinstance(obj, (type, MetricsRegistry))
+            ):
+                return NotImplemented
+            index = len(self.refs)
+            self.refs.append(obj)
+        return _ref, (index,)
+
+
+class _ImageLoader(pickle.Unpickler):
+    """Builds one clone from an image and its reference table."""
+
+    def __init__(self, image: bytes, refs: List[Any]) -> None:
+        super().__init__(io.BytesIO(image))
+        self._refs = refs
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_ref":
+            return self._refs.__getitem__
+        return super().find_class(module, name)
 
 
 def _device_map(hv, session) -> Dict[str, Any]:
@@ -312,9 +401,12 @@ class VmSnapshot:
         self.guest_panicked: Optional[str] = None
         self.session: Optional[_SessionState] = None
         self.cow = CowStats()
-        #: deepcopied object graph for clone()/migrate(); None when the
-        #: snapshot was captured restore-only (freeze=False).
-        self._frozen = None
+        #: the VM graph serialized for clone()/migrate(), and the
+        #: objects it keeps by reference; None when the snapshot was
+        #: captured restore-only (freeze=False).  An image never leaves
+        #: the process: only bytes this module wrote are ever loaded.
+        self._image: Optional[bytes] = None
+        self._refs: List[Any] = []
 
     # -- capture -----------------------------------------------------------------
 
@@ -325,10 +417,10 @@ class VmSnapshot:
 
         Pure with respect to the simulation: no virtual time passes, no
         counters move.  ``base`` enables copy-on-write page sharing;
-        ``freeze`` additionally deep-freezes the object graph so the
-        snapshot can be cloned.  A live service task is quiesced for
-        the duration and restarted on ``scheduler`` (defaults to the
-        host's scheduler).
+        ``freeze`` additionally serializes the object graph into an
+        image so the snapshot can be cloned.  A live service task is
+        quiesced for the duration and restarted on ``scheduler``
+        (defaults to the host's scheduler).
         """
         resume = quiesce(session)
         try:
@@ -420,17 +512,21 @@ class VmSnapshot:
             self.memory.append((mapping.name, mapping.backing.size, pages))
 
     def _freeze(self, hv) -> None:
-        if hv.process.tracer is not None:
+        refusal = freeze_refusal(hv)
+        if refusal is not None:
             raise SnapshotError(
-                "cannot freeze a VM with a ptrace-attached session — "
-                "detach first, or migrate() with the detach/re-attach "
-                "fallback"
+                f"cannot freeze a VM with {refusal} — detach first, or "
+                "migrate() with the detach/re-attach fallback"
             )
-        self._frozen = copy.deepcopy(hv, _pin(_environment_of(hv)))
+        buffer = io.BytesIO()
+        writer = _ImageWriter(buffer, _environment_of(hv))
+        writer.dump(hv)
+        self._image = buffer.getvalue()
+        self._refs = writer.refs
 
     @property
     def clonable(self) -> bool:
-        return self._frozen is not None
+        return self._image is not None
 
     # -- restore ----------------------------------------------------------------------
 
@@ -567,7 +663,7 @@ class VmSnapshot:
     # -- clone -------------------------------------------------------------------------
 
     def clone_into(self, host, kvm) -> Any:
-        """Materialize a new VM from the frozen graph on ``host``.
+        """Materialize a new VM from the frozen image on ``host``.
 
         The returned hypervisor is a fully independent VM: fresh
         pid/tids drawn from ``host``'s deterministic counters, its own
@@ -575,29 +671,26 @@ class VmSnapshot:
         callbacks and device interrupt closures rebound to the clone's
         VmFd, and metrics re-homed under the new pid.
         """
-        if self._frozen is None:
+        if self._image is None:
             raise SnapshotError(
                 "snapshot was captured without freeze=True — no frozen "
-                "graph to clone from"
+                "image to clone from"
             )
-        memo = _pin(_environment_of(self._frozen))
-        source_host = self._frozen.host
-        source_kvm = self._frozen.kvm
-        if host is not source_host:
-            # Cross-host materialization (migration): substitute the
-            # destination environment for the source's while copying.
-            memo[id(source_host)] = host
-            memo[id(source_kvm)] = kvm
-        hv = copy.deepcopy(self._frozen, memo)
+        refs = self._refs
+        if host is not refs[0]:
+            # Cross-host materialization (migration): the destination's
+            # host and KVM stand in for the source's.
+            refs = [host, kvm, *refs[2:]]
+        hv = _ImageLoader(self._image, refs).load()
         _rebind_clone(hv, host, kvm, source_pid=self.source_pid)
         return hv
 
 
 def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
-    """Fix up a deepcopied VM graph so it lives on ``host`` as itself.
+    """Fix up a cloned VM graph so it lives on ``host`` as itself.
 
-    deepcopy rebinds bound methods through the memo but copies plain
-    closures by identity — so the irqfd wakeup callbacks and the
+    An image rebinds bound methods to the copied objects but keeps
+    plain closures by reference — so the irqfd wakeup callbacks and the
     device ``inject_irq`` closures still point at the *source* VmFd
     and must be rebuilt against the clone.
     """

@@ -140,13 +140,6 @@ class MetricsRegistry:
         # sets can never collide.
         self._handles = _handles if _handles is not None else {}
 
-    def __deepcopy__(self, memo) -> "MetricsRegistry":
-        # A view is a handle onto the one shared tree, which is
-        # environment: an object graph references it but never owns it,
-        # so a deepcopied graph (a VM snapshot, a clone) keeps the view.
-        # The metric cells the graph holds directly are still copied.
-        return self
-
     # -- tree navigation ---------------------------------------------------
 
     def scope(self, *parts: str, **labels: object) -> "MetricsRegistry":

@@ -197,15 +197,16 @@ class Testbed:
         """Capture a :class:`~repro.core.snapshot.VmSnapshot` of ``hv``.
 
         Charges ``vm_snapshot_capture_ns`` of virtual time (quiesce +
-        page walk + serialize).  ``freeze="auto"`` deep-freezes the
-        object graph for later :meth:`clone` whenever no ptrace session
-        is attached; pass ``False`` for a cheap restore-only capture or
-        ``True`` to require clonability.
+        page walk + serialize).  ``freeze="auto"`` also serializes the
+        object graph into an image for later :meth:`clone` whenever no
+        live VMSH session holds the VM (a ptrace link or a connected
+        ioregionfd socket); pass ``False`` for a cheap restore-only
+        capture or ``True`` to require clonability.
         """
-        from repro.core.snapshot import VmSnapshot
+        from repro.core.snapshot import VmSnapshot, freeze_refusal
 
         if freeze == "auto":
-            freeze = hv.process.tracer is None
+            freeze = freeze_refusal(hv) is None
         with self.obs.span("snapshot.capture", track="snapshot",
                            vm=hv.pid, flavor=hv.NAME):
             self.costs.vm_snapshot_capture()

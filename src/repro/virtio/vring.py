@@ -232,7 +232,7 @@ class DeviceRing:
     def bind_metrics(self) -> None:
         """Resolve the cached counters from the ring's registry scope.
 
-        A snapshot clone re-binds: its deepcopied counters are detached
+        A snapshot clone re-binds: its copied counters are detached
         from the registry, while the scope view is the shared tree.
         """
         metrics = self._metrics

@@ -5,6 +5,8 @@ import pytest
 from repro.core.gateway import GuestMemoryGateway
 from repro.core.libbuild import (
     STAGE2_GUEST_PATH,
+    STAGE2_PROGRAM_ID,
+    _stage2_binary,
     build_library,
     plan_library,
 )
@@ -123,6 +125,12 @@ def test_library_blob_is_parseable():
     assert [r.name for r in parsed.relocs] == list(REQUIRED_KERNEL_FUNCTIONS)
     assert parsed.payload.startswith(b"#!SIMELF:vmsh-stage2")
     assert parsed.config["stage2_path"] == STAGE2_GUEST_PATH.encode()
+
+
+def test_stage2_binary_matches_the_per_byte_filler():
+    header = f"#!SIMELF:{STAGE2_PROGRAM_ID}\n".encode()
+    body = bytes((i * 37 + 11) & 0xFF for i in range(32 * 1024))
+    assert _stage2_binary() == header + body
 
 
 def test_library_abi_tag_tracks_version():

@@ -9,12 +9,11 @@ satellite bugfixes (mid-yield instance termination, instance reaping,
 sector-torn backend writes).
 """
 
-import copy
+import pickletools
 import types
 
 import pytest
 
-from repro.core import snapshot as snapshot_module
 from repro.core.snapshot import VmSnapshot, _environment_of
 from repro.errors import SnapshotError, VirtioError, VmshError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -219,23 +218,8 @@ def test_clone_rehomes_device_and_driver_counters():
     assert detached == []
 
 
-def _freeze_and_clone(others, monkeypatch):
-    """Freeze one VM of a fleet of ``others`` + 1, grow the fleet, clone.
-
-    Returns the testbed, source, snapshot, clone and the number of
-    objects the freeze and the clone each deepcopied.
-    """
-    copied = []
-
-    def counting_deepcopy(obj, memo):
-        pinned = len(memo)
-        result = copy.deepcopy(obj, memo)
-        copied.append(len(memo) - pinned)
-        return result
-
-    monkeypatch.setattr(
-        snapshot_module, "copy", types.SimpleNamespace(deepcopy=counting_deepcopy)
-    )
+def _freeze_and_clone(others):
+    """Freeze one VM of a fleet of ``others`` + 1, grow the fleet, clone."""
     tb = Testbed()
     for _ in range(others):
         tb.launch_firecracker(seccomp=False)
@@ -243,19 +227,26 @@ def _freeze_and_clone(others, monkeypatch):
     snap = tb.snapshot(hv)
     tb.launch_firecracker(seccomp=False)         # grows the registry
     clone = tb.clone(snap)
-    return tb, hv, snap, clone, copied
+    return tb, hv, snap, clone
 
 
-def test_clone_shares_the_metrics_tree_at_any_fleet_size(monkeypatch):
+def _image_objects(image):
+    """The objects an image serializes: pickle memoizes each one once,
+    and a clone builds exactly these."""
+    return sum(op.name == "MEMOIZE" for op, _, _ in pickletools.genops(image))
+
+
+def test_clone_shares_the_metrics_tree_at_any_fleet_size():
     copied = {}
     for others in (2, 32):
-        tb, hv, snap, clone, copied[others] = _freeze_and_clone(others, monkeypatch)
+        tb, hv, snap, clone = _freeze_and_clone(others)
         store = tb.obs.metrics._store
-        assert snap._frozen.metrics is hv.metrics        # the view itself
-        assert snap._frozen.vm.metrics is hv.vm.metrics
+        by_reference = {id(obj) for obj in snap._refs}
+        assert id(hv.metrics) in by_reference            # the view itself
+        assert id(hv.vm.metrics) in by_reference
         assert clone.metrics._store is store
         assert clone.vm.metrics._store is store
-    assert len(copied[2]) == 2                           # freeze, clone
+        copied[others] = (len(snap._image), _image_objects(snap._image))
     assert copied[2] == copied[32]
 
 
@@ -299,6 +290,25 @@ def test_quiesce_drains_service_task():
     assert snap.session is not None
     device_host.stop_service_task()
     session.detach()
+
+
+def test_freeze_refuses_a_live_ioregionfd_session():
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid, mmio_mode="ioregionfd")
+    session.start_service(tb.scheduler)
+    assert hv.process.tracer is None            # no ptrace link to refuse on
+    snap = tb.snapshot(hv, session=session)
+    assert not snap.clonable                    # auto: restore-only
+    with pytest.raises(SnapshotError, match="live ioregionfd session"):
+        tb.snapshot(hv, session=session, freeze=True)
+    session.device_host.stop_service_task()
+    session.detach()
+    snap = tb.snapshot(hv, session=session, freeze=True)
+    clone = tb.clone(snap)
+    again = tb.vmsh().attach(clone.pid)
+    assert again.console.run_command("echo ok").output == "ok"
+    again.detach()
 
 
 # -- migrate --------------------------------------------------------------------------

@@ -101,9 +101,9 @@ def test_mapped_image_backend():
 
 
 def test_mapped_image_backend_deepcopies_its_contents():
-    """A VM graph deepcopy (snapshot freeze/clone) can reach a session's
-    backend: the copy carries the written sectors in a mapping of its
-    own."""
+    """A copy of a VM graph (a deepcopy, or a snapshot image) can reach
+    a session's backend: the copy carries the written sectors in a
+    mapping of its own."""
     import copy
     import pickle
 
