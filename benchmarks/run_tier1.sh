@@ -28,17 +28,6 @@ PYTHONPATH=src python -m pytest -q \
     tests/integration/test_riscv64.py \
     benchmarks/test_e2_e3_generality.py
 
-# Machine-readable numbers per PR -> benchmarks/results/BENCH_PR<n>.json
-# (emit.py takes the PR number; --out overrides the default path).
-PYTHONPATH=src python benchmarks/emit.py --pr 3
-PYTHONPATH=src python benchmarks/emit.py --pr 4
-PYTHONPATH=src python benchmarks/emit.py --pr 5
-PYTHONPATH=src python benchmarks/emit.py --pr 6
-PYTHONPATH=src python benchmarks/emit.py --pr 7
-PYTHONPATH=src python benchmarks/emit.py --pr 8
-PYTHONPATH=src python benchmarks/emit.py --pr 9
-PYTHONPATH=src python benchmarks/emit.py --pr 10
-
 # Benchmark self-test: every workload of benchmarks/suite/run.py at
 # --smoke sizes, traced and untraced (~1 min).
 python3 -m pytest -q benchmarks/suite/test_suite.py

@@ -1,9 +1,8 @@
 """The canonical *observed* fleet run for PR 5's observability spine.
 
-One scenario, three consumers: ``python -m repro trace``/``metrics``
-dump its exports, ``benchmarks/emit.py --pr 5`` sources its headline
-numbers from the registry snapshot, and the chaos suite replays it
-twice to pin the byte-identity of both exports under one seed.
+One scenario, two consumers: ``python -m repro trace``/``metrics``
+dump its exports, and the chaos suite replays it twice to pin the
+byte-identity of both exports under one seed.
 
 The run deliberately crosses every instrumented layer: eight VMs boot
 (per-VM registry subtrees), two attach pipelines interleave with a

@@ -7,15 +7,23 @@ of VMSH's binary analysis (KASLR scan, ksymtab parsing, banner read)
 and its library loader run through this gateway — paying the same
 cross-process costs the real system pays.
 
-Two optimisations keep the hot path cheap without changing what is
+Three optimisations keep the attach cheap without changing what is
 paid *per mechanism*:
 
-* a small software TLB caches page-table walks per 4K virtual page,
-  keyed implicitly by the current CR3 (it is flushed on
+* page-table walks read through a :class:`PageTableView` that lives
+  for one attach step (or one gateway call outside a step).  The view
+  copies each table page it touches with one 4 KiB remote read and
+  decodes entries from that copy, so the KASLR scan of an x86-64
+  guest reads four table pages, whichever slot the kernel sits in.
+  Page-table writes are buffered and flushed in one vectored
+  ``process_vm_writev``.  No view outlives its step, so nothing it
+  holds ever needs invalidating.
+* a small software TLB caches translations per 4K virtual page, keyed
+  implicitly by the current CR3 (it is flushed on
   :meth:`GuestMemoryGateway.set_cr3` and
   :meth:`~GuestMemoryGateway.refresh_memslots`, like a real TLB on a
-  CR3 write).  Each walk costs four remote u64 reads, so a big
-  ``read_virt`` re-walking every page on every call was pure waste.
+  CR3 write), so the ksymtab read of the image the KASLR scan just
+  walked translates without walking again.
 * ``read_virt``/``write_virt`` translate the whole range first, merge
   physically-contiguous page runs, and push the result through the
   accessor's scatter-gather API — one charged ``process_vm_*`` call
@@ -24,7 +32,9 @@ paid *per mechanism*:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import struct
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.arch import Arch, X86_64
 from repro.errors import PageFaultError, SideloadError
@@ -32,6 +42,86 @@ from repro.host.kernel import HostKernel
 from repro.host.process import Thread
 from repro.units import PAGE_SIZE
 from repro.virtio.memio import GpaTranslator, RemoteProcessAccessor
+
+
+_PAGE_MASK = PAGE_SIZE - 1
+_U64 = struct.Struct("<Q")
+
+
+class PageTableView:
+    """The guest's page-table pages as one attach step sees them.
+
+    :meth:`read_u64` and :meth:`write_u64` are the callbacks the arch's
+    walker and builder take.  The first touch of a table page copies
+    it with one 4 KiB remote read; later entries decode from the copy.
+    Pages inside ``fresh`` (VMSH's just-mmapped, zero-filled reserve)
+    are known to be zero and are never read.  Writes land in the copy;
+    :meth:`flush` writes the words that changed in one vectored call
+    and journals the old value of each word outside ``fresh``, which
+    :meth:`undo` puts back.  Words in ``fresh`` need no journal: the
+    reserve goes away with its memslot on rollback.
+    """
+
+    def __init__(
+        self,
+        phys: RemoteProcessAccessor,
+        walker_factory: Callable,
+        fresh: range = range(0),
+    ):
+        self._phys = phys
+        self._fresh = fresh
+        self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
+        self._before: Dict[int, int] = {}        # word paddr -> value before
+        self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
+        self.walker = walker_factory(self.read_u64)
+
+    def _page(self, base: int) -> bytearray:
+        page = self._pages.get(base)
+        if page is None:
+            if base in self._fresh:
+                page = bytearray(PAGE_SIZE)
+            else:
+                page = bytearray(self._phys.read(base, PAGE_SIZE))
+            self._pages[base] = page
+        return page
+
+    def read_u64(self, paddr: int) -> int:
+        page = self._page(paddr & ~_PAGE_MASK)
+        return _U64.unpack_from(page, paddr & _PAGE_MASK)[0]
+
+    def write_u64(self, paddr: int, value: int) -> None:
+        page = self._page(paddr & ~_PAGE_MASK)
+        offset = paddr & _PAGE_MASK
+        if paddr not in self._before:
+            self._before[paddr] = _U64.unpack_from(page, offset)[0]
+        _U64.pack_into(page, offset, value & 0xFFFFFFFFFFFFFFFF)
+
+    def flush(self) -> None:
+        """Write every changed word in one vectored call, adjacent
+        words merged into one segment."""
+        iov: List[Tuple[int, bytes]] = []
+        for paddr in sorted(self._before):
+            old = self._before[paddr]
+            new = self.read_u64(paddr)
+            if new == old:
+                continue
+            if paddr not in self._fresh:
+                self.journal.append((paddr, old))
+            word = _U64.pack(new)
+            if iov and iov[-1][0] + len(iov[-1][1]) == paddr:
+                iov[-1] = (iov[-1][0], iov[-1][1] + word)
+            else:
+                iov.append((paddr, word))
+        self._before.clear()
+        if iov:
+            self._phys.write_vectored(iov)
+
+    def undo(self) -> None:
+        """Restore every journaled word (rollback), in one vectored call."""
+        if self.journal:
+            self._phys.write_vectored(
+                [(paddr, _U64.pack(old)) for paddr, old in self.journal]
+            )
 
 
 class GuestMemoryGateway:
@@ -68,9 +158,9 @@ class GuestMemoryGateway:
             kernel, vmsh_thread, hypervisor_pid, self.translator
         )
         self.phys.stats.bind(metrics.scope("phys"))
-        self.walker = arch.walker(self.phys.read_u64)
         self.cr3 = 0
         self._tlb: Dict[int, int] = {}      # vpage base -> page-frame paddr
+        self._view = None                   # the open PageTableView, if any
 
     def refresh_memslots(self, memslot_records: List) -> None:
         """Re-snapshot after VMSH adds its own memslot."""
@@ -80,7 +170,6 @@ class GuestMemoryGateway:
             self.kernel, self.vmsh_thread, self.hypervisor_pid, self.translator
         )
         self.phys.stats = old_stats         # keep counters cumulative
-        self.walker = self.arch.walker(self.phys.read_u64)
         # The gpa -> hva map changed under the cached walks; drop them.
         self._tlb.clear()
 
@@ -88,6 +177,24 @@ class GuestMemoryGateway:
         if cr3 != self.cr3:
             self._tlb.clear()
         self.cr3 = cr3
+
+    @contextmanager
+    def page_tables(self, fresh: range = range(0)) -> Iterator[PageTableView]:
+        """Open a :class:`PageTableView` for one attach step.
+
+        Every walk inside the block reads through it, and its buffered
+        writes flush when the block ends without an error.  Nested
+        blocks share the outer view.
+        """
+        if self._view is not None:
+            yield self._view
+            return
+        view = self._view = PageTableView(self.phys, self.arch.walker, fresh)
+        try:
+            yield view
+            view.flush()
+        finally:
+            self._view = None
 
     # -- virtual access ------------------------------------------------------------
 
@@ -98,7 +205,8 @@ class GuestMemoryGateway:
         base = self._tlb.get(vpage)
         if base is None:
             self._m_tlb_misses.inc()
-            base = self.walker.translate(self.cr3, vpage).paddr
+            with self.page_tables() as view:
+                base = view.walker.translate(self.cr3, vpage).paddr
             self._tlb[vpage] = base         # faults propagate, never cached
         else:
             self._m_tlb_hits.inc()
@@ -152,12 +260,16 @@ class GuestMemoryGateway:
         return runs
 
     def read_virt(self, vaddr: int, length: int) -> bytes:
-        return self.phys.read_vectored(self._phys_runs(vaddr, length))
+        with self.page_tables():
+            runs = self._phys_runs(vaddr, length)
+        return self.phys.read_vectored(runs)
 
     def write_virt(self, vaddr: int, data: bytes) -> None:
+        with self.page_tables():
+            runs = self._phys_runs(vaddr, len(data))
         iov: List[Tuple[int, bytes]] = []
         pos = 0
-        for paddr, chunk in self._phys_runs(vaddr, len(data)):
+        for paddr, chunk in runs:
             iov.append((paddr, data[pos : pos + chunk]))
             pos += chunk
         self.phys.write_vectored(iov)

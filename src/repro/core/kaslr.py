@@ -9,6 +9,13 @@ The scan probes each 2 MiB-aligned slot base in the kernel text range;
 the first mapped slot is the image base (nothing else lives in that
 range).  A second fine-grained pass finds where the mapping ends, which
 is where VMSH maps its own library.
+
+Every probe walks the guest's page tables through the gateway.  Run
+inside the analyse step's page-table view, a walk decodes entries from
+table pages the view copied once, so the whole scan costs one remote
+read per table page it touches (four on an x86-64 guest with a 2 MiB
+image), whichever slot the kernel sits in.  Outside a view, each probe
+opens its own.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ def find_kernel(gateway: GuestMemoryGateway, max_image_size: int = 64 * 1024 * 1
 
     # The fine-grained end scan walks each page once; the gateway's TLB
     # remembers the walks, so the later ksymtab read of the same image
-    # pays no second round of remote page-table reads.
+    # translates without walking again.
     vend = vbase
     while vend < vbase + max_image_size and gateway.is_mapped(vend):
         vend += PAGE_SIZE

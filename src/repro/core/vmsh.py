@@ -658,12 +658,14 @@ class Vmsh:
         )
         gateway.set_cr3(sregs[arch.pt_root_sreg])
 
-        # 5./6./7. Binary analysis (reads only, nothing to undo).
+        # 5./6./7. Binary analysis (reads only, nothing to undo), over
+        # one page-table view: each table page is read once.
         txn.step("analyse")
         yield "analyse"
-        location = find_kernel(gateway)
-        ksymtab = parse_ksymtab(gateway, location)
-        version = self._detect_version(gateway, ksymtab)
+        with gateway.page_tables():
+            location = find_kernel(gateway)
+            ksymtab = parse_ksymtab(gateway, location)
+            version = self._detect_version(gateway, ksymtab)
         missing = [
             name for name in REQUIRED_KERNEL_FUNCTIONS
             if name not in ksymtab.symbols
@@ -1092,37 +1094,32 @@ class Vmsh:
 
         # Map the library right after the kernel image (§4.2, Fig. 3).
         # map_range mutates *pre-existing* guest page-table pages (the
-        # PML4 under CR3 lives in original guest RAM), so every word
-        # written is journaled and, on rollback, replayed in reverse —
-        # bit-identical restoration of the guest's page tables.  The
-        # journal undo is pushed after the memslot-delete undo so LIFO
-        # rollback restores the words while the slot still resolves.
+        # PML4 under CR3 lives in original guest RAM).  The page-table
+        # view journals the old value of every such word it flushes,
+        # and rollback writes them back: bit-identical restoration of
+        # the guest's page tables.  New tables come from the reserve
+        # after the blob, fresh memory that needs neither a read nor a
+        # journal.  The undo is pushed after the memslot-delete undo so
+        # LIFO rollback restores the words while the slot still resolves.
         lib_vaddr = page_align_up(location.vend)
-        pt_alloc_cursor = [blob_gpa + page_align_up(len(blob))]
+        reserve = range(blob_gpa + page_align_up(len(blob)), blob_gpa + region_size)
+        pt_alloc_cursor = [reserve.start]
 
         def alloc_pt_page() -> int:
             gpa = pt_alloc_cursor[0]
             pt_alloc_cursor[0] += PAGE_SIZE
-            if gpa >= blob_gpa + region_size:
+            if gpa >= reserve.stop:
                 raise SideloadError("page-table reserve exhausted")
             return gpa
 
-        phys = gateway.phys
-        pt_journal: List[Tuple[int, int]] = []
-
-        def journaled_write_u64(addr: int, value: int) -> None:
-            pt_journal.append((addr, phys.read_u64(addr)))
-            phys.write_u64(addr, value)
-
-        def restore_page_tables() -> None:
-            for addr, old in reversed(pt_journal):
-                phys.write_u64(addr, old)
-
-        txn.push("restore guest page-table words", restore_page_tables)
-        builder = gateway.arch.builder(
-            phys.read_u64, journaled_write_u64, alloc_pt_page
-        )
-        builder.map_range(gateway.cr3, lib_vaddr, blob_gpa, page_align_up(len(blob)))
+        with gateway.page_tables(fresh=reserve) as view:
+            txn.push("restore guest page-table words", view.undo)
+            builder = gateway.arch.builder(
+                view.read_u64, view.write_u64, alloc_pt_page
+            )
+            builder.map_range(
+                gateway.cr3, lib_vaddr, blob_gpa, page_align_up(len(blob))
+            )
         return blob_gpa, lib_vaddr, gateway
 
     def _map_vcpu_threads(

@@ -1,7 +1,7 @@
 """Canned VMSH file-system images for the paper's use-cases (§6.5).
 
-Each builder returns image bytes (the format of
-:mod:`repro.image.fsimage`) ready to hand to :class:`repro.core.Vmsh`.
+Each builder returns a read-only view of the image bytes (the format
+of :mod:`repro.image.fsimage`) ready to hand to :class:`repro.core.Vmsh`.
 Real deployments would pack musl-linked binaries; our binaries are
 SIMELF personalities plus deterministic filler so the bytes still
 travel the whole virtqueue path.
@@ -44,7 +44,7 @@ def _base_spec(extra_tools: Iterable[str] = ()) -> ImageSpec:
     return spec
 
 
-def build_admin_image(extra_space: int = 8 * 1024 * 1024) -> bytes:
+def build_admin_image(extra_space: int = 8 * 1024 * 1024) -> memoryview:
     """The general administration/debugging image (default for attach)."""
     spec = _base_spec(
         extra_tools=("strace", "tcpdump", "lsof", "gdb", "vim", "htop", "curl")
@@ -52,7 +52,7 @@ def build_admin_image(extra_space: int = 8 * 1024 * 1024) -> bytes:
     return build_image(spec, extra_space=extra_space)
 
 
-def build_rescue_image() -> bytes:
+def build_rescue_image() -> memoryview:
     """Use-case #2: agent-less recovery image carrying chpasswd (§6.5)."""
     spec = _base_spec(extra_tools=("fsck", "mkfs"))
     spec.add_file("/sbin/chpasswd", _tool("chpasswd"), mode=0o755)
@@ -63,7 +63,7 @@ def build_rescue_image() -> bytes:
     return build_image(spec)
 
 
-def build_scanner_image(secdb: Optional[bytes] = None) -> bytes:
+def build_scanner_image(secdb: Optional[bytes] = None) -> memoryview:
     """Use-case #3: package security scanner + vulnerability database."""
     spec = _base_spec(extra_tools=("vuln-scan",))
     spec.add_dir("/var/lib/secdb")
@@ -71,14 +71,16 @@ def build_scanner_image(secdb: Optional[bytes] = None) -> bytes:
     return build_image(spec)
 
 
-def build_serverless_debug_image() -> bytes:
+def build_serverless_debug_image() -> memoryview:
     """Use-case #1: interactive debugging tools for lambda instances."""
     spec = _base_spec(extra_tools=("strace", "py-spy", "node-inspect", "tail"))
     spec.add_file("/etc/motd", b"vHive lambda debug shell (via VMSH)\n")
     return build_image(spec)
 
 
-def build_custom_image(files: Dict[str, bytes], extra_space: int = 4 * 1024 * 1024) -> bytes:
+def build_custom_image(
+    files: Dict[str, bytes], extra_space: int = 4 * 1024 * 1024
+) -> memoryview:
     """An image from an explicit path->content map (plus /bin/sh)."""
     spec = _base_spec()
     for path, content in files.items():

@@ -94,10 +94,12 @@ class PageTableWalker:
     ) -> Iterator[Tuple[int, Translation]]:
         """Yield (vaddr, translation) for each mapped page in [start, end).
 
-        This is the primitive VMSH's KASLR scan uses ("iterating over
-        the guest VM's page table entries", §4.2).  It walks top-down
-        and skips absent higher-level entries wholesale, so scanning a
-        1 GiB range is cheap even when only a few MiB are mapped.
+        It walks top-down and skips absent higher-level entries
+        wholesale, so listing a 1 GiB range is cheap even when only a
+        few MiB are mapped.  VMSH's KASLR scan does not use it: it
+        probes slot bases through the gateway, whose TLB then already
+        holds the image's translations for the ksymtab read, and its
+        page-table view makes every probe's walk a local decode.
         """
         vaddr = start
         while vaddr < end:

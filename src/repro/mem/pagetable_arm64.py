@@ -92,6 +92,12 @@ class Arm64PageTableWalker:
     def iter_present_range(
         self, ttbr: int, start: int, end: int, step: int = PAGE_SIZE
     ) -> Iterator[Tuple[int, Translation]]:
+        """Yield (vaddr, translation) for each mapped page in [start, end).
+
+        Skips invalid subtrees wholesale, like the x86-64 walker.  As
+        there, the KASLR scan probes slot bases through the gateway
+        instead.
+        """
         vaddr = start
         while vaddr < end:
             try:

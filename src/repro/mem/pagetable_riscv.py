@@ -139,9 +139,10 @@ class RiscvPageTableWalker:
     ) -> Iterator[Tuple[int, Translation]]:
         """Yield (vaddr, translation) for each mapped page in [start, end).
 
-        Skips absent subtrees wholesale, like the x86-64 walker: the
-        KASLR scan over a 1 GiB window stays cheap when only a few MiB
-        of kernel image are mapped.
+        Skips absent subtrees wholesale, like the x86-64 walker, so
+        listing a 1 GiB window stays cheap when only a few MiB are
+        mapped.  As on x86-64, the KASLR scan probes slot bases through
+        the gateway instead.
         """
         vaddr = start
         while vaddr < end:

@@ -17,6 +17,7 @@ from repro.errors import MemoryError_
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 _PAGE_MASK = PAGE_SIZE - 1
+_ZERO_PAGE = memoryview(bytes(PAGE_SIZE))
 
 
 class PhysicalMemory:
@@ -58,17 +59,20 @@ class PhysicalMemory:
             if page is None:
                 return bytes(length)
             return bytes(page[offset : offset + length])
-        out = bytearray(length)
+        # Join views of the pages straight into the result: no
+        # intermediate buffer of the whole read (2 MiB for a kernel
+        # image) is built and then copied.
+        parts = []
         pos = 0
         while pos < length:
             cur = addr + pos
             offset = cur & _PAGE_MASK
             chunk = min(length - pos, PAGE_SIZE - offset)
             page = self._pages.get(cur >> PAGE_SHIFT)
-            if page is not None:
-                out[pos : pos + chunk] = page[offset : offset + chunk]
+            view = _ZERO_PAGE if page is None else memoryview(page)
+            parts.append(view[offset : offset + chunk])
             pos += chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at physical address ``addr``."""

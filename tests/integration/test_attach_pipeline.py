@@ -52,6 +52,18 @@ def test_report_memory_fast_path_counters(attached):
     assert live["tlb"]["hits"] >= report.tlb_hits
 
 
+def test_attach_reads_page_tables_a_table_page_per_remote_call():
+    """The KASLR scan and the library mapping read each guest table page
+    once and flush their page-table writes in one vectored call, so a
+    whole attach stays within a few dozen ``process_vm_*`` calls."""
+    tb = Testbed(ioregionfd=True)
+    hv = tb.launch_qemu()
+    before = tb.costs.count("procvm_copy")
+    session = tb.vmsh().attach(hv.pid, mmio_mode="ioregionfd")
+    assert session.report.mmio_mode == "ioregionfd"
+    assert tb.costs.count("procvm_copy") - before <= 100
+
+
 def test_library_mapped_after_kernel_image(attached):
     """Fig. 3: the library lands right after the kernel in vaddr space."""
     tb, hv, vmsh, session = attached

@@ -1,8 +1,13 @@
 """Transactional attach: rollback, retry, backoff and session scoping."""
 
+import struct
+
 import pytest
 
 from repro.errors import PermanentFaultError, TransientFaultError
+from repro.mem import pagetable as pt_x86
+from repro.mem import pagetable_arm64 as pt_arm64
+from repro.mem import pagetable_riscv as pt_riscv
 from repro.sim.faults import FaultPlan, FaultSpec, PERMANENT
 from repro.testbed import Testbed
 
@@ -165,22 +170,75 @@ def test_negative_retries_rejected():
 
 # -- guest page tables are journaled and restored ----------------------------
 
+def _x86_child(entry, depth):
+    if entry & pt_x86.PTE_PRESENT and not (depth and entry & pt_x86.PTE_PSE):
+        return entry & pt_x86.PTE_ADDR_MASK
+    return None
+
+
+def _arm64_child(entry, depth):
+    if entry & 0b11 == pt_arm64.DESC_TABLE_OR_PAGE:
+        return entry & pt_arm64.ADDR_MASK
+    return None
+
+
+def _riscv_child(entry, depth):
+    if entry & pt_riscv.PTE_V and not entry & (pt_riscv.PTE_R | pt_riscv.PTE_X):
+        return pt_riscv._pte_paddr(entry)
+    return None
+
+
+#: arch -> (table levels, decoder of a non-leaf entry into its child
+#: table's paddr, or None for an absent entry or a leaf)
+TABLE_FORMATS = {
+    "x86_64": (4, _x86_child),
+    "arm64": (4, _arm64_child),
+    "riscv64": (3, _riscv_child),
+    "riscv64_sv48": (4, _riscv_child),
+}
+
+
+def _reachable_table_pages(arch, mem, root):
+    """paddr -> bytes of every table page reachable from ``root``, at
+    every level."""
+    levels, child = TABLE_FORMATS[arch.name]
+    pages = {}
+    frontier = [arch.pt_root_paddr(root)]
+    for depth in range(levels):
+        below = []
+        for table in frontier:
+            raw = mem.read(table, 4096)
+            pages[table] = raw
+            if depth < levels - 1:
+                for (entry,) in struct.iter_unpack("<Q", raw):
+                    paddr = child(entry, depth)
+                    if paddr is not None:
+                        below.append(paddr)
+        frontier = below
+    return pages
+
+
 def test_rollback_restores_guest_page_tables_bit_identical():
     """A fault after load_library must undo every page-table word VMSH
-    wrote while mapping the library (and delete the library memslot)."""
-    tb = Testbed()
-    hv = tb.launch_qemu()
-    mem = hv.vm.guest_memory()
-    pml4_before = mem.read(hv.guest.cr3, 4096)
-    slots_before = [
-        (s.slot, s.gpa, s.size, s.hva) for s in hv.vm.memslots()
-    ]
-    plan = FaultPlan([FaultSpec(site="attach.hijack", kind=PERMANENT)])
-    with tb.host.faults.plan(plan):
-        with pytest.raises(PermanentFaultError):
-            tb.vmsh().attach(hv.pid)
-    assert mem.read(hv.guest.cr3, 4096) == pml4_before
-    assert [
-        (s.slot, s.gpa, s.size, s.hva) for s in hv.vm.memslots()
-    ] == slots_before
-    assert hv.guest.panicked is None
+    wrote while mapping the library (and delete the library memslot):
+    on every ISA, every table page reachable from the root, at every
+    level, comes back bit-identical."""
+    for arch in TABLE_FORMATS:
+        tb = Testbed(arch=arch)
+        hv = tb.launch_qemu()
+        mem = hv.vm.guest_memory()
+        tables_before = _reachable_table_pages(tb.arch, mem, hv.guest.cr3)
+        assert len(tables_before) >= TABLE_FORMATS[arch][0], arch
+        slots_before = [
+            (s.slot, s.gpa, s.size, s.hva) for s in hv.vm.memslots()
+        ]
+        plan = FaultPlan([FaultSpec(site="attach.hijack", kind=PERMANENT)])
+        with tb.host.faults.plan(plan):
+            with pytest.raises(PermanentFaultError):
+                tb.vmsh().attach(hv.pid)
+        tables_after = _reachable_table_pages(tb.arch, mem, hv.guest.cr3)
+        assert tables_after == tables_before, arch
+        assert [
+            (s.slot, s.gpa, s.size, s.hva) for s in hv.vm.memslots()
+        ] == slots_before, arch
+        assert hv.guest.panicked is None, arch

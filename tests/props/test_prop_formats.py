@@ -99,7 +99,7 @@ def test_image_roundtrip_arbitrary_trees(files):
         spec.add_file(path, content)
     image = build_image(spec)
     device = MemoryBlockDevice("img", max(len(image), 1 * MiB))
-    device.write_sectors(0, image + b"\x00" * (-len(image) % SECTOR_SIZE))
+    device.write_sectors(0, bytes(image) + b"\x00" * (-len(image) % SECTOR_SIZE))
     fs = mount_image(device)
     vfs = Vfs(MountNamespace())
     vfs.mount(fs, "/")

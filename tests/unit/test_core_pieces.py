@@ -115,6 +115,47 @@ def test_gateway_refresh_memslots_flushes_tlb_keeps_stats():
     assert gateway.tlb_misses > misses
 
 
+def test_page_table_view_reads_each_table_page_once():
+    tb, hv, gateway = _gateway()
+    vbase = hv.guest.image.vbase
+    with gateway.page_tables() as view:
+        before = tb.costs.count("procvm_copy")
+        for page in range(8):
+            assert gateway.is_mapped(vbase + page * PAGE_SIZE)
+        assert not gateway.is_mapped(vbase - PAGE_SIZE)
+        # PML4, PDPT, PD and one PT page: one 4 KiB read each.
+        assert tb.costs.count("procvm_copy") - before == 4
+        with gateway.page_tables() as inner:
+            assert inner is view                # nested blocks share it
+    assert gateway._view is None                # and it ends with its block
+
+
+def test_page_table_view_flushes_once_and_journals_old_tables_only():
+    tb, hv, gateway = _gateway()
+    mem = hv.guest.memory
+    old_table = 0x9000                          # pre-existing guest RAM
+    mem.write_u64(old_table + 8, 0x1111)
+    fresh = range(0x20000, 0x22000)             # a zero-filled reserve
+    mem.write_u64(fresh.start, 0xDEAD)          # never read: it is fresh
+    before = tb.costs.count("procvm_copy")
+    with gateway.page_tables(fresh=fresh) as view:
+        assert view.read_u64(fresh.start) == 0
+        view.write_u64(old_table + 8, 0x2222)
+        view.write_u64(old_table + 16, 0)       # unchanged: not written
+        view.write_u64(fresh.start, 0x3333)
+        view.write_u64(fresh.start + 8, 0x4444)
+        assert mem.read_u64(old_table + 8) == 0x1111    # still buffered
+    # One 4 KiB read of the old table, one vectored write of both runs.
+    assert tb.costs.count("procvm_copy") - before == 2
+    assert mem.read_u64(old_table + 8) == 0x2222
+    assert (mem.read_u64(fresh.start), mem.read_u64(fresh.start + 8)) == (
+        0x3333, 0x4444,
+    )
+    assert view.journal == [(old_table + 8, 0x1111)]
+    view.undo()
+    assert mem.read_u64(old_table + 8) == 0x1111
+
+
 # -- libbuild --------------------------------------------------------------------
 
 def test_library_blob_is_parseable():

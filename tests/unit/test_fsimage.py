@@ -9,9 +9,9 @@ from repro.image.fsimage import ImageSpec, build_image, mount_image, parse_toc
 from repro.units import MiB, PAGE_SIZE, SECTOR_SIZE
 
 
-def _device_with(image: bytes) -> MemoryBlockDevice:
+def _device_with(image: memoryview) -> MemoryBlockDevice:
     device = MemoryBlockDevice("img", max(len(image), 1 * MiB))
-    device.write_sectors(0, image + b"\x00" * (-len(image) % SECTOR_SIZE))
+    device.write_sectors(0, bytes(image) + b"\x00" * (-len(image) % SECTOR_SIZE))
     return device
 
 
