@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: byte-compile, full test suite (chaos suite included, on
-# a pinned master seed so fault schedules are replayable), then the
-# copy-path ablations that guard the guest-memory fast path.  Run from
-# anywhere.
+# Tier-1 gate, the one list of checks CI runs: byte-compile, the full
+# test suite (chaos suite included, on a pinned master seed so fault
+# schedules are replayable) and its replay and second-seed checks, the
+# ablation and arch-matrix benchmarks, the benchmark self-test, the
+# perf gate, the Perfetto export, the fuzz smoke and the CLI
+# record/replay round trips.  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,6 +17,16 @@ export VMSH_CHAOS_SEED="${VMSH_CHAOS_SEED:-0x564D5348}"
 
 PYTHONPATH=src python -m pytest -x -q
 
+# Chaos replay check: the same seed again must give the same schedules.
+PYTHONPATH=src python -m pytest -q tests/chaos
+
+# Determinism must hold for any seed, not just the default: a second
+# master seed explores a different (still bit-reproducible)
+# interleaving of the same fleet scenarios.
+VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
+    tests/chaos/test_fleet_determinism.py tests/chaos/test_determinism.py \
+    tests/chaos/test_snapshot_determinism.py
+
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_copy_path.py \
     benchmarks/test_ablation_sg_batching.py \
@@ -26,6 +38,7 @@ PYTHONPATH=src python -m pytest -q \
 # E2/E3 generality matrix across {x86_64, arm64, riscv64 Sv39/Sv48}.
 PYTHONPATH=src python -m pytest -q \
     tests/integration/test_riscv64.py \
+    tests/props/test_prop_walker_parity.py \
     benchmarks/test_e2_e3_generality.py
 
 # Benchmark self-test: every workload of benchmarks/suite/run.py at
@@ -47,3 +60,13 @@ PYTHONPATH=src python -m repro fuzz --cases 200 --time-box 120 \
     --seed "$VMSH_CHAOS_SEED" --plant-bug --require-planted \
     --corpus-dir "$(mktemp -d)"
 PYTHONPATH=src python -m repro fuzz --replay tests/corpus
+
+# Record/replay round trips through the CLI: the traffic composite and
+# the fleet scenario with a snapshot taken mid-attach.
+recordings="$(mktemp -d)"
+PYTHONPATH=src python -m repro record --scenario traffic \
+    --out "$recordings/traffic.json"
+PYTHONPATH=src python -m repro replay "$recordings/traffic.json"
+PYTHONPATH=src python -m repro record --scenario fleet \
+    --snapshot-mid-attach --out "$recordings/fleet.json"
+PYTHONPATH=src python -m repro replay "$recordings/fleet.json"

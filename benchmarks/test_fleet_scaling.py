@@ -233,12 +233,12 @@ def plane_point(
     ``optimized=False`` is the ablation bundle: legacy dispatch loop
     (per-event closure checks, per-event metric increments, and the
     O(waitables) completion re-scan in ``run()`` — the term that grows
-    with every order of magnitude), full span recording, linear
-    warm-instance scans, INFO logging.  With ``ready_ring=False`` both
-    modes dispatch the *identical* virtual event sequence, so wall
-    time is the only difference; the default optimized bundle also
-    flips on the zero-delay ring (FIFO instead of seeded tie-breaks —
-    different interleaving, same totals, still deterministic).
+    with every order of magnitude), full span recording, INFO logging.
+    With ``ready_ring=False`` both modes dispatch the *identical*
+    virtual event sequence, so wall time is the only difference; the
+    default optimized bundle also flips on the zero-delay ring (FIFO
+    instead of seeded tie-breaks — different interleaving, same totals,
+    still deterministic).
     """
     if shards <= 0:
         shards = max(1, (fleet + PLANE_VMS_PER_SHARD - 1) // PLANE_VMS_PER_SHARD)
@@ -253,7 +253,6 @@ def plane_point(
         shards=shards,
         max_inflight_per_shard=max_inflight_per_shard,
         log_level="WARN" if optimized else "INFO",
-        indexed=optimized,
     )
     names = [f"fn-{n}" for n in range(fleet)]
     for name in names:
@@ -407,9 +406,9 @@ def test_plane_scaling(benchmark, results_dir):
     # admission actually queues and the tail stretches past the median.
     assert points[64]["throttled"] > 0
     assert points[64]["latency_ns"]["p99"] > points[64]["latency_ns"]["p50"]
-    # The ablation bundle (legacy loop, full spans, linear scans, INFO
-    # logs) must change nothing virtual: same end time, same event
-    # sequence length, same recorded latencies.
+    # The ablation bundle (legacy loop, full spans, INFO logs) must
+    # change nothing virtual: same end time, same event sequence
+    # length, same recorded latencies.
     assert legacy["virtual_end_ns"] == noring["virtual_end_ns"]
     assert legacy["events_dispatched"] == noring["events_dispatched"]
     assert legacy["latency_ns"] == noring["latency_ns"]

@@ -132,10 +132,6 @@ class ContainerContext:
     capabilities: frozenset
     security_profile: str
 
-    @property
-    def is_containerised(self) -> bool:
-        return self.pid_ns != "init" or self.security_profile != "unconfined"
-
 
 class GuestProcessTable:
     """The guest's process table."""

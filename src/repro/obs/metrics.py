@@ -65,9 +65,6 @@ class Gauge:
     def inc(self, n: Union[int, float] = 1) -> None:
         self.value += n
 
-    def dec(self, n: Union[int, float] = 1) -> None:
-        self.value -= n
-
     def sample(self) -> Dict[str, Union[int, float]]:
         return {"value": self.value}
 

@@ -158,10 +158,6 @@ class RunRecorder:
         tb.tracer.pin()
         tb.tracer.add_sink(self._sink)
 
-    @property
-    def events_seen(self) -> int:
-        return len(self._events)
-
     # -- result ------------------------------------------------------------
 
     def finish(self, outcome: str = "ok") -> Recording:

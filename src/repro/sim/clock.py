@@ -52,10 +52,6 @@ class Clock:
         if observer in self._observers:
             self._observers.remove(observer)
 
-    def elapsed_since(self, t0_ns: int) -> int:
-        """Nanoseconds elapsed since ``t0_ns``."""
-        return self._now - t0_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(t={fmt_time(self._now)})"
 

@@ -168,9 +168,6 @@ class NetFabric:
         if symmetric:
             self._links[(b.mac, a.mac)] = params
 
-    def port_for(self, mac: bytes) -> Optional[NetPort]:
-        return self._ports.get(mac)
-
     def _params(self, src: bytes, dst: bytes) -> LinkParams:
         return self._links.get((src, dst), self.default)
 

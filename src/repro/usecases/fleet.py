@@ -13,15 +13,17 @@ global, so :class:`FleetControlPlane` shards the platform:
 * **Deterministic placement.**  A function's home shard is
   ``crc32(name) % shards`` (``zlib.crc32``, not ``hash()`` — Python
   randomizes the latter per process, which would break same-seed
-  byte-identity).  With ``balance=True``, an invocation that finds its
-  home shard saturated spills to a second seed-independent candidate
-  shard when that one has capacity (two-choices load balancing).
+  byte-identity), and every invocation of it runs there.
 * **Admission control.**  Each shard caps in-flight invocations; over
   the cap, requests park FIFO on a :class:`Completion` and the slot is
   handed directly from a finishing invocation to the head waiter, so
   the cap is never transiently exceeded and wakeups are fair.  Queue
   wait counts toward the recorded end-to-end latency — that is what
   the p99 at saturation is made of.
+
+An admitted request then runs the shard platform's own request loop,
+:meth:`VHivePlatform.invoke_task`, so boot, restore, routing and
+retries are charged in one place for every entry point.
 
 Everything is driven by the discrete-event scheduler, so a 1,024-VM /
 1M-invocation run is a pure function of the seed like every other run.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import VmshError
@@ -54,12 +57,6 @@ class FleetShard:
         scope = obs.metrics.scope("fleet", shard=index)
         self.m_invocations = scope.counter("invocations")
         self.m_throttled = scope.counter("throttled")
-        self.m_spilled = scope.counter("spilled")
-
-    @property
-    def saturated(self) -> bool:
-        return (self.max_inflight is not None
-                and self.inflight >= self.max_inflight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FleetShard({self.index}, inflight={self.inflight}, "
@@ -75,9 +72,7 @@ class FleetControlPlane:
         shards: int = 1,
         snapshot_pool: bool = False,
         log_level: str = "INFO",
-        indexed: bool = True,
         max_inflight_per_shard: Optional[int] = None,
-        balance: bool = False,
         record_latency: bool = True,
         nic: bool = False,
         nic_queue_pairs: int = 1,
@@ -86,20 +81,11 @@ class FleetControlPlane:
             raise VmshError("a fleet needs at least one shard")
         self.testbed = testbed
         self._clock = testbed.clock
-        self._costs = testbed.costs
-        # Hot-path handles resolved once: the faas_route counter and
-        # its virtual cost, so the warm inline path does one attribute
-        # bump instead of a name lookup per invocation (identical to
-        # costs.bump("faas_route") by construction).
-        self._m_route = testbed.costs._counter("faas_route")
-        self._route_ns = testbed.costs.p.faas_route_ns
-        self.balance = balance
         self.record_latency = record_latency
         #: function -> home shard, filled by deploy() so the hot path
         #: never re-hashes names (the crc32 + encode per invocation was
         #: measurable at 1M invocations).
         self._routes: Dict[str, FleetShard] = {}
-        self._alt_routes: Dict[str, FleetShard] = {}
         #: end-to-end latency (admission wait included) of every
         #: completed invocation, in completion order.
         self.latencies_ns: List[int] = []
@@ -111,7 +97,6 @@ class FleetControlPlane:
                 snapshot_pool=snapshot_pool,
                 host=host,
                 log_level=log_level,
-                indexed=indexed,
                 nic=nic,
                 nic_queue_pairs=nic_queue_pairs,
             )
@@ -124,80 +109,42 @@ class FleetControlPlane:
     # -- deployment / placement --------------------------------------------
 
     def deploy(self, name: str, handler: Callable[[dict], dict]) -> int:
-        """Register ``handler`` fleet-wide; returns the home shard index.
-
-        The handler table is tiny (a dict entry per shard), so every
-        shard learns every function — only *instances* are sharded.
-        That is what lets a spilled invocation cold-start on its
-        second-choice shard without a deploy round trip.
-        """
-        for shard in self.shards:
-            shard.platform.deploy(name, handler)
+        """Register ``handler`` on its home shard; returns the shard index."""
         home = self._home(name)
-        self._routes[name] = self.shards[home]
-        self._alt_routes[name] = self.shards[self._alt(name)]
+        self._routes[name] = shard = self.shards[home]
+        shard.platform.deploy(name, handler)
         return home
 
     def _home(self, name: str) -> int:
         return zlib.crc32(name.encode()) % len(self.shards)
 
-    def _alt(self, name: str) -> int:
-        # Second candidate for two-choices spill: derived from an
-        # independent checksum stream so the pair is uncorrelated with
-        # the home placement, offset by at least one shard.
-        n = len(self.shards)
-        if n == 1:
-            return 0
-        return (self._home(name) + 1
-                + zlib.crc32(b"alt:" + name.encode()) % (n - 1)) % n
-
     def shard_for(self, name: str) -> FleetShard:
-        """The shard this invocation is admitted to, spill applied."""
-        home = self._routes.get(name) or self.shards[self._home(name)]
-        if not self.balance or not home.saturated:
-            return home
-        alt = self._alt_routes.get(name) or self.shards[self._alt(name)]
-        if alt is not home and not alt.saturated:
-            home.m_spilled.inc()
-            return alt
-        return home
+        """The home shard, where every invocation of ``name`` runs."""
+        shard = self._routes.get(name)
+        return shard if shard is not None else self.shards[self._home(name)]
 
     # -- invocation --------------------------------------------------------
 
-    def invoke_task(self, name: str, payload: dict):
+    def invoke_task(self, name: str, payload: dict,
+                    execute: Optional[Callable] = None):
         """Cooperative invocation through admission control (a generator).
 
-        Parks FIFO when the target shard is at its in-flight cap; the
+        Parks FIFO when the home shard is at its in-flight cap; the
         finishing invocation hands its slot straight to the head
-        waiter (the cap is a hard invariant, not a race).  Returns the
-        handler result, ``None`` on a logged lambda error.
+        waiter (the cap is a hard invariant, not a race).  The admitted
+        request runs :meth:`VHivePlatform.invoke_task` on the shard.
+        Returns the handler result, ``None`` on a logged lambda error.
 
-        The warm case — an indexed shard with a live instance — runs
-        inline: route charge, one timed yield, execute.  That skips
-        two generator frames per step of the platform's general loop,
-        which at 1M invocations is most of the control plane's wall
-        time.  Byte-for-byte it charges/logs exactly what the general
-        loop would; cold starts, restores and mid-flight terminations
-        delegate to :meth:`VHivePlatform.invoke_task` (handing over
-        the spent retry so the cap spans both paths).
+        ``execute(shard, instance)``, a generator function, replaces
+        the handler call (see :meth:`invoke_over_task`).
         """
         shard = self._routes.get(name)
         if shard is None:
             shard = self.shards[self._home(name)]
-        saturated = (shard.max_inflight is not None
-                     and shard.inflight >= shard.max_inflight)
-        if saturated and self.balance:
-            alt = self._alt_routes.get(name) or self.shards[self._alt(name)]
-            if alt is not shard and not (
-                alt.max_inflight is not None
-                and alt.inflight >= alt.max_inflight
-            ):
-                shard.m_spilled.inc()
-                shard = alt
-                saturated = False
         clock = self._clock
         t0 = clock._now
-        if saturated:
+        if (shard.max_inflight is not None
+                and shard.inflight >= shard.max_inflight):
             shard.m_throttled.inc()
             gate = Completion()
             shard.waiters.append(gate)
@@ -205,37 +152,8 @@ class FleetControlPlane:
         else:
             shard.inflight += 1
         try:
-            platform = shard.platform
-            instance = None
-            if platform.indexed:
-                bucket = platform._warm.get(name)
-                if bucket:
-                    for candidate in bucket.values():
-                        if not candidate.terminated:
-                            instance = candidate
-                            break
-            if instance is not None:
-                instance.last_used_ns = clock._now
-                self._m_route.value += 1
-                yield self._route_ns
-                if instance.terminated:
-                    # Scaled down under us mid-yield: account the spent
-                    # attempt exactly like the general loop, then let it
-                    # take over with one retry already burned.
-                    self._costs.bump("faas_invoke_retry")
-                    platform._log(
-                        instance, "WARN",
-                        f"instance terminated mid-invoke; retrying {name} "
-                        f"(1/{platform.MAX_INVOKE_RETRIES})",
-                    )
-                    result = yield from platform.invoke_task(
-                        name, payload, _retries=1
-                    )
-                else:
-                    instance.last_used_ns = clock._now
-                    result = platform._execute(instance, name, payload)
-            else:
-                result = yield from platform.invoke_task(name, payload)
+            leg = None if execute is None else partial(execute, shard)
+            result = yield from shard.platform.invoke_task(name, payload, leg)
         finally:
             waiters = shard.waiters
             if waiters:
@@ -250,71 +168,14 @@ class FleetControlPlane:
     def invoke_over_task(self, name: str, execute):
         """Cooperative invocation with a delegated execution leg.
 
-        Same admission control, placement, cold/restore/route charges,
-        mid-flight-termination retries and latency accounting as
-        :meth:`invoke_task` — but instead of running the handler inline
-        at the control plane, ``execute(shard, instance)`` (a generator
-        function) performs the execution.  The traffic plane uses this
-        to push the request over the net fabric to the instance's NIC
-        and park until the response frame makes it back, so queueing,
-        serialization and noisy neighbors land in the recorded latency.
+        :meth:`invoke_task` with ``execute(shard, instance)`` (a
+        generator function) performing the execution instead of the
+        handler call.  The traffic plane uses this to push the request
+        over the net fabric to the instance's NIC and park until the
+        response frame makes it back, so queueing, serialization and
+        noisy neighbors land in the recorded latency.
         """
-        shard = self.shard_for(name)
-        clock = self._clock
-        t0 = clock._now
-        if shard.saturated:
-            shard.m_throttled.inc()
-            gate = Completion()
-            shard.waiters.append(gate)
-            yield gate              # woken holding the handed-off slot
-        else:
-            shard.inflight += 1
-        try:
-            platform = shard.platform
-            costs = self._costs
-            retries = 0
-            while True:
-                instance, kind = platform._instance_for(name)
-                instance.last_used_ns = clock._now
-                if kind == "cold":
-                    costs.bump("faas_cold_start")
-                    yield costs.p.faas_cold_start_ns
-                elif kind == "restore":
-                    costs.bump("faas_snapshot_restore")
-                    yield costs.p.faas_snapshot_restore_ns
-                if not instance.terminated:
-                    self._m_route.value += 1
-                    yield self._route_ns
-                if instance.terminated:
-                    retries += 1
-                    costs.bump("faas_invoke_retry")
-                    if retries > platform.MAX_INVOKE_RETRIES:
-                        platform._log(
-                            instance, "ERROR",
-                            f"gave up invoking {name} after {retries - 1} "
-                            "mid-invoke terminations",
-                        )
-                        result = None
-                        break
-                    platform._log(
-                        instance, "WARN",
-                        f"instance terminated mid-invoke; retrying {name} "
-                        f"({retries}/{platform.MAX_INVOKE_RETRIES})",
-                    )
-                    continue
-                instance.last_used_ns = clock._now
-                result = yield from execute(shard, instance)
-                break
-        finally:
-            waiters = shard.waiters
-            if waiters:
-                waiters.popleft().set()   # slot handoff, FIFO
-            else:
-                shard.inflight -= 1
-        shard.m_invocations.inc()
-        if self.record_latency:
-            self.latencies_ns.append(clock._now - t0)
-        return result
+        return self.invoke_task(name, None, execute)
 
     # -- fleet control loops -----------------------------------------------
 

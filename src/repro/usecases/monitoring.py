@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 from repro.core.vmsh import Vmsh, VmshSession
 from repro.errors import VmshError
 from repro.hypervisors.base import Hypervisor
-from repro.sim.clock import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -53,33 +52,16 @@ class GuestMonitor:
     def __init__(self, vmsh: Vmsh):
         self.vmsh = vmsh
         self._session: Optional[VmshSession] = None
-        self._process_series: Optional[TimeSeries] = None
 
     def attach(self, hypervisor: Hypervisor) -> None:
         if hypervisor.guest is None:
             raise VmshError("hypervisor has no running guest")
         self._session = self.vmsh.attach(hypervisor.pid, exec_device=True)
-        # Passive series: the guest's process count, sampled on every
-        # clock advance for the lifetime of the attachment.  detach()
-        # closes it — the observer must not keep firing (and sampling a
-        # possibly-dead guest) once the session is gone.
-        guest = hypervisor.guest
-        self._process_series = TimeSeries(self.vmsh.host.clock)
-        self._process_series.follow(lambda: len(guest.processes))
 
     def detach(self) -> None:
-        if self._process_series is not None:
-            self._process_series.close()
         if self._session is not None:
             self._session.detach()
             self._session = None
-
-    @property
-    def process_count_series(self) -> TimeSeries:
-        """Process-count samples collected while attached."""
-        if self._process_series is None:
-            raise VmshError("monitor is not attached")
-        return self._process_series
 
     @property
     def session(self) -> VmshSession:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.vmsh import Vmsh, VmshSession
 from repro.errors import VmshError
 from repro.guestos.process import Credentials, GuestProcess
 from repro.hypervisors.flavors import Firecracker
 from repro.image.builder import build_serverless_debug_image
-from repro.sim.sched import PeriodicTimer, Scheduler
+from repro.sim.sched import Completion, PeriodicTimer, Scheduler
 from repro.testbed import Testbed
 from repro.units import MSEC, SEC
 
@@ -45,7 +45,7 @@ class LogLine:
 
 @dataclass
 class LambdaInstance:
-    """One warm microVM hosting one function."""
+    """One microVM hosting one function."""
 
     instance_id: str
     function: str
@@ -53,6 +53,9 @@ class LambdaInstance:
     last_used_ns: int
     pinned: bool = False
     terminated: bool = False
+    #: set while the boot or restore delay paid by the request that
+    #: started the instance has not passed; other requests park on it
+    ready: Optional[Completion] = None
 
 
 #: log severities in ascending order; ``log_level`` drops lines below
@@ -70,9 +73,14 @@ class VHivePlatform:
 
     def __init__(self, testbed: Testbed, snapshot_pool: bool = False,
                  host: Optional[object] = None, log_level: str = "INFO",
-                 indexed: bool = True, nic: bool = False,
-                 nic_queue_pairs: int = 1):
+                 nic: bool = False, nic_queue_pairs: int = 1):
         self.testbed = testbed
+        self._clock = testbed.clock
+        self._costs = testbed.costs
+        # The faas_route counter and its cost, resolved once: a warm
+        # request bumps an attribute instead of looking the name up.
+        self._m_route = testbed.costs._counter("faas_route")
+        self._route_ns = testbed.costs.p.faas_route_ns
         #: give every cold-booted microVM a virtio-net NIC on the
         #: testbed's shared fabric — the traffic plane's data path.
         #: Snapshot-pool restores clone the frozen (NIC-less) VM graph;
@@ -98,23 +106,16 @@ class VHivePlatform:
             raise VmshError(f"unknown log level {log_level!r}")
         self.log_level = log_level
         self._log_threshold = _LOG_SEVERITY[log_level]
-        #: ablation knob: ``False`` restores the pre-index linear scan
-        #: of every live instance per invocation.  Both settings
-        #: resolve the identical instance — the index is just O(1).
-        self.indexed = indexed
         self._pool: Dict[str, object] = {}
         self._functions: Dict[str, Callable[[dict], dict]] = {}
         self._instances: Dict[str, LambdaInstance] = {}
-        #: warm-instance index: function -> insertion-ordered
-        #: {instance_id: instance} of live instances, so the hot
-        #: routing path is a dict hit instead of an O(fleet) scan.
-        #: Iteration order matches the global ``_instances`` scan
-        #: (both insertion-ordered, the bucket is a subset), so the
-        #: resolved instance is identical either way.
-        self._warm: Dict[str, Dict[str, LambdaInstance]] = {}
+        #: function -> its live instance.  A function has at most one:
+        #: a new instance starts only when none is live, and scale-down
+        #: removes an instance here as it terminates it.
+        self._warm: Dict[str, LambdaInstance] = {}
         #: tombstones of reaped instances: log-driven lookups (the
         #: debugger's "too late" path) still resolve, but the VM graph
-        #: is released and `_instance_for` never scans them.
+        #: is released.
         self._retired: Dict[str, LambdaInstance] = {}
         self._instance_counter = itertools.count(1)
         self.logs: List[LogLine] = []
@@ -126,10 +127,17 @@ class VHivePlatform:
         self._functions[name] = handler
 
     def invoke(self, name: str, payload: dict) -> Optional[dict]:
-        """Invoke a function; errors are logged, not raised (FaaS-style)."""
+        """Invoke a function; errors are logged, not raised (FaaS-style).
+
+        The synchronous twin of :meth:`invoke_task`: with no other task
+        running, the delays are charged inline as clock advances.
+        """
         if name not in self._functions:
             raise VmshError(f"function {name!r} is not deployed")
-        instance, kind = self._instance_for(name)
+        instance = self._warm.get(name)
+        kind = "warm"
+        if instance is None:
+            instance, kind = self._start_instance(name)
         instance.last_used_ns = self.testbed.clock.now
         # A request that lands on a scaled-down function pays the full
         # microVM boot + handler init, not just routing — the latency
@@ -142,38 +150,55 @@ class VHivePlatform:
         self.testbed.costs.faas_route()
         return self._execute(instance, name, payload)
 
-    def invoke_task(self, name: str, payload: dict, _retries: int = 0):
+    def invoke_task(self, name: str, payload: dict,
+                    leg: Optional[Callable[[LambdaInstance], Generator]] = None):
         """Cooperative :meth:`invoke` for scheduler tasks (a generator).
 
-        Cold-start and routing delays become timed yields, so a storm
-        of concurrent invocations across N microVMs interleaves — and
-        the autoscaler timer can fire in between.  Because of that, the
-        instance resolved before a timed yield may be scaled down by
-        the time the yield returns: the instance is re-validated after
-        *every* yield and re-acquired (with a logged retry) if it was
-        terminated mid-flight.  The task's result is the handler's
-        result (or ``None`` on a logged error).
+        This is the one cooperative request loop: the fleet control
+        plane admits a request and then runs it here.  Cold-start,
+        restore and routing delays become timed yields, so a storm of
+        concurrent invocations across N microVMs interleaves — and the
+        autoscaler timer can fire in between.  A request that finds
+        its function's instance still booting or restoring parks on
+        the instance's ``ready`` completion until the request that
+        started it has paid the delay, then pays its own route.  The
+        instance resolved before a yield may be scaled down by the
+        time the yield returns: the instance is re-validated after
+        *every* yield and re-acquired (with a logged retry, at most
+        ``MAX_INVOKE_RETRIES`` times) if it was terminated mid-flight.
 
-        ``_retries`` seeds the retry budget — a caller that already
-        routed once (the fleet plane's inline warm path) hands off its
-        spent attempt so the ``MAX_INVOKE_RETRIES`` cap spans both.
+        The task's result is the handler's result (or ``None`` on a
+        logged error).  ``leg(instance)``, a generator function, runs
+        the request in place of the handler call — the traffic plane
+        sends it over the fabric — and its return value is the result.
         """
         if name not in self._functions:
             raise VmshError(f"function {name!r} is not deployed")
-        costs = self.testbed.costs
-        retries = _retries
+        clock, costs = self._clock, self._costs
+        retries = 0
         while True:
-            instance, kind = self._instance_for(name)
-            instance.last_used_ns = self.testbed.clock.now
-            if kind == "cold":
-                costs.bump("faas_cold_start")
-                yield costs.p.faas_cold_start_ns
-            elif kind == "restore":
-                costs.bump("faas_snapshot_restore")
-                yield costs.p.faas_snapshot_restore_ns
+            instance = self._warm.get(name)
+            if instance is None:
+                instance, kind = self._start_instance(name)
+                instance.last_used_ns = clock._now
+                instance.ready = ready = Completion()
+                if kind == "cold":
+                    costs.bump("faas_cold_start")
+                    yield costs.p.faas_cold_start_ns
+                else:
+                    costs.bump("faas_snapshot_restore")
+                    yield costs.p.faas_snapshot_restore_ns
+                instance.ready = None
+                ready.set()
+            else:
+                instance.last_used_ns = clock._now
+                if instance.ready is not None:
+                    # Still booting or restoring: wait for the request
+                    # that started it rather than run on it early.
+                    yield instance.ready
             if not instance.terminated:
-                costs.bump("faas_route")
-                yield costs.p.faas_route_ns
+                self._m_route.value += 1
+                yield self._route_ns
             if instance.terminated:
                 # The autoscaler fired during a timed yield and killed
                 # the instance under us — never execute on a dead VM.
@@ -192,8 +217,10 @@ class VHivePlatform:
                     f"({retries}/{self.MAX_INVOKE_RETRIES})",
                 )
                 continue
-            instance.last_used_ns = self.testbed.clock.now
-            return self._execute(instance, name, payload)
+            instance.last_used_ns = clock._now
+            if leg is None:
+                return self._execute(instance, name, payload)
+            return (yield from leg(instance))
 
     def _execute(self, instance: LambdaInstance, name: str,
                  payload: dict) -> Optional[dict]:
@@ -215,24 +242,15 @@ class VHivePlatform:
             self._log(instance, "INFO", "invoke ok")
         return result
 
-    def _instance_for(self, name: str) -> Tuple[LambdaInstance, str]:
-        """The warm instance for ``name``, or a cold-booted/restored one.
+    def _start_instance(self, name: str) -> Tuple[LambdaInstance, str]:
+        """Bring up a new instance for ``name``: a restore from the
+        snapshot pool, or a cold boot.
 
-        Returns ``(instance, kind)`` with ``kind`` one of ``"warm"``,
-        ``"cold"`` or ``"restore"`` — callers charge the matching
-        penalty, because how the delay is paid differs between the
-        synchronous and the cooperative invoke paths.
+        Returns ``(instance, kind)`` with ``kind`` ``"cold"`` or
+        ``"restore"`` — callers charge the matching delay, because how
+        it is paid differs between the synchronous and the cooperative
+        invoke paths.
         """
-        if self.indexed:
-            bucket = self._warm.get(name)
-            if bucket:
-                for instance in bucket.values():
-                    if not instance.terminated:
-                        return instance, "warm"
-        else:
-            for instance in self._instances.values():
-                if instance.function == name and not instance.terminated:
-                    return instance, "warm"
         snap = self._pool.get(name) if self.snapshot_pool else None
         if snap is not None:
             # Pool hit: materialize a microVM from the prebaked
@@ -263,7 +281,7 @@ class VHivePlatform:
             last_used_ns=self.testbed.clock.now,
         )
         self._instances[instance.instance_id] = instance
-        self._warm.setdefault(name, {})[instance.instance_id] = instance
+        self._warm[name] = instance
         if kind == "restore":
             self._log(
                 instance, "INFO",
@@ -313,10 +331,10 @@ class VHivePlatform:
     def scale_down(self) -> List[str]:
         """Terminate idle instances — unless pinned by a debug session.
 
-        Terminated instances are *reaped*: popped from the live table
-        (so ``_instance_for``'s scan and the dict stay bounded over a
-        long fleet run) into a tombstone map that keeps log-driven
-        lookups working, with the VM graph released.
+        Terminated instances are *reaped*: popped from the live tables
+        (so they stay bounded over a long fleet run) into a tombstone
+        map that keeps log-driven lookups working, with the VM graph
+        released.
         """
         now = self.testbed.clock.now
         terminated = []
@@ -334,9 +352,7 @@ class VHivePlatform:
                 self._retired[instance.instance_id] = self._instances.pop(
                     instance.instance_id
                 )
-                bucket = self._warm.get(instance.function)
-                if bucket is not None:
-                    bucket.pop(instance.instance_id, None)
+                del self._warm[instance.function]
         return terminated
 
     def instance(self, instance_id: str) -> LambdaInstance:

@@ -431,10 +431,3 @@ class GuestVirtioNic:
         self._engines[pair].run_queued(
             frames, self.MAX_TX_WINDOW, prepare, consume
         )
-
-    def send_burst_task(self, frames: List[bytes], pair: int = 0):
-        """Cooperative :meth:`send_burst` for scheduler tasks."""
-        prepare, consume = self._tx_closures(pair)
-        yield from self._engines[pair].run_queued_task(
-            frames, self.MAX_TX_WINDOW, prepare, consume
-        )

@@ -81,10 +81,6 @@ class PciVirtioFunction:
     memory_enabled: bool = True
 
     @property
-    def config_base(self) -> int:
-        return slot_address(self.slot)
-
-    @property
     def event_idx(self) -> bool:
         """Negotiated EVENT_IDX state of the function.
 

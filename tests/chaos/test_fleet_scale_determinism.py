@@ -4,11 +4,11 @@ The hot-path work — slab-pooled heap entries, the zero-delay ready
 ring, batched dispatch, interned metric handles, span levels, the
 tracer's zero-copy emit — is only admissible if it never perturbs the
 simulated execution.  This suite turns the whole optimized bundle on
-at once (fast loop + ready ring + "fleet" span level + WARN logging +
-indexed warm lookup) and demands that two fresh same-seed control-plane
-runs export **byte-identical** metrics and Perfetto JSON, at fleet
-size 8 and again at 64 where the sharded admission paths, spills and
-compaction actually fire.
+at once (fast loop + ready ring + "fleet" span level + WARN logging)
+and demands that two fresh same-seed control-plane runs export
+**byte-identical** metrics and Perfetto JSON, at fleet size 8 and
+again at 64 where the sharded admission paths and compaction actually
+fire.
 """
 
 from repro.testbed import Testbed
@@ -31,7 +31,6 @@ def _plane_exports(fleet, seed):
         shards=shards,
         max_inflight_per_shard=4,
         log_level="WARN",
-        indexed=True,
     )
     names = [f"fn-{n}" for n in range(fleet)]
     for name in names:

@@ -4,9 +4,11 @@ Covers the PR 6 tentpole (``repro.core.snapshot``) at the unit level:
 in-place restore rolls back diverged guest state, clones are
 independent VMs with rebound interrupt plumbing, migration moves a VM
 (and its attached session, via the detach/re-attach fallback) across
-simulated hosts — plus the serverless snapshot pool and the three
-satellite bugfixes (mid-yield instance termination, instance reaping,
-sector-torn backend writes).
+simulated hosts — plus the serverless snapshot pool, requests that
+wait for a boot or restore in progress, and the three satellite
+bugfixes (mid-yield instance termination, instance reaping,
+sector-torn backend writes), each request-loop test run through all
+three cooperative entry points.
 """
 
 import pickletools
@@ -21,6 +23,7 @@ from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
 from repro.testbed import Testbed
 from repro.units import MSEC, SEC, SECTOR_SIZE
+from repro.usecases.fleet import FleetControlPlane
 from repro.usecases.serverless import ServerlessDebugger, VHivePlatform
 from repro.virtio.blk import MappedImageBackend
 
@@ -409,17 +412,142 @@ def test_pool_task_invocations_charge_restore_cost():
     assert tb.costs.count("faas_snapshot_restore") == 1
 
 
+# -- the three cooperative entry points ----------------------------------------------
+
+
+def _platform_entry(tb, **kwargs):
+    """``VHivePlatform.invoke_task``: the platform's own request loop."""
+    platform = VHivePlatform(tb, **kwargs)
+    return platform, platform.deploy, platform.invoke_task
+
+
+def _fleet_entry(tb, **kwargs):
+    """``FleetControlPlane.invoke_task`` on a one-shard fleet."""
+    fleet = FleetControlPlane(tb, **kwargs)
+    return fleet.shards[0].platform, fleet.deploy, fleet.invoke_task
+
+
+def _fleet_over_entry(tb, **kwargs):
+    """``FleetControlPlane.invoke_over_task`` with an execution leg that
+    runs the handler where the other two entries do, so the logs match."""
+    fleet = FleetControlPlane(tb, **kwargs)
+
+    def invoke(name, payload):
+        def execute(shard, instance):
+            yield from ()
+            return shard.platform._execute(instance, name, payload)
+
+        return fleet.invoke_over_task(name, execute)
+
+    return fleet.shards[0].platform, fleet.deploy, invoke
+
+
+entry_points = pytest.mark.parametrize(
+    "entry", [_platform_entry, _fleet_entry, _fleet_over_entry],
+    ids=["platform", "fleet", "fleet-over"],
+)
+
+
+def _warn_lines(platform):
+    return [l.message for l in platform.logs if l.level == "WARN"]
+
+
+def _recording_handler(tb, ran):
+    """A ``resize`` handler that notes when each width ran."""
+    def handler(payload):
+        ran[payload["width"]] = tb.clock.now
+        return {"ok": payload["width"] * 2}
+
+    return handler
+
+
+def _two_requests_1ms_apart(tb, invoke_task):
+    """Run a request for width 1 and, 1 ms later, one for width 2;
+    returns the first one's arrival time."""
+    t0 = tb.clock.now
+    tasks = [tb.scheduler.spawn(invoke_task("resize", {"width": 1}))]
+    tb.scheduler.after(MSEC, lambda: tasks.append(
+        tb.scheduler.spawn(invoke_task("resize", {"width": 2}))))
+    tb.scheduler.run_until_idle()
+    assert [t.result() for t in tasks] == [{"ok": 2}, {"ok": 4}]
+    return t0
+
+
+@entry_points
+def test_request_waits_for_a_restore_in_progress(entry):
+    tb = Testbed()
+    platform, deploy, invoke_task = entry(tb, snapshot_pool=True)
+    ran = {}
+    deploy("resize", _recording_handler(tb, ran))
+    platform.invoke("resize", {"width": 0})     # boots and bakes the pool
+    tb.clock.advance(3 * SEC)
+    platform.scale_down()
+    t0 = _two_requests_1ms_apart(tb, invoke_task)
+    # The second request parks until the restore the first one started
+    # has passed, then pays its own route: it never runs on a VM that
+    # is still restoring, and it never starts a second restore.
+    p = tb.costs.p
+    assert ran[2] == ran[1] >= t0 + p.faas_snapshot_restore_ns + p.faas_route_ns
+    assert tb.costs.count("faas_snapshot_restore") == 1
+    assert tb.costs.count("faas_pool_hit") == 1
+    assert len(platform.live_instances()) == 1
+
+
+@entry_points
+def test_request_waits_for_a_cold_boot_in_progress(entry):
+    tb = Testbed()
+    platform, deploy, invoke_task = entry(tb)
+    ran = {}
+    deploy("resize", _recording_handler(tb, ran))
+    t0 = _two_requests_1ms_apart(tb, invoke_task)
+    p = tb.costs.p
+    assert ran[2] == ran[1] >= t0 + p.faas_cold_start_ns + p.faas_route_ns
+    assert tb.costs.count("faas_cold_start") == 1
+    assert tb.costs.count("faas_route") == 2
+    assert len(platform.live_instances()) == 1
+
+
+@entry_points
+def test_request_parked_on_a_dying_boot_waits_for_the_next_one(entry):
+    tb = Testbed()
+    platform, deploy, invoke_task = entry(tb)
+    ran = {}
+    deploy("resize", _recording_handler(tb, ran))
+
+    def saboteur():
+        # Scales inst-1 down while it boots, with the second request
+        # parked on it.
+        instance = platform.live_instances()[0]
+        instance.last_used_ns -= platform.IDLE_TIMEOUT_NS
+        platform.scale_down()
+
+    tb.scheduler.after(2 * MSEC, saboteur)
+    t0 = _two_requests_1ms_apart(tb, invoke_task)
+    # Both requests retry onto inst-2, which only the first one boots,
+    # and both run once that boot has passed.
+    p = tb.costs.p
+    assert ran[2] == ran[1] >= t0 + 2 * p.faas_cold_start_ns + p.faas_route_ns
+    assert tb.costs.count("faas_cold_start") == 2
+    assert tb.costs.count("faas_invoke_retry") == 2
+    assert _warn_lines(platform) == [
+        "instance terminated mid-invoke; retrying resize (1/3)"
+    ] * 2
+    executed_on = [l.instance_id for l in platform.logs if "invoke ok" in l.message]
+    assert executed_on == ["inst-2", "inst-2"]
+
+
 # -- satellite: mid-yield termination retry ------------------------------------------
 
 
-def test_invoke_task_retries_when_instance_dies_mid_yield():
+@entry_points
+def test_invoke_task_retries_when_instance_dies_mid_yield(entry):
     tb = Testbed()
-    platform = VHivePlatform(tb)
-    platform.deploy("resize", lambda p: {"ok": p["width"] * 2})
+    platform, deploy, invoke_task = entry(tb)
+    deploy("resize", lambda p: {"ok": p["width"] * 2})
     results = []
 
     def task():
-        r = yield from platform.invoke_task("resize", {"width": 3})
+        r = yield from invoke_task("resize", {"width": 3})
         results.append(r)
 
     def saboteur():
@@ -437,23 +565,58 @@ def test_invoke_task_retries_when_instance_dies_mid_yield():
     # re-acquired (and re-booted) a live one.
     assert tb.costs.count("faas_cold_start") == 2
     assert tb.costs.count("faas_invoke_retry") == 1
-    assert any("terminated mid-invoke; retrying resize" in l.message
-               for l in platform.logs)
+    assert _warn_lines(platform) == [
+        "instance terminated mid-invoke; retrying resize (1/3)"
+    ]
     executed_on = [l.instance_id for l in platform.logs if "invoke ok" in l.message]
     assert executed_on == ["inst-2"]
     assert not platform.instance("inst-2").terminated
 
 
-def test_invoke_task_gives_up_after_max_retries():
+@entry_points
+def test_invoke_task_retries_when_warm_instance_dies_mid_route(entry):
     tb = Testbed()
-    platform = VHivePlatform(tb)
-    platform.deploy("f", lambda p: p)
+    platform, deploy, invoke_task = entry(tb)
+    deploy("resize", lambda p: {"ok": p["width"] * 2})
+    results = []
+
+    def task(width):
+        r = yield from invoke_task("resize", {"width": width})
+        results.append(r)
+
+    tb.scheduler.run(tb.scheduler.spawn(task(1)))   # boots inst-1
+
+    def saboteur():
+        # Fires during the warm request's route yield.
+        instance = platform.live_instances()[0]
+        instance.last_used_ns -= platform.IDLE_TIMEOUT_NS
+        platform.scale_down()
+
+    spawned = tb.scheduler.spawn(task(3))
+    tb.scheduler.after(MSEC, saboteur)
+    tb.scheduler.run(spawned)
+    assert results == [{"ok": 2}, {"ok": 6}]
+    assert tb.costs.count("faas_cold_start") == 2
+    assert tb.costs.count("faas_route") == 3
+    assert tb.costs.count("faas_invoke_retry") == 1
+    assert _warn_lines(platform) == [
+        "instance terminated mid-invoke; retrying resize (1/3)"
+    ]
+    executed_on = [l.instance_id for l in platform.logs if "invoke ok" in l.message]
+    assert executed_on == ["inst-1", "inst-2"]
+
+
+@entry_points
+def test_invoke_task_gives_up_after_max_retries(entry):
+    tb = Testbed()
+    platform, deploy, invoke_task = entry(tb)
+    deploy("f", lambda p: p)
     platform.IDLE_TIMEOUT_NS = 50 * MSEC       # every cold boot outlives it
     platform.start_autoscaler(tb.scheduler, period_ns=60 * MSEC)
     results = []
 
     def task():
-        r = yield from platform.invoke_task("f", {})
+        r = yield from invoke_task("f", {})
         results.append(r)
 
     spawned = tb.scheduler.spawn(task())
@@ -461,7 +624,11 @@ def test_invoke_task_gives_up_after_max_retries():
     platform.stop_autoscaler()
     assert results == [None]                    # logged, not raised
     assert tb.costs.count("faas_invoke_retry") == platform.MAX_INVOKE_RETRIES + 1
-    assert any("gave up invoking f" in l.message for l in platform.logs)
+    assert _warn_lines(platform) == [
+        f"instance terminated mid-invoke; retrying f ({n}/3)" for n in (1, 2, 3)
+    ]
+    assert any("gave up invoking f after 3 mid-invoke terminations" in l.message
+               for l in platform.logs)
 
 
 # -- satellite: terminated-instance reaping -------------------------------------------
