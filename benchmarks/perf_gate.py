@@ -1,8 +1,10 @@
-"""CI perf-regression gate for the fleet hot paths (PR 8).
+"""CI perf-regression gate for the fleet hot paths.
 
 Re-measures the fleet-64 gate points — the control-plane burst, the
 I/O fleet, the pure scheduler dispatch storm and snapshot-pool clones —
-and compares them against the committed baseline
+on the one scheduler configuration every user path runs (the batched
+dispatch loop, seeded tie-breaks, every span recorded) and compares
+them against the committed baseline
 (``benchmarks/results/PERF_BASELINE.json``):
 
 * **Deterministic dimensions — exact.**  Virtual results are a pure
@@ -12,16 +14,19 @@ and compares them against the committed baseline
   execution changed — that is a correctness regression (or an
   intentional change: re-run with ``--update-baseline``).
 * **Wall-clock dimension — tolerance band.**  Events-dispatched/sec of
-  the optimized control-plane burst and of the dispatch storm, and the
-  I/O fleet's requests/sec (its 4,096 queued requests through the
+  the control-plane burst and of the dispatch storm, and the I/O
+  fleet's requests/sec (its 4,096 queued requests through the
   guest-memory data plane), must stay at or above ``WALL_TOLERANCE`` x
   the baseline machine's rate, and so must the clones/sec of a
   Firecracker snapshot on a host running the gate fleet (a clone loads
   the snapshot's serialized image; a deep copy of the VM graph runs at
   ~0.22x that rate).  The band is wide because CI boxes differ; what
-  it catches is the order-of-magnitude slip of accidentally shipping
-  the unoptimized path (the ablation bundle runs ~3-6x slower, far
-  below the band).
+  it catches is a hot path losing a multiple of its speed, such as
+  per-event work leaking into the dispatch loop or clones falling back
+  to deep copies.
+
+A key measured but missing from the baseline, or in the baseline but
+no longer measured, fails the gate too, so no dimension goes unchecked.
 
 Run from the repo root::
 
@@ -45,7 +50,7 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "results" / "PERF_BASELINE.json"
 GATE_FLEET = 64          # every gate point runs at fleet 64
 PLANE_INVOCATIONS_PER_FN = 64
 IO_SECTORS = 32          # per-VM: 32 writes + 32 reads, iodepth 4
-WALL_TOLERANCE = 0.35    # optimized events/s >= 35% of baseline rate
+WALL_TOLERANCE = 0.35    # wall rates >= 35% of the baseline rate
 CLONES = 256             # clones timed at the clone point
 
 
@@ -105,22 +110,28 @@ def measure() -> dict:
 
 def compare(current: dict, baseline: dict) -> list:
     problems = []
-    for key, want in baseline["deterministic"].items():
-        got = current["deterministic"].get(key)
-        if got != want:
+    for dim in ("deterministic", "wall"):
+        for key in sorted(current[dim].keys() ^ baseline[dim].keys()):
+            side = "baseline" if key in baseline[dim] else "measurement"
             problems.append(
-                f"deterministic regression: {key} = {got!r}, "
+                f"{dim} key {key} is only in the {side} "
+                f"(re-run with --update-baseline if intended)"
+            )
+    measured = current["deterministic"]
+    for key, want in baseline["deterministic"].items():
+        if key in measured and measured[key] != want:
+            problems.append(
+                f"deterministic regression: {key} = {measured[key]!r}, "
                 f"baseline {want!r} (exact match required)"
             )
     for key, base_rate in baseline["wall"].items():
         floor = base_rate * WALL_TOLERANCE
-        got_rate = current["wall"].get(key, 0)
-        if got_rate < floor:
+        got_rate = current["wall"].get(key)
+        if got_rate is not None and got_rate < floor:
             problems.append(
                 f"wall regression: {key} {got_rate} below "
                 f"{WALL_TOLERANCE:.2f}x baseline "
-                f"({base_rate} -> floor {floor:.0f}) — did the fast "
-                f"paths get disabled?"
+                f"({base_rate} -> floor {floor:.0f})"
             )
     return problems
 

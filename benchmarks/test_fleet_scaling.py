@@ -35,7 +35,6 @@ FIO_BYTES = 1 * MiB
 
 # Control-plane sweep (PR 8): one warm microVM per function, driven by
 # per-function sequential invocation loops through sharded admission.
-PLANE_FLEET_SIZES = (8, 64, 256, 1024)
 PLANE_MAX_INFLIGHT = 8       # admission cap per shard
 PLANE_VMS_PER_SHARD = 64     # shard count = ceil(fleet / this)
 
@@ -211,48 +210,22 @@ def test_fleet_scaling(benchmark, results_dir):
 # -- sharded control plane (PR 8) ---------------------------------------------
 
 
-def plane_point(
-    fleet: int,
-    invocations_per_fn: int,
-    shards: int = 0,
-    optimized: bool = True,
-    ready_ring: bool = None,
-    seed: int = SEED,
-    max_inflight_per_shard: int = PLANE_MAX_INFLIGHT,
-    wave_size: int = 8192,
-) -> dict:
+def plane_point(fleet: int, invocations_per_fn: int) -> dict:
     """One control-plane sweep point: ``fleet`` functions (one warm
-    microVM each), hit by bursts of individual invocation *tasks* —
+    microVM each), hit by one burst of individual invocation *tasks* —
     every request is its own scheduler task, admitted through the
     per-shard in-flight caps, exactly how a FaaS front end drives the
-    plane.  Bursts are submitted round-major (fn-0..fn-N, repeat) in
-    waves of ``wave_size`` so the 1M-invocation point stays bounded in
-    memory; latency percentiles therefore measure burst queueing under
-    admission control, not hand-tuned think times.
-
-    ``optimized=False`` is the ablation bundle: legacy dispatch loop
-    (per-event closure checks, per-event metric increments, and the
-    O(waitables) completion re-scan in ``run()`` — the term that grows
-    with every order of magnitude), full span recording, INFO logging.
-    With ``ready_ring=False`` both modes dispatch the *identical*
-    virtual event sequence, so wall time is the only difference; the
-    default optimized bundle also flips on the zero-delay ring (FIFO
-    instead of seeded tie-breaks — different interleaving, same totals,
-    still deterministic).
+    plane.  The burst is submitted round-major (fn-0..fn-N, repeat), so
+    latency percentiles measure burst queueing under admission
+    control, not hand-tuned think times.
     """
-    if shards <= 0:
-        shards = max(1, (fleet + PLANE_VMS_PER_SHARD - 1) // PLANE_VMS_PER_SHARD)
-    if ready_ring is None:
-        ready_ring = optimized
-    tb = Testbed(seed=seed, obs_level="fleet" if optimized else "full")
-    tb.scheduler.fast = optimized
-    if ready_ring:
-        tb.scheduler.enable_ready_ring()
+    shards = max(1, (fleet + PLANE_VMS_PER_SHARD - 1) // PLANE_VMS_PER_SHARD)
+    tb = Testbed(seed=SEED)
     plane = FleetControlPlane(
         tb,
         shards=shards,
-        max_inflight_per_shard=max_inflight_per_shard,
-        log_level="WARN" if optimized else "INFO",
+        max_inflight_per_shard=PLANE_MAX_INFLIGHT,
+        log_level="WARN",
     )
     names = [f"fn-{n}" for n in range(fleet)]
     for name in names:
@@ -264,36 +237,30 @@ def plane_point(
     # *outside* the measured window, so the measurement below is the
     # steady-state hot path (admission + routing + warm invoke) and the
     # events/sec numbers compare hot paths, not Firecracker boot cost.
-    plane.record_latency = False
     warm = [
         sched.spawn(plane.invoke_task(name, {"n": -1}), label="warm")
         for name in names
     ]
     sched.run(*warm)
     assert all(t.result() == {"ok": -1} for t in warm)
-    plane.record_latency = True
+    plane.latencies_ns.clear()
     warm_invocations = plane.total_invocations()
     warm_throttled = plane.total_throttled()
 
-    # Identical GC regime for both ablation arms: the testbed graph
-    # (1k VM object trees at the big point) is frozen out of the young
-    # generations so collector sweeps don't rescan it every ~700
-    # allocations mid-measurement.
+    # The testbed graph (1k VM object trees at the big point) is frozen
+    # out of the young generations so collector sweeps don't rescan it
+    # every ~700 allocations mid-measurement.
     gc.collect()
     gc.freeze()
     wall0 = time.perf_counter()
     t0 = tb.clock.now
     events0 = sched.events_run
-    total = fleet * invocations_per_fn
-    submitted = 0
-    while submitted < total:
-        wave = [
-            sched.spawn(plane.invoke_task(names[k % fleet], {"n": k}),
-                        label="inv")
-            for k in range(submitted, min(submitted + wave_size, total))
-        ]
-        submitted += len(wave)
-        sched.run(*wave)
+    burst = [
+        sched.spawn(plane.invoke_task(names[k % fleet], {"n": k}),
+                    label="inv")
+        for k in range(fleet * invocations_per_fn)
+    ]
+    sched.run(*burst)
     plane.stop_autoscalers()
     wall_s = time.perf_counter() - wall0
     gc.unfreeze()
@@ -318,23 +285,15 @@ def plane_point(
     }
 
 
-def sched_storm_point(optimized: bool = True, tasks: int = 64,
-                      turns: int = 3000, seed: int = SEED) -> dict:
-    """Scheduler saturation at fleet-64 concurrency: ``tasks``
-    cooperative tasks each yielding ``turns`` times — the pure
-    dispatch/observability hot path, no FaaS or I/O work diluting it.
-
-    This isolates exactly what the PR's fast paths buy per event: the
-    batched ring dispatch, suppressed turn spans, and batched counter
-    flushes versus the legacy loop's per-event closure checks, span
-    begin/end pairs and registry increments.  Both arms dispatch the
-    same number of events.
+def sched_storm_point() -> dict:
+    """Scheduler saturation at fleet-64 concurrency: 64 cooperative
+    tasks each yielding 3,000 times — the pure dispatch/observability
+    hot path (heap push and pop, one seeded tiebreak draw and one
+    ``sched.turn`` span per turn), no FaaS or I/O work diluting it.
     """
-    tb = Testbed(seed=seed, obs_level="fleet" if optimized else "full")
+    tasks, turns = 64, 3000
+    tb = Testbed(seed=SEED)
     sched = tb.scheduler
-    sched.fast = optimized
-    if optimized:
-        sched.enable_ready_ring()
 
     def worker():
         for _ in range(turns):
@@ -360,22 +319,16 @@ def sched_storm_point(optimized: bool = True, tasks: int = 64,
 
 
 def test_plane_scaling(benchmark, results_dir):
-    """Sharded control plane at fleet {8, 64}: admission percentiles,
-    shard balance, and the optimized/ablation virtual equivalence."""
+    """Sharded control plane at fleet {8, 64}: admission percentiles
+    and shard balance."""
 
     def run():
-        points = {
+        return {
             fleet: plane_point(fleet, invocations_per_fn=16)
             for fleet in (8, 64)
         }
-        # Equivalence pair: same arm structure, only the knob bundle
-        # differs — the ring stays off so the seeded tie-break order
-        # (and therefore the exact event sequence) is shared.
-        noring = plane_point(8, invocations_per_fn=16, ready_ring=False)
-        legacy = plane_point(8, invocations_per_fn=16, optimized=False)
-        return points, noring, legacy
 
-    points, noring, legacy = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [
         "Sharded control plane: functions x sequential invocation loops",
@@ -406,17 +359,5 @@ def test_plane_scaling(benchmark, results_dir):
     # admission actually queues and the tail stretches past the median.
     assert points[64]["throttled"] > 0
     assert points[64]["latency_ns"]["p99"] > points[64]["latency_ns"]["p50"]
-    # The ablation bundle (legacy loop, full spans, INFO logs) must
-    # change nothing virtual: same end time, same event sequence
-    # length, same recorded latencies.
-    assert legacy["virtual_end_ns"] == noring["virtual_end_ns"]
-    assert legacy["events_dispatched"] == noring["events_dispatched"]
-    assert legacy["latency_ns"] == noring["latency_ns"]
-    assert legacy["invocations"] == noring["invocations"]
-    # The ready ring reorders zero-delay ties (FIFO instead of seeded
-    # draws) but never changes the work done: same invocation count,
-    # same warm fleet at the end.
-    assert points[8]["invocations"] == noring["invocations"]
-    assert points[8]["live_instances"] == noring["live_instances"]
 
     benchmark.extra_info["plane64_throttled"] = points[64]["throttled"]

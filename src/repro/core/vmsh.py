@@ -589,10 +589,6 @@ class Vmsh:
             obs.spans.end(root, status=type(exc).__name__)
             raise
 
-    def _run_pipeline(self, *args, **kwargs) -> VmshSession:
-        """Synchronous pipeline driver (the pre-scheduler entry point)."""
-        return _drain(self._pipeline(*args, **kwargs))
-
     def _pipeline(
         self,
         txn: AttachTransaction,

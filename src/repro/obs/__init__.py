@@ -15,55 +15,31 @@ contract (same seed => byte-identical exports).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs import export as _export
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import SPAN_LEVELS, NullSpanRecorder, Span, SpanRecorder
+from repro.obs.spans import Span, SpanRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullSpanRecorder",
     "Observability",
-    "SPAN_LEVELS",
     "Span",
     "SpanRecorder",
 ]
 
 
 class Observability:
-    """Root observability hub: one metric tree + one span recorder.
+    """Root observability hub: one metric tree + one span recorder."""
 
-    ``level`` selects the span-volume level (see
-    :data:`repro.obs.spans.SPAN_LEVELS`): "full" records every span —
-    the default, byte-identical to earlier releases — while "fleet"
-    and "counters" suppress the per-event micro-spans so a 1k-VM /
-    1M-invocation run does not materialize millions of span objects.
-    Metrics are identical at every level, and any fixed (level,
-    sample_every) setting keeps same-seed runs byte-identical.
-    """
-
-    def __init__(self, clock, max_spans: int = 250_000,
-                 level: str = "full",
-                 sample_every: Optional[int] = None) -> None:
+    def __init__(self, clock, max_spans: int = 250_000) -> None:
         self.clock = clock
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(clock, max_spans=max_spans,
-                                  level=level, sample_every=sample_every)
+        self.spans = SpanRecorder(clock, max_spans=max_spans)
         self._id_counters: Dict[str, int] = {}
-
-    @property
-    def level(self) -> str:
-        return self.spans.level
-
-    def set_level(self, level: str,
-                  sample_every: Optional[int] = None) -> None:
-        """Re-select the span level; takes effect on the next loop entry
-        for call sites that cache the decision (the scheduler)."""
-        self.spans.set_level(level, sample_every)
 
     def next_id(self, kind: str) -> int:
         """Per-hub monotonic id stream (attach sessions, gateways...).

@@ -22,7 +22,6 @@ from typing import Dict, List
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 
-_PROM_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 TRACE_PID = 1  # one simulated "process" per testbed

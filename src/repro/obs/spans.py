@@ -22,22 +22,7 @@ identical span lists, byte for byte once exported.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List, Optional
-
-#: span-volume levels for fleet-scale runs.  "full" records everything
-#: (the default — byte-identical to the pre-level exports); "fleet"
-#: suppresses the per-event micro-spans that dominate a 1k-VM run
-#: (scheduler turns, per-window/per-batch block-I/O scopes, monitor
-#: samples) while keeping attach pipelines, rollbacks and snapshots;
-#: "counters" suppresses every span — metrics only.  Suppression is
-#: name-based and count-based, never random, so any fixed (level,
-#: sample_every) setting stays same-seed deterministic.
-SPAN_LEVELS: Dict[str, Optional[FrozenSet[str]]] = {
-    "full": frozenset(),
-    "fleet": frozenset({"sched.turn", "blk.window", "blk.batch",
-                        "monitor.sample"}),
-    "counters": None,  # sentinel: drop all names
-}
+from typing import Dict, Iterator, List, Optional
 
 
 class Span:
@@ -80,81 +65,21 @@ class SpanRecorder:
     unlike the pre-PR5 Tracer).
     """
 
-    def __init__(self, clock, max_spans: int = 250_000,
-                 level: str = "full",
-                 sample_every: Optional[int] = None) -> None:
+    def __init__(self, clock, max_spans: int = 250_000) -> None:
         self.clock = clock
         self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped_spans = 0
-        #: spans suppressed by the level knob (distinct from the
-        #: ``max_spans`` overflow count in ``dropped_spans``).
-        self.suppressed_spans = 0
         self._stacks: Dict[str, List[Span]] = {}
         self._next_sid = 1
-        self._sample_counts: Dict[str, int] = {}
-        self.set_level(level, sample_every)
-
-    # -- level / sampling knob ---------------------------------------------
-
-    def set_level(self, level: str,
-                  sample_every: Optional[int] = None) -> None:
-        """Select a :data:`SPAN_LEVELS` volume level.
-
-        ``sample_every=N`` keeps every Nth begin of an
-        otherwise-suppressed name (count-based, so deterministic) —
-        a thinned-but-nonempty view of the hot scopes at fleet scale.
-        """
-        if level not in SPAN_LEVELS:
-            raise ValueError(
-                f"unknown span level {level!r}; pick one of {sorted(SPAN_LEVELS)}"
-            )
-        if sample_every is not None and sample_every <= 0:
-            raise ValueError("sample_every must be a positive integer")
-        self.level = level
-        self.sample_every = sample_every
-        drop = SPAN_LEVELS[level]
-        self._drop_all = drop is None
-        self._drop: FrozenSet[str] = drop if drop is not None else frozenset()
-
-    def records(self, name: str) -> bool:
-        """May a span named ``name`` be retained at the current level?
-
-        ``False`` means every begin of that name is suppressed, so hot
-        call sites (the scheduler's turn spans) can skip the begin/end
-        pair — and its allocations — entirely.
-        """
-        if self._drop_all or name in self._drop:
-            return self.sample_every is not None
-        return True
 
     # -- core lifecycle ----------------------------------------------------
 
     def begin(self, name: str, track: str = "main", **attrs: object) -> Span:
-        """Open a span; nests under the track's innermost open span.
-
-        At reduced levels, suppressed names return the shared
-        ``_DROPPED`` sentinel without allocating a Span, an attrs dict
-        or a span id; ``end`` on the sentinel is a no-op.  Children
-        begun under a suppressed parent nest under the nearest
-        *recorded* ancestor.
-        """
-        if self._drop_all or name in self._drop:
-            se = self.sample_every
-            if se is not None:
-                n = self._sample_counts.get(name, 0) + 1
-                self._sample_counts[name] = n
-                if n % se == 0:
-                    return self._begin_recorded(name, track, attrs)
-            self.suppressed_spans += 1
-            return _DROPPED
-        return self._begin_recorded(name, track, attrs)
-
-    def _begin_recorded(self, name: str, track: str,
-                        attrs: Dict[str, object]) -> Span:
+        """Open a span; nests under the track's innermost open span."""
         stack = self._stacks.setdefault(track, [])
         parent = stack[-1].sid if stack else None
-        span = Span(self._next_sid, parent, name, track, self.clock.now, dict(attrs))
+        span = Span(self._next_sid, parent, name, track, self.clock.now, attrs)
         self._next_sid += 1
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
@@ -165,8 +90,6 @@ class SpanRecorder:
 
     def end(self, span: Span, **attrs: object) -> Span:
         """Close a span (idempotent); extra attrs merge in at close."""
-        if span.sid == 0:           # the shared suppressed-span sentinel
-            return span
         if span.end_ns is None:
             span.end_ns = self.clock.now
         if attrs:
@@ -226,58 +149,5 @@ class SpanRecorder:
         self.spans.clear()
         self._stacks.clear()
         self.dropped_spans = 0
-        self.suppressed_spans = 0
-        self._sample_counts.clear()
         self._next_sid = 1
 
-
-#: shared sentinel returned for suppressed begins: sid 0 is never
-#: allocated to a real span, so ``end`` recognises and skips it.  Its
-#: attrs dict stays empty because ``end`` never merges into it.
-_DROPPED = Span(0, None, "", "", 0, {})
-
-
-class NullSpanRecorder:
-    """Recorder that drops everything; for obs-free standalone tests."""
-
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
-        self.dropped_spans = 0
-        self.suppressed_spans = 0
-        self.level = "counters"
-        self.sample_every: Optional[int] = None
-
-    def records(self, name: str) -> bool:
-        return False
-
-    def set_level(self, level: str,
-                  sample_every: Optional[int] = None) -> None:
-        pass
-
-    def begin(self, name: str, track: str = "main", **attrs: object) -> Span:
-        return _DROPPED
-
-    def end(self, span: Span, **attrs: object) -> Span:
-        return span
-
-    @contextmanager
-    def span(self, name: str, track: str = "main", **attrs: object) -> Iterator[Span]:
-        yield _DROPPED
-
-    def instant(self, name: str, track: str = "main", **attrs: object) -> Span:
-        return _DROPPED
-
-    def find(self, name=None, track=None) -> List[Span]:
-        return []
-
-    def tracks(self) -> List[str]:
-        return []
-
-    def open_spans(self) -> List[Span]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def reset(self) -> None:
-        pass

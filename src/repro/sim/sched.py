@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim import rng as simrng
 from repro.sim.clock import Clock
@@ -130,7 +129,7 @@ class Timer:
     __slots__ = ("time_ns", "label", "fn", "cancelled", "fired", "_sched")
 
     def __init__(self, time_ns: int, fn: Callable[[], None], label: str,
-                 sched: Optional["Scheduler"] = None):
+                 sched: "Scheduler"):
         self.time_ns = time_ns
         self.label = label
         self.fn = fn
@@ -142,7 +141,7 @@ class Timer:
         if self.cancelled:
             return
         self.cancelled = True
-        if not self.fired and self._sched is not None:
+        if not self.fired:
             self._sched._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -218,15 +217,9 @@ class Task(Waitable):
             # flushed into the registry at loop exit — final totals are
             # identical, one Counter.inc per run instead of per turn.
             sched._turns_pending += 1
-            # The turn-span fast path: at reduced observability levels
-            # ("fleet"/"counters") the begin/end pair — and the span +
-            # attrs-dict allocations behind it — is skipped entirely.
-            # Metrics above are charged either way, so levels only
-            # thin the span stream, never the counters.
-            if sched._record_turns:
-                turn = obs.spans.begin(
-                    "sched.turn", track=f"task:{self.label}", turn=self.steps
-                )
+            turn = obs.spans.begin(
+                "sched.turn", track=f"task:{self.label}", turn=self.steps
+            )
         try:
             if throw is not None:
                 yielded = self._gen.throw(throw)
@@ -305,8 +298,7 @@ class Scheduler:
     """Deterministic discrete-event loop over a virtual clock."""
 
     def __init__(self, clock: Optional[Clock] = None, label: str = "sched",
-                 master_seed: int = simrng.MASTER_SEED, obs: Any = None,
-                 fast: bool = True, ready_ring: bool = False):
+                 master_seed: int = simrng.MASTER_SEED, obs: Any = None):
         self.clock = clock if clock is not None else Clock()
         self.label = label
         self._tiebreak = simrng.stream(f"sched:{label}", master_seed)
@@ -323,21 +315,8 @@ class Scheduler:
         #: the same f-string once per task.
         self._start_labels: dict = {}
         #: task turns accumulated since the last loop exit (flushed
-        #: into the ``task_turns`` counter by both dispatch loops).
+        #: into the ``task_turns`` counter by the loop).
         self._turns_pending = 0
-        #: opt-out ablation knob: ``False`` restores the pre-fast-path
-        #: dispatch loop (per-event closure checks, per-event metric
-        #: increments, O(waitables) completion scans in :meth:`run`).
-        #: Both settings dispatch the identical event sequence.
-        self.fast = fast
-        #: opt-in O(1) FIFO ring for zero-delay priority-0 events.
-        #: Ring events skip the heap *and* the seed-derived tiebreak
-        #: draw, so enabling it changes interleavings (still fully
-        #: deterministic: strict FIFO) — default off to preserve
-        #: seed-exact traces.
-        self._ready: Optional[Deque[Timer]] = deque() if ready_ring else None
-        if ready_ring and not fast:
-            raise SchedulerError("ready_ring requires the fast dispatch loop")
         #: True while an event loop (run_until_idle/run_until/run) is
         #: dispatching — the flag :meth:`HostKernel.wakeup` gates on.
         self.running = False
@@ -347,10 +326,6 @@ class Scheduler:
         #: when set, every task turn records a span on that task's
         #: track and dispatch/spawn counts land in the registry.
         self.obs = obs
-        #: whether task turns open "sched.turn" spans; recomputed from
-        #: the hub's span level at every loop entry so a level change
-        #: takes effect on the next run.
-        self._record_turns = obs is not None
         if obs is not None:
             scope = obs.metrics.scope("sched", loop=label)
             self._m_events = scope.counter("events_dispatched")
@@ -367,8 +342,7 @@ class Scheduler:
 
     def pending(self) -> int:
         """Events still queued (cancelled entries included until popped)."""
-        ready = self._ready
-        return len(self._heap) + (len(ready) if ready is not None else 0)
+        return len(self._heap)
 
     def at(self, time_ns: int, fn: Callable[[], None],
            label: str = "event", priority: int = 0) -> Timer:
@@ -380,15 +354,6 @@ class Scheduler:
         """
         now = self.clock._now
         when = time_ns if time_ns > now else now
-        ready = self._ready
-        if ready is not None and when == now and priority == 0:
-            # Ready ring: already-due work dispatches FIFO in O(1),
-            # no heap sift and no tiebreak draw.  Ring timers carry no
-            # scheduler back-ref — their tombstones live in the ring,
-            # not the heap, so they must not skew heap compaction.
-            timer = Timer(when, fn, label)
-            ready.append(timer)
-            return timer
         timer = Timer(when, fn, label, self)
         pool = self._entry_pool
         if pool:
@@ -416,21 +381,6 @@ class Scheduler:
             heap[:] = [e for e in heap if not e[4].cancelled]
             heapq.heapify(heap)
             self._tombstones = 0
-
-    def enable_ready_ring(self) -> None:
-        """Opt into the O(1) FIFO ring for zero-delay priority-0 events.
-
-        Same effect as constructing with ``ready_ring=True`` — ring
-        events skip the heap sift *and* the seed-derived tiebreak
-        draw, so interleavings change (strict FIFO instead of random
-        tie-breaking; still fully deterministic).  Only the placement
-        of *future* ``at()`` calls is affected, so this can be flipped
-        between runs; it cannot be combined with ``fast=False``.
-        """
-        if not self.fast:
-            raise SchedulerError("ready_ring requires the fast dispatch loop")
-        if self._ready is None:
-            self._ready = deque()
 
     def after(self, delta_ns: int, fn: Callable[[], None],
               label: str = "event", priority: int = 0) -> Timer:
@@ -462,19 +412,11 @@ class Scheduler:
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Dispatch events until the queue empties; returns the count."""
-        if self.fast:
-            return self._fast_loop(None, None, max_events)
-        return self._loop(lambda: bool(self._heap), max_events)
+        return self._loop(None, None, max_events)
 
     def run_until(self, deadline_ns: int, max_events: int = 1_000_000) -> int:
         """Dispatch events due up to ``deadline_ns``, then land there."""
-        if self.fast:
-            ran = self._fast_loop(deadline_ns, None, max_events)
-        else:
-            ran = self._loop(
-                lambda: bool(self._heap) and self._heap[0][0] <= deadline_ns,
-                max_events,
-            )
+        ran = self._loop(deadline_ns, None, max_events)
         if self.clock.now < deadline_ns:
             self.clock.advance(deadline_ns - self.clock.now)
         return ran
@@ -486,22 +428,11 @@ class Scheduler:
         the queue drains with a waitable still pending — a deadlocked
         task, usually one parked on a completion nobody will set.
 
-        The fast path tracks completion with an O(1) countdown fed by
-        done-callbacks instead of re-scanning every waitable per event
-        — at fleet scale the scan was the single hottest line in the
-        loop.  The stop condition is identical: the loop exits as soon
-        as the event that completed the last waitable returns.
+        Completion is tracked with an O(1) countdown fed by
+        done-callbacks rather than a re-scan of every waitable per
+        event: the loop exits as soon as the event that completed the
+        last waitable returns.
         """
-        if not self.fast:
-            outstanding = lambda: any(not w.done for w in waitables)  # noqa: E731
-            self._loop(lambda: outstanding() and bool(self._heap), max_events)
-            if outstanding():
-                stuck = [w for w in waitables if not w.done]
-                raise SchedulerError(
-                    f"scheduler went idle with {len(stuck)} waitable(s) pending: "
-                    + ", ".join(getattr(w, "label", repr(w)) for w in stuck)
-                )
-            return [w.result() for w in waitables]
         remaining = [0]
 
         def _one_done(_w: Waitable) -> None:
@@ -515,7 +446,7 @@ class Scheduler:
             if not w.done:
                 remaining[0] += 1
                 w.add_done_callback(_one_done)
-        self._fast_loop(None, remaining, max_events)
+        self._loop(None, remaining, max_events)
         if remaining[0]:
             stuck = [w for w in waitables if not w.done]
             raise SchedulerError(
@@ -524,26 +455,22 @@ class Scheduler:
             )
         return [w.result() for w in waitables]
 
-    def _fast_loop(self, deadline_ns: Optional[int],
-                   remaining: Optional[list], max_events: int) -> int:
-        """Batched dispatch: the one loop behind all three fast entry points.
+    def _loop(self, deadline_ns: Optional[int],
+              remaining: Optional[list], max_events: int) -> int:
+        """Batched dispatch: the one loop behind all three entry points.
 
-        Hot-path disciplines, each preserving the exact legacy dispatch
-        sequence: hoisted local bindings (heap/clock/pool), a drain that
-        only touches the clock when time actually moves (same-timestamp
-        runs skip the advance branch), tombstones recycled without
-        counting, popped entry slabs returned to the freelist, and the
-        per-event registry increment batched into one ``inc(ran)`` at
-        loop exit (nothing reads the counter mid-loop; exports see the
-        same total).
+        Hot-path disciplines: hoisted local bindings (heap/clock/pool),
+        a drain that only touches the clock when time actually moves
+        (same-timestamp runs skip the advance branch), tombstones
+        recycled without counting, popped entry slabs returned to the
+        freelist, and the per-event registry increment batched into one
+        ``inc(ran)`` at loop exit (nothing reads the counter mid-loop;
+        exports see the same total).
         """
         if self.running:
             raise SchedulerError("scheduler loop is already running")
         self.running = True
-        obs = self.obs
-        self._record_turns = obs is not None and obs.spans.records("sched.turn")
         heap = self._heap
-        ready = self._ready
         pool = self._entry_pool
         heappop = heapq.heappop
         clock = self.clock
@@ -552,22 +479,6 @@ class Scheduler:
             while True:
                 if remaining is not None and not remaining[0]:
                     break
-                if ready:
-                    if deadline_ns is not None and clock._now > deadline_ns:
-                        break
-                    if ran >= max_events:
-                        raise SchedulerError(
-                            f"scheduler exceeded {max_events} events "
-                            "(runaway loop?)"
-                        )
-                    timer = ready.popleft()
-                    if timer.cancelled:
-                        continue
-                    timer.fired = True
-                    self.events_run += 1
-                    ran += 1
-                    timer.fn()
-                    continue
                 if not heap:
                     break
                 time_ns = heap[0][0]
@@ -600,45 +511,3 @@ class Scheduler:
                     self._m_turns.inc(self._turns_pending)
                     self._turns_pending = 0
         return ran
-
-    def _loop(self, keep_going: Callable[[], bool], max_events: int) -> int:
-        """Legacy dispatch loop — kept verbatim as the ``fast=False``
-        ablation baseline (per-event closure evaluation and metric
-        increments)."""
-        if self.running:
-            raise SchedulerError("scheduler loop is already running")
-        self.running = True
-        obs = self.obs
-        self._record_turns = obs is not None and obs.spans.records("sched.turn")
-        ran = 0
-        try:
-            while keep_going():
-                if ran >= max_events:
-                    raise SchedulerError(
-                        f"scheduler exceeded {max_events} events (runaway loop?)"
-                    )
-                ran += self._dispatch_next()
-            return ran
-        finally:
-            self.running = False
-            if self._m_turns is not None and self._turns_pending:
-                self._m_turns.inc(self._turns_pending)
-                self._turns_pending = 0
-
-    def _dispatch_next(self) -> int:
-        entry = heapq.heappop(self._heap)
-        time_ns, timer = entry[0], entry[4]
-        entry[4] = None
-        if len(self._entry_pool) < _ENTRY_POOL_MAX:
-            self._entry_pool.append(entry)
-        if timer.cancelled:
-            self._tombstones -= 1
-            return 0
-        if time_ns > self.clock.now:
-            self.clock.advance(time_ns - self.clock.now)
-        timer.fired = True
-        self.events_run += 1
-        if self._m_events is not None:
-            self._m_events.inc()
-        timer.fn()
-        return 1

@@ -42,20 +42,14 @@ class Testbed:
         trace: bool = False,
         arch: str = "x86_64",
         seed: Optional[int] = None,
-        obs_level: str = "full",
-        obs_sample_every: Optional[int] = None,
     ):
         from repro.arch import arch_by_name
 
         self.clock = Clock()
         #: root observability hub: every layer's spans and metrics land
         #: here (threaded through ``CostModel.obs``), so one snapshot
-        #: or Perfetto export covers the whole testbed.  ``obs_level``
-        #: selects the span-volume level ("full"/"fleet"/"counters")
-        #: for fleet-scale runs — metrics are identical at every level.
-        self.obs = Observability(
-            self.clock, level=obs_level, sample_every=obs_sample_every
-        )
+        #: or Perfetto export covers the whole testbed.
+        self.obs = Observability(self.clock)
         self.costs = CostModel(self.clock, cost_params, obs=self.obs)
         self.tracer = Tracer(self.clock) if trace else None
         self.host = HostKernel(self.clock, self.costs, self.tracer)

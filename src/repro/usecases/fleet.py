@@ -73,7 +73,6 @@ class FleetControlPlane:
         snapshot_pool: bool = False,
         log_level: str = "INFO",
         max_inflight_per_shard: Optional[int] = None,
-        record_latency: bool = True,
         nic: bool = False,
         nic_queue_pairs: int = 1,
     ) -> None:
@@ -81,7 +80,6 @@ class FleetControlPlane:
             raise VmshError("a fleet needs at least one shard")
         self.testbed = testbed
         self._clock = testbed.clock
-        self.record_latency = record_latency
         #: function -> home shard, filled by deploy() so the hot path
         #: never re-hashes names (the crc32 + encode per invocation was
         #: measurable at 1M invocations).
@@ -161,8 +159,7 @@ class FleetControlPlane:
             else:
                 shard.inflight -= 1
         shard.m_invocations.inc()
-        if self.record_latency:
-            self.latencies_ns.append(clock._now - t0)
+        self.latencies_ns.append(clock._now - t0)
         return result
 
     def invoke_over_task(self, name: str, execute):

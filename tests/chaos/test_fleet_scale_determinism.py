@@ -1,14 +1,18 @@
-"""Fleet-scale byte-identity under every PR 8 fast path.
+"""Fleet-scale byte-identity of the sharded control plane.
 
-The hot-path work — slab-pooled heap entries, the zero-delay ready
-ring, batched dispatch, interned metric handles, span levels, the
-tracer's zero-copy emit — is only admissible if it never perturbs the
-simulated execution.  This suite turns the whole optimized bundle on
-at once (fast loop + ready ring + "fleet" span level + WARN logging)
-and demands that two fresh same-seed control-plane runs export
-**byte-identical** metrics and Perfetto JSON, at fleet size 8 and
-again at 64 where the sharded admission paths and compaction actually
-fire.
+Two fresh same-seed control-plane runs on a default ``Testbed`` (the
+batched dispatch loop with seeded tie-breaks, slab-pooled heap
+entries, interned metric handles and every span recorded) must export
+**byte-identical** metrics and Perfetto JSON, at fleet size 8 (one
+shard) and again at 64 (four shards).  Every request is spawned at
+once, so each shard's 4-slot in-flight cap throttles and queues
+requests at both sizes.  A second seed must give a different, equally
+reproducible run.
+
+These runs cancel a handful of timers and never compact the heap;
+``test_cancelled_timer_storm_compacts_heap`` and
+``test_compaction_preserves_survivor_order`` (tests/unit/test_sched.py)
+cover compaction.
 """
 
 from repro.testbed import Testbed
@@ -20,11 +24,9 @@ INVOCATIONS_PER_FN = 4
 
 
 def _plane_exports(fleet, seed):
-    """One optimized-bundle control-plane run -> (metrics, perfetto)."""
-    tb = Testbed(seed=seed, obs_level="fleet")
+    """One control-plane run -> (metrics, perfetto)."""
+    tb = Testbed(seed=seed)
     sched = tb.scheduler
-    sched.fast = True
-    sched.enable_ready_ring()
     shards = max(1, fleet // 16)
     plane = FleetControlPlane(
         tb,
@@ -67,8 +69,8 @@ def test_fleet64_exports_are_byte_identical():
 
 def test_fleet8_second_seed_differs_but_reproduces():
     # The identity is a property of the seed, not an accident of the
-    # fast paths hiding all variation: a different seed explores a
-    # different (still byte-reproducible) execution.
+    # run hiding all variation: a different seed explores a different
+    # (still byte-reproducible) execution.
     metrics_a, _ = _plane_exports(8, MASTER_SEED)
     metrics_b, _ = _plane_exports(8, MASTER_SEED ^ 0x5A5A)
     assert metrics_a != metrics_b

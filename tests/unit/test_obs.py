@@ -263,65 +263,3 @@ def test_discard_purges_stale_handles():
     assert fresh is not counter
     assert fresh.value == 0
 
-
-# -- span levels and sampling (PR 8) --------------------------------------------
-
-
-def _turny_workload(level, sample_every=None):
-    from repro.sim.sched import Scheduler
-
-    clock = Clock()
-    obs = Observability(clock, level=level, sample_every=sample_every)
-    sched = Scheduler(clock, label="lvl", master_seed=5, obs=obs)
-
-    def worker(period):
-        for _ in range(10):
-            yield period
-
-    sched.spawn(worker(100), label="w1")
-    sched.spawn(worker(130), label="w2")
-    sched.run_until_idle()
-    return obs
-
-
-def test_set_level_validates_arguments():
-    obs = Observability(Clock())
-    with pytest.raises(ValueError, match="unknown span level"):
-        obs.set_level("verbose")
-    with pytest.raises(ValueError, match="positive"):
-        obs.set_level("fleet", sample_every=0)
-    with pytest.raises(ValueError, match="positive"):
-        Observability(Clock(), level="counters", sample_every=-3)
-
-
-def test_records_reflects_level_and_sampling():
-    spans = Observability(Clock(), level="fleet").spans
-    assert not spans.records("sched.turn")     # suppressed micro-span
-    assert spans.records("attach.pipeline")    # macro spans survive
-    spans.set_level("counters")
-    assert not spans.records("attach.pipeline")
-    spans.set_level("counters", sample_every=50)
-    assert spans.records("sched.turn")         # thinned, not absent
-
-
-def test_levels_thin_spans_but_keep_metrics_identical():
-    full = _turny_workload("full")
-    fleet = _turny_workload("fleet")
-    counters = _turny_workload("counters")
-    # Metrics are the ground truth at every level.
-    assert full.metrics_json() == fleet.metrics_json() == counters.metrics_json()
-    full_turns = [s for s in full.spans.spans if s.name == "sched.turn"]
-    assert full_turns                           # "full" records every turn
-    assert not [s for s in fleet.spans.spans if s.name == "sched.turn"]
-    assert counters.spans.spans == []           # counters: no spans at all
-
-
-def test_sampling_keeps_every_nth_suppressed_span():
-    sampled = _turny_workload("counters", sample_every=4)
-    full = _turny_workload("full")
-    kept = [s for s in sampled.spans.spans if s.name == "sched.turn"]
-    all_turns = [s for s in full.spans.spans if s.name == "sched.turn"]
-    assert len(kept) == len(all_turns) // 4     # count-based, deterministic
-    again = _turny_workload("counters", sample_every=4)
-    assert [s.start_ns for s in again.spans.spans if s.name == "sched.turn"] \
-        == [s.start_ns for s in kept]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import rng as simrng
 from repro.sim.clock import Clock
 from repro.sim.sched import (
     Completion,
@@ -14,6 +15,16 @@ from repro.sim.sched import (
 
 def make_sched(seed: int = 7) -> Scheduler:
     return Scheduler(Clock(), label="test", master_seed=seed)
+
+
+def key_order(seed: int, keys) -> list:
+    """Indices of ``keys`` (``(time_ns, priority)`` per ``at()`` call,
+    in call order) in the order their heap keys dispatch them: one
+    ``sched:test`` tiebreak draw per call, then the call's ``seq``."""
+    draws = simrng.stream("sched:test", seed)
+    full = [(time_ns, priority, draws.getrandbits(32), seq)
+            for seq, (time_ns, priority) in enumerate(keys)]
+    return sorted(range(len(keys)), key=full.__getitem__)
 
 
 # -- event ordering ---------------------------------------------------------------
@@ -407,7 +418,7 @@ def test_same_seed_same_event_stream():
     assert run(0xAB) == run(0xAB)
 
 
-# -- slab pooling, tombstones, ready ring (PR 8) ----------------------------------
+# -- slab pooling, tombstones, key order ------------------------------------------
 
 
 def test_cancelled_timer_storm_compacts_heap():
@@ -427,53 +438,36 @@ def test_cancelled_timer_storm_compacts_heap():
 
 
 def test_compaction_preserves_survivor_order():
-    def run(seed):
-        sched = make_sched(seed=seed)
-        order = []
-        timers = [
-            sched.at(100 + (i % 10), lambda i=i: order.append(i),
-                     priority=i % 3)
-            for i in range(400)
-        ]
-        for i, timer in enumerate(timers):
-            if i % 4:                      # cancel 75% -> trips compaction
-                timer.cancel()
-        sched.run_until_idle()
-        return order
-    first = run(11)
-    assert first == run(11)                # deterministic across runs
-    assert sorted(first) == [i for i in range(400) if i % 4 == 0]
+    # Cancelled entries leave the heap mid-storm; the survivors must
+    # still dispatch in exactly their heap-key order.
+    keys = [(100 + i % 10, i % 3) for i in range(400)]
+    sched = make_sched(seed=11)
+    order = []
+    timers = [
+        sched.at(time_ns, lambda i=i: order.append(i), priority=priority)
+        for i, (time_ns, priority) in enumerate(keys)
+    ]
+    for i, timer in enumerate(timers):
+        if i % 4:                          # cancel 75% -> trips compaction
+            timer.cancel()
+    assert sched.pending() < len(keys)     # compaction dropped tombstones
+    sched.run_until_idle()
+    assert order == [i for i in key_order(11, keys) if i % 4 == 0]
+    assert sched.events_run == len(order) == 100
+    assert sched.now == max(keys[i][0] for i in order)
 
 
-def test_same_timestamp_batch_order_matches_legacy_loop():
-    # Both dispatch loops must resolve a same-instant batch by the
-    # identical (priority, seeded tiebreak, seq) keys.
-    def run(fast):
-        sched = Scheduler(Clock(), label="test", master_seed=7, fast=fast)
-        order = []
-        for i in range(64):
-            sched.at(100, lambda i=i: order.append(i), priority=i % 3)
-        sched.run_until_idle()
-        return order
-    fast_order = run(True)
-    assert fast_order == run(False)
-    assert sorted(fast_order) == list(range(64))
-
-
-def test_fast_and_legacy_loops_agree_under_cancel_storm():
-    def run(fast):
-        sched = Scheduler(Clock(), label="test", master_seed=3, fast=fast)
-        order = []
-        timers = [
-            sched.at(10 * (i % 7), lambda i=i: order.append(i))
-            for i in range(300)
-        ]
-        for i, timer in enumerate(timers):
-            if i % 3 == 0:
-                timer.cancel()
-        sched.run_until_idle()
-        return order, sched.events_run, sched.now
-    assert run(True) == run(False)
+def test_same_timestamp_batch_dispatches_in_key_order():
+    # A same-instant batch resolves by (priority, seeded tiebreak, seq).
+    keys = [(100, i % 3) for i in range(64)]
+    sched = make_sched(seed=7)
+    order = []
+    for i, (time_ns, priority) in enumerate(keys):
+        sched.at(time_ns, lambda i=i: order.append(i), priority=priority)
+    sched.run_until_idle()
+    assert order == key_order(7, keys)
+    # The seeded tiebreak, not insertion order, decides within a priority.
+    assert order != sorted(range(64), key=lambda i: keys[i][1])
 
 
 def test_entry_pool_recycles_heap_slabs():
@@ -499,51 +493,6 @@ def test_entry_pool_is_bounded():
         sched.at(i, lambda: None)
     sched.run_until_idle()
     assert len(sched._entry_pool) == _ENTRY_POOL_MAX
-
-
-def test_ready_ring_dispatches_fifo_regardless_of_seed():
-    # Ring events skip the seeded tiebreak draw entirely: zero-delay
-    # priority-0 work runs in strict submission order under any seed.
-    def run(seed):
-        sched = Scheduler(Clock(), label="test", master_seed=seed,
-                          ready_ring=True)
-        order = []
-        for i in range(24):
-            sched.call_soon(lambda i=i: order.append(i))
-        sched.run_until_idle()
-        return order
-    assert run(1) == run(2) == list(range(24))
-
-
-def test_ready_ring_only_captures_due_priority_zero_events():
-    sched = Scheduler(Clock(), label="test", master_seed=7, ready_ring=True)
-    order = []
-    sched.at(50, lambda: order.append("future"))
-    sched.call_soon(lambda: order.append("now"))
-    sched.at(0, lambda: order.append("prio"), priority=1)
-    sched.run_until_idle()
-    # Ring drains before the heap; non-zero priority and future times
-    # still take the heap path.
-    assert order == ["now", "prio", "future"]
-
-
-def test_ready_ring_cancel_is_honoured():
-    sched = Scheduler(Clock(), label="test", ready_ring=True)
-    fired = []
-    timer = sched.call_soon(lambda: fired.append("cancelled"))
-    sched.call_soon(lambda: fired.append("kept"))
-    timer.cancel()
-    sched.run_until_idle()
-    assert fired == ["kept"]
-
-
-def test_ready_ring_requires_fast_loop():
-    with pytest.raises(SchedulerError, match="fast dispatch loop"):
-        Scheduler(Clock(), fast=False, ready_ring=True)
-    sched = make_sched()
-    sched.fast = False
-    with pytest.raises(SchedulerError, match="fast dispatch loop"):
-        sched.enable_ready_ring()
 
 
 def test_run_tolerates_duplicate_and_completed_waitables():
