@@ -470,6 +470,27 @@ def test_same_timestamp_batch_dispatches_in_key_order():
     assert order != sorted(range(64), key=lambda i: keys[i][1])
 
 
+def test_fast_and_legacy_loops_agree_under_cancel_storm():
+    # The batched loop must dispatch a cancel storm's survivors exactly as
+    # a one-pop-per-event loop would: in heap-key order, with the same
+    # event count and final clock.
+    keys = [(10 * (i % 7), 0) for i in range(300)]
+    sched = make_sched(seed=3)
+    order = []
+    timers = [
+        sched.at(time_ns, lambda i=i: order.append(i))
+        for i, (time_ns, _) in enumerate(keys)
+    ]
+    for i, timer in enumerate(timers):
+        if i % 3 == 0:
+            timer.cancel()
+    sched.run_until_idle()
+    survivors = [i for i in key_order(3, keys) if i % 3]
+    assert order == survivors
+    assert sched.events_run == len(survivors) == 200
+    assert sched.now == max(keys[i][0] for i in survivors)
+
+
 def test_entry_pool_recycles_heap_slabs():
     sched = make_sched()
     for i in range(16):
