@@ -3,8 +3,8 @@
 # test suite (chaos suite included, on a pinned master seed so fault
 # schedules are replayable) and its replay and second-seed checks, the
 # ablation and arch-matrix benchmarks, the benchmark self-test, the
-# perf gate, the Perfetto export, the fuzz smoke and the CLI
-# record/replay round trips.  Run from anywhere.
+# perf gate, the Perfetto export, the fuzz smoke, the CLI
+# record/replay round trips and the src/ line count.  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,3 +70,7 @@ PYTHONPATH=src python -m repro replay "$recordings/traffic.json"
 PYTHONPATH=src python -m repro record --scenario fleet \
     --snapshot-mid-attach --out "$recordings/fleet.json"
 PYTHONPATH=src python -m repro replay "$recordings/fleet.json"
+
+# Source size, tracked like a benchmark: src/ lines of code, comment,
+# docstring and blank.
+python benchmarks/src_lines.py

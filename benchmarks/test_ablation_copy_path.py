@@ -22,7 +22,7 @@ def _vmsh_env(unoptimised: bool):
     session = testbed.vmsh().attach(
         hv.pid,
         image=build_admin_image(extra_space=64 * MiB),
-        unoptimised_copy=unoptimised,
+        copy_path="staged" if unoptimised else "vectored",
     )
     from repro.bench.harness import BenchEnv
 

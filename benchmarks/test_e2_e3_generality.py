@@ -209,9 +209,10 @@ def test_e2_arch_generality_matrix(benchmark, results_dir):
 
 
 def _riscv_seeded_run(seed):
-    """One fully-traced riscv64 attach + snapshot/restore round trip;
-    returns (trace bytes, vcpu register file) for determinism checks."""
-    testbed = Testbed(arch="riscv64", trace=True, seed=seed)
+    """One riscv64 attach + snapshot/restore round trip; returns (the
+    span stream's Perfetto export, vcpu register file) for determinism
+    checks."""
+    testbed = Testbed(arch="riscv64", seed=seed)
     hv = testbed.launch_qemu()
     session = testbed.vmsh().attach(hv.pid)
     assert session.console.run_command("echo det").output == "det"
@@ -224,7 +225,7 @@ def _riscv_seeded_run(seed):
     testbed.restore(snap, hv)
     assert (dict(vcpu.regs), dict(vcpu.sregs)) == pristine
 
-    trace = "\n".join(str(event) for event in testbed.tracer).encode()
+    trace = testbed.obs.perfetto_json().encode()
     return trace, (dict(vcpu.regs), dict(vcpu.sregs))
 
 

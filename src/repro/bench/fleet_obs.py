@@ -10,7 +10,7 @@ neighbour's queued block I/O (attach-step spans, blk window/batch
 spans, vring counters), a third attach dies on a permanent irqfd fault
 and rolls back (fault instants, rollback/undo spans), and an agent-less
 monitor samples a fourth guest from a cooperative task (monitor spans,
-tracer cursor).
+each carrying its span-id cursor window).
 """
 
 from __future__ import annotations
@@ -77,14 +77,14 @@ def run_observed_fleet(
     doomed one, the monitored one), so smaller fleets are rounded up.
 
     ``on_testbed`` fires right after the testbed is built (recorders
-    and replay comparators hook the tracer there).
+    and replay comparators tap the span stream there).
     ``snapshot_mid_attach`` adds phase 1.5: a sixth VM's attach is
     driven by hand to the ``load_library`` boundary, snapshotted and
     restored in place, then completed — the record/replay round-trip
     property covers snapshot traffic that way.
     """
     fleet_size = max(fleet_size, 6 if snapshot_mid_attach else 5)
-    tb = Testbed(trace=True, seed=seed, cost_params=cost_params)
+    tb = Testbed(seed=seed, cost_params=cost_params)
     if on_testbed is not None:
         on_testbed(tb)
     hvs = [tb.launch_qemu() for _ in range(fleet_size)]

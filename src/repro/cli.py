@@ -147,9 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_replay.add_argument("recording", help="path to a recorded run")
     p_replay.add_argument("--until", type=int, default=None, metavar="EVENT",
-                          help="stop at recorded event N and dump the "
-                               "span/metrics state instead of comparing to "
-                               "the end")
+                          help="stop at event N of the recorded span "
+                               "stream and dump the span/metrics state "
+                               "instead of comparing to the end")
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -453,7 +453,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     result = run_scenario(args.scenario, params, on_testbed=recorder.attach)
     recording = recorder.finish(outcome=result.outcome)
     out = recording.save(args.out)
-    print(f"wrote {out} ({len(recording.events)} events, "
+    print(f"wrote {out} ({len(recording.events)} span stream events, "
           f"clock end {recording.clock_end_ns} ns, "
           f"{recording.sched_turns} scheduler turns, "
           f"outcome {recording.outcome})")
@@ -485,7 +485,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(json.dumps(dump["metrics"], indent=1, sort_keys=True))
         return 0
     if report.matched:
-        print(f"replay matched: {report.events_checked} events identical "
+        print(f"replay matched: {report.events_checked} span stream events "
+              f"identical, clock end {recording.clock_end_ns} ns, "
+              f"{recording.sched_turns} scheduler turns "
               f"(outcome {report.outcome})")
         return 0
     print(report.divergence.describe(), file=sys.stderr)

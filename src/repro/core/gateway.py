@@ -220,28 +220,11 @@ class GuestMemoryGateway:
         except PageFaultError:
             return False
 
-    # Legacy counter shims: the numbers live in the metrics registry.
-
-    @property
-    def tlb_hits(self) -> int:
-        return self._m_tlb_hits.value
-
-    @tlb_hits.setter
-    def tlb_hits(self, value: int) -> None:
-        self._m_tlb_hits.value = value
-
-    @property
-    def tlb_misses(self) -> int:
-        return self._m_tlb_misses.value
-
-    @tlb_misses.setter
-    def tlb_misses(self, value: int) -> None:
-        self._m_tlb_misses.value = value
-
     @property
     def tlb_hit_rate(self) -> float:
-        total = self.tlb_hits + self.tlb_misses
-        return self.tlb_hits / total if total else 0.0
+        hits = self._m_tlb_hits.value
+        total = hits + self._m_tlb_misses.value
+        return hits / total if total else 0.0
 
     def _phys_runs(self, vaddr: int, length: int) -> List[Tuple[int, int]]:
         """Translate ``[vaddr, vaddr+length)`` into merged paddr runs."""

@@ -51,6 +51,7 @@ from repro.errors import SnapshotError
 from repro.kvm.memslots import Memslot
 from repro.mem.physmem import PhysicalMemory
 from repro.obs.metrics import MetricsRegistry
+from repro.virtio.memio import AccessorStats
 
 # ---------------------------------------------------------------------------
 # Plain-data state fragments
@@ -167,8 +168,6 @@ def _environment_of(hv) -> List[Any]:
     host = hv.host
     env = [host, hv.kvm, host.clock, host.costs, host.obs, host.arch,
            host.faults, host.obs.spans]
-    if host.tracer is not None:
-        env.append(host.tracer)
     if host.scheduler is not None:
         env.append(host.scheduler)
     return env
@@ -739,8 +738,8 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
 
     _rebind_metrics(hv, host)
 
-    host.tracer.emit(
-        "vmm", "cloned", name=hv.NAME, pid=process.pid, source=source_pid
+    host.obs.instant(
+        "vmm.cloned", track="vmm", name=hv.NAME, pid=process.pid, source=source_pid
     )
 
 
@@ -763,10 +762,8 @@ def _rebind_metrics(hv, host) -> None:
     hv.metrics.counter("cloned").inc()
 
     for device in hv._mmio_devices.values():
-        stats = device.mem.stats
         # A clone starts its memio accounting from zero under its pid.
-        for name in stats.FIELDS:
-            setattr(stats, name, 0)
+        device.mem.stats = AccessorStats()
         hv.bind_memio(device.mem)
         device.bind_metrics()
 

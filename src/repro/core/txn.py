@@ -15,6 +15,10 @@ Undo actions run with fault injection suspended — the chaos plan that
 failed the attach must not also be able to fail the cleanup — and a
 failing undo action is recorded and skipped rather than masking the
 original error or aborting the remaining unwind.
+
+Every step, undo and rollback is a span on the transaction's track and
+a commit is a ``txn.commit`` instant, so the span stream alone tells
+which step died and what the unwind undid.
 """
 
 from __future__ import annotations
@@ -46,14 +50,12 @@ class AttachTransaction:
     def __init__(
         self,
         host: Any,
-        tracer: Any = None,
         label: str = "attach",
         track: Optional[str] = None,
     ):
         self.host = host
-        self.tracer = tracer if tracer is not None else host.tracer
         self.label = label
-        self.obs = getattr(host, "obs", None)
+        self.obs = host.obs
         #: span track the step spans land on — the attach pipeline
         #: passes its per-attempt track so steps nest under the attempt
         #: span; standalone transactions get their own track.
@@ -70,7 +72,7 @@ class AttachTransaction:
     def step(self, name: str, **detail: Any) -> None:
         """Enter pipeline step ``name``.
 
-        Emits a ``txn/step`` trace event and gives the fault plan its
+        Opens an ``attach.step`` span and gives the fault plan its
         per-step injection site (``attach.<name>``) *before* any of the
         step's work runs — fail-before semantics, so a fault here means
         the step never started.
@@ -78,16 +80,14 @@ class AttachTransaction:
         if self.current_step is not None:
             self.steps_completed.append(self.current_step)
         self.current_step = name
-        if self.obs is not None:
-            if self._step_span is not None:
-                self.obs.spans.end(self._step_span, status="ok")
-            # Open before the fault check: an injected fault leaves
-            # this span open, and rollback closes it with the failure —
-            # the Perfetto trace then shows exactly which step died.
-            self._step_span = self.obs.spans.begin(
-                "attach.step", track=self.track, step=name, **detail
-            )
-        self.tracer.emit("txn", "step", txn=self.label, step=name, **detail)
+        if self._step_span is not None:
+            self.obs.spans.end(self._step_span, status="ok")
+        # Open before the fault check: an injected fault leaves this
+        # span open, and rollback closes it with the failure — the
+        # stream then shows exactly which step died.
+        self._step_span = self.obs.spans.begin(
+            "attach.step", track=self.track, step=name, txn=self.label, **detail
+        )
         self.host.faults.check(f"attach.{name}")
 
     # -- the undo stack -------------------------------------------------------
@@ -120,13 +120,13 @@ class AttachTransaction:
             self.current_step = None
         self._undo.clear()
         self.finished = True
-        if self.obs is not None:
-            if self._step_span is not None:
-                self.obs.spans.end(self._step_span, status="ok")
-                self._step_span = None
-            self.obs.metrics.scope("txn").counter("commits").inc()
-        self.tracer.emit(
-            "txn", "commit", txn=self.label, steps=len(self.steps_completed)
+        if self._step_span is not None:
+            self.obs.spans.end(self._step_span, status="ok")
+            self._step_span = None
+        self.obs.metrics.scope("txn").counter("commits").inc()
+        self.obs.instant(
+            "txn.commit", track="txn", txn=self.label,
+            steps=len(self.steps_completed),
         )
 
     def rollback(self) -> None:
@@ -139,55 +139,31 @@ class AttachTransaction:
         """
         failed_step = self.current_step
         self.current_step = None
-        rollback_span = None
-        if self.obs is not None:
-            if self._step_span is not None:
-                self.obs.spans.end(self._step_span, status="failed")
-                self._step_span = None
-            rollback_span = self.obs.spans.begin(
-                "txn.rollback", track=self.track, failed_step=failed_step
-            )
-            self.obs.metrics.scope("txn").counter("rollbacks").inc()
+        spans = self.obs.spans
+        if self._step_span is not None:
+            spans.end(self._step_span, status="failed")
+            self._step_span = None
+        rollback_span = spans.begin(
+            "txn.rollback", track=self.track, txn=self.label,
+            failed_step=failed_step, undone=len(self.steps_completed),
+        )
+        self.obs.metrics.scope("txn").counter("rollbacks").inc()
         with self.host.faults.suspended():
             while self._undo:
                 entry = self._undo.pop()
                 if entry.discharged:
                     continue
-                undo_span = None
-                if self.obs is not None:
-                    undo_span = self.obs.spans.begin(
-                        "txn.undo", track=self.track, action=entry.label
-                    )
+                undo_span = spans.begin(
+                    "txn.undo", track=self.track, txn=self.label,
+                    action=entry.label,
+                )
                 try:
                     entry.action()
-                    if undo_span is not None:
-                        self.obs.spans.end(undo_span, status="ok")
-                    self.tracer.emit(
-                        "txn", "undo", txn=self.label, action=entry.label
-                    )
+                    spans.end(undo_span, status="ok")
                 except Exception as err:  # noqa: BLE001 - must not mask cause
-                    if undo_span is not None:
-                        self.obs.spans.end(undo_span, status=type(err).__name__)
+                    spans.end(undo_span, status=type(err).__name__)
                     self.undo_failures.append(
                         UndoFailure(label=entry.label, error=err)
                     )
-                    self.tracer.emit(
-                        "txn",
-                        "undo_failed",
-                        txn=self.label,
-                        action=entry.label,
-                        error=type(err).__name__,
-                    )
         self.finished = True
-        if rollback_span is not None:
-            self.obs.spans.end(
-                rollback_span, undo_failures=len(self.undo_failures)
-            )
-        self.tracer.emit(
-            "txn",
-            "rollback",
-            txn=self.label,
-            failed_step=failed_step,
-            undone=len(self.steps_completed),
-            undo_failures=len(self.undo_failures),
-        )
+        spans.end(rollback_span, undo_failures=len(self.undo_failures))

@@ -245,9 +245,10 @@ class VmshSession:
         stats = {"device": self.device_host.accessor.stats.as_dict()}
         if self.gateway is not None:
             stats["gateway"] = self.gateway.phys.stats.as_dict()
+            metrics = self.gateway.metrics
             stats["tlb"] = {
-                "hits": self.gateway.tlb_hits,
-                "misses": self.gateway.tlb_misses,
+                "hits": metrics.counter("tlb_hits").value,
+                "misses": metrics.counter("tlb_misses").value,
             }
         return stats
 
@@ -308,8 +309,8 @@ class VmshSession:
         for cap in self._dropped_caps:
             self.vmsh.process.grant_capability(cap)
         self._dropped_caps.clear()
-        self.vmsh.host.tracer.emit(
-            "vmsh", "detached", pid=self.report.hypervisor_pid
+        self.vmsh.host.obs.instant(
+            "vmsh.detached", track="vmsh", pid=self.report.hypervisor_pid
         )
 
 
@@ -348,7 +349,6 @@ class Vmsh:
         command: str = "/bin/sh",
         container_pid: int = 0,
         image: Optional[bytes] = None,
-        unoptimised_copy: bool = False,
         copy_path: str = "vectored",
         transport: str = "mmio",
         exec_device: bool = False,
@@ -370,9 +370,8 @@ class Vmsh:
         fallback).
 
         ``copy_path`` selects the device's guest-memory copy path (see
-        :data:`COPY_PATHS`); ``unoptimised_copy=True`` is a shorthand
-        for the pre-§5 ``"staged"`` path (kept for the ablation
-        benchmark).
+        :data:`COPY_PATHS`); ``"staged"`` is the pre-§5 path the copy
+        path ablation measures against.
 
         ``retries``: how many times to re-run the pipeline after a
         *transient* fault (each failed attempt is fully rolled back
@@ -387,9 +386,7 @@ class Vmsh:
         interrupt coalescing).  On by default; the ablation benchmark
         attaches with ``event_idx=False`` to measure what it buys.
         """
-        copy_path = self._validate_attach(
-            transport, copy_path, unoptimised_copy, retries
-        )
+        self._validate_attach(transport, copy_path, retries)
         start_ns = self.host.clock.now
         attempt = 0
         while True:
@@ -414,7 +411,6 @@ class Vmsh:
         command: str = "/bin/sh",
         container_pid: int = 0,
         image: Optional[bytes] = None,
-        unoptimised_copy: bool = False,
         copy_path: str = "vectored",
         transport: str = "mmio",
         exec_device: bool = False,
@@ -433,9 +429,7 @@ class Vmsh:
         advance.  Spawn with ``scheduler.spawn(vmsh.attach_task(...))``;
         the task's result is the :class:`VmshSession`.
         """
-        copy_path = self._validate_attach(
-            transport, copy_path, unoptimised_copy, retries
-        )
+        self._validate_attach(transport, copy_path, retries)
         start_ns = self.host.clock.now
         attempt = 0
         while True:
@@ -455,18 +449,14 @@ class Vmsh:
                 attempt += 1
 
     def _validate_attach(
-        self, transport: str, copy_path: str, unoptimised_copy: bool,
-        retries: int,
-    ) -> str:
+        self, transport: str, copy_path: str, retries: int
+    ) -> None:
         if transport not in ("auto", "mmio", "pci"):
             raise VmshError(f"unknown virtio transport {transport!r}")
-        if unoptimised_copy:
-            copy_path = "staged"
         if copy_path not in COPY_PATHS:
             raise VmshError(f"unknown copy path {copy_path!r}")
         if retries < 0:
             raise VmshError("retries must be >= 0")
-        return copy_path
 
     def _retry_backoff(
         self,
@@ -484,10 +474,6 @@ class Vmsh:
         elapsed = self.host.clock.now - start_ns
         if deadline_ns is not None and elapsed + backoff > deadline_ns:
             raise err
-        self.host.tracer.emit(
-            "vmsh", "attach_retry", attempt=attempt + 1,
-            site=err.site, backoff_ns=backoff,
-        )
         self.host.obs.instant(
             "attach.retry", track="attach-control",
             attempt=attempt + 1, site=err.site, backoff_ns=backoff,
@@ -771,15 +757,15 @@ class Vmsh:
                 "gateway": gateway.phys.stats.as_dict(),
                 "device": accessor.stats.as_dict(),
             },
-            tlb_hits=gateway.tlb_hits,
-            tlb_misses=gateway.tlb_misses,
+            tlb_hits=gateway.metrics.counter("tlb_hits").value,
+            tlb_misses=gateway.metrics.counter("tlb_misses").value,
         )
         session_metrics.gauge("attach_ns").set(report.attach_ns)
         obs.metrics.scope("attach").histogram("latency_ns").observe(
             report.attach_ns
         )
-        self.host.tracer.emit(
-            "vmsh", "attached", pid=hypervisor_pid, mode=mode,
+        self.host.obs.instant(
+            "vmsh.attached", track="vmsh", pid=hypervisor_pid, mode=mode,
             version=str(version), transport=transport,
         )
         return VmshSession(

@@ -103,14 +103,6 @@ class RecordingError(ReproError):
     """A run recording could not be captured, loaded or replayed."""
 
 
-class RecordingOverflowError(RecordingError):
-    """The tracer hit ``max_events`` while a recording pinned the stream.
-
-    Eviction would silently drop events a replay needs; raise instead
-    so the recorder's caller can raise ``max_events`` or split the run.
-    """
-
-
 # --------------------------------------------------------------------------
 # KVM layer
 # --------------------------------------------------------------------------

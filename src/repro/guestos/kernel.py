@@ -113,7 +113,6 @@ class GuestKernel:
         self.version = self.config.version
         self.memory: GuestPhysMemory = vm.guest_memory()
         self.costs = vm.kernel.costs
-        self.tracer = vm.kernel.tracer
         self.klog: List[str] = []
 
         self._phys_bump = FIRST_USABLE_GPA
@@ -329,7 +328,9 @@ class GuestKernel:
         if program is None:
             self.panicked = f"no runtime for program id {blob.program_id!r}"
             raise GuestPanicError(self.panicked)
-        self.tracer.emit("guest", "execute_blob", program=blob.program_id, rip=hex(rip))
+        self.costs.obs.instant(
+            "guest.execute_blob", track="guest", program=blob.program_id, rip=hex(rip)
+        )
         return program.execute(self, blob, blob_vaddr=rip, vcpu=vcpu)
 
     def panic(self, reason: str) -> None:
@@ -342,7 +343,7 @@ class GuestKernel:
 
     def printk(self, message: str) -> int:
         self.klog.append(message)
-        self.tracer.emit("guest", "printk", msg=message)
+        self.costs.obs.instant("guest.printk", track="guest", msg=message)
         return len(message)
 
     # ------------------------------------------------------------------

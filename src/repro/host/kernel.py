@@ -22,7 +22,6 @@ from repro.host.process import EventFd, FileObject, Process, SocketPair, Thread
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
 from repro.sim.faults import FaultInjector
-from repro.sim.trace import NullTracer, Tracer
 
 
 class HostKernel:
@@ -32,7 +31,6 @@ class HostKernel:
         self,
         clock: Optional[Clock] = None,
         costs: Optional[CostModel] = None,
-        tracer: Optional[Tracer] = None,
     ):
         from repro.arch import X86_64
 
@@ -42,9 +40,8 @@ class HostKernel:
         #: model: a Testbed wires one root hub into its CostModel, a
         #: standalone HostKernel gets the CostModel's private hub.
         self.obs = self.costs.obs
-        self.tracer = tracer if tracer is not None else NullTracer()
         #: fault-injection runtime (inert until a FaultPlan is armed)
-        self.faults = FaultInjector(self.tracer, obs=self.obs)
+        self.faults = FaultInjector(self.obs)
         #: discrete-event scheduler (set by the Testbed).  Signal paths
         #: consult it via :meth:`wakeup`; ``None`` or an idle scheduler
         #: means fully synchronous legacy behaviour.
@@ -96,7 +93,7 @@ class HostKernel:
     def spawn_process(self, name: str, uid: int = 0) -> Process:
         process = Process(name, host=self, uid=uid)
         self.processes[process.pid] = process
-        self.tracer.emit("host", "spawn", pid=process.pid, name=name)
+        self.obs.instant("host.spawn", track="host", pid=process.pid, name=name)
         return process
 
     def process(self, pid: int) -> Process:
@@ -110,7 +107,7 @@ class HostKernel:
 
     def exit_process(self, pid: int) -> None:
         self.process(pid).exited = True
-        self.tracer.emit("host", "exit", pid=pid)
+        self.obs.instant("host.exit", track="host", pid=pid)
 
     # -- eBPF --------------------------------------------------------------------
 
@@ -121,7 +118,9 @@ class HostKernel:
                 f"{caller.name} lacks CAP_BPF to attach to {attach_point}"
             )
         self._ebpf_programs.setdefault(attach_point, []).append(program)
-        self.tracer.emit("host", "ebpf_attach", point=attach_point, by=caller.name)
+        self.obs.instant(
+            "host.ebpf_attach", track="host", point=attach_point, by=caller.name
+        )
 
     def ebpf_detach(self, attach_point: str, program: Callable[..., None]) -> None:
         programs = self._ebpf_programs.get(attach_point, [])

@@ -39,7 +39,9 @@ class PtraceSession:
         #: when set, injections are steered to a thread whose seccomp
         #: filter permits the syscall (the §6.2 future-work heuristic)
         self.seccomp_aware = False
-        kernel.tracer.emit("ptrace", "attach", tracer=tracer.pid, tracee=tracee.pid)
+        kernel.obs.instant(
+            "ptrace.attach", track="ptrace", tracer=tracer.pid, tracee=tracee.pid
+        )
 
     # -- stop / resume -------------------------------------------------------------
 
@@ -122,8 +124,8 @@ class PtraceSession:
             thread.saved_regs = saved
             if not was_stopped:
                 self.resume(thread)
-        self.kernel.tracer.emit(
-            "ptrace", "inject_syscall", tid=thread.tid, syscall=name
+        self.kernel.obs.instant(
+            "ptrace.inject_syscall", track="ptrace", tid=thread.tid, syscall=name
         )
         return result
 
@@ -159,7 +161,7 @@ class PtraceSession:
                 self.resume(thread)
         self.tracee.tracer = None
         self.attached = False
-        self.kernel.tracer.emit("ptrace", "detach", tracee=self.tracee.pid)
+        self.kernel.obs.instant("ptrace.detach", track="ptrace", tracee=self.tracee.pid)
 
     # -- internal -------------------------------------------------------------------------------
 

@@ -158,7 +158,6 @@ class Hypervisor:
             "vmm.launched", track="fleet",
             flavor=self.NAME, pid=self.process.pid,
         )
-        self.host.tracer.emit("vmm", "launched", name=self.NAME, pid=self.process.pid)
         return self.guest
 
     # Hooks subclasses override -------------------------------------------------------

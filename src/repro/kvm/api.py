@@ -159,8 +159,9 @@ class VmFd(FileObject):
             slot = self._memslots.set_region(
                 slot=arg["slot"], gpa=arg["gpa"], size=arg["size"], hva=arg["hva"]
             )
-            self.kernel.tracer.emit(
-                "kvm", "set_memslot", slot=arg["slot"], gpa=hex(arg["gpa"]), size=arg["size"]
+            self.kernel.obs.instant(
+                "kvm.set_memslot", track="kvm",
+                slot=arg["slot"], gpa=hex(arg["gpa"]), size=arg["size"],
             )
             return slot
         if request == "KVM_CREATE_VCPU":
@@ -238,8 +239,9 @@ class VmFd(FileObject):
             new_lo, new_hi = arg["gpa"], arg["gpa"] + arg["size"]
             if arg.get("remove"):
                 self._drop_ioregions(new_lo, new_hi)
-                self.kernel.tracer.emit(
-                    "kvm", "unset_ioregion", gpa=hex(arg["gpa"]), size=arg["size"]
+                self.kernel.obs.instant(
+                    "kvm.unset_ioregion", track="kvm",
+                    gpa=hex(arg["gpa"]), size=arg["size"],
                 )
                 return 0
             if not self.system.ioregionfd_supported:
@@ -255,8 +257,9 @@ class VmFd(FileObject):
             # KVM references the socket, so it stays connected after
             # the hypervisor-side fd VMSH injected is closed again.
             sock.incref()
-            self.kernel.tracer.emit(
-                "kvm", "set_ioregion", gpa=hex(arg["gpa"]), size=arg["size"]
+            self.kernel.obs.instant(
+                "kvm.set_ioregion", track="kvm",
+                gpa=hex(arg["gpa"]), size=arg["size"],
             )
             return 0
         if request == "KVM_CHECK_EXTENSION":

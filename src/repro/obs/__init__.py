@@ -4,10 +4,12 @@
 registry behind a single object that rides on :class:`~repro.sim.costs.
 CostModel` (``costs.obs``) — the one dependency already threaded
 through every layer (devices, transports, KVM, guest kernels) — so any
-code that can charge a cost can also open a span or bump a metric
-without new plumbing.  ``Testbed`` creates the root hub; a standalone
-``HostKernel``/``CostModel`` creates a private one, so instrumentation
-never needs a None-check on the hot path.
+code that can charge a cost can also open a span, mark an instant or
+bump a metric without new plumbing.  ``Testbed`` creates the root hub;
+a standalone ``HostKernel``/``CostModel`` creates a private one, so
+instrumentation never needs a None-check on the hot path.  The span
+recorder's spans and instants are the program's one event stream:
+Perfetto export, fuzz coverage, run recordings and replay all read it.
 
 See DESIGN.md §12 for the span/metric model and the determinism
 contract (same seed => byte-identical exports).
@@ -54,10 +56,10 @@ class Observability:
 
     # -- convenience passthroughs -----------------------------------------
 
-    def span(self, name: str, track: str = "main", **attrs: object):
+    def span(self, name: str, /, track: str = "main", **attrs: object):
         return self.spans.span(name, track, **attrs)
 
-    def instant(self, name: str, track: str = "main", **attrs: object) -> Span:
+    def instant(self, name: str, /, track: str = "main", **attrs: object) -> Span:
         return self.spans.instant(name, track, **attrs)
 
     def scope(self, *parts: str, **labels: object) -> MetricsRegistry:

@@ -7,9 +7,10 @@ paths ("virtio.blk"); labels are sorted key/value pairs, so the same
 logical metric is always the same object no matter the call site.
 
 The registry is the single source of truth for every counter in the
-simulator.  Legacy attribute counters (``CostModel.counters``,
-``AccessorStats.reads``, gateway ``tlb_hits``...) are thin shims that
-read and write metrics in this tree, so a snapshot here sees everything.
+simulator.  Holders cache handles onto metrics in this tree and read
+them back from it (``CostModel.count``, ``AccessorStats.as_dict``, the
+gateway's ``tlb_hits``/``tlb_misses`` counters); no counter lives
+outside it, so a snapshot here sees everything.
 
 Determinism contract: metrics carry no wall-clock state, iteration in
 :meth:`MetricsRegistry.walk` is sorted by full key, and
@@ -28,9 +29,8 @@ MetricKey = Tuple[str, str, LabelPairs]
 class Counter:
     """Monotonic (by convention) integer counter.
 
-    ``value`` is writable so legacy shims can migrate pre-existing
-    totals in (``AccessorStats.bind``) or reset between measurement
-    windows (``CostModel.reset_counters``).
+    ``value`` is writable so holders can migrate pre-existing totals
+    in (``AccessorStats.bind``).
     """
 
     kind = "counter"

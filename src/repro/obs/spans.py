@@ -13,6 +13,12 @@ would interleave unrelated scopes.  Each call site names its track
 explicitly and cross-yield scopes use the ``begin``/``end`` pair
 instead of the ``span`` context manager.
 
+The recorder is the program's one event stream.  Every open, close
+and instant also goes to the recorder's :attr:`SpanRecorder.sinks` as
+it happens — run recordings and replay comparators tap the stream
+there (DESIGN.md §14), Perfetto export and fuzz coverage read the
+retained spans afterwards.
+
 Determinism contract: span IDs come from a per-recorder sequence
 counter, timestamps from the injected virtual clock, and attribute
 dicts preserve call-site insertion order — two same-seed runs produce
@@ -22,7 +28,7 @@ identical span lists, byte for byte once exported.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 
 class Span:
@@ -61,8 +67,8 @@ class SpanRecorder:
 
     ``max_spans`` bounds memory on long fleet runs: once full, new spans
     are counted in ``dropped_spans`` and not retained (recorded history
-    is never evicted — positional references into ``spans`` stay valid,
-    unlike the pre-PR5 Tracer).
+    is never evicted, so positional references into ``spans`` stay
+    valid).  Sinks still see every span, retained or not.
     """
 
     def __init__(self, clock, max_spans: int = 250_000) -> None:
@@ -70,22 +76,29 @@ class SpanRecorder:
         self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped_spans = 0
+        #: live consumers of the stream: ``sink(kind, span)`` runs at
+        #: every open (``"open"``), close (``"close"``) and instant
+        #: (``"instant"``); a sink's exception propagates to the caller.
+        self.sinks: List[Callable[[str, Span], None]] = []
         self._stacks: Dict[str, List[Span]] = {}
-        self._next_sid = 1
+        #: the id the next span gets: a cursor over the stream
+        self.next_sid = 1
 
     # -- core lifecycle ----------------------------------------------------
 
-    def begin(self, name: str, track: str = "main", **attrs: object) -> Span:
+    def begin(self, name: str, /, track: str = "main", **attrs: object) -> Span:
         """Open a span; nests under the track's innermost open span."""
         stack = self._stacks.setdefault(track, [])
         parent = stack[-1].sid if stack else None
-        span = Span(self._next_sid, parent, name, track, self.clock.now, attrs)
-        self._next_sid += 1
+        span = Span(self.next_sid, parent, name, track, self.clock.now, attrs)
+        self.next_sid += 1
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
         else:
             self.dropped_spans += 1
         stack.append(span)
+        for sink in self.sinks:
+            sink("open", span)
         return span
 
     def end(self, span: Span, **attrs: object) -> Span:
@@ -103,10 +116,13 @@ class SpanRecorder:
                 stack.pop()
             if stack:
                 stack.pop()
+        for sink in self.sinks:
+            sink("close", span)
         return span
 
     @contextmanager
-    def span(self, name: str, track: str = "main", **attrs: object) -> Iterator[Span]:
+    def span(self, name: str, /, track: str = "main",
+             **attrs: object) -> Iterator[Span]:
         """Context-managed span for scopes that stay within one task turn."""
         s = self.begin(name, track, **attrs)
         try:
@@ -117,10 +133,21 @@ class SpanRecorder:
         else:
             self.end(s)
 
-    def instant(self, name: str, track: str = "main", **attrs: object) -> Span:
-        """Zero-duration marker (fault injections, retries)."""
-        s = self.begin(name, track, **attrs)
-        return self.end(s)
+    def instant(self, name: str, /, track: str = "main", **attrs: object) -> Span:
+        """Zero-duration marker (fault injections, retries, VM launches),
+        parented like a span opened on ``track`` now."""
+        stack = self._stacks.get(track)
+        parent = stack[-1].sid if stack else None
+        span = Span(self.next_sid, parent, name, track, self.clock.now, attrs)
+        span.end_ns = span.start_ns
+        self.next_sid += 1
+        if len(self.spans) < self.max_spans:
+            self.spans.append(span)
+        else:
+            self.dropped_spans += 1
+        for sink in self.sinks:
+            sink("instant", span)
+        return span
 
     # -- introspection -----------------------------------------------------
 
@@ -149,5 +176,5 @@ class SpanRecorder:
         self.spans.clear()
         self._stacks.clear()
         self.dropped_spans = 0
-        self._next_sid = 1
+        self.next_sid = 1
 

@@ -4,14 +4,15 @@ Three mechanisms built on the deterministic substrate:
 
 * :mod:`~repro.replay.recording` — a :class:`RunRecorder` serializes
   everything that determines a run (master seed, cost-model params,
-  fault plan, scheduler tiebreak seed, the full tracer event stream)
-  into a versioned JSON trace file.
+  fault plan, scheduler tiebreak seed, the full span stream of opens,
+  closes and instants, the final clock and scheduler turn count) into
+  a versioned JSON trace file.
 * :mod:`~repro.replay.replayer` — re-executes a recording and
-  cross-checks the live event stream against the recorded one
-  event-by-event; the first divergence is reported with the virtual
-  timestamp, open ``attach.step`` spans and scheduler turn where the
-  histories split.  ``--until N`` stops at event N and drops into the
-  PR 5 span/metrics dump (time-travel debugging).
+  cross-checks the live span stream against the recorded one
+  event-by-event, then the end state; the first divergence is reported
+  with the virtual timestamp, open ``attach.step`` spans and scheduler
+  turn where the histories split.  ``--until N`` stops at stream event
+  N and drops into the span/metrics dump (time-travel debugging).
 * :mod:`~repro.replay.fuzzer` — a generative :class:`AttachFuzzer`
   mutates seeds, fault schedules, quirk combinations and virtio driver
   behaviour, guided by coverage extracted from the obs spine; every

@@ -3,10 +3,13 @@
 A recording holds everything that determines a run on the
 deterministic substrate: the scenario name and its parameters, the
 master seed (which also derives every scheduler tiebreak stream), the
-cost-model constants, the armed fault plan, and the complete tracer
-event stream.  Replaying the scenario from those inputs must
-regenerate the identical stream — the replayer cross-checks it event
-by event.
+cost-model constants, the armed fault plan, and the complete span
+stream — every span open and close and every instant the testbed's
+:class:`~repro.obs.spans.SpanRecorder` saw, retained or past
+``max_spans`` — plus the run's end state (final virtual clock and
+scheduler turns).  Replaying the scenario from those inputs must
+regenerate the identical stream and end state; the replayer
+cross-checks both.
 
 Events are stored in a canonical JSON-native encoding
 (:func:`encode_event`) so equality is well-defined across a
@@ -20,13 +23,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import RecordingError
-from repro.sim.trace import Event
+from repro.obs.spans import Span
 
 FORMAT = "vmsh-run-recording"
-VERSION = 1
+VERSION = 2
 
 
 def jsonable(value: Any) -> Any:
@@ -44,9 +47,17 @@ def jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def encode_event(event: Event) -> List[Any]:
-    """``[time_ns, category, name, detail]`` in canonical JSON form."""
-    return [event.time_ns, event.category, event.name, jsonable(event.detail)]
+def encode_event(kind: str, span: Span) -> List[Any]:
+    """One stream event, ``[time_ns, kind, sid, parent_sid, track, name,
+    attrs]``, in canonical JSON form.
+
+    ``kind`` is ``"open"``, ``"close"`` or ``"instant"``; a close is
+    timed at the span's end and carries its attributes as merged at
+    close, an open or instant at its start.
+    """
+    time_ns = span.end_ns if kind == "close" else span.start_ns
+    return [time_ns, kind, span.sid, span.parent_sid, span.track, span.name,
+            jsonable(span.attrs)]
 
 
 def events_digest(events: List[Any]) -> str:
@@ -132,8 +143,8 @@ class RunRecorder:
     """Captures one scenario run into a :class:`Recording`.
 
     Hand :meth:`attach` to the scenario runner's ``on_testbed`` hook;
-    the recorder pins the tracer (eviction raises instead of dropping
-    events a replay would need) and taps the stream through a sink.
+    the recorder taps the testbed's span stream through a sink, which
+    sees every span whether or not the recorder retains it.
     """
 
     def __init__(self, scenario: str, params: Optional[Dict[str, Any]] = None):
@@ -141,32 +152,27 @@ class RunRecorder:
         self.params = dict(params or {})
         self._events: List[Any] = []
         self._testbed: Any = None
-        self._sink: Optional[Callable[[Event], None]] = None
+
+    def _sink(self, kind: str, span: Span) -> None:
+        self._events.append(encode_event(kind, span))
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, tb: Any) -> None:
-        """Hook the testbed's tracer (the ``on_testbed`` callback)."""
-        if tb.tracer is None:
-            raise RecordingError(
-                "recording needs a traced testbed (Testbed(trace=True))"
-            )
+        """Tap the testbed's span stream (the ``on_testbed`` callback)."""
         if self._testbed is not None:
             raise RecordingError("recorder is already attached to a run")
         self._testbed = tb
-        self._sink = lambda event: self._events.append(encode_event(event))
-        tb.tracer.pin()
-        tb.tracer.add_sink(self._sink)
+        tb.obs.spans.sinks.append(self._sink)
 
     # -- result ------------------------------------------------------------
 
     def finish(self, outcome: str = "ok") -> Recording:
-        """Detach from the tracer and build the recording."""
+        """Detach from the stream and build the recording."""
         tb = self._testbed
         if tb is None:
             raise RecordingError("recorder was never attached to a testbed")
-        tb.tracer.remove_sink(self._sink)
-        tb.tracer.unpin()
+        tb.obs.spans.sinks.remove(self._sink)
         self._testbed = None
         plan = tb.host.faults._plan
         return Recording(

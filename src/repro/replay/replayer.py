@@ -1,13 +1,15 @@
-"""Replay a recording and cross-check the live event stream.
+"""Replay a recording and cross-check the live span stream.
 
-The comparator is a tracer sink that checks each live event against
-the recorded stream *as it is emitted*.  It latches the first
-divergence instead of raising: an exception thrown from inside a
-scheduler task would be swallowed by the task machinery (tasks catch
-``BaseException`` and finish errored), silently changing the very run
-being compared.  Latching keeps the replay byte-faithful and still
-pins the exact divergence point — virtual timestamp, scheduler turn
-and whichever ``attach.step`` spans were open when the streams split.
+The comparator is a span-stream sink that checks each live open,
+close and instant against the recorded stream *as it happens*.  It
+latches the first divergence instead of raising: an exception thrown
+from inside a scheduler task would be swallowed by the task machinery
+(tasks catch ``BaseException`` and finish errored), silently changing
+the very run being compared.  Latching keeps the replay byte-faithful
+and still pins the exact divergence point — virtual timestamp,
+scheduler turn and whichever ``attach.step`` spans were open when the
+streams split.  A run whose stream matches must also end where the
+recording ended: same final virtual clock, same scheduler turn count.
 
 ``--until N`` stops at recorded event index ``N``: the comparator
 latches a state dump (clock, open spans, metrics snapshot, recent
@@ -18,12 +20,13 @@ failure path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import RecordingError
+from repro.obs.spans import Span
 from repro.replay.recording import Recording, encode_event
-from repro.sim.trace import Event
 
 
 class ReplayStop(BaseException):
@@ -33,7 +36,7 @@ class ReplayStop(BaseException):
 
 @dataclass
 class Divergence:
-    """The first point where live and recorded streams disagree."""
+    """The first point where live and recorded runs disagree."""
 
     index: int                  # recorded event index of the mismatch
     recorded: Optional[List[Any]]   # None when the live run emitted extra
@@ -41,12 +44,15 @@ class Divergence:
     time_ns: int                # virtual clock at detection
     sched_turn: int             # scheduler events_run at detection
     open_steps: List[str]       # open attach.step spans, "track:step"
-    kind: str                   # "mismatch" | "missing" | "extra"
+    kind: str                   # "mismatch" | "missing" | "extra" | "end"
 
     def describe(self) -> str:
         steps = ", ".join(self.open_steps) or "none"
+        what = "first divergence"
+        if self.kind == "end":
+            what = "end state [clock end ns, scheduler turns] differs"
         lines = [
-            f"first divergence at event {self.index} "
+            f"{what} at event {self.index} "
             f"(t={self.time_ns}ns, scheduler turn {self.sched_turn})",
             f"  open attach steps: {steps}",
         ]
@@ -74,12 +80,13 @@ class ReplayReport:
 
 
 class _Comparator:
-    """Tracer sink: live events vs the recorded stream, latching."""
+    """Span-stream sink: live events vs the recorded stream, latching."""
 
     def __init__(self, tb: Any, recorded: List[Any], until: Optional[int]):
         self._tb = tb
         self._recorded = recorded
         self._until = until
+        self._recent: deque = deque(maxlen=10)
         self.cursor = 0
         self.divergence: Optional[Divergence] = None
         self.dump: Optional[Dict[str, Any]] = None
@@ -108,7 +115,6 @@ class _Comparator:
 
     def _latch_dump(self) -> None:
         tb = self._tb
-        recent = [encode_event(e) for e in list(tb.tracer.events)[-10:]]
         self.dump = {
             "stopped_at": self.cursor,
             "time_ns": tb.clock.now,
@@ -118,29 +124,37 @@ class _Comparator:
             ],
             "open_steps": self._open_steps(),
             "metrics": tb.obs.metrics.snapshot(),
-            "recent_events": recent,
+            "recent_events": list(self._recent),
         }
 
     # -- the sink ----------------------------------------------------------
 
-    def __call__(self, event: Event) -> None:
+    def __call__(self, kind: str, span: Span) -> None:
         if self._until is not None and self.cursor >= self._until:
             if self.dump is None:
                 self._latch_dump()
                 raise ReplayStop()
             return
-        live = encode_event(event)
+        live = encode_event(kind, span)
+        self._recent.append(live)
         if self.cursor >= len(self._recorded):
             self._latch("extra", None, live)
         elif live != self._recorded[self.cursor]:
             self._latch("mismatch", self._recorded[self.cursor], live)
         self.cursor += 1
 
-    def finish_checks(self) -> None:
-        """Post-run: the live stream must not end short."""
-        if self.divergence is None and self._until is None:
-            if self.cursor < len(self._recorded):
-                self._latch("missing", self._recorded[self.cursor], None)
+    def finish_checks(self, recording: Recording) -> None:
+        """Post-run: the live stream must not end short, and the run
+        must end at the recorded clock and scheduler turn."""
+        if self.divergence is not None or self._until is not None:
+            return
+        if self.cursor < len(self._recorded):
+            self._latch("missing", self._recorded[self.cursor], None)
+            return
+        live = [self._tb.clock.now, self._tb.scheduler.events_run]
+        recorded = [recording.clock_end_ns, recording.sched_turns]
+        if live != recorded:
+            self._latch("end", recorded, live)
 
 
 class Replayer:
@@ -155,11 +169,9 @@ class Replayer:
         comparator: List[_Comparator] = []
 
         def on_testbed(tb: Any) -> None:
-            if tb.tracer is None:
-                raise RecordingError("replay needs a traced testbed")
             cmp_ = _Comparator(tb, recording.events, until)
             comparator.append(cmp_)
-            tb.tracer.add_sink(cmp_)
+            tb.obs.spans.sinks.append(cmp_)
 
         outcome = ""
         try:
@@ -182,7 +194,7 @@ class Replayer:
         if not comparator:
             raise RecordingError("scenario never built a testbed")
         cmp_ = comparator[0]
-        cmp_.finish_checks()
+        cmp_.finish_checks(recording)
         return ReplayReport(
             matched=cmp_.divergence is None,
             events_checked=cmp_.cursor,

@@ -1,6 +1,6 @@
 """Recordable scenarios: the runs the recorder/replayer/fuzzer share.
 
-Two scenarios cover the PR's needs:
+Three scenarios, each a pure function of its JSON parameters:
 
 * ``fleet`` — the canonical 8-VM observed fleet run (PR 5), optionally
   with a snapshot/restore mid-attach spliced in, used for the
@@ -11,6 +11,12 @@ Two scenarios cover the PR's needs:
   is the fuzzer's unit of execution; every case is a pure function of
   its JSON-serialisable description, which is what makes corpus
   entries replayable across processes.
+* ``traffic`` — the end-to-end serverless run: a sharded fleet serving
+  requests over vmsh-net and the fabric with the chaos legs mid-load.
+
+A recording tapes the testbed's whole span stream, so a replay diffs
+the data path (virtio windows), the scheduler (task turns) and the
+serverless platform as well as the attach pipeline.
 """
 
 from __future__ import annotations
@@ -159,7 +165,7 @@ def run_attach_case(
     leak of exactly the kind the fd-table invariant exists to catch.
     """
     launch_name, launch_kwargs, attach_kwargs = FLAVORS[case.flavor]
-    tb = Testbed(ioregionfd=case.ioregionfd, trace=True, seed=case.seed,
+    tb = Testbed(ioregionfd=case.ioregionfd, seed=case.seed,
                  cost_params=cost_params,
                  arch=FLAVOR_ARCH.get(case.flavor, "x86_64"))
     if on_testbed is not None:
@@ -454,7 +460,7 @@ def run_scenario(
     cost_params: Any = None,
 ) -> ScenarioResult:
     """Run a registered scenario; ``on_testbed`` fires at testbed birth
-    (where recorders and replay comparators tap the tracer)."""
+    (where recorders and replay comparators tap the span stream)."""
     try:
         runner = SCENARIOS[name]
     except KeyError:

@@ -1,4 +1,4 @@
-"""Deterministic simulation substrate: clock, scheduler, costs, RNG, tracing."""
+"""Deterministic simulation substrate: clock, scheduler, costs, RNG."""
 
 from repro.sim.clock import Clock, Stopwatch, TimeSeries
 from repro.sim.costs import CostModel, CostParams
@@ -12,7 +12,6 @@ from repro.sim.sched import (
     Timer,
     Waitable,
 )
-from repro.sim.trace import Event, NullTracer, Tracer
 
 __all__ = [
     "Clock",
@@ -29,7 +28,4 @@ __all__ = [
     "Task",
     "Timer",
     "Waitable",
-    "Event",
-    "Tracer",
-    "NullTracer",
 ]

@@ -24,9 +24,8 @@ so runs are exactly reproducible.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.obs import Observability
 from repro.obs.metrics import Counter
@@ -97,49 +96,13 @@ class CostParams:
     guest_net_layer_ns: int = 700           # guest net-stack submit path
 
 
-class CounterView(MutableMapping):
-    """``CostModel.counters`` shim: a mapping view over registry counters.
-
-    Pre-PR5 callers treated ``counters`` as a plain ``Dict[str, int]``;
-    the storage now lives in the shared :class:`MetricsRegistry` (under
-    the ``costs`` subsystem) so exporters and snapshots see the same
-    numbers.  The view keeps the dict API — ``get``/``items``/index
-    assignment/``clear`` — working against the registry-backed cache.
-    """
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: "CostModel") -> None:
-        self._model = model
-
-    def __getitem__(self, name: str) -> int:
-        return self._model._cache[name].value
-
-    def __setitem__(self, name: str, value: int) -> None:
-        self._model._counter(name).value = value
-
-    def __delitem__(self, name: str) -> None:
-        self._model._cache.pop(name)
-        self._model.metrics.discard(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._model._cache)
-
-    def __len__(self) -> int:
-        return len(self._model._cache)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 class CostModel:
     """Charges virtual time to a :class:`Clock` and keeps counters.
 
     Counters let tests assert *mechanisms* (e.g. that vmsh-blk incurs
     twice the context switches of qemu-blk) rather than only outcomes.
     They are registry-backed: ``self.metrics`` is the ``costs`` scope of
-    the shared observability hub (``self.obs``), and ``self.counters``
-    is a dict-compatible view onto it for legacy call sites.
+    the shared observability hub (``self.obs``); :meth:`count` reads one.
     """
 
     def __init__(
@@ -153,7 +116,6 @@ class CostModel:
         self.obs = obs if obs is not None else Observability(clock)
         self.metrics = self.obs.metrics.scope("costs")
         self._cache: Dict[str, Counter] = {}
-        self.counters = CounterView(self)
 
     # -- accounting helpers -------------------------------------------------
 
@@ -243,8 +205,8 @@ class CostModel:
     def batch_histogram(self, queue: str) -> Dict[int, int]:
         prefix = f"virtio_{queue}_batch_"
         return {
-            int(name[len(prefix):]): value
-            for name, value in self.counters.items()
+            int(name[len(prefix):]): counter.value
+            for name, counter in self._cache.items()
             if name.startswith(prefix)
         }
 

@@ -13,8 +13,8 @@ always produces the same fault schedule and the same trace.
 Fault semantics are *fail-before*: a site is checked immediately before
 the operation it guards executes, so an injected fault means the
 operation never happened — there is no partially-executed ptrace stop
-or half-registered irqfd to reason about.  Each fired fault is emitted
-to the tracer as a ``fault/injected`` event.
+or half-registered irqfd to reason about.  Each fired fault is marked
+in the span stream as a ``fault.injected`` instant.
 
 Injection sites (checked wherever the named mechanism runs):
 
@@ -275,8 +275,7 @@ class FaultInjector:
     failed by the plan that triggered them.
     """
 
-    def __init__(self, tracer: Any = None, obs: Any = None):
-        self.tracer = tracer
+    def __init__(self, obs: Any):
         #: observability hub (``repro.obs.Observability``) — fired
         #: faults land as instant spans on the "faults" track and bump
         #: a per-site counter, so injections line up with attach-step
@@ -304,10 +303,9 @@ class FaultInjector:
             from repro.mem.physmem import PhysicalMemory
 
             PhysicalMemory.fault_check = self.check
-        if self.tracer is not None:
-            self.tracer.emit(
-                "fault", "armed", plan=plan.label, specs=len(plan.specs)
-            )
+        self.obs.instant(
+            "fault.armed", track="fault", plan=plan.label, specs=len(plan.specs)
+        )
 
     def disarm(self) -> None:
         from repro.mem.physmem import PhysicalMemory
@@ -386,16 +384,11 @@ class FaultInjector:
 
     def _record(self, site: str, kind: str, occurrence: int) -> None:
         self.fired.append(FiredFault(site=site, kind=kind, occurrence=occurrence))
-        if self.tracer is not None:
-            self.tracer.emit(
-                "fault", "injected", site=site, kind=kind, occurrence=occurrence
-            )
-        if self.obs is not None:
-            self.obs.instant(
-                "fault.injected", track="faults",
-                site=site, kind=kind, occurrence=occurrence,
-            )
-            self.obs.metrics.scope("faults").counter("injected", site=site).inc()
+        self.obs.instant(
+            "fault.injected", track="faults",
+            site=site, kind=kind, occurrence=occurrence,
+        )
+        self.obs.metrics.scope("faults").counter("injected", site=site).inc()
 
     def _fire(self, spec: FaultSpec, hit: int, detail: Dict[str, Any]) -> None:
         self._record(spec.site, spec.kind, hit)

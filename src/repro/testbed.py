@@ -26,7 +26,6 @@ from repro.sim import rng as simrng
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, CostParams
 from repro.sim.sched import Scheduler
-from repro.sim.trace import Tracer
 from repro.units import GiB, MiB
 
 
@@ -39,7 +38,6 @@ class Testbed:
         self,
         ioregionfd: bool = True,
         cost_params: Optional[CostParams] = None,
-        trace: bool = False,
         arch: str = "x86_64",
         seed: Optional[int] = None,
     ):
@@ -51,8 +49,7 @@ class Testbed:
         #: or Perfetto export covers the whole testbed.
         self.obs = Observability(self.clock)
         self.costs = CostModel(self.clock, cost_params, obs=self.obs)
-        self.tracer = Tracer(self.clock) if trace else None
-        self.host = HostKernel(self.clock, self.costs, self.tracer)
+        self.host = HostKernel(self.clock, self.costs)
         self._seed = seed if seed is not None else simrng.MASTER_SEED
         self.obs.metrics.scope("testbed").gauge("seed").set(self._seed)
         #: discrete-event scheduler sharing the testbed clock.  Inert
@@ -173,11 +170,11 @@ class Testbed:
     def add_host(self) -> HostKernel:
         """A second simulated host machine: a migration target.
 
-        Shares this testbed's clock, cost model, observability hub,
-        tracer and scheduler (one simulation, several machines), but
+        Shares this testbed's clock, cost model, observability hub and
+        scheduler (one simulation, several machines), but
         has its own process table, pid/tid namespaces and /dev/kvm.
         """
-        host = HostKernel(self.clock, self.costs, self.tracer)
+        host = HostKernel(self.clock, self.costs)
         host.scheduler = self.scheduler
         host.arch = self.arch
         kvm = KvmSystem(

@@ -124,23 +124,17 @@ class GuestMonitor:
         ``sched.spawn(monitor.watch_task(...))``; the task's result is
         the collected sample list.
         """
-        host = self.vmsh.host
-        tracer = host.tracer
+        spans = self.vmsh.host.obs.spans
         collected = []
         for index in range(samples):
-            # Tracer cursor, not len(events): a long watch can cross an
-            # eviction, and positional slices silently shift with it.
-            before = tracer.mark()
             # begin/end, not the context manager: the sample's exec
             # round-trips yield while the span is open.
-            span = host.obs.spans.begin(
-                "monitor.sample", track="monitor", sample=index
-            )
+            span = spans.begin("monitor.sample", track="monitor", sample=index)
             sample = yield from self.sample_task()
             collected.append(sample)
-            host.obs.spans.end(
-                span, trace_events=len(tracer.since(before))
-            )
+            # Span-id cursor: every span and instant opened while the
+            # sample ran, retained or past ``max_spans``.
+            spans.end(span, spans=spans.next_sid - span.sid - 1)
             if index + 1 < samples:
                 yield interval_ns
         return collected

@@ -399,7 +399,7 @@ def run_traffic(
     """
     if mode not in ("open", "closed"):
         raise ReproError(f"unknown traffic mode {mode!r}")
-    tb = Testbed(trace=True, seed=seed, cost_params=cost_params)
+    tb = Testbed(seed=seed, cost_params=cost_params)
     if on_testbed is not None:
         on_testbed(tb)
     if drop_rate:

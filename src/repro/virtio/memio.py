@@ -59,12 +59,11 @@ class AccessorStats:
     iovec segments those copies carried.  ``segments - calls`` is then
     the number of syscalls the scatter-gather batching saved.
 
-    Stats start as plain per-object integers; :meth:`bind` migrates
-    them into a :class:`~repro.obs.metrics.MetricsRegistry` scope, after
-    which the attributes are thin shims over shared registry counters —
-    the pre-PR5 ``stats.reads`` API keeps working while exporters see
-    every accessor in one tree.  Accessors update them through
-    :meth:`read_op`/:meth:`write_op`/:meth:`copies`, one call per copy.
+    Stats start in unregistered counters; :meth:`bind` migrates them
+    into a :class:`~repro.obs.metrics.MetricsRegistry` scope, so
+    exporters see every accessor in one tree.  Accessors update them
+    through :meth:`read_op`/:meth:`write_op`/:meth:`copies`, one call per
+    copy; readers take :meth:`as_dict`.
     """
 
     FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "calls", "segments")
@@ -75,7 +74,7 @@ class AccessorStats:
         if unknown:
             raise TypeError(f"unknown AccessorStats fields: {sorted(unknown)}")
         # Unbound storage reuses the Counter value cells (sans registry)
-        # so the properties below have a single read/write path.
+        # so bound and unbound stats have one read/write path.
         from repro.obs.metrics import Counter
 
         for name in self.FIELDS:
@@ -119,13 +118,10 @@ class AccessorStats:
         self._calls.value += calls
         self._segments.value += segments
 
-    @property
-    def segments_coalesced(self) -> int:
-        return self.segments - self.calls
-
     def as_dict(self) -> Dict[str, int]:
+        """Every field, plus ``segments_coalesced`` (``segments - calls``)."""
         out = {name: getattr(self, "_" + name).value for name in self.FIELDS}
-        out["segments_coalesced"] = self.segments_coalesced
+        out["segments_coalesced"] = out["segments"] - out["calls"]
         return out
 
     def __repr__(self) -> str:
@@ -136,23 +132,6 @@ class AccessorStats:
         if not isinstance(other, AccessorStats):
             return NotImplemented
         return self.as_dict() == other.as_dict()
-
-
-def _stats_field(name: str):
-    slot = "_" + name
-
-    def _get(self: AccessorStats) -> int:
-        return getattr(self, slot).value
-
-    def _set(self: AccessorStats, value: int) -> None:
-        getattr(self, slot).value = value
-
-    return property(_get, _set)
-
-
-for _name in AccessorStats.FIELDS:
-    setattr(AccessorStats, _name, _stats_field(_name))
-del _name
 
 
 class GuestMemoryAccessor:

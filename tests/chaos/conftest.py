@@ -38,14 +38,14 @@ FLAVOR_ARCH = {
 }
 
 
-def launch_flavor(flavor: str, trace: bool = False, ioregionfd: bool = True):
+def launch_flavor(flavor: str, ioregionfd: bool = True):
     """Fresh testbed + booted hypervisor of ``flavor``.
 
     Returns ``(tb, hv, attach_kwargs)``.
     """
     launch_name, launch_kwargs, attach_kwargs = FLAVORS[flavor]
     tb = Testbed(
-        ioregionfd=ioregionfd, trace=trace,
+        ioregionfd=ioregionfd,
         arch=FLAVOR_ARCH.get(flavor, "x86_64"),
     )
     hv = getattr(tb, launch_name)(**launch_kwargs)

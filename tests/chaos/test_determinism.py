@@ -1,9 +1,9 @@
-"""Same master seed => same fault schedule, same trace, same outcome.
+"""Same master seed => same fault schedule, same span stream, same outcome.
 
 The whole point of deterministic chaos: a failure seen once is a
 failure reproducible forever.  Two independently-built testbeds given
 the same seed-derived plan must produce *identical* fired-fault logs
-and identical trace event streams (the virtual clock, per-host pid/tid
+and identical span streams (the virtual clock, per-host pid/tid
 counters and seeded RNG streams make the simulation replayable).
 """
 
@@ -13,7 +13,7 @@ from tests.chaos.conftest import MASTER_SEED, launch_flavor
 
 
 def _run_once(flavor):
-    tb, hv, attach_kwargs = launch_flavor(flavor, trace=True)
+    tb, hv, attach_kwargs = launch_flavor(flavor)
     vmsh = tb.vmsh()
     plan = FaultPlan.derive(f"chaos:{flavor}", master_seed=MASTER_SEED)
     tb.host.faults.arm(plan)
@@ -25,7 +25,7 @@ def _run_once(flavor):
     finally:
         fired = list(tb.host.faults.fired)
         tb.host.faults.disarm()
-    return plan, outcome, fired, list(tb.tracer.events)
+    return plan, outcome, fired, tb.obs.perfetto_json()
 
 
 def test_identical_seed_identical_run():
@@ -34,8 +34,8 @@ def test_identical_seed_identical_run():
     assert plan_a.specs == plan_b.specs
     assert outcome_a == outcome_b
     assert fired_a == fired_b
-    # Event is a frozen dataclass: full-stream equality is bit-identity
-    # of what happened and when (virtual time) it happened.
+    # The Perfetto export renders every span and instant: equal text is
+    # bit-identity of what happened and when (virtual time) it happened.
     assert events_a == events_b
 
 

@@ -6,7 +6,7 @@ interleaved attach pipelines, cooperative block I/O, and a
 fault-injected attach rolling back mid-fleet has thousands of
 same-instant event ties — every one resolved by the seed-derived
 tie-break stream, never by dict order or wall clock.  Two runs from the
-same master seed must therefore produce byte-identical trace streams;
+same master seed must therefore produce byte-identical span streams;
 a different seed explores a different (still reproducible) interleaving.
 """
 
@@ -32,14 +32,14 @@ def _blk_io(disk, fill, sectors=6):
 
 
 def _run_fleet(seed):
-    """One full fleet scenario; returns (outcomes, trace lines).
+    """One full fleet scenario; returns (outcomes, Perfetto export).
 
     Phase 1 — two attach pipelines interleave while an already-attached
     neighbour's queued block I/O flows through its service task.
     Phase 2 — a third attach hits a permanent irqfd fault and rolls
     back while the neighbour's I/O keeps flowing.
     """
-    tb = Testbed(trace=True, seed=seed)
+    tb = Testbed(seed=seed)
     hvs = [tb.launch_qemu() for _ in range(FLEET_SIZE)]
     outcomes = []
 
@@ -82,16 +82,16 @@ def _run_fleet(seed):
     for session in (session_1, session_2, neighbour):
         session.detach()
     outcomes.append(("events-run", tb.scheduler.events_run))
-    return outcomes, [str(event) for event in tb.tracer.events]
+    return outcomes, tb.obs.perfetto_json()
 
 
 def test_fleet_same_seed_bit_identical():
     outcomes_a, trace_a = _run_fleet(MASTER_SEED)
     outcomes_b, trace_b = _run_fleet(MASTER_SEED)
     assert outcomes_a == outcomes_b
-    # Byte-identical event streams: the rendered trace is the
-    # canonical record of what happened and when.
-    assert "\n".join(trace_a) == "\n".join(trace_b)
+    # Byte-identical span streams: the Perfetto export renders every
+    # span and instant, the canonical record of what happened and when.
+    assert trace_a == trace_b
 
 
 def test_fleet_scenario_outcomes():

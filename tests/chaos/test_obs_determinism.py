@@ -1,8 +1,8 @@
 """Observability exports are part of the determinism contract.
 
-PR 4's fleet suite pins the rendered tracer stream; this one pins the
-PR 5 exports built on top of it: the JSON metrics snapshot and the
-Perfetto span trace of the canonical observed fleet run must be
+PR 4's fleet suite pins the span stream of its own fleet run; this one
+pins the PR 5 exports: the JSON metrics snapshot and the Perfetto span
+trace of the canonical observed fleet run must be
 byte-identical across two same-seed runs — span IDs, label order,
 histogram sample keys and all — and must diverge across seeds (the
 interleaving differs *and* the seed gauge differs).

@@ -50,7 +50,7 @@ def test_firecracker_seccomp_kill_rolls_back_cleanly():
 
 def test_seccomp_kill_is_not_retried():
     """Retries only help transient faults — a filter never heals."""
-    tb, hv, attach_kwargs = launch_flavor("firecracker", trace=True)
+    tb, hv, attach_kwargs = launch_flavor("firecracker")
     vmsh = tb.vmsh()
     plan = FaultPlan(
         [FaultSpec(site="seccomp.injected", kind=PERMANENT, flavor="seccomp_kill")],
@@ -59,7 +59,7 @@ def test_seccomp_kill_is_not_retried():
     with tb.host.faults.plan(plan):
         with pytest.raises(SeccompViolationError):
             vmsh.attach(hv.pid, retries=5, **attach_kwargs)
-    assert tb.tracer.find("vmsh", "attach_retry") == []
+    assert tb.obs.spans.find("attach.retry") == []
 
 
 def test_ioregionfd_missing_quirk_falls_back_to_wrap_syscall():

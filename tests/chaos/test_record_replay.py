@@ -2,9 +2,10 @@
 
 An 8-VM fleet run — including a mid-fleet rollback (phase 2's doomed
 attach) and a snapshot/restore spliced mid-attach — records to a
-trace file, and replaying that file regenerates the identical event
-stream byte for byte.  A perturbed recording must pin the *correct*
-first divergence, and ``until`` must drop into the span/metrics dump.
+trace file, and replaying that file regenerates the identical span
+stream byte for byte and ends in the recorded state.  A perturbed
+recording must pin the *correct* first divergence, and ``until`` must
+drop into the span/metrics dump.
 """
 
 import copy
@@ -38,14 +39,14 @@ def recording():
 def test_fleet_run_records_all_determinants(recording):
     assert recording.scenario == "fleet"
     assert recording.master_seed == MASTER_SEED
-    assert recording.events, "a traced fleet run emits events"
+    assert recording.events, "a fleet run records its span stream"
     assert recording.fault_plan == [], "plan disarmed by run end"
     assert recording.clock_end_ns > 0
     assert recording.sched_turns > 0
     assert recording.cost_params["ptrace_stop_ns"] > 0
     # the spliced snapshot/restore and the rollback both left a mark
-    names = {event[2] for event in recording.events}
-    assert "rollback" in names or any("rollback" in n for n in names)
+    names = {event[5] for event in recording.events}
+    assert "txn.rollback" in names
 
 
 def test_recording_twice_is_byte_identical(recording):
@@ -96,11 +97,29 @@ def test_padded_recording_reports_missing_events(recording):
     assert report.divergence.index == len(recording.events)
 
 
+def test_end_state_mismatch_fails_replay(recording):
+    # The stream alone can match while the run ends elsewhere; the
+    # recorded final clock is part of what a replay must reproduce.
+    bad = copy.deepcopy(recording)
+    bad.clock_end_ns += 1
+    report = Replayer().replay(bad)
+    assert not report.matched
+    assert report.divergence.kind == "end"
+    assert report.divergence.index == len(recording.events)
+    assert report.divergence.recorded == [bad.clock_end_ns,
+                                          recording.sched_turns]
+    assert report.divergence.live == [recording.clock_end_ns,
+                                      recording.sched_turns]
+    assert "end state" in report.divergence.describe()
+
+
 def test_until_stops_into_state_dump(recording):
-    report = Replayer().replay(recording, until=100)
-    assert report.stopped_at == 100
+    # Phase 1's two attach tasks interleave from stream event ~100 to
+    # ~300 (the VM launches and the neighbour's attach come first).
+    report = Replayer().replay(recording, until=150)
+    assert report.stopped_at == 150
     dump = report.dump
-    assert dump["stopped_at"] == 100
+    assert dump["stopped_at"] == 150
     assert dump["time_ns"] > 0
     assert dump["recent_events"], "dump carries the recent event window"
     assert isinstance(dump["metrics"], dict) and dump["metrics"]
@@ -110,10 +129,10 @@ def test_until_stops_into_state_dump(recording):
 
 def test_divergence_context_names_open_attach_steps(recording):
     # find an event emitted while an attach.step span is open: the
-    # txn step markers themselves qualify
+    # step openings themselves qualify
     index = next(
         i for i, event in enumerate(recording.events)
-        if event[1] == "txn" and event[2] == "step" and i > 10
+        if event[1] == "open" and event[5] == "attach.step" and i > 10
     )
     bad = copy.deepcopy(recording)
     bad.events[index] = [bad.events[index][0], "txn", "tampered", None]

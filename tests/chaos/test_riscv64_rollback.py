@@ -92,7 +92,7 @@ PINNED_CASE = AttachCase(
 def _run_pinned():
     result = run_attach_case(PINNED_CASE)
     tb = result.testbed
-    trace = "\n".join(str(event) for event in tb.tracer)
+    trace = tb.obs.perfetto_json()
     return result, trace
 
 

@@ -36,7 +36,7 @@ def test_traffic_run_records_and_serves(recorded):
     recording, result = recorded
     assert recording.scenario == "traffic"
     assert recording.master_seed == MASTER_SEED
-    assert recording.events, "a traced traffic run emits events"
+    assert recording.events, "a traffic run records its span stream"
     assert result.extra["completed"] == result.extra["requests"] == 96
     assert result.extra["servers"] >= 8
     # the chaos legs ran: one clean attach/detach and one rollback

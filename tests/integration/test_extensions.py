@@ -152,10 +152,12 @@ def test_monitor_watch_task_matches_sync_watch():
     assert all(s.kernel.startswith("Linux") for s in samples)
     assert all("/" in s.filesystems for s in samples)
     assert samples[2].time_ns - samples[0].time_ns >= 10 * MSEC
-    # Each sample recorded a span carrying its tracer-cursor window.
+    # Each sample recorded a span carrying its span-id cursor window:
+    # the spans and instants its exec round trips opened.
     spans = tb.obs.spans.find("monitor.sample", track="monitor")
     assert [s.attrs["sample"] for s in spans] == [0, 1, 2]
     assert all(s.end_ns is not None for s in spans)
+    assert all(s.attrs["spans"] > 0 for s in spans)
     monitor.detach()
 
 

@@ -17,7 +17,7 @@ from repro.testbed import Testbed
 def test_auto_transport_rolls_back_mmio_before_pci_retry():
     """Cloud Hypervisor's MSI-X-only irqchip fails the mmio attempt at
     KVM_IRQFD; the PCI retry must start from pristine state."""
-    tb = Testbed(trace=True)
+    tb = Testbed()
     hv = tb.launch_cloud_hypervisor()
     fds_before = len(hv.process.fds)
     slots_before = len(hv.vm.memslots())
@@ -34,13 +34,13 @@ def test_auto_transport_rolls_back_mmio_before_pci_retry():
     # ...and exactly one new memslot exists (the library).
     assert len(hv.vm.memslots()) == slots_before + 1
 
-    # Trace shows the failed transaction unwinding before the retry.
-    events = tb.tracer.events
-    rollbacks = tb.tracer.find("txn", "rollback")
-    commits = tb.tracer.find("txn", "commit")
+    # The span stream shows the failed transaction unwinding before
+    # the retry (span ids follow stream order).
+    rollbacks = tb.obs.spans.find("txn.rollback")
+    commits = tb.obs.spans.find("txn.commit")
     assert len(rollbacks) == 1 and len(commits) == 1
-    assert rollbacks[0].detail["failed_step"] == "create_device_fds"
-    assert events.index(rollbacks[0]) < events.index(commits[0])
+    assert rollbacks[0].attrs["failed_step"] == "create_device_fds"
+    assert rollbacks[0].sid < commits[0].sid
 
     assert session.console.run_command("echo pci").output == "pci"
 
@@ -121,24 +121,24 @@ def test_detach_closes_session_fds_wrap_mode():
 # -- deterministic retry/backoff ---------------------------------------------
 
 def test_retry_backoff_is_exponential_on_the_sim_clock():
-    tb = Testbed(trace=True)
+    tb = Testbed()
     hv = tb.launch_qemu()
     plan = FaultPlan(
         [FaultSpec(site="attach.discover", occurrence=1, count=2)]
     )
     with tb.host.faults.plan(plan):
         session = tb.vmsh().attach(hv.pid, retries=3, retry_backoff_ns=100_000)
-    retries = tb.tracer.find("vmsh", "attach_retry")
-    assert [e.detail["backoff_ns"] for e in retries] == [100_000, 200_000]
-    assert [e.detail["attempt"] for e in retries] == [1, 2]
-    assert all(e.detail["site"] == "attach.discover" for e in retries)
+    retries = tb.obs.spans.find("attach.retry")
+    assert [e.attrs["backoff_ns"] for e in retries] == [100_000, 200_000]
+    assert [e.attrs["attempt"] for e in retries] == [1, 2]
+    assert all(e.attrs["site"] == "attach.discover" for e in retries)
     # The waits really elapsed on the virtual clock.
-    assert retries[1].time_ns >= retries[0].time_ns + 100_000
+    assert retries[1].start_ns >= retries[0].start_ns + 100_000
     assert session.console.run_command("echo retried").output == "retried"
 
 
 def test_deadline_exhausted_reraises_transient_fault():
-    tb = Testbed(trace=True)
+    tb = Testbed()
     hv = tb.launch_qemu()
     plan = FaultPlan(
         [FaultSpec(site="attach.discover", occurrence=1, count=10)]
@@ -147,7 +147,7 @@ def test_deadline_exhausted_reraises_transient_fault():
         with pytest.raises(TransientFaultError):
             tb.vmsh().attach(hv.pid, retries=10, deadline_ns=1)
     # The budget was blown before the first backoff: no retry happened.
-    assert tb.tracer.find("vmsh", "attach_retry") == []
+    assert tb.obs.spans.find("attach.retry") == []
 
 
 def test_zero_retries_propagates_first_transient_fault():

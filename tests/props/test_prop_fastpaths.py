@@ -120,9 +120,15 @@ def _remote():
     return host, hv, accessor
 
 
+#: every cost counter a remote guest-memory access can charge
+_COSTS = ("syscall", "ptrace_stop", "procvm_copy", "procvm_sg_segments",
+          "memcpy", "bytewise_copy")
+
+
 def _state(host, hv, accessor):
     pages = [m.backing._pages for m in hv.address_space.mappings()]
-    return (accessor.stats.as_dict(), dict(host.costs.counters),
+    return (accessor.stats.as_dict(),
+            [host.costs.count(name) for name in _COSTS],
             host.clock.now, pages)
 
 

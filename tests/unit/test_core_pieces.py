@@ -79,17 +79,24 @@ def test_gateway_charges_procvm_costs():
     assert tb.costs.count("procvm_copy") > before
 
 
+def _tlb(gateway):
+    """(hits, misses) from the gateway's registry counters."""
+    return (gateway.metrics.counter("tlb_hits").value,
+            gateway.metrics.counter("tlb_misses").value)
+
+
 def test_gateway_tlb_caches_page_walks():
     tb, hv, gateway = _gateway()
     vbase = hv.guest.image.vbase
     gateway.read_virt(vbase, 4 * PAGE_SIZE)
-    misses = gateway.tlb_misses
+    hits, misses = _tlb(gateway)
     assert misses >= 4
-    assert gateway.tlb_hits == 0
+    assert hits == 0
     before = tb.costs.count("procvm_copy")
     gateway.read_virt(vbase, 4 * PAGE_SIZE)
-    assert gateway.tlb_misses == misses
-    assert gateway.tlb_hits >= 4
+    hits, after = _tlb(gateway)
+    assert after == misses
+    assert hits >= 4
     # With walks cached the re-read pays only the data copy, not four
     # table reads per page.
     assert tb.costs.count("procvm_copy") - before <= 2
@@ -97,7 +104,7 @@ def test_gateway_tlb_caches_page_walks():
     # Rewriting the same CR3 value must not flush.
     gateway.set_cr3(gateway.cr3)
     gateway.read_virt(vbase, PAGE_SIZE)
-    assert gateway.tlb_misses == misses
+    assert _tlb(gateway)[1] == misses
 
 
 def test_gateway_refresh_memslots_flushes_tlb_keeps_stats():
@@ -105,14 +112,14 @@ def test_gateway_refresh_memslots_flushes_tlb_keeps_stats():
     vbase = hv.guest.image.vbase
     gateway.read_virt(vbase, PAGE_SIZE)
     stats = gateway.phys.stats
-    reads_before = stats.reads
+    reads_before = stats.as_dict()["reads"]
     gateway.refresh_memslots(gateway.translator.slots())
     assert gateway._tlb == {}
     assert gateway.phys.stats is stats          # counters stay cumulative
-    assert stats.reads == reads_before
-    misses = gateway.tlb_misses
+    assert stats.as_dict()["reads"] == reads_before
+    misses = _tlb(gateway)[1]
     gateway.read_virt(vbase, PAGE_SIZE)         # still correct, re-walked
-    assert gateway.tlb_misses > misses
+    assert _tlb(gateway)[1] > misses
 
 
 def test_page_table_view_reads_each_table_page_once():

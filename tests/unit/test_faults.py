@@ -20,6 +20,12 @@ from repro.sim.faults import (
     register_fault_site,
     validate_fault_site,
 )
+from repro.obs import Observability
+from repro.sim.clock import Clock
+
+
+def _injector(cls=FaultInjector):
+    return cls(Observability(Clock()))
 
 
 # -- FaultSpec --------------------------------------------------------------
@@ -73,7 +79,7 @@ def test_plan_mentions_prefix():
 # -- FaultInjector ----------------------------------------------------------
 
 def test_disarmed_injector_is_inert():
-    inj = FaultInjector()
+    inj = _injector()
     for _ in range(10):
         inj.check("anything")
     assert not inj.armed
@@ -81,7 +87,7 @@ def test_disarmed_injector_is_inert():
 
 
 def test_transient_fires_once_then_heals():
-    inj = FaultInjector()
+    inj = _injector()
     with inj.plan(FaultPlan([FaultSpec(site="op", occurrence=2)])):
         inj.check("op")
         with pytest.raises(TransientFaultError) as exc:
@@ -95,7 +101,7 @@ def test_transient_fires_once_then_heals():
 
 
 def test_permanent_fires_on_every_hit():
-    inj = FaultInjector()
+    inj = _injector()
     with inj.plan(FaultPlan([FaultSpec(site="op", kind=PERMANENT)])):
         for _ in range(3):
             with pytest.raises(PermanentFaultError):
@@ -104,7 +110,7 @@ def test_permanent_fires_on_every_hit():
 
 
 def test_sites_are_counted_independently():
-    inj = FaultInjector()
+    inj = _injector()
     with inj.plan(FaultPlan([FaultSpec(site="b", occurrence=2)])):
         inj.check("a")
         inj.check("b")
@@ -116,7 +122,7 @@ def test_sites_are_counted_independently():
 
 
 def test_suspended_masks_injection():
-    inj = FaultInjector()
+    inj = _injector()
     with inj.plan(FaultPlan([FaultSpec(site="op", kind=PERMANENT)])):
         with inj.suspended():
             inj.check("op")       # would fire if not suspended
@@ -128,7 +134,7 @@ def test_suspended_masks_injection():
 
 
 def test_seccomp_kill_flavor_raises_seccomp_error():
-    inj = FaultInjector()
+    inj = _injector()
     spec = FaultSpec(site="seccomp.injected", kind=PERMANENT, flavor="seccomp_kill")
     with inj.plan(FaultPlan([spec])):
         with pytest.raises(SeccompViolationError):
@@ -138,7 +144,7 @@ def test_seccomp_kill_flavor_raises_seccomp_error():
 def test_arm_installs_and_disarm_removes_physmem_hook():
     from repro.mem.physmem import PhysicalMemory
 
-    inj = FaultInjector()
+    inj = _injector()
     assert PhysicalMemory.fault_check is None
     with inj.plan(FaultPlan([FaultSpec(site="physmem.write", kind=PERMANENT)])):
         assert PhysicalMemory.fault_check is not None
@@ -151,7 +157,7 @@ def test_arm_installs_and_disarm_removes_physmem_hook():
 
 
 def test_rearm_resets_hits_and_fired():
-    inj = FaultInjector()
+    inj = _injector()
     inj.arm(FaultPlan([FaultSpec(site="op", occurrence=1)]))
     with pytest.raises(TransientFaultError):
         inj.check("op")
@@ -165,7 +171,7 @@ def test_rearm_resets_hits_and_fired():
 
 def test_flag_quirk_records_without_raising():
     register_fault_site("quirk.x")
-    inj = FaultInjector()
+    inj = _injector()
     with inj.plan(FaultPlan([FaultSpec(site="quirk.x", kind=PERMANENT)])):
         assert inj.flag("quirk.x") is True
         assert inj.flag("quirk.other") is False
@@ -174,7 +180,7 @@ def test_flag_quirk_records_without_raising():
 
 
 def test_null_injector_never_arms_never_fires():
-    inj = NullFaultInjector()
+    inj = _injector(NullFaultInjector)
     with pytest.raises(RuntimeError):
         inj.arm(FaultPlan([FaultSpec(site="op")]))
     inj.check("op")
@@ -186,7 +192,7 @@ def test_null_injector_never_arms_never_fires():
 def test_arm_rejects_typoed_attach_site():
     from repro.errors import UnknownFaultSiteError
 
-    inj = FaultInjector()
+    inj = _injector()
     with pytest.raises(UnknownFaultSiteError, match="attach.setup_irqfd"):
         inj.arm(FaultPlan([FaultSpec(site="attach.setup_irqfd")]))
     assert not inj.armed
@@ -195,7 +201,7 @@ def test_arm_rejects_typoed_attach_site():
 def test_arm_rejects_misshapen_ioctl_and_syscall_sites():
     from repro.errors import UnknownFaultSiteError
 
-    inj = FaultInjector()
+    inj = _injector()
     # lowercase request name: the classic ioctl typo
     with pytest.raises(UnknownFaultSiteError):
         inj.arm(FaultPlan([FaultSpec(site="ioctl.kvm_irqfd")]))
@@ -223,4 +229,4 @@ def test_registered_site_passes_validation():
 
 def test_unreserved_sites_stay_free_form():
     # bespoke harness sites outside the reserved families arm freely
-    FaultInjector().arm(FaultPlan([FaultSpec(site="cleanup.op")]))
+    _injector().arm(FaultPlan([FaultSpec(site="cleanup.op")]))

@@ -1,4 +1,4 @@
-"""Remaining host/infra pieces: tracer, seccomp profiles, host files, p9."""
+"""Remaining host/infra pieces: seccomp profiles, host files, p9."""
 
 import pytest
 
@@ -11,72 +11,7 @@ from repro.host.seccomp import (
 )
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
-from repro.sim.trace import Event, NullTracer, Tracer
 from repro.units import MiB, PAGE_SIZE
-
-
-# -- tracer -----------------------------------------------------------------
-
-def test_tracer_records_and_filters():
-    clock = Clock()
-    tracer = Tracer(clock)
-    tracer.emit("kvm", "set_memslot", slot=0)
-    clock.advance(10)
-    tracer.emit("vmsh", "attached", pid=1)
-    tracer.emit("kvm", "set_ioregion")
-    assert len(tracer) == 3
-    assert [e.name for e in tracer.find(category="kvm")] == [
-        "set_memslot", "set_ioregion",
-    ]
-    assert tracer.find(name="attached")[0].time_ns == 10
-    assert tracer.names("kvm") == ["set_memslot", "set_ioregion"]
-
-
-def test_tracer_bounded_memory():
-    tracer = Tracer(max_events=10)
-    for i in range(25):
-        tracer.emit("x", f"e{i}")
-    assert len(tracer) <= 11
-
-
-def test_tracer_eviction_leaves_marker():
-    tracer = Tracer(max_events=10)
-    for i in range(12):
-        tracer.emit("x", f"e{i}")
-    assert tracer.dropped_events == 5
-    markers = tracer.find("tracer", "evicted")
-    assert len(markers) == 1
-    assert markers[0].detail == {"dropped": 5, "total_dropped": 5}
-    # The newest events survive the truncation.
-    assert tracer.events[-1].name == "e11"
-
-
-def test_tracer_eviction_total_accumulates():
-    tracer = Tracer(max_events=10)
-    for i in range(60):
-        tracer.emit("x", f"e{i}")
-    assert tracer.dropped_events > 5
-    last_marker = tracer.find("tracer", "evicted")[-1]
-    assert last_marker.detail["total_dropped"] == tracer.dropped_events
-
-
-def test_tracer_disable():
-    tracer = Tracer()
-    tracer.enabled = False
-    tracer.emit("x", "dropped")
-    assert len(tracer) == 0
-
-
-def test_null_tracer_drops_everything():
-    tracer = NullTracer()
-    tracer.emit("x", "y", detail=1)
-    assert len(tracer) == 0
-
-
-def test_event_str():
-    event = Event(1500, "ptrace", "attach", {"pid": 7})
-    assert "ptrace/attach" in str(event)
-    assert "pid=7" in str(event)
 
 
 # -- seccomp profiles --------------------------------------------------------------

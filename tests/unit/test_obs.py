@@ -2,8 +2,8 @@
 
 Everything here runs against a bare ``Clock`` — no testbed, no VMs —
 so it pins the *mechanisms*: registry keying and type safety, span
-nesting across tracks, the exporters' formats, the trace-event
-validator, and the tracer's eviction-proof cursor.
+nesting across tracks, the span stream its sinks see, the exporters'
+formats and the trace-event validator.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.sim.clock import Clock
-from repro.sim.trace import Tracer
 
 
 # -- metrics registry -----------------------------------------------------------
@@ -183,40 +182,38 @@ def test_observability_ids_are_per_hub():
     assert b.next_id("attach") == 1        # and per hub (determinism)
 
 
-# -- tracer cursor --------------------------------------------------------------
+# -- the span stream ------------------------------------------------------------
 
 
-def test_tracer_mark_since_without_eviction():
-    tracer = Tracer()
-    tracer.emit("x", "before")
-    mark = tracer.mark()
-    tracer.emit("x", "after1")
-    tracer.emit("x", "after2")
-    assert [e.name for e in tracer.since(mark)] == ["after1", "after2"]
+def test_span_sinks_see_every_open_close_and_instant():
+    clock = Clock()
+    rec = SpanRecorder(clock, max_spans=2)
+    seen = []
+    rec.sinks.append(lambda kind, span: seen.append((kind, span.name)))
+    outer = rec.begin("outer", track="t")
+    clock.advance(5)
+    rec.instant("mark", track="t")
+    inner = rec.begin("inner", track="t")      # past max_spans: dropped
+    rec.end(inner)
+    rec.end(outer)
+    assert seen == [
+        ("open", "outer"), ("instant", "mark"), ("open", "inner"),
+        ("close", "inner"), ("close", "outer"),
+    ]
+    assert rec.dropped_spans == 1
+    assert rec.next_sid == 4                   # the cursor counts it too
 
 
-def test_tracer_mark_survives_eviction():
-    tracer = Tracer(max_events=10)
-    for i in range(8):
-        tracer.emit("x", f"pre{i}")
-    mark = tracer.mark()
-    for i in range(6):                     # crosses the oldest-half eviction
-        tracer.emit("x", f"post{i}")
-    assert tracer.dropped_events > 0
-    names = [e.name for e in tracer.since(mark)]
-    # Only post-mark events (plus the eviction marker), never stale
-    # pre-mark events that a positional slice would have returned.
-    assert "post5" in names
-    assert not any(n.startswith("pre") for n in names)
-
-
-def test_tracer_mark_clamps_when_marked_events_evicted():
-    tracer = Tracer(max_events=10)
-    mark = tracer.mark()
-    for i in range(40):                    # evicts well past the mark
-        tracer.emit("x", f"e{i}")
-    survivors = tracer.since(mark)
-    assert survivors == tracer.events      # clamped to what still exists
+def test_instant_nests_under_the_open_span_without_touching_the_stack():
+    clock = Clock()
+    rec = SpanRecorder(clock)
+    outer = rec.begin("outer", track="t")
+    clock.advance(7)
+    mark = rec.instant("mark", track="t", name="x")  # "name" is an attr
+    assert (mark.parent_sid, mark.start_ns, mark.end_ns) == (outer.sid, 7, 7)
+    assert mark.attrs == {"name": "x"}
+    assert rec.open_spans() == [outer]
+    assert rec.instant("alone", track="u").parent_sid is None
 
 
 # -- handle cache (PR 8) --------------------------------------------------------

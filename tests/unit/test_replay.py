@@ -1,18 +1,16 @@
 """Unit coverage for the record/replay machinery.
 
-Recording format round trips, tracer recording-safety (pinning,
-eviction, detail deep-copy), coverage extraction, the attach-case
-harness, and the corpus entry format.
+Recording format round trips, the recorder's tap on the span stream,
+coverage extraction, the attach-case harness, and the corpus entry
+format.
 """
 
 import json
 
 import pytest
 
-from repro.errors import (
-    RecordingError,
-    RecordingOverflowError,
-)
+from repro.errors import RecordingError
+from repro.obs.spans import Span
 from repro.replay.corpus import CorpusEntry, case_digest, save_entry
 from repro.replay.coverage import coverage_keys
 from repro.replay.recording import (
@@ -22,7 +20,6 @@ from repro.replay.recording import (
     jsonable,
 )
 from repro.replay.scenarios import AttachCase, run_attach_case
-from repro.sim.trace import Event, Tracer
 from repro.testbed import Testbed
 
 
@@ -39,8 +36,11 @@ def test_jsonable_canonicalises_non_json_types():
 
 
 def test_encode_event_shape():
-    event = Event(7, "cat", "name", {"k": (1,)})
-    assert encode_event(event) == [7, "cat", "name", {"k": [1]}]
+    span = Span(3, 1, "name", "track", 7, {"k": (1,)})
+    assert encode_event("open", span) == [7, "open", 3, 1, "track", "name",
+                                          {"k": [1]}]
+    span.end_ns = 9
+    assert encode_event("close", span)[:2] == [9, "close"]
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,8 @@ def _tiny_recording():
         params={"case": AttachCase().to_json()},
         master_seed=7,
         cost_params={"x": 1},
-        events=[[0, "a", "b", None], [1, "c", "d", {"e": 2}]],
+        events=[[0, "instant", 1, None, "t", "a", {}],
+                [1, "open", 2, None, "t", "b", {"e": 2}]],
         outcome="ok",
     )
 
@@ -79,6 +80,14 @@ def test_recording_rejects_future_version():
         Recording.from_json(json.dumps(doc))
 
 
+def test_recording_refuses_version_1():
+    # Version 1 taped a different event stream; it cannot be replayed.
+    doc = json.loads(_tiny_recording().to_json())
+    doc["version"] = 1
+    with pytest.raises(RecordingError, match="version 1 unsupported"):
+        Recording.from_json(json.dumps(doc))
+
+
 def test_recording_detects_truncation_and_tampering():
     doc = json.loads(_tiny_recording().to_json())
     truncated = dict(doc)
@@ -92,70 +101,49 @@ def test_recording_detects_truncation_and_tampering():
 
 
 # ---------------------------------------------------------------------------
-# Tracer recording-safety (satellite: pin + deep-copy)
+# The recorder's tap on the span stream
 # ---------------------------------------------------------------------------
 
-def test_pinned_tracer_raises_instead_of_evicting():
-    tracer = Tracer(max_events=4)
-    tracer.pin()
-    for i in range(4):
-        tracer.emit("t", f"e{i}")
-    with pytest.raises(RecordingOverflowError):
-        tracer.emit("t", "overflow")
-    tracer.unpin()
-    tracer.emit("t", "fine")        # unpinned again: eviction resumes
-    assert tracer.dropped_events > 0
+def test_recorder_tapes_each_event_as_it_happens():
+    tb = Testbed()
+    recorder = RunRecorder("attach", {})
+    recorder.attach(tb)
+    span = tb.obs.spans.begin("work", track="t", n=1)
+    tb.clock.advance(5)
+    tb.obs.spans.end(span, status="ok")
+    recording = recorder.finish()
+    opened, closed = recording.events
+    # The open keeps the attributes it had when it happened, not the
+    # ones the close merged in later.
+    assert opened == [0, "open", span.sid, None, "t", "work", {"n": 1}]
+    assert closed == [5, "close", span.sid, None, "t", "work",
+                      {"n": 1, "status": "ok"}]
+    assert tb.obs.spans.sinks == []            # finish() untaps the stream
+    with pytest.raises(RecordingError, match="never attached"):
+        recorder.finish()
 
 
 def test_emit_deep_copies_mutable_detail_when_recorded():
-    # The defensive copy exists for *recorded* streams: while a pin or
-    # sink is active, history must not be rewritten by an emitter
-    # mutating its detail dict after the fact.
-    tracer = Tracer()
-    tracer.pin()
+    # A recorded stream must never see history rewritten by an emitter
+    # mutating its detail after the fact: the recorder encodes each
+    # event into fresh JSON-native containers as it happens.
+    tb = Testbed()
+    recorder = RunRecorder("attach", {})
+    recorder.attach(tb)
     payload = {"inner": [1, 2]}
-    tracer.emit("t", "e", data=payload)
+    tb.obs.instant("t.e", track="t", data=payload)
     payload["inner"].append(3)
-    assert tracer.events[0].detail["data"] == {"inner": [1, 2]}
-    tracer.unpin()
-
-    sunk = Tracer()
-    seen = []
-    sunk.add_sink(seen.append)
-    payload = {"inner": [1, 2]}
-    sunk.emit("t", "e", data=payload)
-    payload["inner"].append(3)
-    assert seen[0].detail["data"] == {"inner": [1, 2]}
+    (event,) = recorder.finish().events
+    assert event[6] == {"data": {"inner": [1, 2]}}
 
 
 def test_emit_skips_copy_on_unobserved_fast_path():
-    # With no sink and no pin nothing re-reads the stored detail, so
-    # emit() takes the zero-copy fast path (one Event, one append).
-    tracer = Tracer()
+    # The stream keeps the caller's detail as is: an instant is one
+    # Span and a list append, and only a sink pays for encoding.
+    tb = Testbed()
     payload = {"inner": [1, 2]}
-    tracer.emit("t", "e", data=payload)
-    assert tracer.events[0].detail["data"] is payload
-
-
-def test_sink_sees_events_and_evictions():
-    tracer = Tracer(max_events=4)
-    seen = []
-    tracer.add_sink(seen.append)
-    for i in range(5):
-        tracer.emit("t", f"e{i}")
-    names = [event.name for event in seen]
-    assert "e4" in names
-    assert "evicted" in names       # the eviction marker reaches sinks too
-    tracer.remove_sink(seen.append)
-    tracer.emit("t", "unseen")
-    assert all(event.name != "unseen" for event in seen)
-
-
-def test_recorder_requires_traced_testbed():
-    recorder = RunRecorder("fleet", {})
-    tb = Testbed(trace=False)
-    with pytest.raises(RecordingError, match="trace=True"):
-        recorder.attach(tb)
+    span = tb.obs.instant("t.e", track="t", data=payload)
+    assert span.attrs["data"] is payload
 
 
 def test_recorder_captures_seed_costs_and_events():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.txn import AttachTransaction
+from repro.obs import Observability
+from repro.sim.clock import Clock
 from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
@@ -10,7 +12,6 @@ from repro.sim.faults import (
     PERMANENT,
     register_fault_site,
 )
-from repro.sim.trace import Tracer
 
 # these tests drive the txn against made-up step names, so their
 # attach.* sites are not in the pipeline's step registry
@@ -18,11 +19,11 @@ register_fault_site("attach.two", "attach.go")
 
 
 class _Host:
-    """Minimal host: just the tracer and fault injector the txn needs."""
+    """Minimal host: just the obs hub and fault injector the txn needs."""
 
     def __init__(self):
-        self.tracer = Tracer()
-        self.faults = FaultInjector()
+        self.obs = Observability(Clock())
+        self.faults = FaultInjector(self.obs)
 
 
 @pytest.fixture
@@ -69,9 +70,13 @@ def test_undo_failure_is_recorded_and_unwind_continues(host):
     assert order == ["last", "first"]
     assert [f.label for f in txn.undo_failures] == ["broken"]
     assert isinstance(txn.undo_failures[0].error, RuntimeError)
-    rb = host.tracer.find("txn", "rollback")[-1]
-    assert rb.detail["undo_failures"] == 1
-    assert host.tracer.find("txn", "undo_failed")[0].detail["action"] == "broken"
+    rb = host.obs.spans.find("txn.rollback")[-1]
+    assert rb.attrs["undo_failures"] == 1
+    failed = [s for s in host.obs.spans.find("txn.undo")
+              if s.attrs["status"] != "ok"]
+    assert [(s.attrs["action"], s.attrs["status"]) for s in failed] == [
+        ("broken", "RuntimeError"),
+    ]
 
 
 def test_commit_discards_stack_and_records_steps(host):
@@ -85,7 +90,7 @@ def test_commit_discards_stack_and_records_steps(host):
     assert txn.steps_completed == ["one", "two"]
     assert txn.depth == 0
     assert txn.finished
-    assert host.tracer.find("txn", "commit")[-1].detail["steps"] == 2
+    assert host.obs.spans.find("txn.commit")[-1].attrs["steps"] == 2
 
 
 def test_step_checks_fault_site_before_any_work(host):
@@ -101,8 +106,8 @@ def test_step_checks_fault_site_before_any_work(host):
         txn.rollback()
     # the failed step is reported, not counted as completed
     assert txn.steps_completed == ["one"]
-    rb = host.tracer.find("txn", "rollback")[-1]
-    assert rb.detail["failed_step"] == "two"
+    rb = host.obs.spans.find("txn.rollback")[-1]
+    assert rb.attrs["failed_step"] == "two"
 
 
 def test_rollback_suspends_fault_injection(host):
