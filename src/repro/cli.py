@@ -415,8 +415,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     print(f"{s['requests']} requests over vmsh-net "
           f"({args.mode} loop, {args.shards} shards, "
           f"{s['servers']} guest servers)")
-    print(f"  completed {s['completed']}  timeouts {s['timeouts']}  "
-          f"front-door {s['front_door']}")
+    print(f"  completed {s['completed']}  timeouts {s['timeouts']}")
     print(f"  latency p50 {lat['p50'] / MSEC:.2f} ms  "
           f"p99 {lat['p99'] / MSEC:.2f} ms  "
           f"p999 {lat['p999'] / MSEC:.2f} ms")

@@ -163,13 +163,17 @@ def _environment_of(hv) -> List[Any]:
     """The simulation singletons a VM graph references but never owns.
 
     Host and KVM come first: migration swaps the destination's in at
-    those two slots of an image's reference table.
+    those two slots of an image's reference table.  The fabric each NIC
+    port is on is environment too: an image never copies the other
+    endpoints, and a clone plugs into the live fabric.
     """
     host = hv.host
     env = [host, hv.kvm, host.clock, host.costs, host.obs, host.arch,
            host.faults, host.obs.spans]
     if host.scheduler is not None:
         env.append(host.scheduler)
+    fabrics = {id(port.fabric): port.fabric for port in hv.ports.values()}
+    env.extend(fabrics.values())
     return env
 
 
@@ -691,7 +695,9 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
     An image rebinds bound methods to the copied objects but keeps
     plain closures by reference — so the irqfd wakeup callbacks and the
     device ``inject_irq`` closures still point at the *source* VmFd
-    and must be rebuilt against the clone.
+    and must be rebuilt against the clone.  The fabric is kept by
+    reference too, while the NIC ports were copied off it: each NIC
+    gets a fresh port, and with it the fault checks of ``host``.
     """
     process = hv.process
     process.pid = next(host.pid_counter)
@@ -735,6 +741,16 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
             vm.inject_irq(gsi)
 
         device._irq_signal = inject_irq
+
+    # Each cloned NIC plugs into a fresh port on the live fabric, with a
+    # MAC of its own, which its guest driver learns too.
+    macs = {}
+    for name, port in list(hv.ports.items()):
+        fresh = port.fabric.attach(port.name)
+        hv.plug_nic(name, fresh)
+        macs[port.mac] = fresh.mac
+    for driver in hv.guest.net_devices.values():
+        driver.mac = macs.get(driver.mac, driver.mac)
 
     _rebind_metrics(hv, host)
 
@@ -822,7 +838,7 @@ def migrate_vm(hv, dst_host, dst_kvm, session=None,
         session.detach()
     snap = VmSnapshot.capture(hv, freeze=True)
     clone = snap.clone_into(dst_host, dst_kvm)
-    hv.host.exit_process(source_pid)
+    hv.exit()
     new_session = None
     reattached = False
     if fallback_reason is not None and reattach is not None:

@@ -22,6 +22,7 @@ from repro.kvm.api import KvmSystem, VmFd
 from repro.kvm.exits import MmioExit
 from repro.kvm.vcpu import VcpuFd
 from repro.mem.layout import VIRTIO_MMIO_REGION_BASE
+from repro.sim.netfab import NetPort
 from repro.units import GiB, MiB, SECTOR_SIZE
 from repro.virtio.blk import RawDiskBackend, VirtioBlkDevice
 from repro.virtio.memio import InProcessAccessor
@@ -80,8 +81,10 @@ class Hypervisor:
         self._next_window = VIRTIO_MMIO_REGION_BASE
         self._next_gsi = FIRST_DEVICE_GSI
         self._pending_disks: List[Tuple[HostFile, str]] = []
-        self._pending_nics: List[Tuple[object, str, int]] = []
+        self._pending_nics: List[Tuple[str, int]] = []
         self.nics: Dict[str, VirtioNetDevice] = {}
+        #: NIC name -> the fabric port its device is plugged into
+        self.ports: Dict[str, NetPort] = {}
         self.launched = False
 
     # ------------------------------------------------------------------
@@ -136,10 +139,7 @@ class Hypervisor:
             ),
             root_files=self.root_files,
             nic_queue_pairs=max(
-                [1] + [
-                    min(pairs, self.VIRTIO_NET_QUEUE_PAIRS_MAX)
-                    for _, _, pairs in self._pending_nics
-                ]
+                [1] + [nic.queue_pairs for nic in self.nics.values()]
             ),
         )
         self.guest = GuestKernel(self.vm, config)
@@ -168,8 +168,8 @@ class Hypervisor:
     def _setup_devices(self) -> None:
         for host_file, name in self._pending_disks:
             self._attach_blk(host_file, name)
-        for port, name, queue_pairs in self._pending_nics:
-            self._attach_nic(port, name, queue_pairs)
+        for name, queue_pairs in self._pending_nics:
+            self._attach_nic(name, queue_pairs)
 
     def _apply_security_profile(self) -> None:
         """Default: no seccomp confinement."""
@@ -236,17 +236,15 @@ class Hypervisor:
         device.gsi = gsi  # type: ignore[attr-defined]
         return device
 
-    def add_nic(self, port, name: str = "net0", queue_pairs: int = 1) -> None:
-        """Register a fabric port to expose as a virtio-net device.
-
-        ``port`` is a :class:`repro.sim.netfab.NetPort` (or anything
-        with ``mac``, ``transmit(frame, pair)`` and ``connect(sink)``).
-        """
+    def add_nic(self, port: NetPort, name: str = "net0",
+                queue_pairs: int = 1) -> None:
+        """Register a fabric port to expose as a virtio-net device."""
         if self.launched:
             raise KvmError("NICs must be added before launch")
-        self._pending_nics.append((port, name, queue_pairs))
+        self.ports[name] = port
+        self._pending_nics.append((name, queue_pairs))
 
-    def _attach_nic(self, port, name: str, queue_pairs: int) -> VirtioNetDevice:
+    def _attach_nic(self, name: str, queue_pairs: int) -> VirtioNetDevice:
         assert self.process is not None and self.vm is not None
         pairs = max(1, min(queue_pairs, self.VIRTIO_NET_QUEUE_PAIRS_MAX))
         gsi = self._next_gsi
@@ -263,23 +261,40 @@ class Hypervisor:
             accessor=self._memio_accessor(name),
             irq_signal=inject_irq,
             costs=costs,
-            mac=port.mac,
+            mac=self.ports[name].mac,
             name=f"{self.NAME}-net-{name}",
             queue_pairs=pairs,
             offer_event_idx=self.VIRTIO_EVENT_IDX,
             offer_mq=self.VIRTIO_NET_QUEUE_PAIRS_MAX > 1,
         )
-        device.connect_tx(port.transmit)
-        port.connect(device.deliver)
-        # Route the data plane through the host's fault injector so
-        # chaos plans can hit virtio.net_{rx,tx}_ring.
-        device.fault_check = self.host.faults.check
         base = self._next_window
         self._next_window += MMIO_WINDOW_STRIDE
         self._mmio_devices[base] = device
         device.gsi = gsi  # type: ignore[attr-defined]
         self.nics[name] = device
+        self.plug_nic(name, self.ports[name])
         return device
+
+    def plug_nic(self, name: str, port: NetPort) -> None:
+        """Wire NIC ``name``'s device to ``port`` on this host.
+
+        The device takes the port's MAC, transmits into it and receives
+        from it, and routes its data plane through this host's fault
+        injector so chaos plans can hit ``virtio.net_{rx,tx}_ring``.
+        A snapshot clone re-plugs each NIC into a fresh port.
+        """
+        device = self.nics[name]
+        device.set_mac(port.mac)
+        device.connect_tx(port.transmit)
+        port.connect(device.deliver)
+        device.fault_check = self.host.faults.check
+        self.ports[name] = port
+
+    def exit(self) -> None:
+        """End the VMM process; its NICs leave the fabric with it."""
+        for port in self.ports.values():
+            port.fabric.detach(port)
+        self.host.exit_process(self.pid)
 
     def create_9p_share(self, label: str = "qemu-9p") -> P9Filesystem:
         """Create a 9p export backed by a host directory (QEMU only)."""

@@ -399,15 +399,3 @@ class FaultInjector:
         error = TransientFaultError if spec.kind == TRANSIENT else PermanentFaultError
         raise error(spec.site, spec.kind, hit, spec.message)
 
-
-class NullFaultInjector(FaultInjector):
-    """Injector that can never fire (for contexts without a host)."""
-
-    def arm(self, plan: FaultPlan) -> None:  # noqa: D102
-        raise RuntimeError("NullFaultInjector cannot arm a plan")
-
-    def check(self, site: str, **detail: Any) -> None:  # noqa: D102
-        return
-
-    def flag(self, site: str) -> bool:  # noqa: D102
-        return False

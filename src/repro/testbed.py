@@ -82,17 +82,18 @@ class Testbed:
 
     # -- networking --------------------------------------------------------------
 
-    def fabric(self, **kwargs):
+    def fabric(self, drop_rate: float = 0.0):
         """The testbed's shared :class:`~repro.sim.netfab.NetFabric`.
 
-        Created on first use (keyword overrides apply then); every VM
-        NIC and host-side port attaches to the same star switch.
+        Created on first use (``drop_rate`` applies then); every VM NIC
+        and host-side port attaches to the same star switch.
         """
         if self._fabric is None:
             from repro.sim.netfab import NetFabric
 
             self._fabric = NetFabric(
-                self.scheduler, self.costs, master_seed=self._seed, **kwargs
+                self.scheduler, self.costs, master_seed=self._seed,
+                drop_rate=drop_rate,
             )
         return self._fabric
 

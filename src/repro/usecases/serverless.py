@@ -64,7 +64,13 @@ _LOG_SEVERITY = {"DEBUG": 10, "INFO": 20, "WARN": 30, "ERROR": 40}
 
 
 class VHivePlatform:
-    """A miniature vHive: functions, microVM pool, logs, scale-down."""
+    """A miniature vHive: functions, microVM pool, logs, scale-down.
+
+    With ``nic=True`` every instance, cold-booted or restored from the
+    snapshot pool, serves on a vmsh-net NIC plugged into its own port
+    of the testbed's fabric; scale-down exits the VM, and its port
+    leaves the fabric with it.
+    """
 
     IDLE_TIMEOUT_NS = 2 * SEC
     #: give up re-acquiring an instance after this many mid-invoke
@@ -81,11 +87,8 @@ class VHivePlatform:
         # request bumps an attribute instead of looking the name up.
         self._m_route = testbed.costs._counter("faas_route")
         self._route_ns = testbed.costs.p.faas_route_ns
-        #: give every cold-booted microVM a virtio-net NIC on the
-        #: testbed's shared fabric — the traffic plane's data path.
-        #: Snapshot-pool restores clone the frozen (NIC-less) VM graph;
-        #: callers that need the network fall back to front-door
-        #: execution for those (see ``usecases/traffic.py``).
+        #: give every microVM a virtio-net NIC on the testbed's shared
+        #: fabric — the traffic plane's data path
         self.nic = nic
         self.nic_queue_pairs = nic_queue_pairs
         #: hook fired for every instance the platform brings up (cold
@@ -343,7 +346,7 @@ class VHivePlatform:
                 continue
             if now - instance.last_used_ns >= self.IDLE_TIMEOUT_NS:
                 instance.terminated = True
-                instance.hypervisor.host.exit_process(instance.hypervisor.pid)
+                instance.hypervisor.exit()
                 self._log(instance, "INFO", "scaled down")
                 terminated.append(instance.instance_id)
                 # Reap: drop the dead VM's object graph; the tombstone

@@ -5,12 +5,14 @@ traffic*; previous PRs modelled the control plane (routing, admission,
 autoscaling) but executed handlers as direct calls, so "latency" never
 contained a network.  This module closes that gap:
 
-* every cold-booted microVM carries a vmsh-net NIC on the testbed's
-  shared :class:`~repro.sim.netfab.NetFabric`,
+* every microVM, cold-booted or restored from the snapshot pool,
+  carries a vmsh-net NIC on its own port of the testbed's shared
+  :class:`~repro.sim.netfab.NetFabric` (so the fleet must be built
+  with ``nic=True``),
 * a load generator's client port sends each request as an Ethernet-ish
   frame to the serving instance's NIC; the guest's request server
   (bound via ``VHivePlatform.on_instance``) executes the handler and
-  answers over its TX virtqueue,
+  answers over its TX virtqueue — the one way a request is served,
 * admission, placement, cold starts and retries still run through
   :meth:`~repro.usecases.fleet.FleetControlPlane.invoke_over_task`, so
   the recorded end-to-end latency is queue wait + control plane +
@@ -61,6 +63,11 @@ class TrafficPlane:
 
     def __init__(self, testbed: Testbed, fleet: FleetControlPlane,
                  label: str = "traffic"):
+        if not all(shard.platform.nic for shard in fleet.shards):
+            raise ReproError(
+                "the traffic plane serves over each instance's NIC: build "
+                "the fleet with nic=True"
+            )
         self.testbed = testbed
         self.fleet = fleet
         self.label = label
@@ -82,7 +89,6 @@ class TrafficPlane:
         self.requests = 0
         self.completed = 0
         self.timeouts = 0
-        self.front_door = 0
         self.junk_frames = 0
         self.stale_responses = 0
         self.flood_frames = 0
@@ -106,16 +112,8 @@ class TrafficPlane:
     # -- guest side -----------------------------------------------------------
 
     def _install_server(self, platform, instance) -> None:
-        """Bind the request server to a fresh instance's NIC (if any).
-
-        Snapshot-pool restores clone a NIC-less VM graph; those
-        instances are never marked served and their requests fall back
-        to front-door execution.
-        """
-        hv = instance.hypervisor
-        nic = getattr(hv.guest, "net_devices", {}).get("eth0")
-        if nic is None:
-            return
+        """Bind the request server to a fresh instance's NIC."""
+        nic = instance.hypervisor.guest.net_devices["eth0"]
 
         def serve(frame: bytes, pair: int) -> None:
             try:
@@ -134,7 +132,6 @@ class TrafficPlane:
             )
 
         nic.on_receive(serve)
-        instance.traffic_server = True
         self.servers_installed += 1
 
     # -- client side ----------------------------------------------------------
@@ -164,13 +161,7 @@ class TrafficPlane:
         """The delegated execution leg for ``invoke_over_task``."""
 
         def execute(shard, instance):
-            hv = instance.hypervisor
-            nic = hv.nics.get("net0") if hv is not None else None
-            if nic is None or not getattr(instance, "traffic_server", False):
-                # NIC-less instance (restored clone): the control plane
-                # executes at the front door, no network leg.
-                self.front_door += 1
-                return shard.platform._execute(instance, name, payload)
+            nic = instance.hypervisor.nics["net0"]
             rid = next(self._rid_counter)
             gate = Completion()
             self._gates[rid] = gate
@@ -317,14 +308,8 @@ class TrafficPlane:
             yield gap_ns
 
     def _victim_mac(self) -> Optional[bytes]:
-        for shard in self.fleet.shards:
-            for instance in shard.platform._instances.values():
-                if instance.terminated or instance.hypervisor is None:
-                    continue
-                nic = instance.hypervisor.nics.get("net0")
-                if nic is not None:
-                    return nic.mac
-        return None
+        live = self.fleet.live_instances()
+        return live[0].hypervisor.nics["net0"].mac if live else None
 
     # -- results --------------------------------------------------------------
 
@@ -347,20 +332,20 @@ class TrafficPlane:
         }
 
     def summary(self) -> Dict[str, Any]:
+        fabric = self.testbed.obs.metrics.scope("netfab", fabric="netfab")
         return {
             "requests": self.requests,
             "servers": self.servers_installed,
             "completed": self.completed,
             "timeouts": self.timeouts,
-            "front_door": self.front_door,
             "junk_frames": self.junk_frames,
             "flood_frames": self.flood_frames,
             "latency_ns": self.percentiles() if self.latencies_ns else None,
             "attach_log": list(self.attach_log),
             "fleet_invocations": self.fleet.total_invocations(),
             "fleet_throttled": self.fleet.total_throttled(),
-            "fabric_delivered": self.fabric.frames_delivered,
-            "fabric_dropped": self.fabric.frames_dropped,
+            "fabric_delivered": fabric.counter("frames").value,
+            "fabric_dropped": fabric.counter("dropped").value,
             "end_ns": self.testbed.clock.now,
         }
 

@@ -142,6 +142,11 @@ class VirtioNetDevice(VirtioDeviceCore):
         """Install the fabric-facing TX sink (``sink(frame, pair)``)."""
         self._tx_sink = sink
 
+    def set_mac(self, mac: bytes) -> None:
+        """Take ``mac`` as this NIC's address, config space included."""
+        self.mac = bytes(mac)
+        self.config_space = self.mac + self.config_space[6:]
+
     # -- queue processing ------------------------------------------------------
 
     def process_queue(self, index: int) -> None:
@@ -312,7 +317,6 @@ class GuestVirtioNic:
                     costs=costs,
                     obs=self._obs,
                     span_name="net.window",
-                    track=f"net:{name}",
                     per_chain_cost=(
                         costs.guest_net_submit if costs is not None else None
                     ),
@@ -339,7 +343,11 @@ class GuestVirtioNic:
             self._post_rx_buffers(pair)
 
     def bind_metrics(self) -> None:
-        """Resolve the driver's registry handles (again, on a clone)."""
+        """Resolve the driver's registry handles and window track.
+
+        A clone binds again: its NIC has a new MAC, and the track of its
+        ``net.window`` spans, ``net:<name>@<mac>``, names it.
+        """
         if self._obs is not None:
             scope = self._obs.metrics.scope("net", role="driver", device=self.name)
             windows = scope.counter("windows")
@@ -351,8 +359,10 @@ class GuestVirtioNic:
             self._m_kicks = None
             self._m_irq_coalesced = None
             self._m_batch_depth = None
+        track = f"net:{self.name}@{self.mac.hex(':')}"
         for engine in self._engines:
             engine._m_windows = windows
+            engine._track = track
 
     # -- receive path ----------------------------------------------------------
 

@@ -51,7 +51,9 @@ def test_dropped_frame_diverges_at_its_response_window(recording, monkeypatch):
     divergence = report.divergence
     assert divergence.kind == "mismatch"
     time_ns, kind, _sid, _parent, track, name, _attrs = divergence.recorded
-    assert (kind, track, name) == ("open", "net:eth0", "net.window")
+    assert (kind, track, name) == (
+        "open", "net:eth0@52:54:00:00:00:06", "net.window"
+    )
     # The recorded run opened that window after the drop: the frame's
     # response would have gone out through it.
     assert time_ns == 137_482_782

@@ -4,12 +4,18 @@ Eight functions on a two-shard fleet serve real request/response
 frames through the fabric, while a debug shell attaches mid-traffic,
 a second attach is killed by an armed fault plan and rolled back, and
 a noisy neighbor floods a victim's ingress — all inside one
-deterministic simulation.
+deterministic simulation.  With the snapshot pool, the instances
+restored after a scale-down serve over NICs of their own: there is one
+request path.
 """
 
 import pytest
 
+from repro.errors import ReproError
 from repro.sim.rng import MASTER_SEED
+from repro.testbed import Testbed
+from repro.units import MSEC, SEC
+from repro.usecases.fleet import FleetControlPlane
 from repro.usecases.traffic import TrafficPlane, run_traffic
 
 
@@ -24,21 +30,18 @@ def test_every_request_completes_over_the_fabric(traffic_run):
     assert s["requests"] == 120
     assert s["completed"] == 120
     assert s["timeouts"] == 0
-    # every request/response crossed the fabric, not the front door
-    assert s["front_door"] == 0
     assert s["fabric_delivered"] >= 2 * 120
 
 
 def test_at_least_eight_vms_serve(traffic_run):
     tb, plane = traffic_run
     assert plane.servers_installed >= 8
-    live = [
+    serving = [
         inst
-        for shard in plane.fleet.shards
-        for inst in shard.platform._instances.values()
-        if getattr(inst, "traffic_server", False)
+        for inst in plane.fleet.live_instances()
+        if inst.hypervisor.nics["net0"].frames_rx > 0
     ]
-    assert len(live) >= 8
+    assert len(serving) >= 8
 
 
 def test_mid_traffic_attach_and_rollback_both_ran(traffic_run):
@@ -70,7 +73,6 @@ def test_closed_loop_mode_completes_all_requests():
                             workers=8)
     s = plane.summary()
     assert s["completed"] == 64
-    assert s["front_door"] == 0
     assert plane.servers_installed >= 8
 
 
@@ -85,24 +87,69 @@ def test_fabric_drops_surface_as_timeouts():
     assert len(plane.latencies_ns) == s["completed"]
 
 
-def test_front_door_fallback_for_serverless_restores():
-    """Instances restored from the snapshot pool have no NIC in their
-    cloned VM graph: the plane falls back to front-door execution
-    rather than stalling the request."""
-    tb, plane = run_traffic(seed=MASTER_SEED, requests=40, mode="closed",
-                            chaos=())
+def test_traffic_plane_needs_a_nic_fleet():
+    tb = Testbed(seed=MASTER_SEED)
+    with pytest.raises(ReproError, match="nic=True"):
+        TrafficPlane(tb, FleetControlPlane(tb, shards=2))
 
-    class NiclessInstance:
-        instance_id = "inst-restored"
-        terminated = False
-        last_used_ns = 0
-        hypervisor = None
-        traffic_server = False
 
-    gen = plane._net_execute("fn-0", {"i": 1})(
-        plane.fleet.shards[0], NiclessInstance()
-    )
-    with pytest.raises(StopIteration) as stop:
-        next(gen)
-    assert stop.value.value is not None
-    assert plane.front_door == 1
+def _pool_fleet(functions=8, shards=2, log_level="WARN"):
+    """A NIC fleet with the snapshot pool and the autoscalers running."""
+    tb = Testbed(seed=MASTER_SEED)
+    fleet = FleetControlPlane(tb, shards=shards, snapshot_pool=True, nic=True,
+                              max_inflight_per_shard=8, log_level=log_level)
+    plane = TrafficPlane(tb, fleet)
+    names = [f"fn-{i}" for i in range(functions)]
+    for i, name in enumerate(names):
+        fleet.deploy(name, lambda payload, i=i: {"fn": i, "echo": payload["i"]})
+    fleet.start_autoscalers(tb.scheduler, period_ns=SEC)
+    return tb, fleet, plane, names
+
+
+def _idle(tb, ns=3 * SEC):
+    """Let the autoscalers scale down every instance left idle."""
+    tb.scheduler.run_until(tb.clock.now + ns)
+
+
+def test_pool_restores_serve_over_their_own_nic():
+    """Two phases of open-loop load, each followed by enough idle time
+    for every instance to be scaled down: the second phase runs on pool
+    restores, and each restore serves over a NIC of its own."""
+    tb, fleet, plane, names = _pool_fleet()
+    for _ in range(2):
+        first = len(plane.tasks)
+        tb.scheduler.run(tb.scheduler.spawn(
+            plane.open_loop_task(names, 40, 2 * MSEC), label="traffic:pacer"
+        ))
+        tb.scheduler.run(*plane.tasks[first:])
+        _idle(tb)
+    s = plane.summary()
+    assert (s["requests"], s["completed"], s["timeouts"]) == (80, 80, 0)
+    assert s["fabric_delivered"] == 2 * 80
+    assert tb.costs.count("faas_pool_hit") == 8
+    assert s["servers"] == 16          # 8 cold boots, 8 restores
+    assert fleet.live_instances() == []
+    # each scaled-down VM took its port off the fabric as it exited
+    assert [port.name for port in plane.fabric._ports.values()] == [
+        "traffic-loadgen"
+    ]
+
+
+def test_request_after_a_pool_restore_runs_on_the_restored_instance():
+    tb, fleet, plane, _ = _pool_fleet(functions=1, shards=1, log_level="INFO")
+    platform = fleet.shards[0].platform
+
+    def request():
+        tb.scheduler.run(tb.scheduler.spawn(plane.request_task("fn-0", {"i": 0})))
+
+    request()
+    _idle(tb)                          # inst-1 is scaled down
+    assert platform.live_instances() == []
+    request()
+    (restored,) = platform.live_instances()
+    assert restored.instance_id == "inst-2"
+    assert tb.costs.count("faas_pool_hit") == 1
+    invokes = [line.instance_id for line in platform.logs
+               if line.message.startswith("invoke fn-0")]
+    assert invokes == ["inst-1", "inst-2"]
+    assert restored.hypervisor.nics["net0"].frames_rx == 1

@@ -13,7 +13,6 @@ from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    NullFaultInjector,
     PERMANENT,
     TRANSIENT,
     known_fault_sites,
@@ -24,8 +23,8 @@ from repro.obs import Observability
 from repro.sim.clock import Clock
 
 
-def _injector(cls=FaultInjector):
-    return cls(Observability(Clock()))
+def _injector():
+    return FaultInjector(Observability(Clock()))
 
 
 # -- FaultSpec --------------------------------------------------------------
@@ -177,14 +176,6 @@ def test_flag_quirk_records_without_raising():
         assert inj.flag("quirk.other") is False
         assert [f.site for f in inj.fired] == ["quirk.x"]
     assert inj.flag("quirk.x") is False  # disarmed
-
-
-def test_null_injector_never_arms_never_fires():
-    inj = _injector(NullFaultInjector)
-    with pytest.raises(RuntimeError):
-        inj.arm(FaultPlan([FaultSpec(site="op")]))
-    inj.check("op")
-    assert inj.flag("quirk.x") is False
 
 
 # -- Known-site registry ----------------------------------------------------

@@ -4,16 +4,27 @@ import pytest
 
 from repro.errors import VmshError
 from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.sim.netfab import NetFabric
 from repro.sim.sched import Scheduler
 from repro.virtio.net import make_frame
 
 
+def _fabric(label, **kwargs):
+    clock = Clock()
+    return NetFabric(Scheduler(clock, label=label), CostModel(clock), **kwargs)
+
+
 @pytest.fixture()
 def fab():
-    clock = Clock()
-    scheduler = Scheduler(clock, label="netfab-test")
-    return NetFabric(scheduler, latency_ns=50_000, bytes_per_us=1_250)
+    # CostParams' links: 50 us one way, 1,250 B/us.
+    return _fabric("netfab-test")
+
+
+def _count(fab, name):
+    """One of the fabric's ``netfab`` counters, read from the registry."""
+    scope = fab.costs.obs.metrics.scope("netfab", fabric="netfab")
+    return scope.counter(name).value
 
 
 def _pair(fab):
@@ -32,7 +43,7 @@ def test_unicast_routes_by_destination_mac(fab):
     fab.scheduler.run_until_idle()
     assert got_b == [frame]
     assert got_a == []
-    assert fab.frames_delivered == 1
+    assert _count(fab, "frames") == 1
     assert b.rx_frames == 1 and a.tx_frames == 1
 
 
@@ -52,8 +63,8 @@ def test_unknown_destination_counts_unrouted(fab):
     a, b, got_a, got_b = _pair(fab)
     a.transmit(make_frame(b"\x0a" * 6, a.mac, b"void"))
     fab.scheduler.run_until_idle()
-    assert fab.frames_unrouted == 1
-    assert fab.frames_delivered == 0
+    assert _count(fab, "unrouted") == 1
+    assert _count(fab, "frames") == 0
 
 
 def test_runt_frame_rejected(fab):
@@ -87,8 +98,8 @@ def test_flooder_delays_the_victims_other_traffic(fab):
     b.connect(lambda f: small_at.append(fab.scheduler.now)
               if f[12:] == b"small" else None)
     small = make_frame(b.mac, a.mac, b"small")
-    ser = fab.default.serialization_ns(len(small))
-    unloaded = 2 * ser + fab.default.latency_ns
+    ser = fab.serialization_ns(len(small))
+    unloaded = 2 * ser + fab.latency_ns
     for _ in range(64):
         flooder.transmit(make_frame(b.mac, flooder.mac, b"\x00" * 1238))
     a.transmit(small)
@@ -101,16 +112,14 @@ def test_flooder_delays_the_victims_other_traffic(fab):
 
 def test_seeded_drops_are_deterministic():
     def run(seed):
-        clock = Clock()
-        fab = NetFabric(Scheduler(clock, label="drops"),
-                        master_seed=seed, drop_rate=0.2)
+        fab = _fabric("drops", master_seed=seed, drop_rate=0.2)
         a = fab.attach("a")
         b = fab.attach("b")
         b.connect(lambda f: None)
         for i in range(100):
             a.transmit(make_frame(b.mac, a.mac, b"%d" % i))
         fab.scheduler.run_until_idle()
-        return fab.frames_dropped, fab.frames_delivered
+        return _count(fab, "dropped"), _count(fab, "frames")
 
     first = run(1234)
     assert first == run(1234)
@@ -130,4 +139,14 @@ def test_detach_makes_port_unroutable(fab):
     a.transmit(make_frame(b.mac, a.mac, b"gone"))
     fab.scheduler.run_until_idle()
     assert got_b == []
-    assert fab.frames_unrouted == 1
+    assert _count(fab, "unrouted") == 1
+
+
+def test_frame_to_a_port_that_left_in_flight_is_unrouted(fab):
+    a, b, _ga, got_b = _pair(fab)
+    a.transmit(make_frame(b.mac, a.mac, b"on the wire"))
+    fab.detach(b)                       # e.g. its VM exited
+    fab.scheduler.run_until_idle()
+    assert got_b == []
+    assert _count(fab, "unrouted") == 1
+    assert _count(fab, "frames") == 0

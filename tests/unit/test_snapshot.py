@@ -17,15 +17,22 @@ import types
 import pytest
 
 from repro.core.snapshot import VmSnapshot, _environment_of
-from repro.errors import SnapshotError, VirtioError, VmshError
+from repro.errors import (
+    PermanentFaultError,
+    SnapshotError,
+    VirtioError,
+    VmshError,
+)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
+from repro.sim.faults import PERMANENT, FaultPlan, FaultSpec
 from repro.testbed import Testbed
 from repro.units import MSEC, SEC, SECTOR_SIZE
 from repro.usecases.fleet import FleetControlPlane
 from repro.usecases.serverless import ServerlessDebugger, VHivePlatform
 from repro.virtio.blk import MappedImageBackend
+from repro.virtio.net import BROADCAST_MAC, make_frame
 
 
 # -- capture / restore ----------------------------------------------------------------
@@ -127,6 +134,46 @@ def test_clone_supports_vmsh_attach():
     out = session.console.run_command("ls /")
     assert "etc" in out.output
     session.detach()
+
+
+def test_clone_plugs_its_nic_into_a_fresh_port():
+    tb = Testbed()
+    hv = tb.launch_qemu(nic=True)
+    clone = tb.clone(tb.snapshot(hv))
+    fabric = tb.fabric()
+    device = clone.nics["net0"]
+    driver = clone.guest.net_devices["eth0"]
+    port = clone.ports["net0"]
+    assert port is not hv.ports["net0"] and port.fabric is fabric
+    assert device.mac == driver.mac == port.mac != hv.nics["net0"].mac
+    assert device.config_space[:6] == port.mac
+    # a frame to the clone's MAC reaches the clone's guest, not the source's
+    got, source_got = [], []
+    driver.on_receive(lambda frame, pair: got.append(frame))
+    hv.guest.net_devices["eth0"].on_receive(
+        lambda frame, pair: source_got.append(frame))
+    peer = fabric.attach("peer")
+    frame = make_frame(port.mac, peer.mac, b"to-the-clone")
+    peer.transmit(frame)
+    tb.scheduler.run_until_idle()
+    assert (got, source_got) == ([frame], [])
+    # its net.window spans sit on a track named by its own MAC
+    driver.send(make_frame(BROADCAST_MAC, driver.mac, b"out"))
+    (window,) = tb.obs.spans.find("net.window")
+    assert window.track == f"net:eth0@{port.mac.hex(':')}"
+
+
+def test_nic_vm_image_does_not_grow_with_the_fabric():
+    """The fabric is environment: an image keeps it by reference and
+    never copies the other endpoints plugged into it."""
+    sizes = []
+    for others in (0, 1, 4):
+        tb = Testbed()
+        for _ in range(others):
+            tb.launch_firecracker(seccomp=False, nic=True)
+        hv = tb.launch_firecracker(seccomp=False, nic=True)
+        sizes.append(len(tb.snapshot(hv, freeze=True)._image))
+    assert max(sizes) <= 1.01 * min(sizes), sizes
 
 
 def test_clone_requires_frozen_graph():
@@ -327,6 +374,29 @@ def test_migrate_moves_vm_to_second_host():
     assert tb.host.processes[source_pid].exited
     assert result.fallback_reason is None
     assert tb.costs.count("vm_migrate") == 1
+
+
+def test_migrated_nic_checks_the_fault_plans_of_its_new_host():
+    tb = Testbed()
+    hv = tb.launch_firecracker(seccomp=False, nic=True)
+    moved = tb.migrate(hv).hypervisor
+    # the source's port left the fabric as its process exited
+    assert list(tb.fabric()._ports) == [moved.ports["net0"].mac]
+    driver = moved.guest.net_devices["eth0"]
+    frame = make_frame(BROADCAST_MAC, driver.mac, b"x" * 64)
+
+    def tx_plan():
+        return FaultPlan([FaultSpec("virtio.net_tx_ring", kind=PERMANENT)])
+
+    tb.host.faults.arm(tx_plan())       # the host the VM left
+    driver.send(frame)
+    tb.host.faults.disarm()
+    assert moved.nics["net0"].frames_tx == 1
+    moved.host.faults.arm(tx_plan())    # the host the VM runs on
+    with pytest.raises(PermanentFaultError):
+        driver.send(frame)
+    moved.host.faults.disarm()
+    assert moved.nics["net0"].frames_tx == 1
 
 
 def test_migrate_with_live_session_detaches_and_reattaches():
