@@ -30,16 +30,18 @@ VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
 
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_copy_path.py \
-    benchmarks/test_ablation_sg_batching.py \
     benchmarks/test_ablation_event_idx.py \
     benchmarks/test_ablation_snapshot.py \
     benchmarks/test_fleet_scaling.py
 
-# Arch-matrix leg (PR 9): the riscv64 attach integration suite plus the
-# E2/E3 generality matrix across {x86_64, arm64, riscv64 Sv39/Sv48}.
+# Arch-matrix leg: the riscv64 attach integration suite, the
+# page-table engine against the per-ISA walkers it replaced on hostile
+# tables, plus the E2/E3 generality matrix across {x86_64, arm64,
+# riscv64 Sv39/Sv48}.
 PYTHONPATH=src python -m pytest -q \
     tests/integration/test_riscv64.py \
     tests/props/test_prop_walker_parity.py \
+    tests/props/test_prop_walker_differential.py \
     benchmarks/test_e2_e3_generality.py
 
 # Benchmark self-test: every workload of benchmarks/suite/run.py at

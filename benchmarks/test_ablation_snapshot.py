@@ -82,7 +82,7 @@ def _vm_layer() -> dict:
         "clone_ns": clone_ns,
         "migrate_ns": migrate_ns,
         "migrated_ok": result.hypervisor.host is not tb.host,
-        "cow_pages_total": snap.cow.pages_total,
+        "pages": snap.pages,
         "roundtrip_invisible": roundtrip_invisible,
         "console_alive": console_alive,
     }
@@ -114,7 +114,7 @@ def test_ablation_snapshot_pool(benchmark, results_dir):
         "",
         "VM layer:",
         f"  capture:                   {vm['capture_ns'] / MSEC:8.2f} ms "
-        f"({vm['cow_pages_total']} pages)",
+        f"({vm['pages']} pages)",
         f"  clone:                     {vm['clone_ns'] / MSEC:8.2f} ms",
         f"  migrate (incl. new host):  {vm['migrate_ns'] / MSEC:8.2f} ms",
         f"  silent round trip invisible: {vm['roundtrip_invisible']}",

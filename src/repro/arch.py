@@ -6,19 +6,19 @@ require to extend the system call injection, as well as register and
 page table handling." (§5)
 
 This module implements that port surface as a *behavioral* interface:
-everything arch-specific the side-loading pipeline touches is a method
-or property of an :class:`Arch` subclass —
+everything arch-specific the side-loading pipeline touches is a method,
+property or field of an :class:`Arch` —
 
-* the page-table walker/builder factory (:meth:`Arch.walker`,
-  :meth:`Arch.builder`),
-* page-table-root register encoding/decoding (:meth:`Arch.encode_pt_root`
-  / :meth:`Arch.pt_root_paddr` — identity for CR3/TTBR1, the MODE+PPN
-  ``satp`` format on RISC-V),
+* the page-table entry format (:attr:`Arch.pt_format`), which drives
+  the one walker and builder (:meth:`Arch.walker`, :meth:`Arch.builder`),
+  the page-table-root register encoding/decoding
+  (:meth:`Arch.encode_pt_root` / :meth:`Arch.pt_root_paddr` — identity
+  for CR3/TTBR1, the MODE+PPN ``satp`` format on RISC-V) and the
+  permission view of a hardware translation
+  (:meth:`Arch.translation_perms` — NX vs UXN vs the R/W/X PTE bits),
 * the register file and the sideload trampoline scratch layout
   (:meth:`Arch.pack_context` / :meth:`Arch.unpack_context` /
   :attr:`Arch.scratch_size`),
-* the permission view of a hardware translation
-  (:meth:`Arch.translation_perms` — NX vs UXN vs the R/W/X PTE bits),
 * the ksymtab export layout a given kernel version uses on this arch
   (:meth:`Arch.ksymtab_layout` — RISC-V never selected
   ``HAVE_ARCH_PREL32_RELOCATIONS``, so it always exports absolute
@@ -28,16 +28,30 @@ or property of an :class:`Arch` subclass —
 * hypervisor-quirk inputs such as :attr:`ioregionfd_available`.
 
 The rest of the stack is arch-agnostic and dispatches through the
-descriptor; adding a new guest ISA means adding one subclass here plus
-a page-table module under ``repro.mem``.
+descriptor; adding a new guest ISA means adding one descriptor here
+plus an entry format (:class:`repro.mem.pagetable.EntryFormat`) under
+``repro.mem``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Tuple
 
+from repro.mem.pagetable import (
+    X86_FORMAT,
+    EntryFormat,
+    PageTableBuilder,
+    PageTableWalker,
+)
+from repro.mem.pagetable_arm64 import ARM64_FORMAT
+from repro.mem.pagetable_riscv import (  # noqa: F401 (satp modes re-exported)
+    SATP_MODE_SV39,
+    SATP_MODE_SV48,
+    SV39_FORMAT,
+    SV48_FORMAT,
+)
 from repro.units import GiB, MiB
 
 # x86-64 -----------------------------------------------------------------------
@@ -65,18 +79,10 @@ RISCV_SREGS: Tuple[str, ...] = (
     "sstatus", "satp", "stvec", "sepc", "scause", "stval",
 )
 
-SATP_MODE_SV39 = 8
-SATP_MODE_SV48 = 9
-SATP_PPN_MASK = (1 << 44) - 1  # satp[43:0]
-
 
 @dataclass(frozen=True)
 class Arch:
-    """Everything arch-specific in the side-load pipeline.
-
-    Subclasses supply the behavior (page-table classes, root-register
-    format, permission decoding); instances supply the constants.
-    """
+    """Everything arch-specific in the side-load pipeline."""
 
     name: str
     gp_registers: Tuple[str, ...]
@@ -87,6 +93,10 @@ class Arch:
     kernel_text_base: int
     kernel_text_range: int
     kaslr_align: int
+    # The page-table entry format that walker(), builder(), the root
+    # encoding and translation_perms() run over.  Formats compare by
+    # identity, so it stays out of eq and hash.
+    pt_format: EntryFormat = field(compare=False, repr=False)
     # ``family`` groups paging variants of one ISA ("riscv64" covers
     # both the Sv39 and Sv48 descriptors); hypervisor support tables
     # key on the family, not the descriptor name.
@@ -113,13 +123,13 @@ class Arch:
 
     # -- page tables ----------------------------------------------------------
 
-    def walker(self, read_u64):
+    def walker(self, read_u64) -> PageTableWalker:
         """Page-table walker over a ``read_u64(paddr)`` callback."""
-        raise NotImplementedError
+        return PageTableWalker(self.pt_format, read_u64)
 
-    def builder(self, read_u64, write_u64, alloc_table_page):
-        """Page-table builder writing real PTE bytes into guest memory."""
-        raise NotImplementedError
+    def builder(self, read_u64, write_u64, alloc_table_page) -> PageTableBuilder:
+        """Page-table builder writing real entry bytes into guest memory."""
+        return PageTableBuilder(self.pt_format, read_u64, write_u64, alloc_table_page)
 
     def encode_pt_root(self, root_paddr: int) -> int:
         """Turn a root-table physical address into the sreg value.
@@ -127,15 +137,15 @@ class Arch:
         Identity on x86 (CR3 holds the PML4 paddr) and arm64 (TTBR1
         holds the L0 paddr); RISC-V packs MODE and PPN into ``satp``.
         """
-        return root_paddr
+        return self.pt_format.encode_root(root_paddr)
 
     def pt_root_paddr(self, reg_value: int) -> int:
         """Decode the page-table root paddr out of the sreg value."""
-        raise NotImplementedError
+        return self.pt_format.root_table(reg_value)
 
     def translation_perms(self, translation) -> FrozenSet[str]:
         """Logical r/w/x permission set of a hardware translation."""
-        raise NotImplementedError
+        return self.pt_format.perms(translation.flags)
 
     # -- sideload trampoline scratch area -------------------------------------
 
@@ -169,64 +179,8 @@ class Arch:
 
 
 @dataclass(frozen=True)
-class X86Arch(Arch):
-    def walker(self, read_u64):
-        from repro.mem.pagetable import PageTableWalker
-
-        return PageTableWalker(read_u64)
-
-    def builder(self, read_u64, write_u64, alloc_table_page):
-        from repro.mem.pagetable import PageTableBuilder
-
-        return PageTableBuilder(read_u64, write_u64, alloc_table_page)
-
-    def pt_root_paddr(self, reg_value: int) -> int:
-        from repro.mem.pagetable import PTE_ADDR_MASK
-
-        return reg_value & PTE_ADDR_MASK
-
-    def translation_perms(self, translation) -> FrozenSet[str]:
-        from repro.mem.pagetable import PTE_NX, PTE_WRITABLE
-
-        perms = {"r"}
-        if translation.flags & PTE_WRITABLE:
-            perms.add("w")
-        if not translation.flags & PTE_NX:
-            perms.add("x")
-        return frozenset(perms)
-
-
-@dataclass(frozen=True)
-class Arm64Arch(Arch):
-    def walker(self, read_u64):
-        from repro.mem.pagetable_arm64 import Arm64PageTableWalker
-
-        return Arm64PageTableWalker(read_u64)
-
-    def builder(self, read_u64, write_u64, alloc_table_page):
-        from repro.mem.pagetable_arm64 import Arm64PageTableBuilder
-
-        return Arm64PageTableBuilder(read_u64, write_u64, alloc_table_page)
-
-    def pt_root_paddr(self, reg_value: int) -> int:
-        from repro.mem.pagetable_arm64 import ADDR_MASK
-
-        return reg_value & ADDR_MASK
-
-    def translation_perms(self, translation) -> FrozenSet[str]:
-        from repro.mem.pagetable_arm64 import ATTR_AP_RO, ATTR_UXN
-
-        perms = {"r"}
-        if not translation.flags & ATTR_AP_RO:
-            perms.add("w")
-        if not translation.flags & ATTR_UXN:
-            perms.add("x")
-        return frozenset(perms)
-
-
-@dataclass(frozen=True)
 class RiscvArch(Arch):
-    """RISC-V with Sv39 or Sv48 paging, selected by ``satp_mode``.
+    """RISC-V with Sv39 or Sv48 paging, selected by the format's ``satp_mode``.
 
     Linux on riscv boots Sv39 by default (Sv48 arrived only in 5.17,
     after every kernel version in the test matrix), so the plain
@@ -236,43 +190,13 @@ class RiscvArch(Arch):
     does, so one walker handles guests booted either way.
     """
 
-    satp_mode: int = SATP_MODE_SV39
-
-    def walker(self, read_u64):
-        from repro.mem.pagetable_riscv import RiscvPageTableWalker
-
-        return RiscvPageTableWalker(read_u64)
-
-    def builder(self, read_u64, write_u64, alloc_table_page):
-        from repro.mem.pagetable_riscv import RiscvPageTableBuilder
-
-        return RiscvPageTableBuilder(read_u64, write_u64, alloc_table_page)
-
-    def encode_pt_root(self, root_paddr: int) -> int:
-        return (self.satp_mode << 60) | ((root_paddr >> 12) & SATP_PPN_MASK)
-
-    def pt_root_paddr(self, reg_value: int) -> int:
-        return (reg_value & SATP_PPN_MASK) << 12
-
-    def translation_perms(self, translation) -> FrozenSet[str]:
-        from repro.mem.pagetable_riscv import PTE_R, PTE_W, PTE_X
-
-        perms = set()
-        if translation.flags & PTE_R:
-            perms.add("r")
-        if translation.flags & PTE_W:
-            perms.add("w")
-        if translation.flags & PTE_X:
-            perms.add("x")
-        return frozenset(perms)
-
     def ksymtab_layout(self, version) -> str:
         # arch/riscv never selected HAVE_ARCH_PREL32_RELOCATIONS: every
         # kernel in the matrix exports absolute-address ksymtab entries.
         return "absolute"
 
 
-X86_64 = X86Arch(
+X86_64 = Arch(
     name="x86_64",
     gp_registers=X86_GP_REGISTERS,
     sregs=X86_SREGS,
@@ -282,9 +206,10 @@ X86_64 = X86Arch(
     kernel_text_base=0xFFFFFFFF80000000,
     kernel_text_range=1 * GiB,
     kaslr_align=2 * MiB,
+    pt_format=X86_FORMAT,
 )
 
-ARM64 = Arm64Arch(
+ARM64 = Arch(
     name="arm64",
     gp_registers=ARM64_GP_REGISTERS,
     sregs=ARM64_SREGS,
@@ -295,6 +220,7 @@ ARM64 = Arm64Arch(
     kernel_text_base=0xFFFF800010000000,
     kernel_text_range=1 * GiB,
     kaslr_align=2 * MiB,
+    pt_format=ARM64_FORMAT,
 )
 
 _RISCV_COMMON = dict(
@@ -312,9 +238,9 @@ _RISCV_COMMON = dict(
     ioregionfd_available=False,
 )
 
-RISCV64 = RiscvArch(name="riscv64", satp_mode=SATP_MODE_SV39, **_RISCV_COMMON)
+RISCV64 = RiscvArch(name="riscv64", pt_format=SV39_FORMAT, **_RISCV_COMMON)
 RISCV64_SV48 = RiscvArch(
-    name="riscv64_sv48", satp_mode=SATP_MODE_SV48, **_RISCV_COMMON
+    name="riscv64_sv48", pt_format=SV48_FORMAT, **_RISCV_COMMON
 )
 
 ARCHES = {

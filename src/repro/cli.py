@@ -390,7 +390,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     snap = tb.snapshot(hv)
     clone = tb.clone(snap)
     result = tb.migrate(clone)
-    print(f"\nVM layer: captured pid {hv.pid} ({snap.cow.pages_total} pages), "
+    print(f"\nVM layer: captured pid {hv.pid} ({snap.pages} pages), "
           f"cloned to pid {clone.pid}, migrated to "
           f"pid {result.dest_pid} on host #{len(tb.hosts)}")
     return 0

@@ -10,8 +10,9 @@ cross-process costs the real system pays.
 Three optimisations keep the attach cheap without changing what is
 paid *per mechanism*:
 
-* page-table walks read through a :class:`PageTableView` that lives
-  for one attach step (or one gateway call outside a step).  The view
+* page-table walks read through a
+  :class:`~repro.mem.pagetable.PageTableView` that lives for one
+  attach step (or one gateway call outside a step).  The view
   copies each table page it touches with one 4 KiB remote read and
   decodes entries from that copy, so the KASLR scan of an x86-64
   guest reads four table pages, whichever slot the kernel sits in.
@@ -32,96 +33,16 @@ paid *per mechanism*:
 
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.arch import Arch, X86_64
 from repro.errors import PageFaultError, SideloadError
 from repro.host.kernel import HostKernel
 from repro.host.process import Thread
+from repro.mem.pagetable import PageTableView
 from repro.units import PAGE_SIZE
 from repro.virtio.memio import GpaTranslator, RemoteProcessAccessor
-
-
-_PAGE_MASK = PAGE_SIZE - 1
-_U64 = struct.Struct("<Q")
-
-
-class PageTableView:
-    """The guest's page-table pages as one attach step sees them.
-
-    :meth:`read_u64` and :meth:`write_u64` are the callbacks the arch's
-    walker and builder take.  The first touch of a table page copies
-    it with one 4 KiB remote read; later entries decode from the copy.
-    Pages inside ``fresh`` (VMSH's just-mmapped, zero-filled reserve)
-    are known to be zero and are never read.  Writes land in the copy;
-    :meth:`flush` writes the words that changed in one vectored call
-    and journals the old value of each word outside ``fresh``, which
-    :meth:`undo` puts back.  Words in ``fresh`` need no journal: the
-    reserve goes away with its memslot on rollback.
-    """
-
-    def __init__(
-        self,
-        phys: RemoteProcessAccessor,
-        walker_factory: Callable,
-        fresh: range = range(0),
-    ):
-        self._phys = phys
-        self._fresh = fresh
-        self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
-        self._before: Dict[int, int] = {}        # word paddr -> value before
-        self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
-        self.walker = walker_factory(self.read_u64)
-
-    def _page(self, base: int) -> bytearray:
-        page = self._pages.get(base)
-        if page is None:
-            if base in self._fresh:
-                page = bytearray(PAGE_SIZE)
-            else:
-                page = bytearray(self._phys.read(base, PAGE_SIZE))
-            self._pages[base] = page
-        return page
-
-    def read_u64(self, paddr: int) -> int:
-        page = self._page(paddr & ~_PAGE_MASK)
-        return _U64.unpack_from(page, paddr & _PAGE_MASK)[0]
-
-    def write_u64(self, paddr: int, value: int) -> None:
-        page = self._page(paddr & ~_PAGE_MASK)
-        offset = paddr & _PAGE_MASK
-        if paddr not in self._before:
-            self._before[paddr] = _U64.unpack_from(page, offset)[0]
-        _U64.pack_into(page, offset, value & 0xFFFFFFFFFFFFFFFF)
-
-    def flush(self) -> None:
-        """Write every changed word in one vectored call, adjacent
-        words merged into one segment."""
-        iov: List[Tuple[int, bytes]] = []
-        for paddr in sorted(self._before):
-            old = self._before[paddr]
-            new = self.read_u64(paddr)
-            if new == old:
-                continue
-            if paddr not in self._fresh:
-                self.journal.append((paddr, old))
-            word = _U64.pack(new)
-            if iov and iov[-1][0] + len(iov[-1][1]) == paddr:
-                iov[-1] = (iov[-1][0], iov[-1][1] + word)
-            else:
-                iov.append((paddr, word))
-        self._before.clear()
-        if iov:
-            self._phys.write_vectored(iov)
-
-    def undo(self) -> None:
-        """Restore every journaled word (rollback), in one vectored call."""
-        if self.journal:
-            self._phys.write_vectored(
-                [(paddr, _U64.pack(old)) for paddr, old in self.journal]
-            )
 
 
 class GuestMemoryGateway:

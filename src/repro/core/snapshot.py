@@ -5,13 +5,12 @@ snapshotted or live-migrated (§7).  This module answers it for the
 simulated stack, in three layers:
 
 * :meth:`VmSnapshot.capture` — a *plain-data* image of everything that
-  makes a VM's execution state: guest physical memory (copy-on-write
-  against an optional base snapshot), vCPU register files, the memslot
-  layout, device register + virtqueue state on both sides of every
-  ring (device ``last_avail``/``used_idx``/EVENT_IDX words, driver
-  free-lists and in-flight chain windows), irqfd/ioeventfd/ioregionfd
-  routes, and — when a VMSH session is attached — the overlay image
-  bytes and session flags.
+  makes a VM's execution state: guest physical memory, vCPU register
+  files, the memslot layout, device register + virtqueue state on both
+  sides of every ring (device ``last_avail``/``used_idx``/EVENT_IDX
+  words, driver free-lists and in-flight chain windows),
+  irqfd/ioeventfd/ioregionfd routes, and — when a VMSH session is
+  attached — the overlay image bytes and session flags.
 
 * :meth:`VmSnapshot.restore_into` — writes that state back *in place*,
   preserving object identity so every live reference (guest runtime,
@@ -104,18 +103,6 @@ class _SessionState:
     detached: bool
     image_bytes: Optional[bytes]
     image_writable: Optional[bool]
-
-
-@dataclass
-class CowStats:
-    """How much of the capture was shared against the base snapshot."""
-
-    pages_total: int = 0
-    pages_shared: int = 0
-
-    @property
-    def pages_copied(self) -> int:
-        return self.pages_total - self.pages_shared
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +390,6 @@ class VmSnapshot:
         self.guest_booted: bool = False
         self.guest_panicked: Optional[str] = None
         self.session: Optional[_SessionState] = None
-        self.cow = CowStats()
         #: the VM graph serialized for clone()/migrate(), and the
         #: objects it keeps by reference; None when the snapshot was
         #: captured restore-only (freeze=False).  An image never leaves
@@ -414,16 +400,15 @@ class VmSnapshot:
     # -- capture -----------------------------------------------------------------
 
     @classmethod
-    def capture(cls, hv, session=None, base: Optional["VmSnapshot"] = None,
-                freeze: bool = False, scheduler=None) -> "VmSnapshot":
+    def capture(cls, hv, session=None, freeze: bool = False,
+                scheduler=None) -> "VmSnapshot":
         """Capture ``hv`` (and optionally its attached ``session``).
 
         Pure with respect to the simulation: no virtual time passes, no
-        counters move.  ``base`` enables copy-on-write page sharing;
-        ``freeze`` additionally serializes the object graph into an
-        image so the snapshot can be cloned.  A live service task is
-        quiesced for the duration and restarted on ``scheduler``
-        (defaults to the host's scheduler).
+        counters move.  ``freeze`` additionally serializes the object
+        graph into an image so the snapshot can be cloned.  A live
+        service task is quiesced for the duration and restarted on
+        ``scheduler`` (defaults to the host's scheduler).
         """
         resume = quiesce(session)
         try:
@@ -431,7 +416,7 @@ class VmSnapshot:
             snap.flavor = hv.NAME
             snap.source_pid = hv.process.pid
             snap.taken_at_ns = hv.host.clock.now
-            snap._capture_memory(hv, base)
+            snap._capture_memory(hv)
             vm = hv.vm
             snap.memslots = tuple(
                 (s.slot, s.gpa, s.size, s.hva) for s in vm.memslots()
@@ -493,26 +478,20 @@ class VmSnapshot:
                     )
                 resume(sched)
 
-    def _capture_memory(self, hv, base: Optional["VmSnapshot"]) -> None:
-        base_pages: Dict[int, Dict[int, bytes]] = {}
-        if base is not None:
-            base_pages = {i: pages for i, (_, _, pages) in enumerate(base.memory)}
-        for index, mapping in enumerate(hv.process.address_space._mappings):
+    def _capture_memory(self, hv) -> None:
+        for mapping in hv.process.address_space._mappings:
             if not isinstance(mapping.backing, PhysicalMemory):
                 continue
-            reference = base_pages.get(index, {})
-            pages: Dict[int, bytes] = {}
-            for page_index, page in mapping.backing._pages.items():
-                self.cow.pages_total += 1
-                shared = reference.get(page_index)
-                if shared is not None and shared == page:
-                    # Immutable bytes: share the base snapshot's page
-                    # object instead of copying (the COW win).
-                    pages[page_index] = shared
-                    self.cow.pages_shared += 1
-                else:
-                    pages[page_index] = bytes(page)
+            pages = {
+                index: bytes(page)
+                for index, page in mapping.backing._pages.items()
+            }
             self.memory.append((mapping.name, mapping.backing.size, pages))
+
+    @property
+    def pages(self) -> int:
+        """Guest pages captured."""
+        return sum(len(pages) for _, _, pages in self.memory)
 
     def _freeze(self, hv) -> None:
         refusal = freeze_refusal(hv)

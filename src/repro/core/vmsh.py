@@ -80,11 +80,7 @@ from repro.kvm.vcpu import VcpuFd
 from repro.sideload import parse_blob, reloc_slot_offset
 from repro.units import MiB, PAGE_SIZE, page_align_up
 from repro.virtio.console import Pts
-from repro.virtio.memio import (
-    BytewiseRemoteAccessor,
-    PerPageRemoteAccessor,
-    RemoteProcessAccessor,
-)
+from repro.virtio.memio import BytewiseRemoteAccessor, RemoteProcessAccessor
 
 PT_RESERVE_PAGES = 64
 
@@ -106,11 +102,9 @@ ATTACH_STEPS = (
 )
 
 #: Guest-memory copy paths selectable at attach time.  "vectored" is
-#: the sg-batched fast path; "per_page" issues one process_vm_* call
-#: per segment (pre-batching); "staged" is the pre-§5 bytewise ablation.
+#: the sg-batched fast path; "staged" is the pre-§5 bytewise ablation.
 COPY_PATHS = {
     "vectored": RemoteProcessAccessor,
-    "per_page": PerPageRemoteAccessor,
     "staged": BytewiseRemoteAccessor,
 }
 

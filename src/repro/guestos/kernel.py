@@ -55,6 +55,7 @@ from repro.guestos.vfs import (
 from repro.kvm.api import GuestPhysMemory, VmFd
 from repro.kvm.vcpu import VcpuFd
 from repro.mem.layout import FIRST_USABLE_GPA
+from repro.mem.pagetable import PageTableView
 from repro.sideload import SelfBlob, parse_blob
 from repro.sim.rng import stream
 from repro.units import PAGE_SIZE
@@ -167,14 +168,22 @@ class GuestKernel:
         )
         self.idle_vaddr = self.image.idle_vaddr
 
+        # Boot builds its tables as an attach does, through a page-table
+        # view: every table comes from RAM the bump allocator has not
+        # handed out yet, which reads as zero, and each table page
+        # reaches guest memory in one write when the view flushes.
+        view = PageTableView(
+            self.memory, self.arch.walker, range(self._phys_bump, self._ram_end)
+        )
         builder = self.arch.builder(
-            self.memory.read_u64, self.memory.write_u64, self._alloc_table_page
+            view.read_u64, view.write_u64, self._alloc_table_page
         )
         # ``cr3`` holds the *register-encoded* root (identity on x86/arm64,
         # MODE|PPN satp form on riscv) — exactly what the vCPU sreg carries
         # and what walkers/builders take as their root argument.
         self.cr3 = self.arch.encode_pt_root(builder.new_root())
         builder.map_range(self.cr3, vbase, pbase, KERNEL_IMAGE_SIZE)
+        view.flush()
 
         for vcpu in self.vm.vcpus:
             vcpu.sregs[self.arch.pt_root_sreg] = self.cr3

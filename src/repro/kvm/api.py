@@ -469,6 +469,11 @@ class GuestPhysMemory:
         slot = vm._memslots.lookup(gpa, len(data))
         vm.owner.address_space.write(slot.hva + (gpa - slot.gpa), data)
 
+    def write_vectored(self, iov) -> None:
+        """Write each ``(gpa, data)`` segment (a page-table view's flush)."""
+        for gpa, data in iov:
+            self.write(gpa, data)
+
     def read_u16(self, gpa: int) -> int:
         return int.from_bytes(self.read(gpa, 2), "little")
 

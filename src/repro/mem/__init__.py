@@ -1,4 +1,4 @@
-"""Guest memory: sparse physical memory, x86-64 paging, address layout."""
+"""Guest memory: sparse physical memory, page tables, address layout."""
 
 from repro.mem.layout import (
     FIRST_USABLE_GPA,
@@ -14,32 +14,10 @@ from repro.mem.layout import (
     uncanonical,
     vaddr_to_kaslr_slot,
 )
-from repro.mem.pagetable import (
-    PTE_ADDR_MASK,
-    PTE_GLOBAL,
-    PTE_NX,
-    PTE_PRESENT,
-    PTE_PSE,
-    PTE_USER,
-    PTE_WRITABLE,
-    PageTableBuilder,
-    PageTableWalker,
-    Translation,
-)
 from repro.mem.physmem import PhysicalMemory
 
 __all__ = [
     "PhysicalMemory",
-    "PageTableWalker",
-    "PageTableBuilder",
-    "Translation",
-    "PTE_PRESENT",
-    "PTE_WRITABLE",
-    "PTE_USER",
-    "PTE_PSE",
-    "PTE_NX",
-    "PTE_GLOBAL",
-    "PTE_ADDR_MASK",
     "KERNEL_TEXT_BASE",
     "KERNEL_TEXT_RANGE",
     "KASLR_ALIGN",

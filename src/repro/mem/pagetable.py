@@ -1,17 +1,27 @@
-"""x86-64 four-level page tables, encoded as real bytes in guest memory.
+"""Page tables of three ISAs, encoded as real bytes in guest memory.
 
 The guest kernel builds these tables in simulated physical memory at
 boot; VMSH later *walks the same bytes from the host side* (via the
 hypervisor's mapping of guest memory) to find the kernel image in the
 KASLR range and to map its side-loaded library — exactly the data flow
-of §4.1/§4.2.  Entries use the genuine x86-64 PTE bit layout, so the
-walker cannot cheat.
+of §4.1/§4.2.  Entries use each ISA's genuine bit layout, so the walker
+cannot cheat.
+
+x86-64, AArch64 (4 KiB granule) and RISC-V Sv39/Sv48 tables are the
+same radix tree: 4 KiB table pages of 512 eight-byte entries, indexed
+by nine virtual-address bits per level.  They differ only in what an
+entry means.  So one walker and one builder live here, and each ISA
+supplies an :class:`EntryFormat`: x86-64's below, AArch64's in
+:mod:`repro.mem.pagetable_arm64`, RISC-V's in
+:mod:`repro.mem.pagetable_riscv`.  Callers get the engine through
+:meth:`repro.arch.Arch.walker` and :meth:`repro.arch.Arch.builder`.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
 
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical, uncanonical
@@ -30,7 +40,9 @@ PTE_NX = 1 << 63
 PTE_ADDR_MASK = 0x000FFFFFFFFFF000  # bits 12..51
 
 ENTRIES_PER_TABLE = 512
-LEVEL_SHIFTS = (39, 30, 21, 12)  # PML4, PDPT, PD, PT
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+#: (level, index shift) from the root down; level 1 maps 4 KiB pages.
+FOUR_LEVELS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,98 @@ class Translation:
     pte_paddr: int      # physical address of the final entry
 
 
+class EntryFormat:
+    """What one ISA's page-table entries mean.
+
+    An entry's output address is ``((entry & addr_mask) >> addr_shift)
+    << PAGE_SHIFT`` and everything outside ``addr_mask`` is flags.
+    ``valid`` is the valid bit, ``table_bits`` the flags of an entry
+    pointing to a next-level table.  Levels count down to 1, the level
+    of 4 KiB pages.  Subclasses supply the decoding rules.
+    """
+
+    addr_mask: int
+    addr_shift: int = PAGE_SHIFT
+    valid: int
+    table_bits: int
+
+    def walk_levels(self, root: int, vaddr: int) -> Tuple[Tuple[int, int], ...]:
+        """The (level, index shift) pairs a walk from ``root`` takes."""
+        return FOUR_LEVELS
+
+    def root_table(self, root: int) -> int:
+        """Physical address of the root table in a root-register value."""
+        return root & self.addr_mask
+
+    def encode_root(self, root_paddr: int) -> int:
+        """The root-register value for a root table (identity here)."""
+        return root_paddr
+
+    def address(self, entry: int) -> int:
+        """The physical address ``entry`` points at."""
+        return ((entry & self.addr_mask) >> self.addr_shift) << PAGE_SHIFT
+
+    def encode(self, paddr: int) -> int:
+        """The address field of an entry pointing at ``paddr``."""
+        return ((paddr >> PAGE_SHIFT) << self.addr_shift) & self.addr_mask
+
+    def classify(self, entry: int, level: int, vaddr: int) -> bool:
+        """True if ``entry`` maps a page, False if it points to a table.
+
+        Raises :class:`PageFaultError` with the ISA's message when a
+        walk of ``vaddr`` faults on the entry.
+        """
+        raise NotImplementedError
+
+    def superpage(self, entry: int, level: int) -> bool:
+        """True if the valid ``entry`` at ``level`` maps a superpage
+        instead of pointing to a table (at level 1 no answer changes
+        anything)."""
+        raise NotImplementedError
+
+    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
+        """The entry mapping the 4 KiB page at ``paddr``."""
+        raise NotImplementedError
+
+    def perms(self, flags: int) -> FrozenSet[str]:
+        """Logical r/w/x permission set of a leaf's flags."""
+        raise NotImplementedError
+
+
+class X86Format(EntryFormat):
+    """x86-64 4-level paging: 2 MiB and 1 GiB pages via PS."""
+
+    addr_mask = PTE_ADDR_MASK
+    valid = PTE_PRESENT
+    table_bits = PTE_PRESENT | PTE_WRITABLE | PTE_USER
+
+    def classify(self, entry: int, level: int, vaddr: int) -> bool:
+        if not entry & PTE_PRESENT:
+            raise PageFaultError(canonical(vaddr), f"not present at level {level}")
+        return level == 1 or self.superpage(entry, level)
+
+    def superpage(self, entry: int, level: int) -> bool:
+        # PS is reserved in a PML4 entry; the walk reads it as a table.
+        return level in (2, 3) and bool(entry & PTE_PSE)
+
+    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
+        return (
+            self.encode(paddr) | PTE_PRESENT | PTE_ACCESSED | PTE_GLOBAL
+            | (PTE_WRITABLE if writable else 0) | (PTE_NX if nx else 0)
+        )
+
+    def perms(self, flags: int) -> FrozenSet[str]:
+        perms = {"r"}
+        if flags & PTE_WRITABLE:
+            perms.add("w")
+        if not flags & PTE_NX:
+            perms.add("x")
+        return frozenset(perms)
+
+
+X86_FORMAT = X86Format()
+
+
 class PageTableWalker:
     """Walks page tables through an arbitrary physical-read callback.
 
@@ -52,45 +156,41 @@ class PageTableWalker:
     the corresponding costs.  Both use this same class.
     """
 
-    def __init__(self, read_u64: Callable[[int], int]):
+    def __init__(self, fmt: EntryFormat, read_u64: Callable[[int], int]):
+        self._fmt = fmt
         self._read_u64 = read_u64
 
-    def translate(self, cr3: int, vaddr: int) -> Translation:
-        """Translate ``vaddr`` using the tables rooted at ``cr3``."""
-        vaddr = uncanonical(canonical(vaddr))
-        table = cr3 & PTE_ADDR_MASK
-        flags_accumulated = PTE_WRITABLE | PTE_USER
-        for depth, shift in enumerate(LEVEL_SHIFTS):
-            index = (vaddr >> shift) & (ENTRIES_PER_TABLE - 1)
-            pte_paddr = table + index * 8
+    def translate(self, root: int, vaddr: int) -> Translation:
+        """Translate ``vaddr`` using the tables rooted at ``root``."""
+        fmt = self._fmt
+        levels = fmt.walk_levels(root, vaddr)
+        raw = uncanonical(canonical(vaddr))
+        table = fmt.root_table(root)
+        addr_mask, addr_shift = fmt.addr_mask, fmt.addr_shift
+        for level, shift in levels:
+            pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(pte_paddr)
-            if not entry & PTE_PRESENT:
-                raise PageFaultError(canonical(vaddr), f"not present at level {4 - depth}")
-            flags_accumulated &= entry | ~(PTE_WRITABLE | PTE_USER)
-            level = 4 - depth
-            is_leaf = level == 1 or (entry & PTE_PSE and level in (2, 3))
-            if is_leaf:
-                page_shift = LEVEL_SHIFTS[depth]
-                page_mask = (1 << page_shift) - 1
-                base = entry & PTE_ADDR_MASK & ~page_mask
+            # fmt.address(entry), inlined: this loop is the attach's hottest.
+            table = ((entry & addr_mask) >> addr_shift) << PAGE_SHIFT
+            if fmt.classify(entry, level, vaddr):
+                page_mask = (1 << shift) - 1
                 return Translation(
-                    paddr=base | (vaddr & page_mask),
-                    flags=(entry & ~PTE_ADDR_MASK) | (flags_accumulated & (PTE_WRITABLE | PTE_USER)),
+                    paddr=(table & ~page_mask) | (raw & page_mask),
+                    flags=entry & ~addr_mask,
                     level=level,
                     pte_paddr=pte_paddr,
                 )
-            table = entry & PTE_ADDR_MASK
-        raise AssertionError("unreachable: level-1 entries are always leaves")
+        raise AssertionError("unreachable: a level-1 entry maps or faults")
 
-    def is_mapped(self, cr3: int, vaddr: int) -> bool:
+    def is_mapped(self, root: int, vaddr: int) -> bool:
         try:
-            self.translate(cr3, vaddr)
+            self.translate(root, vaddr)
             return True
         except PageFaultError:
             return False
 
     def iter_present_range(
-        self, cr3: int, start: int, end: int, step: int = PAGE_SIZE
+        self, root: int, start: int, end: int, step: int = PAGE_SIZE
     ) -> Iterator[Tuple[int, Translation]]:
         """Yield (vaddr, translation) for each mapped page in [start, end).
 
@@ -104,28 +204,28 @@ class PageTableWalker:
         vaddr = start
         while vaddr < end:
             try:
-                tr = self.translate(cr3, vaddr)
+                tr = self.translate(root, vaddr)
             except PageFaultError:
-                vaddr = canonical(self._next_candidate(cr3, vaddr, step))
+                vaddr = canonical(self._next_candidate(root, vaddr, step))
                 continue
             yield canonical(vaddr), tr
             vaddr += step
-        return
 
-    def _next_candidate(self, cr3: int, vaddr: int, step: int) -> int:
+    def _next_candidate(self, root: int, vaddr: int, step: int) -> int:
         """Skip past the largest provably-unmapped region after a fault."""
+        fmt = self._fmt
+        levels = fmt.walk_levels(root, vaddr)
         raw = uncanonical(canonical(vaddr))
-        table = cr3 & PTE_ADDR_MASK
-        for depth, shift in enumerate(LEVEL_SHIFTS):
-            index = (raw >> shift) & (ENTRIES_PER_TABLE - 1)
-            entry = self._read_u64(table + index * 8)
-            if not entry & PTE_PRESENT:
+        table = fmt.root_table(root)
+        for level, shift in levels:
+            entry = self._read_u64(table + ((raw >> shift) & _INDEX_MASK) * 8)
+            if not entry & fmt.valid:
                 # Entire subtree absent: jump to the next entry at this level.
                 span = 1 << shift
                 return ((raw >> shift) + 1) << shift if span >= step else raw + step
-            if entry & PTE_PSE and (4 - depth) in (2, 3):
+            if fmt.superpage(entry, level):
                 return raw + step
-            table = entry & PTE_ADDR_MASK
+            table = fmt.address(entry)
         return raw + step
 
 
@@ -135,79 +235,75 @@ class PageTableBuilder:
     Used by the guest kernel at boot, and later by VMSH when it maps
     its side-loaded library right after the kernel image (§4.2) — the
     latter writes entries through the hypervisor's memory mapping.
+    Both write through a :class:`PageTableView`.
     """
 
     def __init__(
         self,
+        fmt: EntryFormat,
         read_u64: Callable[[int], int],
         write_u64: Callable[[int, int], None],
         alloc_table_page: Callable[[], int],
     ):
+        self._fmt = fmt
         self._read_u64 = read_u64
         self._write_u64 = write_u64
         self._alloc = alloc_table_page
         self.tables_allocated: List[int] = []
 
     def new_root(self) -> int:
-        """Allocate a fresh, empty PML4 and return its physical address."""
-        root = self._alloc_table()
-        return root
+        """Allocate a fresh, empty root table and return its paddr."""
+        return self._alloc_table()
 
     def _alloc_table(self) -> int:
+        # A new table page is not zeroed here: every allocator hands
+        # out pages that already read as zero.  The guest boot takes
+        # guest RAM its bump allocator has not handed out, and nothing
+        # writes such RAM: the hypervisor mmaps it anonymous, so it
+        # starts zero-filled.  VMSH takes its reserve after the library
+        # blob, which it has just mmapped anonymous.  Both builders
+        # write through a PageTableView whose ``fresh`` range covers
+        # those pages, so the view never reads them either.
         paddr = self._alloc()
         if paddr % PAGE_SIZE:
             raise ValueError("page table pages must be page aligned")
-        for i in range(ENTRIES_PER_TABLE):
-            self._write_u64(paddr + i * 8, 0)
         self.tables_allocated.append(paddr)
         return paddr
 
     def map_page(
         self,
-        cr3: int,
+        root: int,
         vaddr: int,
         paddr: int,
         writable: bool = True,
-        user: bool = False,
         nx: bool = False,
-        global_: bool = True,
     ) -> None:
         """Map one 4 KiB page, allocating intermediate tables on demand."""
         if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
             raise ValueError("mappings must be page aligned")
+        fmt = self._fmt
+        levels = fmt.walk_levels(root, vaddr)
         raw = uncanonical(canonical(vaddr))
-        table = cr3 & PTE_ADDR_MASK
-        for shift in LEVEL_SHIFTS[:-1]:
-            index = (raw >> shift) & (ENTRIES_PER_TABLE - 1)
-            entry_addr = table + index * 8
+        table = fmt.root_table(root)
+        for level, shift in levels[:-1]:
+            entry_addr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(entry_addr)
-            if not entry & PTE_PRESENT:
-                child = self._alloc_table()
-                entry = child | PTE_PRESENT | PTE_WRITABLE | PTE_USER
+            if not entry & fmt.valid:
+                entry = fmt.encode(self._alloc_table()) | fmt.table_bits
                 self._write_u64(entry_addr, entry)
-            elif entry & PTE_PSE:
-                raise ValueError(f"cannot split huge mapping at {canonical(vaddr):#x}")
-            table = entry & PTE_ADDR_MASK
-        index = (raw >> PAGE_SHIFT) & (ENTRIES_PER_TABLE - 1)
-        flags = PTE_PRESENT | PTE_ACCESSED
-        if writable:
-            flags |= PTE_WRITABLE
-        if user:
-            flags |= PTE_USER
-        if nx:
-            flags |= PTE_NX
-        if global_:
-            flags |= PTE_GLOBAL
-        self._write_u64(table + index * 8, (paddr & PTE_ADDR_MASK) | flags)
+            elif fmt.superpage(entry, level):
+                raise ValueError(f"cannot split superpage mapping at {canonical(vaddr):#x}")
+            table = fmt.address(entry)
+        index = (raw >> PAGE_SHIFT) & _INDEX_MASK
+        self._write_u64(table + index * 8, fmt.leaf_entry(paddr, writable, nx))
 
     def map_range(
         self,
-        cr3: int,
+        root: int,
         vaddr: int,
         paddr: int,
         length: int,
         writable: bool = True,
-        user: bool = False,
         nx: bool = False,
     ) -> None:
         """Map a page-aligned range of ``length`` bytes."""
@@ -216,23 +312,102 @@ class PageTableBuilder:
         npages = (length + PAGE_SIZE - 1) // PAGE_SIZE
         for i in range(npages):
             self.map_page(
-                cr3,
-                vaddr + i * PAGE_SIZE,
-                paddr + i * PAGE_SIZE,
-                writable=writable,
-                user=user,
-                nx=nx,
+                root, vaddr + i * PAGE_SIZE, paddr + i * PAGE_SIZE,
+                writable=writable, nx=nx,
             )
 
-    def unmap_page(self, cr3: int, vaddr: int) -> None:
+    def unmap_page(self, root: int, vaddr: int) -> None:
         """Clear the leaf entry for ``vaddr`` (intermediate tables remain)."""
+        fmt = self._fmt
+        levels = fmt.walk_levels(root, vaddr)
         raw = uncanonical(canonical(vaddr))
-        table = cr3 & PTE_ADDR_MASK
-        for shift in LEVEL_SHIFTS[:-1]:
-            index = (raw >> shift) & (ENTRIES_PER_TABLE - 1)
-            entry = self._read_u64(table + index * 8)
-            if not entry & PTE_PRESENT:
+        table = fmt.root_table(root)
+        for _, shift in levels[:-1]:
+            entry = self._read_u64(table + ((raw >> shift) & _INDEX_MASK) * 8)
+            if not entry & fmt.valid:
                 raise PageFaultError(canonical(vaddr), "unmap of absent mapping")
-            table = entry & PTE_ADDR_MASK
-        index = (raw >> PAGE_SHIFT) & (ENTRIES_PER_TABLE - 1)
+            table = fmt.address(entry)
+        index = (raw >> PAGE_SHIFT) & _INDEX_MASK
         self._write_u64(table + index * 8, 0)
+
+
+_PAGE_MASK = PAGE_SIZE - 1
+_U64 = struct.Struct("<Q")
+
+
+class PageTableView:
+    """Page-table pages as one attach step, or one guest boot, sees them.
+
+    ``phys`` reads with ``read(paddr, length)`` and writes with
+    ``write_vectored(iov)``: VMSH's remote accessor of the hypervisor,
+    or the guest's own physical memory at boot.  :meth:`read_u64` and
+    :meth:`write_u64` are the callbacks the arch's walker and builder
+    take.  The first touch of a table page copies it with one 4 KiB
+    read; later entries decode from the copy.  Pages inside ``fresh``
+    (memory nothing has written yet: VMSH's just-mmapped reserve, or
+    guest RAM the boot allocator has not handed out) are known to be
+    zero and are never read.  Writes land in the copy; :meth:`flush`
+    writes the words that changed in one vectored call and journals
+    the old value of each word outside ``fresh``, which :meth:`undo`
+    puts back.  Words in ``fresh`` need no journal: VMSH's reserve
+    goes away with its memslot on rollback.
+    """
+
+    def __init__(self, phys, walker_factory: Callable, fresh: range = range(0)):
+        self._phys = phys
+        self._fresh = fresh
+        self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
+        self._before: Dict[int, int] = {}        # word paddr -> value before
+        self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
+        self.walker = walker_factory(self.read_u64)
+
+    def _page(self, base: int) -> bytearray:
+        page = self._pages.get(base)
+        if page is None:
+            if base in self._fresh:
+                page = bytearray(PAGE_SIZE)
+            else:
+                page = bytearray(self._phys.read(base, PAGE_SIZE))
+            self._pages[base] = page
+        return page
+
+    def read_u64(self, paddr: int) -> int:
+        page = self._page(paddr & ~_PAGE_MASK)
+        return _U64.unpack_from(page, paddr & _PAGE_MASK)[0]
+
+    def write_u64(self, paddr: int, value: int) -> None:
+        page = self._page(paddr & ~_PAGE_MASK)
+        offset = paddr & _PAGE_MASK
+        if paddr not in self._before:
+            self._before[paddr] = _U64.unpack_from(page, offset)[0]
+        _U64.pack_into(page, offset, value & 0xFFFFFFFFFFFFFFFF)
+
+    def flush(self) -> None:
+        """Write every changed word in one vectored call, adjacent
+        words merged into one segment."""
+        runs: List[Tuple[int, List[bytes]]] = []
+        end = -1
+        for paddr in sorted(self._before):
+            old = self._before[paddr]
+            new = self.read_u64(paddr)
+            if new == old:
+                continue
+            if paddr not in self._fresh:
+                self.journal.append((paddr, old))
+            if paddr == end:
+                runs[-1][1].append(_U64.pack(new))
+            else:
+                runs.append((paddr, [_U64.pack(new)]))
+            end = paddr + 8
+        self._before.clear()
+        if runs:
+            self._phys.write_vectored(
+                [(start, b"".join(words)) for start, words in runs]
+            )
+
+    def undo(self) -> None:
+        """Restore every journaled word (rollback), in one vectored call."""
+        if self.journal:
+            self._phys.write_vectored(
+                [(paddr, _U64.pack(old)) for paddr, old in self.journal]
+            )

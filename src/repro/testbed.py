@@ -185,7 +185,7 @@ class Testbed:
         self.obs.metrics.scope("testbed").counter("hosts_added").inc()
         return host
 
-    def snapshot(self, hv, session=None, base=None, freeze="auto"):
+    def snapshot(self, hv, session=None, freeze="auto"):
         """Capture a :class:`~repro.core.snapshot.VmSnapshot` of ``hv``.
 
         Charges ``vm_snapshot_capture_ns`` of virtual time (quiesce +
@@ -203,8 +203,7 @@ class Testbed:
                            vm=hv.pid, flavor=hv.NAME):
             self.costs.vm_snapshot_capture()
             snap = VmSnapshot.capture(
-                hv, session=session, base=base, freeze=freeze,
-                scheduler=self.scheduler,
+                hv, session=session, freeze=freeze, scheduler=self.scheduler,
             )
         return snap
 

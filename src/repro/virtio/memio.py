@@ -24,15 +24,10 @@ read_vectored`/:meth:`~GuestMemoryAccessor.write_vectored` and
 :class:`RemoteProcessAccessor` coalesces it — merging hva-contiguous
 runs — into as few charged calls as possible.
 
-Two slower paths are kept for ablations:
-
-* :class:`PerPageRemoteAccessor` issues one ``process_vm_*`` call per
-  iovec segment — the repro's behaviour before sg-batching, used by
-  ``benchmarks/test_ablation_sg_batching.py``.
-* :class:`BytewiseRemoteAccessor` preserves the ablation of §5 ("this
-  doubles the performance in Phoronix benchmarks"): it models the
-  pre-optimisation copy path that staged data through an intermediate
-  buffer instead of copying kernel-side.
+One slower path is kept for an ablation: :class:`BytewiseRemoteAccessor`
+preserves the ablation of §5 ("this doubles the performance in Phoronix
+benchmarks"): it models the pre-optimisation copy path that staged data
+through an intermediate buffer instead of copying kernel-side.
 """
 
 from __future__ import annotations
@@ -449,23 +444,6 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
     def write_vectored(self, iov: Sequence[Tuple[int, bytes]]) -> None:
         self.stats.write_op(sum(len(data) for _, data in iov), 0, 0)
         self._writev(self._write_runs(iov))
-
-
-class PerPageRemoteAccessor(RemoteProcessAccessor):
-    """Ablation: the fast path *without* scatter-gather batching.
-
-    One ``process_vm_readv``/``writev`` call per iovec segment — how
-    every copy behaved before batching.  Used by
-    ``benchmarks/test_ablation_sg_batching.py`` to show what the
-    coalesced syscalls buy.
-    """
-
-    def read_vectored(self, iov: Sequence[Tuple[int, int]]) -> bytes:
-        return b"".join(self.read(gpa, length) for gpa, length in iov)
-
-    def write_vectored(self, iov: Sequence[Tuple[int, bytes]]) -> None:
-        for gpa, data in iov:
-            self.write(gpa, data)
 
 
 class BytewiseRemoteAccessor(RemoteProcessAccessor):

@@ -14,7 +14,6 @@ import pytest
 from repro.arch import ARM64, X86_64, arch_by_name
 from repro.errors import PageFaultError
 from repro.guestos.version import ALL_TESTED_VERSIONS, KernelVersion
-from repro.mem.pagetable_arm64 import Arm64PageTableBuilder, Arm64PageTableWalker
 from repro.mem.physmem import PhysicalMemory
 from repro.testbed import Testbed
 from repro.units import MiB, PAGE_SIZE
@@ -48,12 +47,24 @@ def test_scratch_area_fits_both_register_files():
 
 # -- AArch64 page tables -----------------------------------------------------------
 
+#: (writable, nx) -> page descriptor for frame 0x300000: AF|0b11, plus
+#: AP[2] when read-only, plus UXN|PXN.
+LEAF_WORDS = {
+    (True, False): 0x0000000000300403,
+    (True, True): 0x0060000000300403,
+    (False, False): 0x0000000000300483,
+    (False, True): 0x0060000000300483,
+}
+#: the L0 table descriptor pointing to the first table allocated after
+#: the root (0x101000)
+TABLE_WORD = 0x101003
+
 @pytest.fixture()
 def arm_tables():
     mem = PhysicalMemory(16 * MiB)
     alloc = itertools.count(1 * MiB, PAGE_SIZE)
-    builder = Arm64PageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = Arm64PageTableWalker(mem.read_u64)
+    builder = ARM64.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = ARM64.walker(mem.read_u64)
     return mem, builder, walker, builder.new_root()
 
 
@@ -82,6 +93,13 @@ def test_arm64_descriptor_encoding(arm_tables):
     assert descriptor & (1 << 10)              # AF set
     assert descriptor & (1 << 7)               # AP[2]: read-only
     assert descriptor & (1 << 54)              # UXN
+    # The words themselves, for every (writable, nx) pair.
+    for i, ((writable, nx), word) in enumerate(LEAF_WORDS.items(), start=1):
+        page = vaddr + i * PAGE_SIZE
+        builder.map_page(ttbr, page, 0x300000, writable=writable, nx=nx)
+        assert mem.read_u64(walker.translate(ttbr, page).pte_paddr) == word
+    l0_index = (vaddr >> 39) & 511
+    assert mem.read_u64(ARM64.pt_root_paddr(ttbr) + l0_index * 8) == TABLE_WORD
 
 
 def test_arm64_range_and_unmap(arm_tables):

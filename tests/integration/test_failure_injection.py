@@ -39,9 +39,7 @@ def test_unrelocated_library_panics_guest():
     blob = build_library(plan)
     gpa = guest.alloc_guest_pages((len(blob) + 4095) // 4096)
     guest.memory.write(gpa, blob)
-    from repro.mem.pagetable import PageTableBuilder
-
-    builder = PageTableBuilder(
+    builder = guest.arch.builder(
         guest.memory.read_u64, guest.memory.write_u64, guest._alloc_table_page
     )
     lib_vaddr = guest.image.vbase + guest.image.size
@@ -64,9 +62,7 @@ def test_wrong_version_structs_panic_guest():
         struct.pack_into("<Q", blob, offset, guest.image.symbols[name])
     gpa = guest.alloc_guest_pages((len(blob) + 4095) // 4096)
     guest.memory.write(gpa, bytes(blob))
-    from repro.mem.pagetable import PageTableBuilder
-
-    builder = PageTableBuilder(
+    builder = guest.arch.builder(
         guest.memory.read_u64, guest.memory.write_u64, guest._alloc_table_page
     )
     lib_vaddr = guest.image.vbase + guest.image.size
@@ -83,9 +79,7 @@ def test_partially_mapped_blob_panics():
     blob = build_library(plan)
     gpa = guest.alloc_guest_pages((len(blob) + 4095) // 4096)
     guest.memory.write(gpa, blob)
-    from repro.mem.pagetable import PageTableBuilder
-
-    builder = PageTableBuilder(
+    builder = guest.arch.builder(
         guest.memory.read_u64, guest.memory.write_u64, guest._alloc_table_page
     )
     lib_vaddr = guest.image.vbase + guest.image.size

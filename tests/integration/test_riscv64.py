@@ -30,8 +30,6 @@ from repro.mem.pagetable_riscv import (
     PTE_V,
     PTE_W,
     PTE_X,
-    RiscvPageTableBuilder,
-    RiscvPageTableWalker,
 )
 from repro.mem.physmem import PhysicalMemory
 from repro.testbed import Testbed
@@ -86,13 +84,25 @@ def test_pack_unpack_context_roundtrip():
 
 # -- Sv39 / Sv48 page tables ------------------------------------------------------
 
+#: (writable, nx) -> leaf PTE for frame 0x300000: V|R|A|D|G, plus W,
+#: plus X unless nx.
+LEAF_WORDS = {
+    (True, False): 0xC00EF,
+    (True, True): 0xC00E7,
+    (False, False): 0xC00EB,
+    (False, True): 0xC00E3,
+}
+#: the root PTE pointing to the first table allocated after the root
+#: (0x101000): PPN 0x101, V
+TABLE_WORD = 0x40401
+
 @pytest.fixture(params=["riscv64", "riscv64_sv48"])
 def riscv_tables(request):
     arch = arch_by_name(request.param)
     mem = PhysicalMemory(32 * MiB)
     alloc = itertools.count(1 * MiB, PAGE_SIZE)
-    builder = RiscvPageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = RiscvPageTableWalker(mem.read_u64)
+    builder = arch.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = arch.walker(mem.read_u64)
     satp = arch.encode_pt_root(builder.new_root())
     return arch, mem, builder, walker, satp
 
@@ -126,6 +136,14 @@ def test_riscv_pte_encoding(riscv_tables):
     assert pte & PTE_A and pte & PTE_D and pte & PTE_G
     assert ((pte >> 10) << 12) & ~0xFFF == 0x300000  # PPN encodes the frame
     assert arch.translation_perms(tr) == frozenset({"r"})
+    # The words themselves, for every (writable, nx) pair.
+    for i, ((writable, nx), word) in enumerate(LEAF_WORDS.items(), start=1):
+        page = vaddr + i * PAGE_SIZE
+        builder.map_page(satp, page, 0x300000, writable=writable, nx=nx)
+        assert mem.read_u64(walker.translate(satp, page).pte_paddr) == word
+    root_shift = 30 if arch is RISCV64 else 39
+    root_index = (vaddr >> root_shift) & 0x1FF
+    assert mem.read_u64(arch.pt_root_paddr(satp) + root_index * 8) == TABLE_WORD
 
 
 def test_riscv_unmapped_faults(riscv_tables):
@@ -149,8 +167,8 @@ def test_riscv_megapage_and_gigapage():
     """R/W/X on a non-last-level PTE is a superpage leaf (2M / 1G)."""
     mem = PhysicalMemory(64 * MiB)
     alloc = itertools.count(1 * MiB, PAGE_SIZE)
-    builder = RiscvPageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = RiscvPageTableWalker(mem.read_u64)
+    builder = RISCV64.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = RISCV64.walker(mem.read_u64)
     satp = RISCV64.encode_pt_root(builder.new_root())
     root = RISCV64.pt_root_paddr(satp)
     vaddr = RISCV64.kernel_text_base
@@ -195,8 +213,8 @@ def test_walker_is_mode_agnostic():
     """One walker serves Sv39 and Sv48 roots: MODE is decoded per walk."""
     mem = PhysicalMemory(32 * MiB)
     alloc = itertools.count(1 * MiB, PAGE_SIZE)
-    builder = RiscvPageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = RiscvPageTableWalker(mem.read_u64)
+    builder = RISCV64.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = RISCV64.walker(mem.read_u64)
     vaddr = RISCV64.kernel_text_base
     satp39 = RISCV64.encode_pt_root(builder.new_root())
     satp48 = RISCV64_SV48.encode_pt_root(builder.new_root())

@@ -4,8 +4,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import X86_64
 from repro.mem.layout import KERNEL_TEXT_BASE, canonical
-from repro.mem.pagetable import PageTableBuilder, PageTableWalker
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB, PAGE_SIZE
 
@@ -68,8 +68,8 @@ def test_pagetable_translations_match_mappings(mappings):
     """Every mapped page translates exactly; everything else faults."""
     mem = PhysicalMemory(64 * MiB)
     alloc = itertools.count(16 * MiB, PAGE_SIZE)
-    builder = PageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = PageTableWalker(mem.read_u64)
+    builder = X86_64.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = X86_64.walker(mem.read_u64)
     cr3 = builder.new_root()
     for vpage, ppage in mappings:
         builder.map_page(cr3, KERNEL_TEXT_BASE + vpage * PAGE_SIZE, ppage * PAGE_SIZE)

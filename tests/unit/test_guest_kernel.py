@@ -9,7 +9,9 @@ from repro.guestos.loader import KERNEL_IMAGE_SIZE
 from repro.guestos.version import KernelVersion
 from repro.guestos.vfs import O_CREAT, O_RDWR
 from repro.mem.layout import KERNEL_TEXT_BASE, KERNEL_TEXT_RANGE
+from repro.mem.physmem import PhysicalMemory
 from repro.testbed import Testbed
+from repro.units import PAGE_SIZE
 
 
 @pytest.fixture()
@@ -40,6 +42,39 @@ def test_kernel_image_mapped_in_page_tables(guest):
     assert tr.paddr == guest.image.pbase
     end = guest.image.vbase + KERNEL_IMAGE_SIZE
     assert not walker.is_mapped(guest.cr3, end)
+
+
+@pytest.mark.parametrize("arch", ["x86_64", "arm64", "riscv64", "riscv64_sv48"])
+def test_boot_writes_each_table_page_once(arch, monkeypatch):
+    """Boot builds its page tables through a page-table view: one
+    ``physmem.write`` per table page it allocates, where zeroing each
+    new table word by word alone took 512."""
+    tables = []
+    alloc = GuestKernel._alloc_table_page
+
+    def recording_alloc(self):
+        tables.append(alloc(self))
+        return tables[-1]
+
+    writes = []
+    monkeypatch.setattr(GuestKernel, "_alloc_table_page", recording_alloc)
+    monkeypatch.setattr(
+        PhysicalMemory, "fault_check",
+        lambda site, addr, length: writes.append((addr, length))
+        if site == "physmem.write" else None,
+    )
+    hv = Testbed(arch=arch).launch_qemu()
+    # Guest RAM is one memslot at gpa 0, so a physmem address is a gpa.
+    assert [(s.gpa, s.slot) for s in hv.vm.memslots()] == [(0, 0)]
+    table_pages = {table // PAGE_SIZE for table in tables}
+    hits = [
+        table_pages & set(range(addr // PAGE_SIZE, (addr + length - 1) // PAGE_SIZE + 1))
+        for addr, length in writes
+    ]
+    hits = [pages for pages in hits if pages]
+    assert len(tables) >= 3
+    assert set().union(*hits) == table_pages    # every table reached memory
+    assert len(hits) <= len(tables)
 
 
 def test_banner_readable_at_symbol(guest):

@@ -1,4 +1,4 @@
-"""Guest-memory accessors: stats, vectored batching, ablation paths."""
+"""Guest-memory accessors: stats and vectored batching."""
 
 from repro.host.ebpf import MemslotRecord
 from repro.host.kernel import HostKernel
@@ -8,23 +8,21 @@ from repro.sim.costs import CostModel
 from repro.units import MiB, PAGE_SIZE
 from repro.virtio.memio import (
     AccessorStats,
-    BytewiseRemoteAccessor,
     GuestMemoryAccessor,
     GpaTranslator,
     InProcessAccessor,
     IOV_MAX,
-    PerPageRemoteAccessor,
     RemoteProcessAccessor,
 )
 
 
-def _remote(accessor_cls=RemoteProcessAccessor, size=8 * MiB):
+def _remote(size=8 * MiB):
     host = HostKernel()
     vmsh = host.spawn_process("vmsh")
     hv = host.spawn_process("hypervisor")
     hva = host.syscall(hv.main_thread, "mmap", size, "guest-ram")
     translator = GpaTranslator([MemslotRecord(slot=0, gpa=0, size=size, hva=hva)])
-    return host, accessor_cls(host, vmsh.main_thread, hv.pid, translator)
+    return host, RemoteProcessAccessor(host, vmsh.main_thread, hv.pid, translator)
 
 
 def test_accessor_stats_as_dict():
@@ -74,28 +72,6 @@ def test_remote_vectored_chunks_at_iov_max():
     assert stats["calls"] == 2              # 1024 + 200 segments
     assert stats["segments"] == IOV_MAX + 200
     assert host.costs.count("procvm_copy") == 2
-
-
-def test_per_page_ablation_pays_one_call_per_segment():
-    host, acc = _remote(PerPageRemoteAccessor)
-    iov = [(page * PAGE_SIZE, PAGE_SIZE) for page in range(16)]
-    acc.read_vectored(iov)
-    stats = acc.stats.as_dict()
-    assert stats["calls"] == 16
-    assert stats["segments_coalesced"] == 0
-    assert host.costs.count("procvm_copy") == 16
-
-
-def test_vectored_path_is_faster_than_per_page():
-    """The ablation ordering the sg-batching benchmark relies on."""
-    host_v, fast = _remote()
-    host_p, slow = _remote(PerPageRemoteAccessor)
-    host_b, staged = _remote(BytewiseRemoteAccessor)
-    iov = [(page * PAGE_SIZE, PAGE_SIZE) for page in range(128)]
-    fast.read_vectored(iov)
-    slow.read_vectored(iov)
-    staged.read_vectored(iov)
-    assert host_v.clock.now < host_p.clock.now < host_b.clock.now
 
 
 def test_remote_write_vectored_roundtrip():

@@ -4,25 +4,32 @@ import itertools
 
 import pytest
 
+from repro.arch import X86_64
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical, kaslr_slot_to_vaddr
-from repro.mem.pagetable import (
-    PTE_NX,
-    PTE_PRESENT,
-    PTE_WRITABLE,
-    PageTableBuilder,
-    PageTableWalker,
-)
+from repro.mem.pagetable import PTE_NX, PTE_PRESENT, PTE_WRITABLE
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB, PAGE_SIZE
+
+#: (writable, nx) -> leaf word mapping frame 0x300000: P|A|G, plus R/W
+#: when writable, plus NX.
+LEAF_WORDS = {
+    (True, False): 0x0000000000300123,
+    (True, True): 0x8000000000300123,
+    (False, False): 0x0000000000300121,
+    (False, True): 0x8000000000300121,
+}
+#: the PML4 entry pointing to the first table allocated after the root
+#: (0x101000): P|R/W|U/S
+TABLE_WORD = 0x101007
 
 
 @pytest.fixture()
 def env():
     mem = PhysicalMemory(16 * MiB)
     alloc = itertools.count(1 * MiB, PAGE_SIZE)
-    builder = PageTableBuilder(mem.read_u64, mem.write_u64, lambda: next(alloc))
-    walker = PageTableWalker(mem.read_u64)
+    builder = X86_64.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = X86_64.walker(mem.read_u64)
     cr3 = builder.new_root()
     return mem, builder, walker, cr3
 
@@ -52,11 +59,17 @@ def test_map_range_contiguous(env):
 
 
 def test_nx_and_readonly_flags(env):
-    _, builder, walker, cr3 = env
+    mem, builder, walker, cr3 = env
     builder.map_page(cr3, 0xFFFFFFFF80000000, 0x200000, writable=False, nx=True)
     tr = walker.translate(cr3, 0xFFFFFFFF80000000)
     assert not tr.flags & PTE_WRITABLE
     assert tr.flags & PTE_NX
+    # The words themselves, for every (writable, nx) pair.
+    for i, ((writable, nx), word) in enumerate(LEAF_WORDS.items(), start=1):
+        vaddr = 0xFFFFFFFF80000000 + i * PAGE_SIZE
+        builder.map_page(cr3, vaddr, 0x300000, writable=writable, nx=nx)
+        assert mem.read_u64(walker.translate(cr3, vaddr).pte_paddr) == word
+    assert mem.read_u64(cr3 + 511 * 8) == TABLE_WORD
 
 
 def test_unmap_page(env):

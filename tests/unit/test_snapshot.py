@@ -94,21 +94,6 @@ def test_restore_rejects_flavor_mismatch():
         snap.restore_into(fc)
 
 
-def test_cow_shares_unchanged_pages_against_base():
-    tb = Testbed()
-    hv = tb.launch_qemu()
-    base = VmSnapshot.capture(hv)
-    assert base.cow.pages_shared == 0          # nothing to share against
-    second = VmSnapshot.capture(hv, base=base)
-    assert second.cow.pages_total == base.cow.pages_total
-    assert second.cow.pages_shared == second.cow.pages_total
-    # Dirty one page: exactly that page is copied, the rest shared.
-    hv.vm.guest_memory().write(hv.guest.cr3, b"\x01" * 8)
-    third = VmSnapshot.capture(hv, base=base)
-    assert third.cow.pages_copied >= 1
-    assert third.cow.pages_shared == third.cow.pages_total - third.cow.pages_copied
-
-
 # -- clone ---------------------------------------------------------------------------
 
 
