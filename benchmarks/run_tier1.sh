@@ -4,7 +4,8 @@
 # schedules are replayable) and its replay and second-seed checks, the
 # ablation and arch-matrix benchmarks, the benchmark self-test, the
 # perf gate, the Perfetto export, the fuzz smoke, the CLI
-# record/replay round trips and the src/ line count.  Run from anywhere.
+# record/replay round trips, the examples and the src/ line count.  Run
+# from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -73,6 +74,12 @@ PYTHONPATH=src python -m repro replay "$recordings/traffic.json"
 PYTHONPATH=src python -m repro record --scenario fleet \
     --snapshot-mid-attach --out "$recordings/fleet.json"
 PYTHONPATH=src python -m repro replay "$recordings/fleet.json"
+
+# The examples document the synchronous entry points (attach,
+# run_command, exec, invoke, debug_shell, watch): each must run clean.
+for example in examples/*.py; do
+    PYTHONPATH=src python "$example" > /dev/null
+done
 
 # Source size, tracked like a benchmark: src/ lines of code, comment,
 # docstring and blank.

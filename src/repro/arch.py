@@ -145,7 +145,7 @@ class Arch:
 
     def translation_perms(self, translation) -> FrozenSet[str]:
         """Logical r/w/x permission set of a hardware translation."""
-        return self.pt_format.perms(translation.flags)
+        return self.pt_format.perms(translation)
 
     # -- sideload trampoline scratch area -------------------------------------
 

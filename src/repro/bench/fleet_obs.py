@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.snapshot import VmSnapshot
 from repro.sim.faults import PERMANENT, FaultPlan, FaultSpec
+from repro.sim.sched import run_inline
 from repro.testbed import Testbed
 from repro.units import SECTOR_SIZE
 from repro.usecases.monitoring import GuestMonitor
@@ -41,25 +42,22 @@ def _blk_io(disk, fill: int, sectors: int = IO_SECTORS):
     return b"".join(data)
 
 
-def _drive_to_boundary(tb, gen, boundary: str, interfere: Callable[[], None]):
-    """Drive an ``attach_task`` generator by hand, firing ``interfere``
-    at the named step boundary (same technique as the snapshot
-    determinism suite — integer yields advance the virtual clock,
-    string yields mark step boundaries)."""
+def _at_boundary(gen, boundary: str, interfere: Callable[[], None]):
+    """``gen`` (an ``attach_task``), with ``interfere`` fired once at
+    the named step boundary; every yield passes through unchanged."""
     fired = False
-    try:
-        yielded = gen.send(None)
-        while True:
-            if isinstance(yielded, int):
-                tb.clock.advance(yielded)
-            elif yielded == boundary and not fired:
-                fired = True
-                interfere()
-            yielded = gen.send(None)
-    except StopIteration as stop:
-        if not fired:
-            raise RuntimeError(f"attach never reached boundary {boundary!r}")
-        return stop.value
+    value = None
+    while True:
+        try:
+            yielded = gen.send(value)
+        except StopIteration as stop:
+            if not fired:
+                raise RuntimeError(f"attach never reached boundary {boundary!r}")
+            return stop.value
+        if yielded == boundary and not fired:
+            fired = True
+            interfere()
+        value = yield yielded
 
 
 def run_observed_fleet(
@@ -78,10 +76,10 @@ def run_observed_fleet(
 
     ``on_testbed`` fires right after the testbed is built (recorders
     and replay comparators tap the span stream there).
-    ``snapshot_mid_attach`` adds phase 1.5: a sixth VM's attach is
-    driven by hand to the ``load_library`` boundary, snapshotted and
-    restored in place, then completed — the record/replay round-trip
-    property covers snapshot traffic that way.
+    ``snapshot_mid_attach`` adds phase 1.5: a sixth VM's attach runs
+    inline; at the ``load_library`` boundary the VM is snapshotted and
+    restored in place, then the attach completes — the record/replay
+    round-trip property covers snapshot traffic that way.
     """
     fleet_size = max(fleet_size, 6 if snapshot_mid_attach else 5)
     tb = Testbed(seed=seed, cost_params=cost_params)
@@ -114,8 +112,10 @@ def run_observed_fleet(
             snap = VmSnapshot.capture(hv5)      # silent core path
             snap.restore_into(hv5)
 
-        mid = _drive_to_boundary(
-            tb, tb.vmsh().attach_task(hv5.pid), "load_library", interfere
+        mid = run_inline(
+            _at_boundary(tb.vmsh().attach_task(hv5.pid), "load_library",
+                         interfere),
+            tb.clock,
         )
         sessions.append(mid)
 

@@ -45,7 +45,7 @@ class UndoFailure:
 
 
 class AttachTransaction:
-    """Undo stack + step bookkeeping for one ``_attach_once`` run."""
+    """Undo stack + step bookkeeping for one ``Vmsh._attach_once_gen`` run."""
 
     def __init__(
         self,

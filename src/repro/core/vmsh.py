@@ -31,7 +31,8 @@ closed, memslots deleted, guest page-table words restored, vCPU
 registers put back, interrupted threads resumed, capabilities
 re-granted.  :meth:`Vmsh.attach` can additionally retry the whole
 pipeline on *transient* injected faults with deterministic exponential
-backoff on the simulated clock.
+backoff on the simulated clock.  The pipeline is written once, as the
+generator :meth:`Vmsh.attach_task`; :meth:`Vmsh.attach` runs it inline.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from repro.host.ptrace import PtraceSession, attach as ptrace_attach
 from repro.image.builder import build_admin_image
 from repro.kvm.vcpu import VcpuFd
 from repro.sideload import parse_blob, reloc_slot_offset
+from repro.sim.sched import Poll, run_inline
 from repro.units import MiB, PAGE_SIZE, page_align_up
 from repro.virtio.console import Pts
 from repro.virtio.memio import BytewiseRemoteAccessor, RemoteProcessAccessor
@@ -107,22 +109,6 @@ COPY_PATHS = {
     "vectored": RemoteProcessAccessor,
     "staged": BytewiseRemoteAccessor,
 }
-
-
-def _drain(gen):
-    """Exhaust a pipeline generator synchronously, returning its value.
-
-    The attach pipeline is written once, as a generator whose yields
-    mark the :data:`ATTACH_STEPS` boundaries.  Run under a scheduler
-    :class:`~repro.sim.sched.Task` the yields are interleave points;
-    drained here they are no-ops, which is what keeps the synchronous
-    :meth:`Vmsh.attach` bit-identical to the pre-scheduler pipeline.
-    """
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
 
 
 @dataclass
@@ -167,26 +153,26 @@ class VmshConsole:
         self._host = host
 
     def run_command(self, line: str) -> CommandResult:
-        """Submit a command line; returns output and round-trip latency."""
-        start = self._host.clock.now
-        self._pts.user_write(line.encode() + b"\n")
-        output = self._pts.user_read_all().decode(errors="replace")
-        return CommandResult(
-            output=output.rstrip("\n"), latency_ns=self._host.clock.now - start
-        )
+        """Submit a command line; returns output and round-trip latency.
+
+        :meth:`run_command_task` run inline: with the device host on a
+        scheduler and no loop running, the output never arrives and
+        this raises :class:`~repro.sim.sched.SchedulerError`.
+        """
+        return run_inline(self.run_command_task(line), self._host.clock)
 
     def run_command_task(self, line: str):
-        """Cooperative variant of :meth:`run_command` for scheduler tasks.
+        """Cooperative :meth:`run_command` for scheduler tasks.
 
         Under a running scheduler the round trip spans several events —
         RX irq injection, the guest shell, the TX drain by the device
         service task — so the output arrives a few scheduling turns
-        after the write.  Yields until it does.
+        after the write.  Polls until it does.
         """
         start = self._host.clock.now
         self._pts.user_write(line.encode() + b"\n")
         while not self._pts.output:
-            yield "console-wait"
+            yield Poll("console-wait")
         output = self._pts.user_read_all().decode(errors="replace")
         return CommandResult(
             output=output.rstrip("\n"), latency_ns=self._host.clock.now - start
@@ -258,13 +244,10 @@ class VmshSession:
         """Run a one-shot command in the overlay via the vm-exec device.
 
         Requires ``attach(..., exec_device=True)``.  ``argv`` may be a
-        list of strings or a single command line.
+        list of strings or a single command line.  This is
+        :meth:`exec_task` run inline.
         """
-        if self.device_host.exec_device is None:
-            raise VmshError("session was attached without exec_device=True")
-        if isinstance(argv, str):
-            argv = argv.split()
-        return self.device_host.exec_device.submit(list(argv))
+        return run_inline(self.exec_task(argv), self.vmsh.host.clock)
 
     def exec_task(self, argv):
         """Cooperative :meth:`exec` for scheduler tasks (a generator)."""
@@ -336,67 +319,15 @@ class Vmsh:
     # Public API
     # ------------------------------------------------------------------
 
-    def attach(
-        self,
-        hypervisor_pid: int,
-        mmio_mode: str = "auto",
-        command: str = "/bin/sh",
-        container_pid: int = 0,
-        image: Optional[bytes] = None,
-        copy_path: str = "vectored",
-        transport: str = "mmio",
-        exec_device: bool = False,
-        seccomp_aware: bool = False,
-        retries: int = 0,
-        deadline_ns: Optional[int] = None,
-        retry_backoff_ns: int = 100_000,
-        event_idx: bool = True,
-    ) -> VmshSession:
+    def attach(self, hypervisor_pid: int, **options) -> VmshSession:
         """Attach to the VM of ``hypervisor_pid`` and spawn the overlay.
 
-        ``mmio_mode``: ``"auto"``, ``"ioregionfd"`` or ``"wrap_syscall"``
-        — how guest accesses to VMSH's registers reach the VMSH process.
-
-        ``transport``: ``"mmio"`` (the paper's implementation and the
-        default — Cloud Hypervisor is *unsupported* with it, exactly as
-        in Table 1), ``"pci"`` (the VirtIO-PCI/MSI-X extension the
-        paper plans as future work), or ``"auto"`` (mmio first, PCI
-        fallback).
-
-        ``copy_path`` selects the device's guest-memory copy path (see
-        :data:`COPY_PATHS`); ``"staged"`` is the pre-§5 path the copy
-        path ablation measures against.
-
-        ``retries``: how many times to re-run the pipeline after a
-        *transient* fault (each failed attempt is fully rolled back
-        first).  Retry N sleeps ``retry_backoff_ns << N`` on the
-        simulated clock — deterministic exponential backoff.
-        ``deadline_ns`` caps the total attach budget, backoff included;
-        once exceeded the last transient error is re-raised.  Permanent
-        faults and real errors never retry.
-
-        ``event_idx``: whether VMSH's devices offer
-        ``VIRTIO_RING_F_EVENT_IDX`` (notification suppression +
-        interrupt coalescing).  On by default; the ablation benchmark
-        attaches with ``event_idx=False`` to measure what it buys.
+        :meth:`attach_task` run inline, with the same options; returns
+        the :class:`VmshSession`.
         """
-        self._validate_attach(transport, copy_path, retries)
-        start_ns = self.host.clock.now
-        attempt = 0
-        while True:
-            try:
-                return self._attach_transport(
-                    hypervisor_pid, mmio_mode, command, container_pid,
-                    image, copy_path, transport, exec_device, seccomp_aware,
-                    event_idx,
-                )
-            except TransientFaultError as err:
-                backoff = self._retry_backoff(
-                    err, attempt, retries, retry_backoff_ns, deadline_ns,
-                    start_ns,
-                )
-                self.host.clock.advance(backoff)
-                attempt += 1
+        return run_inline(
+            self.attach_task(hypervisor_pid, **options), self.host.clock
+        )
 
     def attach_task(
         self,
@@ -414,110 +345,83 @@ class Vmsh:
         retry_backoff_ns: int = 100_000,
         event_idx: bool = True,
     ):
-        """Cooperative :meth:`attach` for scheduler tasks (a generator).
+        """The attach pipeline as a generator; its result is the
+        :class:`VmshSession`.
 
-        The pipeline yields at every :data:`ATTACH_STEPS` boundary, so
-        N concurrent attaches — and their fault/retry/backoff paths —
-        interleave deterministically under the event scheduler.  Retry
-        backoff becomes a timed yield instead of an inline clock
-        advance.  Spawn with ``scheduler.spawn(vmsh.attach_task(...))``;
-        the task's result is the :class:`VmshSession`.
+        It yields at every :data:`ATTACH_STEPS` boundary, so N
+        concurrent attaches spawned with
+        ``scheduler.spawn(vmsh.attach_task(...))`` (and their
+        fault/retry/backoff paths) interleave deterministically;
+        :meth:`attach` runs it inline.
+
+        ``mmio_mode``: ``"auto"``, ``"ioregionfd"`` or ``"wrap_syscall"``
+        — how guest accesses to VMSH's registers reach the VMSH process.
+
+        ``transport``: ``"mmio"`` (the paper's implementation and the
+        default — Cloud Hypervisor is *unsupported* with it, exactly as
+        in Table 1), ``"pci"`` (the VirtIO-PCI/MSI-X extension the
+        paper plans as future work), or ``"auto"`` (mmio first, PCI
+        fallback).
+
+        ``copy_path`` selects the device's guest-memory copy path (see
+        :data:`COPY_PATHS`); ``"staged"`` is the pre-§5 path the copy
+        path ablation measures against.
+
+        ``retries``: how many times to re-run the pipeline after a
+        *transient* fault (each failed attempt is fully rolled back
+        first).  Retry N sleeps ``retry_backoff_ns << N`` on the
+        simulated clock (a timed yield) — deterministic exponential
+        backoff.  ``deadline_ns`` caps the total attach budget, backoff
+        included; once exceeded the last transient error is re-raised.
+        Permanent faults and real errors never retry.
+
+        ``event_idx``: whether VMSH's devices offer
+        ``VIRTIO_RING_F_EVENT_IDX`` (notification suppression +
+        interrupt coalescing).  On by default; the ablation benchmark
+        attaches with ``event_idx=False`` to measure what it buys.
         """
-        self._validate_attach(transport, copy_path, retries)
-        start_ns = self.host.clock.now
-        attempt = 0
-        while True:
-            try:
-                session = yield from self._attach_transport_gen(
-                    hypervisor_pid, mmio_mode, command, container_pid,
-                    image, copy_path, transport, exec_device, seccomp_aware,
-                    event_idx,
-                )
-                return session
-            except TransientFaultError as err:
-                backoff = self._retry_backoff(
-                    err, attempt, retries, retry_backoff_ns, deadline_ns,
-                    start_ns,
-                )
-                yield backoff
-                attempt += 1
-
-    def _validate_attach(
-        self, transport: str, copy_path: str, retries: int
-    ) -> None:
         if transport not in ("auto", "mmio", "pci"):
             raise VmshError(f"unknown virtio transport {transport!r}")
         if copy_path not in COPY_PATHS:
             raise VmshError(f"unknown copy path {copy_path!r}")
         if retries < 0:
             raise VmshError("retries must be >= 0")
-
-    def _retry_backoff(
-        self,
-        err: TransientFaultError,
-        attempt: int,
-        retries: int,
-        retry_backoff_ns: int,
-        deadline_ns: Optional[int],
-        start_ns: int,
-    ) -> int:
-        """Deterministic exponential backoff, or re-raise ``err``."""
-        if attempt >= retries:
-            raise err
-        backoff = retry_backoff_ns << attempt
-        elapsed = self.host.clock.now - start_ns
-        if deadline_ns is not None and elapsed + backoff > deadline_ns:
-            raise err
-        self.host.obs.instant(
-            "attach.retry", track="attach-control",
-            attempt=attempt + 1, site=err.site, backoff_ns=backoff,
-        )
-        self.host.obs.metrics.scope("attach").counter("retries").inc()
-        return backoff
-
-    def _attach_transport(self, *args) -> VmshSession:
-        """One synchronous attach attempt (drains the generator)."""
-        return _drain(self._attach_transport_gen(*args))
-
-    def _attach_transport_gen(
-        self,
-        hypervisor_pid: int,
-        mmio_mode: str,
-        command: str,
-        container_pid: int,
-        image: Optional[bytes],
-        copy_path: str,
-        transport: str,
-        exec_device: bool,
-        seccomp_aware: bool,
-        event_idx: bool = True,
-    ):
-        """One attach attempt, resolving ``transport="auto"``."""
-        if transport == "auto":
+        head = (hypervisor_pid, mmio_mode, command, container_pid, image,
+                copy_path)
+        tail = (exec_device, seccomp_aware, event_idx)
+        start_ns = self.host.clock.now
+        attempt = 0
+        while True:
             try:
-                session = yield from self._attach_once_gen(
-                    hypervisor_pid, mmio_mode, command, container_pid,
-                    image, copy_path, "mmio", exec_device,
-                    seccomp_aware, event_idx,
+                if transport != "auto":
+                    return (yield from self._attach_once_gen(
+                        *head, transport, *tail
+                    ))
+                try:
+                    return (yield from self._attach_once_gen(
+                        *head, "mmio", *tail
+                    ))
+                except HypervisorNotSupportedError:
+                    # MSI-X-only irqchip: the failed mmio attempt has
+                    # been rolled back, retry over PCI (§6.2 future work).
+                    return (yield from self._attach_once_gen(
+                        *head, "pci", *tail
+                    ))
+            except TransientFaultError as err:
+                # Deterministic exponential backoff, or re-raise.
+                backoff = retry_backoff_ns << attempt
+                elapsed = self.host.clock.now - start_ns
+                if attempt >= retries or (
+                    deadline_ns is not None and elapsed + backoff > deadline_ns
+                ):
+                    raise
+                self.host.obs.instant(
+                    "attach.retry", track="attach-control",
+                    attempt=attempt + 1, site=err.site, backoff_ns=backoff,
                 )
-                return session
-            except HypervisorNotSupportedError:
-                # MSI-X-only irqchip: the failed mmio attempt has been
-                # rolled back, retry over PCI (§6.2 future work).
-                session = yield from self._attach_once_gen(
-                    hypervisor_pid, mmio_mode, command, container_pid,
-                    image, copy_path, "pci", exec_device,
-                    seccomp_aware, event_idx,
-                )
-                return session
-        session = yield from self._attach_once_gen(
-            hypervisor_pid, mmio_mode, command, container_pid, image,
-            copy_path, transport, exec_device, seccomp_aware, event_idx,
-        )
-        return session
-
-    def _attach_once(self, *args, **kwargs) -> VmshSession:
-        return _drain(self._attach_once_gen(*args, **kwargs))
+                self.host.obs.metrics.scope("attach").counter("retries").inc()
+                yield backoff
+                attempt += 1
 
     def _attach_once_gen(
         self,
@@ -528,9 +432,9 @@ class Vmsh:
         image: Optional[bytes],
         copy_path: str,
         transport: str,
-        exec_device: bool = False,
-        seccomp_aware: bool = False,
-        event_idx: bool = True,
+        exec_device: bool,
+        seccomp_aware: bool,
+        event_idx: bool,
     ):
         """Run the pipeline under an :class:`AttachTransaction`.
 
@@ -560,7 +464,7 @@ class Vmsh:
             session = yield from self._pipeline(
                 txn, hypervisor_pid, mmio_mode, command, container_pid,
                 image, copy_path, transport, exec_device, seccomp_aware,
-                event_idx, track=track, attach_id=attach_id,
+                event_idx, attach_id,
             )
             obs.spans.end(root, status="ok")
             return session
@@ -581,18 +485,15 @@ class Vmsh:
         transport: str,
         exec_device: bool,
         seccomp_aware: bool,
-        event_idx: bool = True,
-        track: Optional[str] = None,
-        attach_id: Optional[int] = None,
+        event_idx: bool,
+        attach_id: int,
     ):
         # Each ``yield`` marks an ATTACH_STEPS boundary: a scheduler
         # task suspends there, letting other attaches and device work
-        # run in between; the synchronous driver treats them as no-ops.
+        # run in between; run inline, each resumes at once.
         start_ns = self.host.clock.now
         hv = self.host.process(hypervisor_pid)
         obs = self.host.obs
-        if attach_id is None:
-            attach_id = obs.next_id("attach")
         session_metrics = obs.metrics.scope(
             "attach", vm=hypervisor_pid, session=attach_id
         )

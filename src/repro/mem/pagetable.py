@@ -20,11 +20,11 @@ supplies an :class:`EntryFormat`: x86-64's below, AArch64's in
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
 
 from repro.errors import PageFaultError
-from repro.mem.layout import canonical, uncanonical
+from repro.mem.layout import CANONICAL_MASK, canonical, uncanonical
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 # PTE flag bits (Intel SDM Vol. 3, Table 4-19)
@@ -53,6 +53,11 @@ class Translation:
     flags: int
     level: int          # 1 = 4K page, 2 = 2M huge page, 3 = 1G huge page
     pte_paddr: int      # physical address of the final entry
+    #: the AND and the OR of the flags of every entry the walk read,
+    #: root to leaf: what an MMU that combines permissions across
+    #: levels decides by (the defaults leave the leaf's flags alone)
+    path_and: int = field(default=-1, compare=False)
+    path_or: int = field(default=0, compare=False)
 
 
 class EntryFormat:
@@ -108,8 +113,8 @@ class EntryFormat:
         """The entry mapping the 4 KiB page at ``paddr``."""
         raise NotImplementedError
 
-    def perms(self, flags: int) -> FrozenSet[str]:
-        """Logical r/w/x permission set of a leaf's flags."""
+    def perms(self, tr: Translation) -> FrozenSet[str]:
+        """Logical r/w/x permission set of a translation."""
         raise NotImplementedError
 
 
@@ -135,11 +140,13 @@ class X86Format(EntryFormat):
             | (PTE_WRITABLE if writable else 0) | (PTE_NX if nx else 0)
         )
 
-    def perms(self, flags: int) -> FrozenSet[str]:
+    def perms(self, tr: Translation) -> FrozenSet[str]:
+        # The MMU takes R/W (and U/S) as the AND over all levels and NX
+        # as the OR: a read-only or NX entry above the leaf wins.
         perms = {"r"}
-        if flags & PTE_WRITABLE:
+        if tr.flags & tr.path_and & PTE_WRITABLE:
             perms.add("w")
-        if not flags & PTE_NX:
+        if not (tr.flags | tr.path_or) & PTE_NX:
             perms.add("x")
         return frozenset(perms)
 
@@ -167,9 +174,12 @@ class PageTableWalker:
         raw = uncanonical(canonical(vaddr))
         table = fmt.root_table(root)
         addr_mask, addr_shift = fmt.addr_mask, fmt.addr_shift
+        path_and, path_or = -1, 0
         for level, shift in levels:
             pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(pte_paddr)
+            path_and &= entry
+            path_or |= entry
             # fmt.address(entry), inlined: this loop is the attach's hottest.
             table = ((entry & addr_mask) >> addr_shift) << PAGE_SHIFT
             if fmt.classify(entry, level, vaddr):
@@ -179,6 +189,8 @@ class PageTableWalker:
                     flags=entry & ~addr_mask,
                     level=level,
                     pte_paddr=pte_paddr,
+                    path_and=path_and & ~addr_mask,
+                    path_or=path_or & ~addr_mask,
                 )
         raise AssertionError("unreachable: a level-1 entry maps or faults")
 
@@ -201,15 +213,21 @@ class PageTableWalker:
         holds the image's translations for the ksymtab read, and its
         page-table view makes every probe's walk a local decode.
         """
-        vaddr = start
-        while vaddr < end:
+        # Count in raw 48-bit addresses, whose order canonical() keeps:
+        # a skip past the last top-level entry then lands on the top of
+        # the space and ends the scan instead of folding back to 0.
+        raw = uncanonical(canonical(start))
+        while raw <= CANONICAL_MASK:
+            vaddr = canonical(raw)
+            if vaddr >= end:
+                return
             try:
                 tr = self.translate(root, vaddr)
             except PageFaultError:
-                vaddr = canonical(self._next_candidate(root, vaddr, step))
+                raw = self._next_candidate(root, vaddr, step)
                 continue
-            yield canonical(vaddr), tr
-            vaddr += step
+            yield vaddr, tr
+            raw += step
 
     def _next_candidate(self, root: int, vaddr: int, step: int) -> int:
         """Skip past the largest provably-unmapped region after a fault."""

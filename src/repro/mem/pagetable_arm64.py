@@ -15,7 +15,7 @@ from typing import FrozenSet
 
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical
-from repro.mem.pagetable import EntryFormat
+from repro.mem.pagetable import EntryFormat, Translation
 
 DESC_VALID = 0b1
 DESC_TABLE_OR_PAGE = 0b11        # table at L0-2, page at L3
@@ -59,11 +59,11 @@ class Arm64Format(EntryFormat):
             | (0 if writable else ATTR_AP_RO) | (ATTR_UXN | ATTR_PXN if nx else 0)
         )
 
-    def perms(self, flags: int) -> FrozenSet[str]:
+    def perms(self, tr: Translation) -> FrozenSet[str]:
         perms = {"r"}
-        if not flags & ATTR_AP_RO:
+        if not tr.flags & ATTR_AP_RO:
             perms.add("w")
-        if not flags & ATTR_UXN:
+        if not tr.flags & ATTR_UXN:
             perms.add("x")
         return frozenset(perms)
 

@@ -25,7 +25,7 @@ from typing import FrozenSet, Tuple
 
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical
-from repro.mem.pagetable import FOUR_LEVELS, EntryFormat
+from repro.mem.pagetable import FOUR_LEVELS, EntryFormat, Translation
 from repro.units import PAGE_SHIFT
 
 # PTE flag bits (RISC-V privileged spec, Figure 4.18)
@@ -113,13 +113,13 @@ class RiscvFormat(EntryFormat):
             | (PTE_W if writable else 0) | (0 if nx else PTE_X)
         )
 
-    def perms(self, flags: int) -> FrozenSet[str]:
+    def perms(self, tr: Translation) -> FrozenSet[str]:
         perms = set()
-        if flags & PTE_R:
+        if tr.flags & PTE_R:
             perms.add("r")
-        if flags & PTE_W:
+        if tr.flags & PTE_W:
             perms.add("w")
-        if flags & PTE_X:
+        if tr.flags & PTE_X:
             perms.add("x")
         return frozenset(perms)
 

@@ -6,11 +6,13 @@ from repro.sim.rng import derive_seed, stream
 from repro.sim.sched import (
     Completion,
     PeriodicTimer,
+    Poll,
     Scheduler,
     SchedulerError,
     Task,
     Timer,
     Waitable,
+    run_inline,
 )
 
 __all__ = [
@@ -23,9 +25,11 @@ __all__ = [
     "stream",
     "Completion",
     "PeriodicTimer",
+    "Poll",
     "Scheduler",
     "SchedulerError",
     "Task",
     "Timer",
     "Waitable",
+    "run_inline",
 ]

@@ -278,20 +278,6 @@ class CostModel:
     def p9_meta_op(self) -> None:
         self._charge("p9_rpc", self.p.p9_rpc_ns * self.p.p9_rpcs_per_meta_op)
 
-    # -- serverless control plane ---------------------------------------------------
-
-    def faas_route(self) -> None:
-        """Routing a request to an already-warm instance."""
-        self._charge("faas_route", self.p.faas_route_ns)
-
-    def faas_cold_start(self) -> None:
-        """The cold-start penalty scale-down trades for density (§6.5)."""
-        self._charge("faas_cold_start", self.p.faas_cold_start_ns)
-
-    def faas_snapshot_restore(self) -> None:
-        """Serve a cold invocation from the prebaked snapshot pool."""
-        self._charge("faas_snapshot_restore", self.p.faas_snapshot_restore_ns)
-
     # -- snapshot / restore / migrate -----------------------------------------------
 
     def vm_snapshot_capture(self) -> None:

@@ -19,7 +19,7 @@ in the span stream as a ``fault.injected`` instant.
 Injection sites (checked wherever the named mechanism runs):
 
 ========================  =====================================================
-``attach.<step>``         each step boundary of ``Vmsh._attach_once``
+``attach.<step>``         each step boundary of ``Vmsh._attach_once_gen``
                           (see ``repro.core.vmsh.ATTACH_STEPS``)
 ``ptrace.attach``         PTRACE_ATTACH (``repro.host.ptrace.attach``)
 ``ptrace.interrupt``      PTRACE_INTERRUPT

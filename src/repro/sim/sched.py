@@ -25,6 +25,8 @@ discrete-event core (gem5-style) built for *replayability*:
 
   - ``yield`` / ``yield "label"`` — reschedule cooperatively at the
     current time (other ready events may run in between);
+  - ``yield Poll("label")`` — the same, from a task polling for
+    progress made elsewhere (a used-ring completion, console output);
   - ``yield <int ns>`` — sleep that many virtual nanoseconds;
   - ``yield <Waitable>`` — park until the waitable completes; the
     waitable's result becomes the value of the ``yield`` expression,
@@ -32,7 +34,13 @@ discrete-event core (gem5-style) built for *replayability*:
 
   No wall clock, no threads, no OS scheduler: the interleaving is a
   pure function of (event times, priorities, seed), which is why two
-  runs with the same seed produce bit-identical :class:`Event` streams.
+  runs with the same seed record bit-identical span streams (one
+  ``sched.turn`` span per task turn).
+* **One body per blocking operation.**  A synchronous entry point
+  (``Vmsh.attach``, ``VmshConsole.run_command``, ``VHivePlatform.invoke``,
+  the queued blk calls, ...) is :func:`run_inline` over the same
+  generator a scheduler task runs, under the same yield rules with
+  nothing to interleave.
 """
 
 from __future__ import annotations
@@ -100,6 +108,18 @@ class Waitable:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
+
+
+class Poll(str):
+    """A labelled yield that waits for progress made elsewhere.
+
+    A task polling for what another task or a deferred wakeup will
+    produce yields its label as a ``Poll``.  The scheduler runs it
+    again next turn, exactly as after the plain label; :func:`run_inline`,
+    where nothing else runs, raises instead of spinning.
+    """
+
+    __slots__ = ()
 
 
 class Completion(Waitable):
@@ -511,3 +531,45 @@ class Scheduler:
                     self._m_turns.inc(self._turns_pending)
                     self._turns_pending = 0
         return ran
+
+
+def run_inline(gen: Generator, clock: Clock) -> Any:
+    """Run a task generator to completion outside the event loop.
+
+    The scheduler's yield rules, with nothing to interleave: a bare or
+    labelled yield resumes at once, an int sleeps by advancing
+    ``clock``, and a :class:`Waitable` must already be done (its result
+    is sent in, its error thrown in).  A wait that cannot be met
+    inline (a pending waitable, a :class:`Poll`) and the yields the
+    scheduler rejects (a negative int, a bool, anything else) throw a
+    :class:`SchedulerError` into the generator at the yield, so its
+    handlers (an attach's rollback) run before the error propagates.
+    Returns the generator's return value.
+    """
+    value = error = None
+    while True:
+        try:
+            yielded = gen.send(value) if error is None else gen.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        value = error = None
+        kind = type(yielded)
+        if yielded is None or kind is str:
+            continue
+        if kind is int and yielded >= 0:
+            clock.advance(yielded)
+            continue
+        if isinstance(yielded, Waitable):
+            if yielded._done:
+                value, error = yielded._result, yielded._error
+                continue
+            problem = "waits on a pending waitable"
+        elif isinstance(yielded, Poll):
+            problem = f"polls {str(yielded)!r}, which only other tasks satisfy"
+        elif kind is int:
+            problem = "yielded a negative sleep"
+        elif kind is bool:
+            problem = "yielded a bool"
+        else:
+            problem = f"yielded unsupported {yielded!r}"
+        error = SchedulerError(f"inline run {problem}")

@@ -43,6 +43,25 @@ from repro.units import SEC
 from repro.usecases.serverless import LambdaInstance, VHivePlatform
 
 
+#: nearest-rank percentile keys and the quantiles they name
+_QUANTILES = {"p50": 0.50, "p90": 0.90, "p95": 0.95, "p99": 0.99, "p999": 0.999}
+
+
+def nearest_rank(samples: List[int], keys=tuple(_QUANTILES)) -> Dict[str, int]:
+    """Deterministic nearest-rank percentiles of ``samples``, one per
+    key of ``keys`` (``"p50"`` ... ``"p999"``), plus their ``max``."""
+    if not samples:
+        raise VmshError("no latencies recorded")
+    ordered = sorted(samples)
+    n = len(ordered)
+    ranks = {
+        key: ordered[min(n - 1, max(0, int(_QUANTILES[key] * n) - 1))]
+        for key in keys
+    }
+    ranks["max"] = ordered[-1]
+    return ranks
+
+
 class FleetShard:
     """One shard: a platform on its own host plus admission state."""
 
@@ -214,20 +233,5 @@ class FleetControlPlane:
         return sum(s.m_throttled.value for s in self.shards)
 
     def latency_percentiles(self) -> Dict[str, int]:
-        """Deterministic nearest-rank percentiles over recorded latencies."""
-        if not self.latencies_ns:
-            raise VmshError("no latencies recorded")
-        ordered = sorted(self.latencies_ns)
-        n = len(ordered)
-
-        def rank(p: float) -> int:
-            return ordered[min(n - 1, max(0, int(p * n) - 1))]
-
-        return {
-            "p50": rank(0.50),
-            "p90": rank(0.90),
-            "p95": rank(0.95),
-            "p99": rank(0.99),
-            "p999": rank(0.999),
-            "max": ordered[-1],
-        }
+        """Nearest-rank percentiles over the recorded latencies."""
+        return nearest_rank(self.latencies_ns)

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.core.vmsh import Vmsh, VmshSession
 from repro.errors import VmshError
 from repro.hypervisors.base import Hypervisor
+from repro.sim.sched import run_inline
 
 
 @dataclass(frozen=True)
@@ -73,20 +74,7 @@ class GuestMonitor:
 
     def sample(self) -> GuestSample:
         """Collect one fine-grained sample via vm-exec."""
-        session = self.session
-        uname = session.exec("uname").output
-        sample = GuestSample(
-            time_ns=self.vmsh.host.clock.now,
-            kernel=uname,
-        )
-        ps = session.exec("ps")
-        if ps.ok:
-            sample.processes = _parse_ps(ps.output)
-        for mountpoint in ("/", "/var/lib/vmsh"):
-            df = session.exec(["df", mountpoint])
-            if df.ok:
-                sample.filesystems[mountpoint] = df.output
-        return sample
+        return run_inline(self.sample_task(), self.vmsh.host.clock)
 
     def sample_task(self):
         """Cooperative :meth:`sample` for scheduler tasks (a generator)."""
@@ -106,23 +94,21 @@ class GuestMonitor:
         return sample
 
     def watch(self, samples: int, interval_ns: int) -> List[GuestSample]:
-        """Take several samples, advancing virtual time between them."""
-        collected = []
-        for index in range(samples):
-            collected.append(self.sample())
-            if index + 1 < samples:
-                self.vmsh.host.clock.advance(interval_ns)
-        return collected
+        """Take several samples, ``interval_ns`` of virtual time apart:
+        :meth:`watch_task` run inline."""
+        return run_inline(
+            self.watch_task(samples, interval_ns), self.vmsh.host.clock
+        )
 
     def watch_task(self, samples: int, interval_ns: int):
         """Cooperative :meth:`watch` for scheduler tasks.
 
         ``yield interval_ns`` parks the monitor between samples, so the
         guests' device service loops (and other monitors) interleave
-        with the watch instead of the monitor owning the clock the way
-        the synchronous :meth:`watch` does.  Spawn with
-        ``sched.spawn(monitor.watch_task(...))``; the task's result is
-        the collected sample list.
+        with the watch; run inline, the sleep advances the clock.
+        Spawn with ``sched.spawn(monitor.watch_task(...))``; the task's
+        result is the collected sample list.  Each sample is one
+        ``monitor.sample`` span.
         """
         spans = self.vmsh.host.obs.spans
         collected = []

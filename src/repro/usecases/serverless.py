@@ -27,7 +27,7 @@ from repro.errors import VmshError
 from repro.guestos.process import Credentials, GuestProcess
 from repro.hypervisors.flavors import Firecracker
 from repro.image.builder import build_serverless_debug_image
-from repro.sim.sched import Completion, PeriodicTimer, Scheduler
+from repro.sim.sched import Completion, PeriodicTimer, Scheduler, run_inline
 from repro.testbed import Testbed
 from repro.units import MSEC, SEC
 
@@ -132,38 +132,28 @@ class VHivePlatform:
     def invoke(self, name: str, payload: dict) -> Optional[dict]:
         """Invoke a function; errors are logged, not raised (FaaS-style).
 
-        The synchronous twin of :meth:`invoke_task`: with no other task
-        running, the delays are charged inline as clock advances.
+        :meth:`invoke_task` run inline: with no other task running, the
+        delays advance the clock.  An instance another task is still
+        bringing up cannot be waited for inline, so that raises
+        :class:`~repro.sim.sched.SchedulerError`.
         """
-        if name not in self._functions:
-            raise VmshError(f"function {name!r} is not deployed")
-        instance = self._warm.get(name)
-        kind = "warm"
-        if instance is None:
-            instance, kind = self._start_instance(name)
-        instance.last_used_ns = self.testbed.clock.now
-        # A request that lands on a scaled-down function pays the full
-        # microVM boot + handler init, not just routing — the latency
-        # cliff scale-down trades for density (§6.5).  With the
-        # snapshot pool, later cold hits pay the restore instead.
-        if kind == "cold":
-            self.testbed.costs.faas_cold_start()
-        elif kind == "restore":
-            self.testbed.costs.faas_snapshot_restore()
-        self.testbed.costs.faas_route()
-        return self._execute(instance, name, payload)
+        return run_inline(self.invoke_task(name, payload), self._clock)
 
     def invoke_task(self, name: str, payload: dict,
                     leg: Optional[Callable[[LambdaInstance], Generator]] = None):
         """Cooperative :meth:`invoke` for scheduler tasks (a generator).
 
-        This is the one cooperative request loop: the fleet control
-        plane admits a request and then runs it here.  Cold-start,
-        restore and routing delays become timed yields, so a storm of
-        concurrent invocations across N microVMs interleaves — and the
-        autoscaler timer can fire in between.  A request that finds
-        its function's instance still booting or restoring parks on
-        the instance's ``ready`` completion until the request that
+        This is the one request loop: the fleet control plane admits a
+        request and then runs it here, and :meth:`invoke` runs it
+        inline.  A request that lands on a scaled-down function pays
+        the full microVM boot + handler init, not just routing — the
+        latency cliff scale-down trades for density (§6.5); with the
+        snapshot pool, later cold hits pay the restore instead.
+        Cold-start, restore and routing delays are timed yields, so a
+        storm of concurrent invocations across N microVMs interleaves —
+        and the autoscaler timer can fire in between.  A request that
+        finds its function's instance still booting or restoring parks
+        on the instance's ``ready`` completion until the request that
         started it has paid the delay, then pays its own route.  The
         instance resolved before a yield may be scaled down by the
         time the yield returns: the instance is re-validated after
@@ -250,9 +240,7 @@ class VHivePlatform:
         snapshot pool, or a cold boot.
 
         Returns ``(instance, kind)`` with ``kind`` ``"cold"`` or
-        ``"restore"`` — callers charge the matching delay, because how
-        it is paid differs between the synchronous and the cooperative
-        invoke paths.
+        ``"restore"``; :meth:`invoke_task` pays the matching delay.
         """
         snap = self._pool.get(name) if self.snapshot_pool else None
         if snap is not None:
@@ -396,27 +384,9 @@ class ServerlessDebugger:
         return None
 
     def debug_shell(self) -> DebugSession:
-        """Attach an interactive shell to the faulty lambda's VM."""
-        error = self.find_faulty_instance()
-        if error is None:
-            raise VmshError("no lambda errors in the platform logs")
-        instance = self.platform.instance(error.instance_id)
-        if instance.terminated:
-            raise VmshError(
-                f"instance {instance.instance_id} already scaled down — too late"
-            )
-        # Pin first so a concurrent scale-down can't kill the VM under us.
-        instance.pinned = True
-        try:
-            session = self.vmsh.attach(
-                instance.hypervisor.pid,
-                image=build_serverless_debug_image(),
-                command="/bin/sh",
-            )
-        except Exception:
-            instance.pinned = False
-            raise
-        return DebugSession(instance=instance, session=session, error_log=error)
+        """Attach an interactive shell to the faulty lambda's VM:
+        :meth:`debug_shell_task` run inline."""
+        return run_inline(self.debug_shell_task(), self.platform.testbed.clock)
 
     def debug_shell_task(self, **attach_kwargs):
         """Cooperative :meth:`debug_shell` for scheduler tasks.
@@ -424,8 +394,8 @@ class ServerlessDebugger:
         The attach pipeline's step boundaries become yield points, so
         the autoscaler timer and the rest of the fleet keep running
         while the shell is brought up — the §6.5 race, made explicit.
-        The instance is pinned *before* the first yield: a scale-down
-        tick firing mid-attach skips it.
+        The instance is pinned *before* the first yield, so a
+        concurrent scale-down tick firing mid-attach skips it.
         """
         error = self.find_faulty_instance()
         if error is None:

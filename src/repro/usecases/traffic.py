@@ -36,7 +36,7 @@ from repro.sim.faults import PERMANENT, FaultPlan, FaultSpec
 from repro.sim.sched import Completion
 from repro.testbed import Testbed
 from repro.units import MSEC, SEC
-from repro.usecases.fleet import FleetControlPlane
+from repro.usecases.fleet import FleetControlPlane, nearest_rank
 from repro.usecases.serverless import ServerlessDebugger
 from repro.virtio.net import frame_payload, frame_src, make_frame
 
@@ -86,9 +86,6 @@ class TrafficPlane:
         #: request tasks spawned by the open-loop pacer
         self.tasks: List[Any] = []
         self.latencies_ns: List[int] = []
-        self.requests = 0
-        self.completed = 0
-        self.timeouts = 0
         self.junk_frames = 0
         self.stale_responses = 0
         self.flood_frames = 0
@@ -184,24 +181,22 @@ class TrafficPlane:
 
         Latency is recorded from arrival to response frame — admission
         wait, cold start, routing, fabric RTT and guest execution all
-        included.  A timed-out request counts in ``timeouts`` and
-        returns ``None`` without polluting the latency distribution.
+        included.  A timed-out request counts in the plane's
+        ``timeouts`` counter and returns ``None`` without polluting the
+        latency distribution.
         """
         clock = self.testbed.clock
         t0 = clock.now
-        self.requests += 1
         self._m_requests.inc()
         result = yield from self.fleet.invoke_over_task(
             name, self._net_execute(name, payload)
         )
         if result is _TIMEOUT:
-            self.timeouts += 1
             self._m_timeouts.inc()
             return None
         latency = clock.now - t0
         self.latencies_ns.append(latency)
         self._m_latency.observe(latency)
-        self.completed += 1
         self._m_completed.inc()
         return result
 
@@ -315,29 +310,15 @@ class TrafficPlane:
 
     def percentiles(self) -> Dict[str, int]:
         """Nearest-rank percentiles of end-to-end request latency."""
-        if not self.latencies_ns:
-            raise ReproError("no request latencies recorded")
-        ordered = sorted(self.latencies_ns)
-        n = len(ordered)
-
-        def rank(p: float) -> int:
-            return ordered[min(n - 1, max(0, int(p * n) - 1))]
-
-        return {
-            "p50": rank(0.50),
-            "p90": rank(0.90),
-            "p99": rank(0.99),
-            "p999": rank(0.999),
-            "max": ordered[-1],
-        }
+        return nearest_rank(self.latencies_ns, ("p50", "p90", "p99", "p999"))
 
     def summary(self) -> Dict[str, Any]:
         fabric = self.testbed.obs.metrics.scope("netfab", fabric="netfab")
         return {
-            "requests": self.requests,
+            "requests": self._m_requests.value,
             "servers": self.servers_installed,
-            "completed": self.completed,
-            "timeouts": self.timeouts,
+            "completed": self._m_completed.value,
+            "timeouts": self._m_timeouts.value,
             "junk_frames": self.junk_frames,
             "flood_frames": self.flood_frames,
             "latency_ns": self.percentiles() if self.latencies_ns else None,

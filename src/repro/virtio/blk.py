@@ -23,6 +23,7 @@ from repro.guestos.blockcore import BlockDevice
 from repro.host.kernel import HostKernel
 from repro.host.process import Thread
 from repro.sim.costs import CostModel
+from repro.sim.sched import run_inline
 from repro.units import SECTOR_SIZE
 from repro.virtio import constants as C
 from repro.virtio.core import QueuedWindowDriver, VirtioDeviceCore
@@ -443,37 +444,29 @@ class GuestVirtioBlkDisk(BlockDevice):
 
     def read_sectors_queued(self, requests) -> List[bytes]:
         """Read ``[(sector, count), ...]`` with up to ``iodepth`` in flight."""
-        ops = []
-        for sector, count in requests:
-            self._check(sector, count)
-            ops.append((C.VIRTIO_BLK_T_IN, sector, count * SECTOR_SIZE, None))
-        return self._run_queued(ops)
+        return run_inline(
+            self.read_sectors_queued_task(requests), self.kernel.costs.clock
+        )
 
     def write_sectors_queued(self, requests) -> None:
         """Write ``[(sector, data), ...]`` with up to ``iodepth`` in flight."""
-        ops = []
-        for sector, data in requests:
-            if len(data) % SECTOR_SIZE:
-                raise VirtioError("write must be sector aligned")
-            self._check(sector, len(data) // SECTOR_SIZE)
-            ops.append((C.VIRTIO_BLK_T_OUT, sector, len(data), data))
-        self._run_queued(ops)
+        run_inline(
+            self.write_sectors_queued_task(requests), self.kernel.costs.clock
+        )
 
     def read_sectors_queued_task(self, requests):
         """Cooperative :meth:`read_sectors_queued` for scheduler tasks.
 
-        Completions are still harvested by polling the used ring, but
-        between polls the task yields — so when the device host is
-        serviced by a scheduler task (possibly in another VM's
-        session), submission and completion interleave with the rest
-        of the fleet instead of spinning the whole harvest inline.
+        Completions are harvested by polling the used ring, and between
+        polls the task yields — so when the device host is serviced by
+        a scheduler task (possibly in another VM's session), submission
+        and completion interleave with the rest of the fleet.
         """
         ops = []
         for sector, count in requests:
             self._check(sector, count)
             ops.append((C.VIRTIO_BLK_T_IN, sector, count * SECTOR_SIZE, None))
-        results = yield from self._run_queued_task(ops)
-        return results
+        return (yield from self._run_queued_task(ops))
 
     def write_sectors_queued_task(self, requests):
         """Cooperative :meth:`write_sectors_queued` for scheduler tasks."""
@@ -485,13 +478,14 @@ class GuestVirtioBlkDisk(BlockDevice):
             ops.append((C.VIRTIO_BLK_T_OUT, sector, len(data), data))
         yield from self._run_queued_task(ops)
 
-    def _window_closures(self, ops):
-        """Bind one queued run's ops to DMA slots and a results list.
+    def _run_queued_task(self, ops):
+        """Run one queued batch; the result lists the data each op read.
 
         The shared :class:`QueuedWindowDriver` drives doorbells and
-        harvesting; these closures contribute the virtio-blk request
-        encoding (header + per-page data descriptors + status byte)
-        and the status/data read-back.
+        harvesting; the closures here contribute the virtio-blk request
+        encoding (header + per-page data descriptors + status byte),
+        over one DMA slot per in-flight op, and the status/data
+        read-back.
         """
         depth = self.iodepth
         slot_bytes = (self._data_pool_bytes // depth) & ~4095
@@ -526,15 +520,6 @@ class GuestVirtioBlkDisk(BlockDevice):
             if writable:
                 results[index] = memory.read(data_gpa, nbytes)
 
-        return depth, prepare, consume, results
-
-    def _run_queued(self, ops) -> List[bytes]:
-        depth, prepare, consume, results = self._window_closures(ops)
-        self._engine.run_queued(ops, depth, prepare, consume)
-        return results
-
-    def _run_queued_task(self, ops):
-        depth, prepare, consume, results = self._window_closures(ops)
         yield from self._engine.run_queued_task(ops, depth, prepare, consume)
         return results
 

@@ -23,8 +23,8 @@ This module is the single home for all of it:
   ``GuestVirtioBlkDisk``'s queued API and ``GuestVirtioNic``'s TX
   path: post a window of chains, defer per-chain doorbells into one
   kick when EVENT_IDX is negotiated (raising ``used_event`` so the
-  completion interrupt coalesces too), then harvest, cooperatively or
-  inline.
+  completion interrupt coalesces too), then harvest: one generator a
+  scheduler task runs or a synchronous call runs inline.
 * :class:`VirtioServiceHost` — the service-task kick FIFO extracted
   from ``VmshDeviceHost``: QUEUE_NOTIFY kicks land in a deduplicated
   FIFO and a scheduler task services one queue per turn, so several
@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import VirtioError, VmshError
 from repro.sim.costs import CostModel
-from repro.sim.sched import Completion, Scheduler, Task
+from repro.sim.sched import Completion, Poll, Scheduler, Task
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import VirtioMmioDevice
 
@@ -254,28 +254,14 @@ class QueuedWindowDriver:
             self._m_windows.inc()
         return span
 
-    def run_queued(self, ops, depth: int, prepare, consume) -> None:
-        """Submit windows of ``depth`` ops, kick, harvest each whole."""
-        for start in range(0, len(ops), depth):
-            window = ops[start : start + depth]
-            span = self._begin_window_span(start, len(window))
-            inflight = self.post_window(start, window, prepare)
-            self.harvest(self.ring.collect_used(), inflight, consume)
-            if span is not None:
-                self._obs.spans.end(span, waits=0)
-            if inflight:
-                raise VirtioError(
-                    f"{self.name}: {len(inflight)} queued request(s) "
-                    "did not complete"
-                )
-
     def run_queued_task(self, ops, depth: int, prepare, consume):
-        """Cooperative :meth:`run_queued` for scheduler tasks.
+        """Submit windows of ``depth`` ops, kick, harvest each whole.
 
-        Completions are still harvested by polling the used ring, but
-        between polls the task yields — so when the device is serviced
-        by a scheduler task, submission and completion interleave with
-        the rest of the fleet instead of spinning the harvest inline.
+        Completions are harvested by polling the used ring, and between
+        polls the task yields — so when the device is serviced by a
+        scheduler task, submission and completion interleave with the
+        rest of the fleet.  Run inline, a device that serviced the kick
+        at once leaves nothing to poll.
         """
         for start in range(0, len(ops), depth):
             window = ops[start : start + depth]
@@ -290,7 +276,7 @@ class QueuedWindowDriver:
                     # The device host's service task has not reached
                     # this queue yet; let other events run.
                     waits += 1
-                    yield f"{self.name}:harvest"
+                    yield Poll(f"{self.name}:harvest")
             if span is not None:
                 self._obs.spans.end(span, waits=waits)
 

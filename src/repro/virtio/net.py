@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel
+from repro.sim.sched import run_inline
 from repro.virtio import constants as C
 from repro.virtio.core import QueuedWindowDriver, VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
@@ -438,6 +439,9 @@ class GuestVirtioNic:
     def send_burst(self, frames: List[bytes], pair: int = 0) -> None:
         """Windowed transmit: one doorbell per window under EVENT_IDX."""
         prepare, consume = self._tx_closures(pair)
-        self._engines[pair].run_queued(
-            frames, self.MAX_TX_WINDOW, prepare, consume
+        run_inline(
+            self._engines[pair].run_queued_task(
+                frames, self.MAX_TX_WINDOW, prepare, consume
+            ),
+            self.kernel.costs.clock,
         )

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel
+from repro.sim.sched import Poll
 from repro.virtio.core import VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import GuestVirtioTransport
@@ -157,27 +158,19 @@ class VmExecDevice(VirtioDeviceCore):
         ring.push_used(head, len(request))
         self.raise_interrupt()
 
-    def submit(self, argv: List[str]) -> ExecResult:
-        """Run ``argv`` in the guest overlay; synchronous.
-
-        Only valid outside a running scheduler loop, where the guest's
-        interrupt is taken (and the response produced) inline.
-        """
-        self._post_request(argv)
-        if not self._responses:
-            raise VirtioError(f"{self.name}: guest produced no response")
-        return self._responses.pop(0)
-
     def submit_task(self, argv: List[str]):
-        """Cooperative :meth:`submit` for scheduler tasks.
+        """Run ``argv`` in the guest overlay (a generator; its result is
+        the :class:`ExecResult`).
 
-        Under a running scheduler the guest's interrupt is a deferred
-        wakeup, so the response only exists after the loop dispatches
-        it; yielding hands the loop exactly that chance.
+        Outside a running scheduler loop the guest's interrupt is taken,
+        and the response produced, inline.  Under a running scheduler
+        the interrupt is a deferred wakeup, so the response only exists
+        after the loop dispatches it; polling hands the loop exactly
+        that chance.  ``VmshSession.exec`` runs this inline.
         """
         self._post_request(argv)
         while not self._responses:
-            yield f"{self.name}:response"
+            yield Poll(f"{self.name}:response")
         return self._responses.pop(0)
 
 

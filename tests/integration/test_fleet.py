@@ -10,6 +10,7 @@ progress side by side instead of one monopolising the simulation.
 import pytest
 
 from repro.errors import VmshError
+from repro.sim.sched import SchedulerError
 from repro.testbed import Testbed
 from repro.units import MiB, SECTOR_SIZE
 
@@ -112,6 +113,18 @@ def test_console_command_as_task_under_deferred_service():
     )
     (result,) = tb.scheduler.run(task)
     assert "Linux" in result.output
+    session.detach()
+
+
+def test_plain_command_under_deferred_service_raises():
+    """With the device host on the scheduler and no loop running, the
+    output can never arrive: a plain run_command must say so, not
+    return an empty output."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = _attach_with_service(tb, hv)
+    with pytest.raises(SchedulerError, match="console-wait"):
+        session.console.run_command("echo hi")
     session.detach()
 
 

@@ -1,15 +1,16 @@
-"""x86-64 page tables: mapping, translation, scanning."""
+"""Page tables: mapping, translation, permissions, scanning (x86-64
+unless a test names its ISAs)."""
 
 import itertools
 
 import pytest
 
-from repro.arch import X86_64
+from repro.arch import ARM64, RISCV64, RISCV64_SV48, X86_64
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical, kaslr_slot_to_vaddr
-from repro.mem.pagetable import PTE_NX, PTE_PRESENT, PTE_WRITABLE
+from repro.mem.pagetable import PTE_ADDR_MASK, PTE_NX, PTE_PRESENT, PTE_WRITABLE
 from repro.mem.physmem import PhysicalMemory
-from repro.units import MiB, PAGE_SIZE
+from repro.units import GiB, MiB, PAGE_SIZE
 
 #: (writable, nx) -> leaf word mapping frame 0x300000: P|A|G, plus R/W
 #: when writable, plus NX.
@@ -108,6 +109,52 @@ def test_iter_present_range_finds_islands(env):
         )
     ]
     assert found == [base_a, base_a + PAGE_SIZE, base_b]
+
+
+@pytest.mark.parametrize(
+    "arch", [X86_64, ARM64, RISCV64, RISCV64_SV48], ids=lambda a: a.name
+)
+def test_scan_to_the_top_of_the_space_ends(arch):
+    """A skip past the last top-level entry ends the scan at the top of
+    the address space; folding 2**48 back to address 0 would rescan
+    from the bottom (forever on a 4-level walk) and yield 0x1000."""
+    mem = PhysicalMemory(16 * MiB)
+    alloc = itertools.count(1 * MiB, PAGE_SIZE)
+    builder = arch.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    root = arch.encode_pt_root(builder.new_root())
+    builder.map_page(root, 0x1000, 0x200000)
+    scan = arch.walker(mem.read_u64).iter_present_range(
+        root, 2**64 - GiB, 2**64 - PAGE_SIZE
+    )
+    assert list(itertools.islice(scan, 3)) == []
+
+
+def _pde_addr(mem, cr3: int, vaddr: int) -> int:
+    """Physical address of the page-directory entry on ``vaddr``'s walk."""
+    raw = vaddr & ((1 << 48) - 1)
+    table = cr3
+    for shift in (39, 30):
+        table = mem.read_u64(table + ((raw >> shift) & 511) * 8) & PTE_ADDR_MASK
+    return table + ((raw >> 21) & 511) * 8
+
+
+@pytest.mark.parametrize("pde_change, perms", [
+    (lambda pde: pde & ~PTE_WRITABLE, {"r", "x"}),   # read-only PDE
+    (lambda pde: pde | PTE_NX, {"r", "w"}),          # NX PDE
+], ids=["read-only-pde", "nx-pde"])
+def test_perms_combine_every_level(env, pde_change, perms):
+    """W is the AND over all levels and NX the OR, as the MMU applies
+    them: a writable, executable leaf under a read-only or an NX page
+    directory entry is not writable or not executable."""
+    mem, builder, walker, cr3 = env
+    vaddr = 0xFFFFFFFF80000000
+    builder.map_page(cr3, vaddr, 0x200000)
+    assert X86_64.translation_perms(walker.translate(cr3, vaddr)) == {"r", "w", "x"}
+    pde = _pde_addr(mem, cr3, vaddr)
+    mem.write_u64(pde, pde_change(mem.read_u64(pde)))
+    tr = walker.translate(cr3, vaddr)
+    assert tr.flags & PTE_WRITABLE and not tr.flags & PTE_NX  # the leaf's own
+    assert X86_64.translation_perms(tr) == perms
 
 
 def test_translation_shares_intermediate_tables(env):

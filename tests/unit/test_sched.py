@@ -6,10 +6,12 @@ from repro.sim import rng as simrng
 from repro.sim.clock import Clock
 from repro.sim.sched import (
     Completion,
+    Poll,
     Scheduler,
     SchedulerError,
     Task,
     Waitable,
+    run_inline,
 )
 
 
@@ -394,6 +396,105 @@ def test_run_returns_results_in_order():
     slow = sched.spawn(gen(500, "slow"))
     fast = sched.spawn(gen(10, "fast"))
     assert sched.run(slow, fast) == ["slow", "fast"]
+
+
+# -- the inline driver --------------------------------------------------------------
+
+
+def test_inline_int_yield_advances_the_clock_by_exactly_that_much():
+    clock = Clock()
+
+    def gen():
+        yield 250
+        first = clock.now
+        yield 0
+        yield 1_000
+        return first
+
+    assert run_inline(gen(), clock) == 250
+    assert clock.now == 1_250
+
+
+def test_inline_bare_and_labelled_yields_resume_at_once():
+    clock = Clock()
+    seen = []
+
+    def gen():
+        seen.append((yield))
+        seen.append((yield "step"))
+        return "done"
+
+    assert run_inline(gen(), clock) == "done"
+    assert seen == [None, None]
+    assert clock.now == 0
+
+
+def test_inline_done_completion_sends_its_result_in():
+    ok = Completion()
+    ok.set("payload")
+
+    def gen():
+        return (yield ok)
+
+    assert run_inline(gen(), Clock()) == "payload"
+
+
+def test_inline_failed_completion_throws_its_error_in():
+    failed = Completion()
+    failed.fail(KeyError("lost"))
+    caught = []
+
+    def gen():
+        try:
+            yield failed
+        except KeyError as exc:
+            caught.append(exc)
+        return "recovered"
+
+    assert run_inline(gen(), Clock()) == "recovered"
+    assert caught and caught[0] is failed.error
+
+
+@pytest.mark.parametrize("yielded, match", [
+    (Completion(), "pending waitable"),
+    (Poll("console-wait"), "polls 'console-wait'"),
+    (-5, "negative"),
+    (True, "bool"),
+    (object(), "unsupported"),
+], ids=["pending-waitable", "poll", "negative-int", "bool", "garbage"])
+def test_inline_refuses_a_wait_it_cannot_meet(yielded, match):
+    cleaned = []
+
+    def gen():
+        try:
+            yield yielded
+        finally:
+            cleaned.append(True)   # the error is thrown in at the yield
+
+    with pytest.raises(SchedulerError, match=match):
+        run_inline(gen(), Clock())
+    assert cleaned == [True]
+
+
+def test_poll_parks_like_its_label_under_the_scheduler():
+    """A task yields a Poll where it polls; the scheduler runs it again
+    next turn exactly as after the plain label, same interleaving."""
+    def interleaving(labels):
+        sched = make_sched()
+        order = []
+
+        def gen():
+            for label in labels:
+                order.append("task")
+                yield label
+
+        task = sched.spawn(gen(), label="poller")
+        for name in "xyz":
+            sched.at(0, lambda name=name: order.append(name))
+        sched.run(task)
+        return order, sched.events_run
+
+    assert interleaving([Poll("a"), Poll("b")]) == interleaving(["a", "b"])
 
 
 # -- full-stream determinism ------------------------------------------------------
