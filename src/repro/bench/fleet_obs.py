@@ -44,12 +44,13 @@ def _blk_io(disk, fill: int, sectors: int = IO_SECTORS):
 
 def _at_boundary(gen, boundary: str, interfere: Callable[[], None]):
     """``gen`` (an ``attach_task``), with ``interfere`` fired once at
-    the named step boundary; every yield passes through unchanged."""
+    the named step boundary; yields, sends and throws pass through
+    unchanged, so ``gen``'s handlers (its rollback) see every error."""
     fired = False
-    value = None
+    resume, arg = gen.send, None
     while True:
         try:
-            yielded = gen.send(value)
+            yielded = resume(arg)
         except StopIteration as stop:
             if not fired:
                 raise RuntimeError(f"attach never reached boundary {boundary!r}")
@@ -57,7 +58,13 @@ def _at_boundary(gen, boundary: str, interfere: Callable[[], None]):
         if yielded == boundary and not fired:
             fired = True
             interfere()
-        value = yield yielded
+        try:
+            resume, arg = gen.send, (yield yielded)
+        except GeneratorExit:
+            gen.close()
+            raise
+        except BaseException as exc:
+            resume, arg = gen.throw, exc
 
 
 def run_observed_fleet(

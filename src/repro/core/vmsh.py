@@ -386,26 +386,26 @@ class Vmsh:
             raise VmshError(f"unknown copy path {copy_path!r}")
         if retries < 0:
             raise VmshError("retries must be >= 0")
-        head = (hypervisor_pid, mmio_mode, command, container_pid, image,
-                copy_path)
-        tail = (exec_device, seccomp_aware, event_idx)
         start_ns = self.host.clock.now
         attempt = 0
         while True:
             try:
-                if transport != "auto":
-                    return (yield from self._attach_once_gen(
-                        *head, transport, *tail
-                    ))
                 try:
                     return (yield from self._attach_once_gen(
-                        *head, "mmio", *tail
+                        hypervisor_pid, mmio_mode, command, container_pid,
+                        image, copy_path,
+                        "mmio" if transport == "auto" else transport,
+                        exec_device, seccomp_aware, event_idx,
                     ))
                 except HypervisorNotSupportedError:
+                    if transport != "auto":
+                        raise
                     # MSI-X-only irqchip: the failed mmio attempt has
                     # been rolled back, retry over PCI (§6.2 future work).
                     return (yield from self._attach_once_gen(
-                        *head, "pci", *tail
+                        hypervisor_pid, mmio_mode, command, container_pid,
+                        image, copy_path, "pci", exec_device,
+                        seccomp_aware, event_idx,
                     ))
             except TransientFaultError as err:
                 # Deterministic exponential backoff, or re-raise.

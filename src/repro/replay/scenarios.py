@@ -34,6 +34,7 @@ from repro.replay.invariants import (
 )
 from repro.sim import rng as simrng
 from repro.sim.faults import FaultPlan, FaultSpec
+from repro.sim.sched import SchedulerError
 from repro.testbed import Testbed
 from repro.virtio.constants import VRING_DESC_F_NEXT
 from repro.virtio.vring import AVAIL_HEADER, DESC_SIZE
@@ -216,6 +217,8 @@ def run_attach_case(
             ).output
             if out != "guest":
                 violations.append("guest-wedged:console-output")
+        except SchedulerError:  # the console never answered
+            violations.append("guest-wedged:console-output")
         except Exception as err:  # noqa: BLE001 - liveness probe
             violations.append(f"guest-wedged:{type(err).__name__}")
         try:
@@ -385,6 +388,8 @@ def _virtio_net_abuse(hv: Any, kind: str) -> List[str]:
         device.deliver(make_frame(device.mac, b"\x02" * 6, b"rx-probe"))
         if not received or received[-1][12:] != b"rx-probe":
             violations.append("guest-wedged:net-rx")
+    except SchedulerError:  # the probe frame never left the TX ring
+        violations.append("guest-wedged:net-tx")
     except Exception as err:  # noqa: BLE001 - liveness probe
         violations.append(f"guest-wedged:{type(err).__name__}")
     return violations

@@ -18,8 +18,8 @@ discrete-event core (gem5-style) built for *replayability*:
   time source.**  The scheduler never moves time backwards: an event's
   callback may itself charge costs (advancing the clock inline), and a
   later-queued event that is now "in the past" simply runs at the
-  current time.  All pre-scheduler ``clock.advance()`` call sites keep
-  working unchanged.
+  current time.  Outside :class:`~repro.sim.costs.CostModel`, only the
+  loop, :func:`run_inline`'s timed yields and the CLI move the clock.
 * **Cooperative tasks, no threads.**  A :class:`Task` wraps a plain
   generator.  Yield protocol:
 

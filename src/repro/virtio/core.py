@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import VirtioError, VmshError
 from repro.sim.costs import CostModel
-from repro.sim.sched import Completion, Poll, Scheduler, Task
+from repro.sim.sched import Completion, Poll, Scheduler, SchedulerError, Task
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import VirtioMmioDevice
 
@@ -276,7 +276,13 @@ class QueuedWindowDriver:
                     # The device host's service task has not reached
                     # this queue yet; let other events run.
                     waits += 1
-                    yield Poll(f"{self.name}:harvest")
+                    try:
+                        yield Poll(f"{self.name}:harvest")
+                    except SchedulerError:
+                        # Run inline: nothing else can finish the window.
+                        if span is not None:
+                            self._obs.spans.end(span, waits=waits)
+                        raise
             if span is not None:
                 self._obs.spans.end(span, waits=waits)
 

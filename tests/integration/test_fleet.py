@@ -128,6 +128,18 @@ def test_plain_command_under_deferred_service_raises():
     session.detach()
 
 
+def test_plain_queued_io_under_deferred_service_raises_and_ends_its_span():
+    """The same for a queued blk window: it raises, and its window span
+    is ended rather than left open on the disk's track."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = _attach_with_service(tb, hv)
+    with pytest.raises(SchedulerError, match="harvest"):
+        hv.guest.vmsh_block.write_sectors_queued([(2048, b"\x5a" * 512)])
+    assert tb.obs.spans.open_spans() == []
+    session.detach()
+
+
 def test_detach_restores_inline_servicing():
     tb = Testbed()
     hv = tb.launch_qemu()

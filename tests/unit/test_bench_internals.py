@@ -133,3 +133,27 @@ def test_phoronix_suite_rows_cover_figure5():
         "Sqlite: 128 Threads",
     ):
         assert expected in names
+
+
+def test_boundary_hook_forwards_errors_to_the_wrapped_attach():
+    """An error the inline driver throws at a yield reaches the wrapped
+    generator, so its rollback handler runs before the error escapes."""
+    from repro.bench.fleet_obs import _at_boundary
+    from repro.sim.clock import Clock
+    from repro.sim.sched import Completion, SchedulerError, run_inline
+
+    fired, rolled_back = [], []
+
+    def attach():
+        try:
+            yield "load_library"
+            yield Completion()          # a wait nothing inline can meet
+        except SchedulerError:
+            rolled_back.append(True)
+            raise
+
+    with pytest.raises(SchedulerError, match="pending waitable"):
+        run_inline(_at_boundary(attach(), "load_library",
+                                lambda: fired.append(True)), Clock())
+    assert fired == [True]
+    assert rolled_back == [True]
