@@ -25,6 +25,10 @@ them against the committed baseline
   per-event work leaking into the dispatch loop or clones falling back
   to deep copies.
 
+The gate also runs the dispatch storm on a bare ``Scheduler()`` with no
+observability hub and prints both storms' ns/event and their ratio:
+what recording every turn costs.  The ratio is printed, not gated.
+
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
 
@@ -85,7 +89,13 @@ def measure() -> dict:
     # refactor that leaks per-event work into the dispatch loop shows
     # up here even when the diluted plane point absorbs it.
     storm = sched_storm_point()
+    bare = sched_storm_point(bare=True)
     clone = clone_point(GATE_FLEET, CLONES)
+    # Printed, not gated: one pair of wall-clock runs is too noisy to
+    # hold a ratio to.
+    print(f"dispatch storm: {storm['ns_per_event']:.0f} ns/event with every "
+          f"turn recorded, {bare['ns_per_event']:.0f} ns/event with no obs "
+          f"(ratio {storm['ns_per_event'] / bare['ns_per_event']:.2f}x)")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

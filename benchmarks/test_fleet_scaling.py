@@ -23,6 +23,8 @@ from conftest import write_report
 
 from repro.bench.harness import make_env
 from repro.bench.workloads.fio import FioJob, run_fio_blockdev
+from repro.sim.clock import Clock
+from repro.sim.sched import Scheduler
 from repro.testbed import Testbed
 from repro.units import KiB, MiB, SEC, SECTOR_SIZE
 from repro.usecases.fleet import FleetControlPlane
@@ -285,15 +287,20 @@ def plane_point(fleet: int, invocations_per_fn: int) -> dict:
     }
 
 
-def sched_storm_point() -> dict:
+def sched_storm_point(bare: bool = False) -> dict:
     """Scheduler saturation at fleet-64 concurrency: 64 cooperative
     tasks each yielding 3,000 times — the pure dispatch/observability
     hot path (heap push and pop, one seeded tiebreak draw and one
     ``sched.turn`` span per turn), no FaaS or I/O work diluting it.
+
+    ``bare`` runs the same storm on a ``Scheduler()`` with no
+    observability hub: the dispatch cost without the turn record.
     """
     tasks, turns = 64, 3000
-    tb = Testbed(seed=SEED)
-    sched = tb.scheduler
+    if bare:
+        sched = Scheduler(Clock(), label="testbed", master_seed=SEED)
+    else:
+        sched = Testbed(seed=SEED).scheduler
 
     def worker():
         for _ in range(turns):

@@ -248,7 +248,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = pathlib.Path(args.out)
     out.write_text(payload)
     recorder = tb.obs.spans
-    print(f"wrote {out} ({len(payload)} bytes, {len(recorder.spans)} spans "
+    print(f"wrote {out} ({len(payload)} bytes, {len(recorder)} spans "
           f"on {len(recorder.tracks())} tracks)")
     print("open it at https://ui.perfetto.dev (Open trace file)")
     if args.validate:

@@ -106,7 +106,19 @@ class HostKernel:
         return proc
 
     def exit_process(self, pid: int) -> None:
-        self.process(pid).exited = True
+        """End a process the way the kernel's exit path does.
+
+        Every fd is closed through its reference count, so a file whose
+        last holder was this process is released (a VM fd leaves KVM),
+        and the address space is unmapped.  The pid entry stays, marked
+        exited, so :meth:`process` reports that it has exited.
+        """
+        process = self.process(pid)
+        process.exited = True
+        for fd, _file in process.fds.items():
+            process.fds.close(fd)
+        for mapping in process.address_space.mappings():
+            process.address_space.munmap(mapping.start)
         self.obs.instant("host.exit", track="host", pid=pid)
 
     # -- eBPF --------------------------------------------------------------------

@@ -127,6 +127,11 @@ class VmFd(FileObject):
         self.guest_irq_sink: Optional[Callable[[int], None]] = None
         self.bind_metrics()
 
+    def close(self) -> None:
+        """Last reference dropped: the VM leaves KVM."""
+        if self in self.system.vms:
+            self.system.vms.remove(self)
+
     def bind_metrics(self) -> None:
         """Resolve the per-VM KVM metrics under the owner's current pid.
 

@@ -128,7 +128,7 @@ def perfetto_trace(recorder: SpanRecorder) -> dict:
         "displayTimeUnit": "ns",
         "otherData": {
             "clock": "virtual",
-            "span_count": len(recorder.spans),
+            "span_count": len(recorder),
             "dropped_spans": recorder.dropped_spans,
         },
     }

@@ -206,7 +206,7 @@ class PeriodicTimer:
 class Task(Waitable):
     """A cooperative generator task driven by the scheduler."""
 
-    __slots__ = ("_sched", "_gen", "label", "steps", "cancelled")
+    __slots__ = ("_sched", "_gen", "label", "steps", "cancelled", "_track")
 
     def __init__(self, sched: "Scheduler", gen: Generator, label: str):
         super().__init__()
@@ -215,6 +215,8 @@ class Task(Waitable):
         self.label = label
         self.steps = 0
         self.cancelled = False
+        #: the span track each turn is recorded on
+        self._track = f"task:{label}"
 
     def cancel(self) -> None:
         """Close the generator; waiters see a result of ``None``."""
@@ -237,9 +239,8 @@ class Task(Waitable):
             # flushed into the registry at loop exit — final totals are
             # identical, one Counter.inc per run instead of per turn.
             sched._turns_pending += 1
-            turn = obs.spans.begin(
-                "sched.turn", track=f"task:{self.label}", turn=self.steps
-            )
+            spans = obs.spans
+            turn = spans.open_turn(self._track, self.steps)
         try:
             if throw is not None:
                 yielded = self._gen.throw(throw)
@@ -247,16 +248,16 @@ class Task(Waitable):
                 yielded = self._gen.send(value)
         except StopIteration as stop:
             if turn is not None:
-                obs.spans.end(turn, outcome="return")
+                spans.close_turn(turn, "return")
             self._finish(result=stop.value)
             return
         except BaseException as exc:
             if turn is not None:
-                obs.spans.end(turn, outcome=type(exc).__name__)
+                spans.close_turn(turn, type(exc).__name__)
             self._finish(error=exc)
             return
         if turn is not None:
-            obs.spans.end(turn)
+            spans.close_turn(turn)
         self._park(yielded)
 
     def _park(self, yielded: Any) -> None:

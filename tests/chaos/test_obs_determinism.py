@@ -69,3 +69,24 @@ def test_fleet_metrics_snapshot_reflects_the_run():
     assert total("kvm.vmexits") > 0
     assert total("sched.events_dispatched") > 0
     assert total("vring.used_publishes") > 0
+
+
+def test_a_sink_does_not_change_the_recorded_run():
+    """Turn rows take one path with or without a sink: the traffic
+    scenario exports the same trace, metrics and span count either
+    way, while the sink sees every turn open and close."""
+    from repro.replay.scenarios import run_scenario
+
+    seen = []
+
+    def tap(tb):
+        tb.obs.spans.sinks.append(lambda kind, span: seen.append(span.name))
+
+    params = {"seed": MASTER_SEED}
+    plain = run_scenario("traffic", params).testbed
+    tapped = run_scenario("traffic", params, on_testbed=tap).testbed
+    assert tapped.obs.perfetto_json() == plain.obs.perfetto_json()
+    assert tapped.obs.metrics_json() == plain.obs.metrics_json()
+    assert len(tapped.obs.spans.spans) == len(plain.obs.spans.spans)
+    turns = len(plain.obs.spans.find("sched.turn"))
+    assert turns and seen.count("sched.turn") == 2 * turns

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import InvalidGpaError, KvmError, MemslotOverlapError
+from repro.errors import (
+    InvalidGpaError,
+    KvmError,
+    MemslotOverlapError,
+    NoSuchProcessError,
+)
 from repro.host.kernel import HostKernel
 from repro.kvm.api import KvmSystem, VmFd
 from repro.kvm.exits import MmioExit
@@ -243,3 +248,29 @@ def test_wrap_hook_steals_exit(setup):
     assert vm.mmio_access(vcpu, False, 0xD0000000, 4) == 0xCAFE
     assert log != []                        # others still pass through
     assert host.costs.count("ptrace_stop") >= 4
+
+
+# -- process exit ---------------------------------------------------------------
+
+def test_exit_releases_the_vm_and_unmaps_guest_ram(setup):
+    host, hv, vm, vm_fd = setup
+    kvm = vm.system
+    syscalls = host.obs.metrics.snapshot()
+    host.exit_process(hv.pid)
+    assert kvm.vms == []                    # the last VM fd closed
+    assert len(hv.fds) == 0
+    assert hv.address_space.mappings() == []
+    assert hv.pid in host.processes         # the pid entry stays, exited
+    with pytest.raises(NoSuchProcessError, match="has exited"):
+        host.process(hv.pid)
+    assert host.obs.metrics.snapshot() == syscalls   # no syscall, no counter
+
+
+def test_exit_keeps_a_vm_another_process_still_holds(setup):
+    host, hv, vm, vm_fd = setup
+    debugger = host.spawn_process("debugger")
+    debugger.fds.install(vm)                # e.g. an fd passed over SCM_RIGHTS
+    host.exit_process(hv.pid)
+    assert vm.system.vms == [vm]
+    debugger.fds.close(next(fd for fd, f in debugger.fds.items() if f is vm))
+    assert vm.system.vms == []

@@ -20,6 +20,7 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.sim.clock import Clock
+from repro.sim.sched import Scheduler
 
 
 # -- metrics registry -----------------------------------------------------------
@@ -214,6 +215,94 @@ def test_instant_nests_under_the_open_span_without_touching_the_stack():
     assert mark.attrs == {"name": "x"}
     assert rec.open_spans() == [outer]
     assert rec.instant("alone", track="u").parent_sid is None
+
+
+# -- scheduler turns, kept as rows -------------------------------------------------
+
+
+def _observed_scheduler(max_spans=250_000):
+    clock = Clock()
+    hub = Observability(clock, max_spans=max_spans)
+    return Scheduler(clock, label="t", obs=hub), hub.spans
+
+
+def test_open_turn_shows_mid_turn_and_parents_spans_on_its_track():
+    sched, rec = _observed_scheduler()
+    seen = {}
+
+    def worker():
+        seen["open"] = [(s.name, s.track, s.attrs) for s in rec.open_spans()]
+        inner = rec.begin("work", track="task:w")
+        rec.end(inner)
+        mark = rec.instant("mark", track="task:w")
+        seen["parents"] = (inner.parent_sid, mark.parent_sid)
+        yield
+        rec.begin("abandoned", track="task:w")    # the turn's close pops it
+        yield 5
+
+    rec.instant("before", track="zeta")
+    sched.run(sched.spawn(worker(), label="w"))
+    rec.instant("after", track="alpha")
+    assert rec.tracks() == ["zeta", "task:w", "alpha"]    # first-use order
+    assert seen["open"] == [("sched.turn", "task:w", {"turn": 1})]
+    turns = rec.find("sched.turn")
+    assert [t.attrs["turn"] for t in turns] == [1, 2, 3]
+    assert seen["parents"] == (turns[0].sid, turns[0].sid)
+    abandoned, = rec.find("abandoned")
+    assert abandoned.parent_sid == turns[1].sid and abandoned.end_ns is None
+    assert rec.open_spans() == []
+    assert [s.sid for s in rec.spans] == list(range(1, rec.next_sid))
+    assert len(rec) == len(rec.spans) == rec.next_sid - 1
+    assert (turns[2].start_ns, turns[2].attrs.get("outcome")) == (5, "return")
+
+
+def test_turn_outcomes_return_and_exception_name():
+    sched, rec = _observed_scheduler()
+
+    def ok():
+        yield
+        return 7
+
+    def boom():
+        yield
+        raise KeyError("x")
+
+    good, bad = sched.spawn(ok(), label="ok"), sched.spawn(boom(), label="boom")
+    sched.run_until_idle()
+    assert good.result() == 7 and isinstance(bad.error, KeyError)
+    outcomes = {
+        (t.track, t.attrs["turn"]): t.attrs.get("outcome")
+        for t in rec.find("sched.turn")
+    }
+    assert outcomes == {
+        ("task:ok", 1): None, ("task:ok", 2): "return",
+        ("task:boom", 1): None, ("task:boom", 2): "KeyError",
+    }
+    # Same as the close event a sink would have seen: the turn number
+    # first, the outcome merged in at close.
+    last, = rec.find("sched.turn", track="task:ok")[1:]
+    assert list(last.attrs) == ["turn", "outcome"]
+    assert last.end_ns is not None and last.parent_sid is None
+
+
+def test_turns_past_max_spans_are_dropped_but_reach_sinks():
+    sched, rec = _observed_scheduler(max_spans=3)
+    events = []
+    rec.sinks.append(
+        lambda kind, span: events.append((kind, span.sid, span.attrs.get("turn")))
+    )
+
+    def worker():
+        for _ in range(3):
+            yield
+
+    sched.run(sched.spawn(worker(), label="w"))
+    assert len(rec) == 3 and len(rec.spans) == 3
+    assert rec.dropped_spans == 1 and rec.next_sid == 5
+    assert events == [
+        (kind, sid, sid) for sid in range(1, 5) for kind in ("open", "close")
+    ]
+    assert [s.attrs["turn"] for s in rec.spans] == [1, 2, 3]
 
 
 # -- handle cache (PR 8) --------------------------------------------------------

@@ -1,5 +1,8 @@
 """Use-case units: rescue, scanner, serverless (E8-E10 components)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import VmshError
@@ -113,6 +116,20 @@ def test_scale_down_after_idle():
     tb.clock.advance(3 * SEC)
     assert len(platform.scale_down()) == 1
     assert platform.live_instances() == []
+
+
+def test_scale_down_releases_the_vm_graph():
+    tb, platform = _platform()
+    platform.invoke("resize", {"width": 1})
+    (instance,) = platform.live_instances()
+    hypervisor = weakref.ref(instance.hypervisor)
+    tb.clock.advance(3 * SEC)
+    assert len(platform.scale_down()) == 1
+    del instance
+    gc.collect()
+    # Nothing in the host, KVM or the platform still reaches the VM.
+    assert hypervisor() is None
+    assert tb.kvm.vms == []
 
 
 def test_debugger_requires_an_error():
