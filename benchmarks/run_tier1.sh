@@ -23,11 +23,13 @@ PYTHONPATH=src python -m pytest -q tests/chaos
 
 # Determinism must hold for any seed, not just the default: a second
 # master seed explores a different (still bit-reproducible)
-# interleaving of the same fleet, snapshot and traffic scenarios.
+# interleaving of the same fleet, snapshot and traffic scenarios, and
+# forms different batches of guest driver buffers.
 VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
     tests/chaos/test_fleet_determinism.py tests/chaos/test_determinism.py \
     tests/chaos/test_snapshot_determinism.py \
-    tests/chaos/test_traffic_determinism.py
+    tests/chaos/test_traffic_determinism.py \
+    tests/chaos/test_driver_buffers.py
 
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_copy_path.py \

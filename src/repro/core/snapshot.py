@@ -95,6 +95,7 @@ class _DriverRingState:
     avail_idx: int
     last_used: int
     kicked_avail: int
+    #: head -> (descriptor indices, token): the in-flight chains
     chain_heads: Dict[int, Any]
 
 
@@ -264,53 +265,33 @@ def _device_map(hv, session) -> Dict[str, Any]:
     return devices
 
 
-def _driver_rings(hv) -> Dict[str, Any]:
-    """Guest-side DriverRing mirrors, keyed by the owning driver.
+def _guest_drivers(hv) -> Dict[str, Any]:
+    """Every guest driver once, keyed by the first table that lists it.
 
-    ``guest.block_devices`` is a name->driver dict (and the sideloaded
-    vmsh-blk driver appears there too, so rings are deduped by
-    identity); the console driver carries two rings (rx/tx).
+    A sideloaded vmsh driver is both a platform device and a block,
+    net or console device, and a detached session leaves its drivers
+    behind in ``platform_devices``.
     """
-    rings: Dict[str, Any] = {}
     guest = hv.guest
+    drivers: Dict[str, Any] = {}
     seen: set = set()
-
-    def add(key: str, ring) -> None:
-        if ring is None or id(ring) in seen:
-            return
-        seen.add(id(ring))
-        rings[key] = ring
-
-    devices = getattr(guest, "block_devices", None) or {}
-    for name, disk in devices.items():
-        add(f"blk:{name}", getattr(disk, "ring", None))
-    for attr in ("vmsh_block", "vmsh_exec"):
-        add(attr, getattr(getattr(guest, attr, None), "ring", None))
-    console = getattr(guest, "vmsh_console", None)
-    add("vmsh_console.rx", getattr(console, "rx_ring", None))
-    add("vmsh_console.tx", getattr(console, "tx_ring", None))
-    return rings
+    for kind, table in (("blk", guest.block_devices),
+                        ("net", guest.net_devices),
+                        ("pdev", guest.platform_devices)):
+        for name, driver in table.items():
+            if id(driver) not in seen:
+                seen.add(id(driver))
+                drivers[f"{kind}:{name}"] = driver
+    return drivers
 
 
-def _driver_aux(hv) -> Dict[str, Any]:
-    """Driver-side bookkeeping beyond the rings themselves.
-
-    Maps a key to a *live* mutable container (dict or list) whose
-    contents are snapshotted by shallow copy and restored in place —
-    the values are plain ints/tuples, never object graphs.
-    """
-    aux: Dict[str, Any] = {}
-    guest = hv.guest
-    console = getattr(guest, "vmsh_console", None)
-    chains = getattr(console, "_rx_chains", None)
-    if chains is not None:
-        aux["vmsh_console._rx_chains"] = chains
-    devices = getattr(guest, "block_devices", None) or {}
-    for name, disk in devices.items():
-        pending = getattr(disk, "_pending_completions", None)
-        if pending is not None:
-            aux[f"blk:{name}._pending_completions"] = pending
-    return aux
+def _driver_rings(hv) -> Dict[str, Any]:
+    """Every DriverRing of every guest driver, found through its transport."""
+    return {
+        f"{key}/q{index}": ring
+        for key, driver in _guest_drivers(hv).items()
+        for index, ring in driver.transport.rings.items()
+    }
 
 
 def _capture_ring(ring) -> Optional[_RingState]:
@@ -384,7 +365,6 @@ class VmSnapshot:
         self.ioregions: List[Any] = []
         self.devices: Dict[str, _DeviceState] = {}
         self.driver_rings: Dict[str, _DriverRingState] = {}
-        self.driver_aux: Dict[str, Any] = {}
         self.guest_phys_bump: int = 0
         self.guest_klog: List[str] = []
         self.guest_booted: bool = False
@@ -440,10 +420,6 @@ class VmSnapshot:
                     chain_heads=dict(ring._chain_heads),
                 )
                 for key, ring in _driver_rings(hv).items()
-            }
-            snap.driver_aux = {
-                key: dict(live) if isinstance(live, dict) else list(live)
-                for key, live in _driver_aux(hv).items()
             }
             guest = hv.guest
             snap.guest_phys_bump = guest._phys_bump
@@ -560,16 +536,6 @@ class VmSnapshot:
                 ring._kicked_avail = state.kicked_avail
                 ring._chain_heads.clear()
                 ring._chain_heads.update(state.chain_heads)
-            current_aux = _driver_aux(hv)
-            for key, saved in self.driver_aux.items():
-                live = current_aux.get(key)
-                if live is None:
-                    continue
-                if isinstance(live, dict):
-                    live.clear()
-                    live.update(saved)
-                else:
-                    live[:] = list(saved)
             guest = hv.guest
             guest._phys_bump = self.guest_phys_bump
             guest.klog[:] = list(self.guest_klog)
@@ -684,6 +650,12 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
         thread.tid = next(host.tid_counter)
     process.host = host
     host.processes[process.pid] = process
+    # The fd table was copied but the environment files it holds
+    # (/dev/kvm) were not: the clone takes its own reference on each.
+    environment = {id(obj) for obj in _environment_of(hv)}
+    for _fd, file in process.fds.items():
+        if id(file) in environment:
+            file.incref()
 
     vm = hv.vm
     kvm.vms.append(vm)
@@ -762,17 +734,7 @@ def _rebind_metrics(hv, host) -> None:
         hv.bind_memio(device.mem)
         device.bind_metrics()
 
-    # Guest drivers, deduped by identity: a sideloaded vmsh driver (a
-    # detached session leaves them behind) is both a platform device
-    # and a block device.
-    guest = hv.guest
-    drivers = {
-        id(driver): driver
-        for table in (guest.block_devices, guest.net_devices,
-                      guest.platform_devices)
-        for driver in table.values()
-    }
-    for driver in drivers.values():
+    for driver in _guest_drivers(hv).values():
         if hasattr(driver, "bind_metrics"):     # the exec driver has none
             driver.bind_metrics()
 

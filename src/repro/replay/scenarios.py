@@ -353,7 +353,7 @@ def _virtio_net_abuse(hv: Any, kind: str) -> List[str]:
         # the device must refuse to write an inbound frame through it.
         # (Single-descriptor chains, so head index == descriptor index.)
         head = device.posted_heads(0)[0]
-        write_desc(nic.rx_rings[0], head, nic._rx_gpa[0],
+        write_desc(nic.rx_rings[0], head, nic._rx[0].base,
                    nic.RX_BUFFER_SIZE, 0, head)
         try:
             device.deliver(make_frame(device.mac, b"\x02" * 6, b"ping"))

@@ -302,7 +302,6 @@ class GuestVirtioBlkDisk(BlockDevice):
         self._data_pool_bytes = 128 * 4096
         self.iodepth = 1
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        self._pending_completions: List = []
         # Guest kernels may run without a cost model (unit fixtures);
         # the observability hub rides on it, so gate everything here.
         costs = guest_kernel.costs

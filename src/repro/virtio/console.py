@@ -8,12 +8,12 @@ the device pumps bytes between the pts and the virtqueues.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel
 from repro.virtio import constants as C
-from repro.virtio.core import VirtioDeviceCore
+from repro.virtio.core import GuestRxPath, GuestTxPath, VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import GuestVirtioTransport
 
@@ -81,9 +81,6 @@ class VirtioConsoleDevice(VirtioDeviceCore):
         )
         self.pts = pts
         pts.connect_device(self.host_input)
-        # RX buffers posted by the guest, waiting for host input (the
-        # core's posted list for the RX queue, aliased for clarity).
-        self._posted_rx = self.posted_heads(RX_QUEUE)
         self._pending_input: List[bytes] = []
 
     # -- queue processing ---------------------------------------------------------------
@@ -125,31 +122,10 @@ class VirtioConsoleDevice(VirtioDeviceCore):
     def _flush_pending_input(self) -> None:
         if not self.queues[RX_QUEUE].ready:
             return
-        ring = self._ring(RX_QUEUE)
-        self.absorb_posted(RX_QUEUE)
+        posted = self.absorb_posted(RX_QUEUE)
         batch = []
-        while self._pending_input and self._posted_rx:
-            data = self._pending_input.pop(0)
-            head = self._posted_rx.pop(0)
-            chain = ring.read_chain(head)
-            written = 0
-            remaining = data
-            iov = []
-            for desc in chain:
-                if not desc.device_writable:
-                    raise VirtioError("RX buffer must be device-writable")
-                chunk = remaining[: desc.length]
-                if chunk:
-                    iov.append((desc.addr, chunk))
-                written += len(chunk)
-                remaining = remaining[len(chunk) :]
-                if not remaining:
-                    break
-            if remaining:
-                raise VirtioError("console RX buffer too small for input")
-            # One scattered copy for the whole chain.
-            self.mem.write_vectored(iov)
-            batch.append((head, written))
+        while self._pending_input and posted:
+            batch.append(self.fill_posted(RX_QUEUE, self._pending_input.pop(0)))
         self.publish_batch(
             RX_QUEUE, batch, "console_rx",
             before_publish=self.costs.vmsh_console_hop,
@@ -170,15 +146,13 @@ class GuestVirtioConsole:
         self.rx_ring = transport.setup_queue(RX_QUEUE, 64)
         self.tx_ring = transport.setup_queue(TX_QUEUE, 64)
         transport.driver_ok()
-        self._rx_buffers_gpa = guest_kernel.alloc_guest_pages(
-            (self.RX_BUFFER_SIZE * self.RX_BUFFER_COUNT + 4095) // 4096
-        )
-        self._tx_buffer_gpa = guest_kernel.alloc_guest_pages(1)
-        self._rx_chains: dict = {}
+        self._rx = GuestRxPath(guest_kernel, transport, self.rx_ring, RX_QUEUE,
+                               self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
+        self._tx = GuestTxPath(guest_kernel, transport, self.tx_ring, TX_QUEUE, 1)
         self._input_sink: Optional[Callable[[bytes], None]] = None
         self.bind_metrics()
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        self._post_rx_buffers()
+        self._rx.post()
 
     def bind_metrics(self) -> None:
         """Resolve the driver's registry handles (again, on a clone).
@@ -189,15 +163,11 @@ class GuestVirtioConsole:
         """
         costs = self.kernel.costs
         obs = costs.obs if costs is not None else None
+        scope = None
         if obs is not None:
             scope = obs.metrics.scope("console", role="driver", device=self.name)
-            self._m_kicks = scope.counter("kicks")
-            self._m_irq_coalesced = scope.counter("irq_coalesced")
-            self._m_batch_depth = scope.histogram("batch_depth")
-        else:
-            self._m_kicks = None
-            self._m_irq_coalesced = None
-            self._m_batch_depth = None
+        self._rx.bind_metrics(scope)
+        self._tx.bind_metrics(scope)
 
     def on_input(self, sink: Callable[[bytes], None]) -> None:
         """Register the tty-side consumer of host input."""
@@ -207,36 +177,11 @@ class GuestVirtioConsole:
         """Guest -> host transmission."""
         if len(data) > 4096:
             raise VirtioError("console TX larger than one buffer")
-        self.kernel.memory.write(self._tx_buffer_gpa, data)
-        self.tx_ring.add_chain([(self._tx_buffer_gpa, len(data), False)])
-        if self._m_kicks is not None:
-            self._m_kicks.inc()
-        self.transport.notify(TX_QUEUE)
-        self.tx_ring.collect_used()
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _post_rx_buffers(self) -> None:
-        for i in range(self.RX_BUFFER_COUNT):
-            gpa = self._rx_buffers_gpa + i * self.RX_BUFFER_SIZE
-            head = self.rx_ring.add_chain([(gpa, self.RX_BUFFER_SIZE, True)])
-            self._rx_chains[head] = gpa
-        if self._m_kicks is not None:
-            self._m_kicks.inc()
-        self.transport.notify(RX_QUEUE)
+        self._tx.send(data)
 
     def _on_irq(self, gsi: int) -> None:
         self.transport.ack_interrupt()
-        completions = self.rx_ring.collect_used()
-        if completions and self._m_batch_depth is not None:
-            self._m_batch_depth.observe(len(completions))
-            if len(completions) > 1:
-                self._m_irq_coalesced.inc(len(completions) - 1)
-        for head, written in completions:
-            gpa = self._rx_chains.pop(head)
-            data = self.kernel.memory.read(gpa, written)
-            new_head = self.rx_ring.add_chain([(gpa, self.RX_BUFFER_SIZE, True)])
-            self._rx_chains[new_head] = gpa
+        for data in self._rx.harvest():
             if self._input_sink is not None:
                 self._input_sink(data)
-        # TX completions were already collected synchronously in send().
+        # TX completions are collected by each send.

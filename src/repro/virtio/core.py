@@ -25,6 +25,12 @@ This module is the single home for all of it:
   kick when EVENT_IDX is negotiated (raising ``used_event`` so the
   completion interrupt coalesces too), then harvest: one generator a
   scheduler task runs or a synchronous call runs inline.
+* :class:`GuestRxPath` / :class:`GuestTxPath` — the console, vm-exec
+  and net drivers' receive path (posted fixed-size buffers, harvested
+  and re-posted) and the console and vm-exec transmit path (sends that
+  do not wait for completion).  Each chain's buffer is its
+  ``DriverRing`` token, so the ring is the only record of which
+  buffer a completion returns.
 * :class:`VirtioServiceHost` — the service-task kick FIFO extracted
   from ``VmshDeviceHost``: QUEUE_NOTIFY kicks land in a deduplicated
   FIFO and a scheduler task services one queue per turn, so several
@@ -37,7 +43,7 @@ made them, so seeded traces are unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VirtioError, VmshError
 from repro.sim.costs import CostModel
@@ -56,7 +62,8 @@ class VirtioDeviceCore(VirtioMmioDevice):
     * a per-device ``virtio{device=...}`` metrics scope with the batch
       depth histogram and request counter every device reports;
     * posted-buffer lists per queue (:meth:`posted_heads` /
-      :meth:`absorb_posted`) for receive-style queues;
+      :meth:`absorb_posted`) for receive-style queues, and
+      :meth:`fill_posted` to write a payload into the next one;
     * :meth:`publish_batch` — the one true completion-publication path.
     """
 
@@ -109,6 +116,34 @@ class VirtioDeviceCore(VirtioMmioDevice):
         heads = self.posted_heads(index)
         heads.extend(self._ring(index).pop_available())
         return heads
+
+    def fill_posted(self, index: int, payload: bytes) -> Tuple[int, int]:
+        """Scatter ``payload`` over the queue's next posted chain.
+
+        One vectored write for the whole chain; returns the used
+        element ``(head, written)`` for :meth:`publish_batch`.
+        """
+        head = self.posted_heads(index).pop(0)
+        iov = []
+        written = 0
+        for desc in self._ring(index).read_chain(head):
+            if not desc.device_writable:
+                raise VirtioError(
+                    f"{self.name}: RX buffer must be device-writable"
+                )
+            chunk = payload[written : written + desc.length]
+            if chunk:
+                iov.append((desc.addr, chunk))
+            written += len(chunk)
+            if written == len(payload):
+                break
+        if written < len(payload):
+            raise VirtioError(
+                f"{self.name}: RX buffer too small for "
+                f"{len(payload)}-byte payload"
+            )
+        self.mem.write_vectored(iov)
+        return head, written
 
     # -- completion publication ----------------------------------------------
 
@@ -285,6 +320,121 @@ class QueuedWindowDriver:
                         raise
             if span is not None:
                 self._obs.spans.end(span, waits=waits)
+
+
+class _GuestQueuePath:
+    """One queue of a guest driver whose buffers the ring names.
+
+    Each chain carries its buffer's gpa as its :class:`DriverRing`
+    token, so the ring alone knows which buffer a completion returns
+    (and a snapshot of the ring captures it).
+    """
+
+    def __init__(self, kernel, transport, ring, index: int) -> None:
+        self._kernel = kernel
+        self.transport = transport
+        self.ring = ring
+        self.index = index
+        self.bind_metrics(None)
+
+    def bind_metrics(self, scope) -> None:
+        """Resolve the owning driver's ``kicks`` counter (none: no count)."""
+        self._m_kicks = scope.counter("kicks") if scope is not None else None
+
+    def kick(self) -> None:
+        if self._m_kicks is not None:
+            self._m_kicks.inc()
+        self.transport.notify(self.index)
+
+
+class GuestRxPath(_GuestQueuePath):
+    """Guest receive path: ``count`` posted buffers of ``size`` bytes.
+
+    :meth:`harvest` reads every filled buffer before it re-posts any,
+    then re-posts each one as it hands that buffer's data out, so a
+    consumer that makes the device fill a re-posted buffer again cannot
+    overwrite data not yet read.
+    """
+
+    def __init__(self, kernel, transport, ring, index: int,
+                 size: int, count: int) -> None:
+        super().__init__(kernel, transport, ring, index)
+        self.size = size
+        self.count = count
+        self.base = kernel.alloc_guest_pages((size * count + 4095) // 4096)
+
+    def bind_metrics(self, scope) -> None:
+        """Also the per-harvest batch depth and coalesced completions."""
+        super().bind_metrics(scope)
+        if scope is not None:
+            self._m_batch_depth = scope.histogram("batch_depth")
+            self._m_irq_coalesced = scope.counter("irq_coalesced")
+        else:
+            self._m_batch_depth = None
+            self._m_irq_coalesced = None
+
+    def post(self) -> None:
+        """Post every buffer and kick once."""
+        for at in range(self.count):
+            self._post_buffer(self.base + at * self.size)
+        self.kick()
+
+    def _post_buffer(self, gpa: int) -> None:
+        self.ring.add_chain([(gpa, self.size, True)], gpa)
+
+    def harvest(self):
+        """Yield the data of each completed buffer, in completion order."""
+        memory = self._kernel.memory
+        filled = [
+            (gpa, memory.read(gpa, written))
+            for gpa, written in self.ring.collect_used()
+        ]
+        if filled and self._m_batch_depth is not None:
+            self._m_batch_depth.observe(len(filled))
+            if len(filled) > 1:
+                self._m_irq_coalesced.inc(len(filled) - 1)
+        for gpa, data in filled:
+            self._post_buffer(gpa)
+            yield data
+
+
+class GuestTxPath(_GuestQueuePath):
+    """Guest transmit path for sends that do not wait for completion.
+
+    A send takes a free slot of ``pages`` guest pages; a slot is free
+    again once its completion is collected.  One more slot is allocated
+    only when every slot is in flight, up to the ring's size: a device
+    serviced inline completes each send before the next, so the first
+    slot is the only one.
+    """
+
+    def __init__(self, kernel, transport, ring, index: int, pages: int) -> None:
+        super().__init__(kernel, transport, ring, index)
+        self.pages = pages
+        self.slots = [kernel.alloc_guest_pages(pages)]
+
+    def _free_slot(self) -> Optional[int]:
+        busy = self.ring.in_flight_tokens()
+        return next((gpa for gpa in self.slots if gpa not in busy), None)
+
+    def send(self, data: bytes) -> None:
+        slot = self._free_slot()
+        if slot is None:
+            # Completions the device published since the last send.
+            self.ring.collect_used()
+            slot = self._free_slot()
+        if slot is None:
+            if len(self.slots) == self.ring.size:
+                raise VirtioError(
+                    f"queue {self.index}: all {self.ring.size} "
+                    "transmit slots in flight"
+                )
+            slot = self._kernel.alloc_guest_pages(self.pages)
+            self.slots.append(slot)
+        self._kernel.memory.write(slot, data)
+        self.ring.add_chain([(slot, len(data), False)], slot)
+        self.kick()
+        self.ring.collect_used()
 
 
 class VirtioServiceHost:

@@ -233,6 +233,8 @@ class GuestVirtioTransport:
         self.base = base_gpa
         self.irq_gsi = irq_gsi
         self.features = 0           # negotiated feature set, after initialize()
+        #: queue index -> the DriverRing :meth:`setup_queue` built
+        self.rings: dict = {}
 
     @property
     def event_idx(self) -> bool:
@@ -332,7 +334,7 @@ class GuestVirtioTransport:
         self.write32(C.REG_QUEUE_USED_LOW, used_gpa & 0xFFFFFFFF)
         self.write32(C.REG_QUEUE_USED_HIGH, used_gpa >> 32)
         self.write32(C.REG_QUEUE_READY, 1)
-        ring = DriverRing(
+        ring = self.rings[index] = DriverRing(
             self.kernel.memory, desc_gpa, avail_gpa, used_gpa, size,
             event_idx=event_idx,
         )

@@ -28,7 +28,7 @@ from repro.errors import VirtioError
 from repro.sim.costs import CostModel
 from repro.sim.sched import run_inline
 from repro.virtio import constants as C
-from repro.virtio.core import QueuedWindowDriver, VirtioDeviceCore
+from repro.virtio.core import GuestRxPath, QueuedWindowDriver, VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import GuestVirtioTransport
 
@@ -228,40 +228,13 @@ class VirtioNetDevice(VirtioDeviceCore):
             return
         if self.fault_check is not None:
             self.fault_check("virtio.net_rx_ring", device=self.name, pair=pair)
-        ring = self._ring(rxq)
-        self.absorb_posted(rxq)
-        posted = self.posted_heads(rxq)
+        posted = self.absorb_posted(rxq)
         pending = self._pending_rx[pair]
         batch = []
         while pending and posted:
-            frame = pending.pop(0)
-            head = posted.pop(0)
-            chain = ring.read_chain(head)
-            data = b"\x00" * C.VIRTIO_NET_HDR_SIZE + frame
-            written = 0
-            remaining = data
-            iov = []
-            for desc in chain:
-                if not desc.device_writable:
-                    raise VirtioError(
-                        f"{self.name}: RX buffer must be device-writable"
-                    )
-                chunk = remaining[: desc.length]
-                if chunk:
-                    iov.append((desc.addr, chunk))
-                written += len(chunk)
-                remaining = remaining[len(chunk):]
-                if not remaining:
-                    break
-            if remaining:
-                raise VirtioError(
-                    f"{self.name}: RX buffer too small for "
-                    f"{len(frame)}-byte frame"
-                )
-            # One scattered copy for the whole chain.
-            self.mem.write_vectored(iov)
+            header = b"\x00" * C.VIRTIO_NET_HDR_SIZE
+            batch.append(self.fill_posted(rxq, header + pending.pop(0)))
             self.frames_rx += 1
-            batch.append((head, written))
         self.publish_batch(rxq, batch, "net_rx")
 
 
@@ -323,25 +296,22 @@ class GuestVirtioNic:
                     ),
                 )
             )
-        self.bind_metrics()
         transport.driver_ok()
-        rx_pages = (self.RX_BUFFER_SIZE * self.RX_BUFFER_COUNT + 4095) // 4096
-        tx_pages = (self.RX_BUFFER_SIZE * self.MAX_TX_WINDOW + 4095) // 4096
-        self._rx_gpa = [
-            guest_kernel.alloc_guest_pages(rx_pages)
-            for _ in range(self.queue_pairs)
+        self._rx = [
+            GuestRxPath(guest_kernel, transport, ring, 2 * pair,
+                        self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
+            for pair, ring in enumerate(self.rx_rings)
         ]
+        tx_pages = (self.RX_BUFFER_SIZE * self.MAX_TX_WINDOW + 4095) // 4096
         self._tx_gpa = [
             guest_kernel.alloc_guest_pages(tx_pages)
             for _ in range(self.queue_pairs)
         ]
-        self._rx_chains: List[Dict[int, int]] = [
-            {} for _ in range(self.queue_pairs)
-        ]
+        self.bind_metrics()
         self._rx_callback: Optional[Callable[[bytes, int], None]] = None
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        for pair in range(self.queue_pairs):
-            self._post_rx_buffers(pair)
+        for rx in self._rx:
+            rx.post()
 
     def bind_metrics(self) -> None:
         """Resolve the driver's registry handles and window track.
@@ -349,17 +319,13 @@ class GuestVirtioNic:
         A clone binds again: its NIC has a new MAC, and the track of its
         ``net.window`` spans, ``net:<name>@<mac>``, names it.
         """
+        scope = windows = None
         if self._obs is not None:
             scope = self._obs.metrics.scope("net", role="driver", device=self.name)
             windows = scope.counter("windows")
-            self._m_kicks = scope.counter("kicks")
-            self._m_irq_coalesced = scope.counter("irq_coalesced")
-            self._m_batch_depth = scope.histogram("batch_depth")
-        else:
-            windows = None
-            self._m_kicks = None
-            self._m_irq_coalesced = None
-            self._m_batch_depth = None
+        for rx in self._rx:
+            rx.bind_metrics(scope)
+        self._m_kicks = scope.counter("kicks") if scope is not None else None
         track = f"net:{self.name}@{self.mac.hex(':')}"
         for engine in self._engines:
             engine._m_windows = windows
@@ -371,43 +337,12 @@ class GuestVirtioNic:
         """Register the net-stack consumer (``callback(frame, pair)``)."""
         self._rx_callback = callback
 
-    def _post_rx_buffers(self, pair: int) -> None:
-        ring = self.rx_rings[pair]
-        chains = self._rx_chains[pair]
-        for i in range(self.RX_BUFFER_COUNT):
-            gpa = self._rx_gpa[pair] + i * self.RX_BUFFER_SIZE
-            head = ring.add_chain([(gpa, self.RX_BUFFER_SIZE, True)])
-            chains[head] = gpa
-        if self._m_kicks is not None:
-            self._m_kicks.inc()
-        self.transport.notify(2 * pair)
-
     def _on_irq(self, gsi: int) -> None:
         self.transport.ack_interrupt()
-        for pair in range(self.queue_pairs):
-            ring = self.rx_rings[pair]
-            chains = self._rx_chains[pair]
-            completions = ring.collect_used()
-            if completions and self._m_batch_depth is not None:
-                self._m_batch_depth.observe(len(completions))
-                if len(completions) > 1:
-                    self._m_irq_coalesced.inc(len(completions) - 1)
-            # Harvest the whole batch before reposting: add_chain may
-            # hand back a head that is *later in this same batch*, and
-            # reposting it early would clobber its chains[] entry and
-            # deliver the wrong buffer's bytes.
-            harvested = []
-            for head, written in completions:
-                gpa = chains.pop(head)
-                harvested.append((gpa, self.kernel.memory.read(gpa, written)))
-            for gpa, data in harvested:
-                new_head = ring.add_chain(
-                    [(gpa, self.RX_BUFFER_SIZE, True)]
-                )
-                chains[new_head] = gpa
-                frame = data[C.VIRTIO_NET_HDR_SIZE:]
+        for pair, rx in enumerate(self._rx):
+            for data in rx.harvest():
                 if self._rx_callback is not None:
-                    self._rx_callback(frame, pair)
+                    self._rx_callback(data[C.VIRTIO_NET_HDR_SIZE:], pair)
         # TX completions are harvested by the window engine.
 
     # -- transmit path ---------------------------------------------------------

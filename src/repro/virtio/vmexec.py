@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel
 from repro.sim.sched import Poll
-from repro.virtio.core import VirtioDeviceCore
+from repro.virtio.core import GuestRxPath, GuestTxPath, VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import GuestVirtioTransport
 
@@ -111,10 +111,12 @@ class VmExecDevice(VirtioDeviceCore):
             # in plain always-notify mode.
             offer_event_idx=False,
         )
-        # Request buffers posted by the guest agent (the core's posted
-        # list for the request queue, aliased for clarity).
-        self._posted_requests = self.posted_heads(REQUEST_QUEUE)
-        self._responses: List[ExecResult] = []
+        # Requests are numbered as they are posted.  The guest answers
+        # them in posting order, so the n-th response to arrive belongs
+        # to request n.
+        self._requests_posted = 0
+        self._responses_seen = 0
+        self._responses: Dict[int, ExecResult] = {}
 
     # -- queue handling --------------------------------------------------------
 
@@ -129,7 +131,8 @@ class VmExecDevice(VirtioDeviceCore):
                 payload = self.mem.read_vectored(
                     [(d.addr, d.length) for d in chain]
                 )
-                self._responses.append(unpack_response(payload))
+                self._responses[self._responses_seen] = unpack_response(payload)
+                self._responses_seen += 1
                 ring.push_used(head, 0)
             self.raise_interrupt()
         else:
@@ -137,17 +140,20 @@ class VmExecDevice(VirtioDeviceCore):
 
     # -- host API ------------------------------------------------------------------
 
-    def _post_request(self, argv: List[str]) -> None:
-        """Write ``argv`` into a posted buffer and interrupt the guest."""
+    def _post_request(self, argv: List[str]) -> int:
+        """Write ``argv`` into a posted buffer and interrupt the guest.
+
+        Returns the request's number.
+        """
         ring = self._ring(REQUEST_QUEUE)
         # The driver re-posts buffers without a doorbell (it knows the
         # device polls the avail ring on demand).
-        self.absorb_posted(REQUEST_QUEUE)
-        if not self._posted_requests:
+        posted = self.absorb_posted(REQUEST_QUEUE)
+        if not posted:
             raise VirtioError(
                 f"{self.name}: guest has no posted request buffers"
             )
-        head = self._posted_requests.pop(0)
+        head = posted.pop(0)
         chain = ring.read_chain(head)
         request = pack_request(argv)
         if not chain or not chain[0].device_writable:
@@ -156,7 +162,10 @@ class VmExecDevice(VirtioDeviceCore):
             raise VirtioError("vm-exec request buffer too small")
         self.mem.write(chain[0].addr, request)
         ring.push_used(head, len(request))
+        number = self._requests_posted
+        self._requests_posted += 1
         self.raise_interrupt()
+        return number
 
     def submit_task(self, argv: List[str]):
         """Run ``argv`` in the guest overlay (a generator; its result is
@@ -168,10 +177,10 @@ class VmExecDevice(VirtioDeviceCore):
         after the loop dispatches it; polling hands the loop exactly
         that chance.  ``VmshSession.exec`` runs this inline.
         """
-        self._post_request(argv)
-        while not self._responses:
+        number = self._post_request(argv)
+        while number not in self._responses:
             yield Poll(f"{self.name}:response")
-        return self._responses.pop(0)
+        return self._responses.pop(number)
 
 
 class GuestVmExecDriver:
@@ -183,41 +192,28 @@ class GuestVmExecDriver:
         self.transport = transport
         self.name = name
         transport.initialize()
-        self.request_ring = transport.setup_queue(REQUEST_QUEUE, 16)
-        self.response_ring = transport.setup_queue(RESPONSE_QUEUE, 16)
+        request_ring = transport.setup_queue(REQUEST_QUEUE, 16)
+        response_ring = transport.setup_queue(RESPONSE_QUEUE, 16)
         transport.driver_ok()
-        self._request_gpa = guest_kernel.alloc_guest_pages(4)
-        self._response_gpa = guest_kernel.alloc_guest_pages(16)
-        self._request_chains: dict = {}
+        self._rx = GuestRxPath(guest_kernel, transport, request_ring,
+                               REQUEST_QUEUE, REQUEST_BUFFER_SIZE, 4)
+        self._tx = GuestTxPath(guest_kernel, transport, response_ring,
+                               RESPONSE_QUEUE, 16)
         self._executor: Optional[Callable[[List[str]], ExecResult]] = None
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        self._post_request_buffers()
+        self._rx.post()
 
     def set_executor(self, executor: Callable[[List[str]], ExecResult]) -> None:
         """Install the userspace side that actually runs commands."""
         self._executor = executor
 
-    def _post_request_buffers(self) -> None:
-        for i in range(4):
-            gpa = self._request_gpa + i * REQUEST_BUFFER_SIZE
-            head = self.request_ring.add_chain(
-                [(gpa, REQUEST_BUFFER_SIZE, True)]
-            )
-            self._request_chains[head] = gpa
-        self.transport.notify(REQUEST_QUEUE)
-
     def _on_irq(self, gsi: int) -> None:
         self.transport.ack_interrupt()
-        for head, written in self.request_ring.collect_used():
-            gpa = self._request_chains.pop(head)
-            argv = unpack_request(self.kernel.memory.read(gpa, written))
-            result = self._execute(argv)
-            self._respond(result)
-            # Re-post the buffer for the next request.
-            new_head = self.request_ring.add_chain(
-                [(gpa, REQUEST_BUFFER_SIZE, True)]
+        for request in self._rx.harvest():
+            result = self._execute(unpack_request(request))
+            self._tx.send(
+                pack_response(result.exit_code, result.output.encode())
             )
-            self._request_chains[new_head] = gpa
 
     def _execute(self, argv: List[str]) -> ExecResult:
         if self._executor is None:
@@ -226,10 +222,3 @@ class GuestVmExecDriver:
             return self._executor(argv)
         except Exception as exc:  # noqa: BLE001 - guest-side failure -> error result
             return ExecResult(exit_code=126, output=f"vm-exec: {exc}\n")
-
-    def _respond(self, result: ExecResult) -> None:
-        payload = pack_response(result.exit_code, result.output.encode())
-        self.kernel.memory.write(self._response_gpa, payload)
-        self.response_ring.add_chain([(self._response_gpa, len(payload), False)])
-        self.transport.notify(RESPONSE_QUEUE)
-        self.response_ring.collect_used()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import VirtioError
 from repro.virtio.constants import (
@@ -143,10 +143,13 @@ class DriverRing:
         """Record that a doorbell was rung for everything published so far."""
         self._kicked_avail = self._avail_idx
 
-    def add_chain(self, buffers: Sequence[Tuple[int, int, bool]]) -> int:
+    def add_chain(self, buffers: Sequence[Tuple[int, int, bool]],
+                  token: Any = None) -> int:
         """Publish a descriptor chain; returns the head descriptor id.
 
         ``buffers`` is a sequence of (gpa, length, device_writable).
+        ``token`` stays with the chain until it completes and names it
+        in :meth:`collect_used` (the head does when it is ``None``).
         """
         if not buffers:
             raise VirtioError("empty descriptor chain")
@@ -171,27 +174,32 @@ class DriverRing:
             self._mem.write_u16(base + 12, flags)
             self._mem.write_u16(base + 14, next_index)
         head = indices[0]
-        self._chain_heads[head] = indices
+        self._chain_heads[head] = (indices, token)
         slot = self._avail_idx % self.size
         self._mem.write_u16(self.avail_gpa + AVAIL_HEADER + slot * 2, head)
         self._avail_idx = (self._avail_idx + 1) & 0xFFFF
         self._mem.write_u16(self.avail_gpa + 2, self._avail_idx)
         return head
 
-    def collect_used(self) -> List[Tuple[int, int]]:
-        """Harvest completions: (head id, bytes written by device)."""
+    def in_flight_tokens(self) -> List[Any]:
+        """The tokens of the chains the device has not completed yet."""
+        return [token for _, token in self._chain_heads.values()]
+
+    def collect_used(self) -> List[Tuple[Any, int]]:
+        """Harvest completions: (token or head id, bytes written by device)."""
         used_idx = self._mem.read_u16(self.used_gpa + 2)
-        completed: List[Tuple[int, int]] = []
+        completed: List[Tuple[Any, int]] = []
         while self._last_used != used_idx:
             slot = self._last_used % self.size
             base = self.used_gpa + USED_HEADER + slot * USED_ELEM_SIZE
             head = self._mem.read_u32(base)
             written = self._mem.read_u32(base + 4)
-            chain = self._chain_heads.pop(head, None)
-            if chain is None:
+            entry = self._chain_heads.pop(head, None)
+            if entry is None:
                 raise VirtioError(f"device completed unknown chain head {head}")
+            chain, token = entry
             self._free.extend(chain)
-            completed.append((head, written))
+            completed.append((head if token is None else token, written))
             self._last_used = (self._last_used + 1) & 0xFFFF
         if completed and self.event_idx:
             # Re-arm: interrupt on the very next completion unless a

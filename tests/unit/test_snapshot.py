@@ -94,6 +94,46 @@ def test_restore_rejects_flavor_mismatch():
         snap.restore_into(fc)
 
 
+def test_restored_nic_vm_keeps_moving_frames():
+    """The NIC's driver rings are captured with the rest: traffic between
+    capture and restore leaves neither direction wedged."""
+    tb = Testbed()
+    hv = tb.launch_firecracker(seccomp=False, nic=True)
+    driver = hv.guest.net_devices["eth0"]
+    device = hv.nics["net0"]
+    got = []
+    driver.on_receive(lambda frame, pair: got.append(frame))
+    peer = b"\x02" * 6
+    snap = tb.snapshot(hv)
+    for n in range(3):
+        driver.send(make_frame(BROADCAST_MAC, driver.mac, b"tx%d" % n))
+        device.deliver(make_frame(driver.mac, peer, b"rx%d" % n))
+    tb.restore(snap, hv)
+    sent = device.frames_tx
+    driver.send(make_frame(BROADCAST_MAC, driver.mac, b"after"))
+    assert device.frames_tx == sent + 1
+    # More frames than RX buffers: every buffer is posted once, intact.
+    frames = [make_frame(driver.mac, peer, b"rx-after%d" % n)
+              for n in range(driver.RX_BUFFER_COUNT + 8)]
+    del got[:]
+    for frame in frames:
+        device.deliver(frame)
+    assert got == frames
+
+
+def test_restored_exec_session_keeps_answering():
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid, exec_device=True)
+    snap = tb.snapshot(hv, session=session)
+    for n in range(3):
+        assert session.exec(["echo", f"x{n}"]).output == f"x{n}"
+    tb.restore(snap, hv, session=session)
+    for n in range(6):      # more requests than posted request buffers
+        assert session.exec(["echo", f"after{n}"]).output == f"after{n}"
+    session.detach()
+
+
 # -- clone ---------------------------------------------------------------------------
 
 
@@ -159,6 +199,22 @@ def test_nic_vm_image_does_not_grow_with_the_fabric():
         hv = tb.launch_firecracker(seccomp=False, nic=True)
         sizes.append(len(tb.snapshot(hv, freeze=True)._image))
     assert max(sizes) <= 1.01 * min(sizes), sizes
+
+
+def test_clones_take_their_reference_on_dev_kvm():
+    tb = Testbed()
+    hv = tb.launch_firecracker(seccomp=False)
+    snap = tb.snapshot(hv)
+    before = tb.kvm._refs
+    clones = [tb.clone(snap) for _ in range(3)]
+    assert tb.kvm._refs == before + 3
+    for clone in clones:
+        clone.exit()
+    assert tb.kvm._refs == before
+    # A migrated VM holds the destination's /dev/kvm, not the source's.
+    moved = tb.migrate(hv).hypervisor
+    assert tb.kvm._refs == before - 1
+    assert tb.hosts[moved.host]._refs == 1
 
 
 def test_clone_requires_frozen_graph():

@@ -7,6 +7,7 @@ from repro.kvm.api import KvmSystem
 from repro.host.kernel import HostKernel
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB
+from repro.virtio.core import GuestTxPath
 from repro.virtio.vring import (
     DESC_SIZE,
     DeviceRing,
@@ -148,3 +149,64 @@ def test_index_wraparound(rings):
         assert device.pop_available() == [head]
         device.push_used(head, 1)
         assert driver.collect_used() == [(head, 1)]
+
+
+def test_completions_are_named_by_their_token(rings):
+    _mem, driver, device = rings
+    plain = driver.add_chain([(0x4000, 16, True)])
+    driver.add_chain([(0x5000, 16, True)], token="rx-buffer")
+    assert driver.in_flight_tokens() == [None, "rx-buffer"]
+    device.push_used_batch([(head, 4) for head in device.pop_available()])
+    assert driver.collect_used() == [(plain, 4), ("rx-buffer", 4)]
+    assert driver.in_flight_tokens() == []
+
+
+class _BumpKernel:
+    """Just enough guest kernel for a driver path: RAM and pages."""
+
+    def __init__(self, memory):
+        self.memory = memory
+        self._next = 0x10000
+
+    def alloc_guest_pages(self, count):
+        gpa, self._next = self._next, self._next + count * 4096
+        return gpa
+
+
+class _Doorbell:
+    """A transport whose device completes each kick at once, or never."""
+
+    def __init__(self, device=None):
+        self.device = device
+
+    def notify(self, index):
+        if self.device is not None:
+            self.device.push_used_batch(
+                [(head, 0) for head in self.device.pop_available()])
+
+
+def test_tx_path_served_inline_keeps_one_slot(rings):
+    mem, driver, device = rings
+    tx = GuestTxPath(_BumpKernel(mem), _Doorbell(device), driver, 1, pages=1)
+    for n in range(3 * driver.size):
+        tx.send(b"send %d" % n)
+    assert tx.slots == [0x10000]
+    assert driver.in_flight_tokens() == []
+
+
+def test_tx_path_grows_a_slot_only_when_every_slot_is_in_flight(rings):
+    mem, driver, device = rings
+    tx = GuestTxPath(_BumpKernel(mem), _Doorbell(), driver, 1, pages=1)
+    for n in range(driver.size):
+        tx.send(b"send %d" % n)
+    assert len(set(tx.slots)) == driver.size
+    assert [mem.read(gpa, 6) for gpa in tx.slots] == [
+        b"send %d" % n for n in range(driver.size)]
+    with pytest.raises(VirtioError, match="in flight"):
+        tx.send(b"one too many")
+    # Once the device completes them, the next send collects and reuses.
+    device.push_used_batch([(head, 0) for head in device.pop_available()])
+    tx.send(b"again!")
+    assert len(tx.slots) == driver.size
+    assert driver.in_flight_tokens() == [tx.slots[0]]
+    assert mem.read(tx.slots[0], 6) == b"again!"
