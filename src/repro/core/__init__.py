@@ -15,8 +15,7 @@ from repro.core.ksymtab import ParsedKsymtab, parse_ksymtab
 from repro.core.libbuild import (
     LibraryPlan,
     STAGE2_GUEST_PATH,
-    VMSH_BLK_GSI,
-    VMSH_CONSOLE_GSI,
+    VMSH_DEVICES,
     VMSH_MMIO_BASE,
     build_library,
     plan_library,
@@ -45,8 +44,7 @@ __all__ = [
     "plan_library",
     "build_library",
     "VMSH_MMIO_BASE",
-    "VMSH_CONSOLE_GSI",
-    "VMSH_BLK_GSI",
+    "VMSH_DEVICES",
     "STAGE2_GUEST_PATH",
     "build_overlay",
     "OverlayResult",

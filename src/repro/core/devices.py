@@ -1,7 +1,8 @@
 """VMSH's device host and the two MMIO dispatch strategies (§4.3, §5).
 
-The vmsh-console and vmsh-blk devices run inside the *VMSH process*,
-outside the hypervisor.  Two problems follow (§3.3 challenge #3):
+VMSH's side-loaded devices (vmsh-console, vmsh-blk and the optional
+vm-exec device) run inside the *VMSH process*, outside the
+hypervisor.  Two problems follow (§3.3 challenge #3):
 
 1. MMIO-triggered VMEXITs land in the hypervisor, not in VMSH.  Either
    VMSH ptrace-wraps the hypervisor's ``KVM_RUN`` and steals matching
@@ -15,7 +16,7 @@ outside the hypervisor.  Two problems follow (§3.3 challenge #3):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.libbuild import LibraryPlan, VMSH_MMIO_STRIDE
 from repro.errors import VmshError
@@ -29,10 +30,12 @@ from repro.virtio.console import Pts, VirtioConsoleDevice
 from repro.virtio.core import VirtioServiceHost
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import VirtioMmioDevice
+from repro.virtio.pci import PciVirtioFunction
+from repro.virtio.vmexec import VmExecDevice
 
 
 class VmshDeviceHost(VirtioServiceHost):
-    """Hosts the console and block devices inside the VMSH process."""
+    """Hosts the planned devices inside the VMSH process."""
 
     def __init__(
         self,
@@ -40,90 +43,51 @@ class VmshDeviceHost(VirtioServiceHost):
         accessor: GuestMemoryAccessor,
         plan: LibraryPlan,
         image_bytes: bytes,
-        console_irq: Callable[[], None],
-        blk_irq: Callable[[], None],
+        irqs: Sequence[Callable[[], None]],
         pts: Optional[Pts] = None,
-        exec_irq: Optional[Callable[[], None]] = None,
         event_idx: bool = True,
     ):
-        self.costs = costs
+        """``irqs`` signals each planned device's interrupt, in plan order."""
         self.accessor = accessor
-        self.event_idx = event_idx
         self.pts = pts if pts is not None else Pts(costs)
-        self.console = VirtioConsoleDevice(
-            accessor=accessor,
-            irq_signal=console_irq,
-            costs=costs,
-            pts=self.pts,
-            name="vmsh-console",
-            offer_event_idx=event_idx,
-        )
         self.backend = MappedImageBackend(costs, image_bytes, writable=True)
-        self.blk = VirtioBlkDevice(
-            accessor=accessor,
-            irq_signal=blk_irq,
-            costs=costs,
-            backend=self.backend,
-            name="vmsh-blk",
-            offer_event_idx=event_idx,
-        )
-        self.transport = plan.transport
-        self._windows: Dict[int, VirtioMmioDevice] = {
-            plan.console_mmio: self.console,
-            plan.blk_mmio: self.blk,
+        build = {
+            "console": lambda irq: VirtioConsoleDevice(
+                accessor=accessor, irq_signal=irq, costs=costs, pts=self.pts,
+                name="vmsh-console", offer_event_idx=event_idx,
+            ),
+            "blk": lambda irq: VirtioBlkDevice(
+                accessor=accessor, irq_signal=irq, costs=costs,
+                backend=self.backend, name="vmsh-blk",
+                offer_event_idx=event_idx,
+            ),
+            "exec": lambda irq: VmExecDevice(
+                accessor=accessor, irq_signal=irq, costs=costs
+            ),
         }
-        self.exec_device = None
-        if plan.exec_device:
-            from repro.virtio.vmexec import VmExecDevice
-
-            if exec_irq is None:
-                raise VmshError("exec device planned but no irq signaller given")
-            self.exec_device = VmExecDevice(
-                accessor=accessor, irq_signal=exec_irq, costs=costs
-            )
-            self._windows[plan.exec_mmio] = self.exec_device
-        self.mmio_base = min(self._windows)
-        self.mmio_size = (
-            max(self._windows) + VMSH_MMIO_STRIDE - self.mmio_base
-        )
+        #: register window -> device, in plan order
+        self._windows: Dict[int, VirtioMmioDevice] = {}
         #: PCI mode: (config-page base -> function)
-        self._pci_functions: Dict[int, object] = {}
-        if plan.transport == "pci":
-            from repro.virtio.pci import PciVirtioFunction, slot_address
-
-            console_fn = PciVirtioFunction(
-                slot=plan.console_slot, device=self.console,
-                bar0=plan.console_mmio, msi_message=plan.console_msi,
-            )
-            blk_fn = PciVirtioFunction(
-                slot=plan.blk_slot, device=self.blk,
-                bar0=plan.blk_mmio, msi_message=plan.blk_msi,
-            )
-            self._pci_functions = {
-                slot_address(plan.console_slot): console_fn,
-                slot_address(plan.blk_slot): blk_fn,
-            }
-            if self.exec_device is not None:
-                exec_fn = PciVirtioFunction(
-                    slot=plan.exec_slot, device=self.exec_device,
-                    bar0=plan.exec_mmio, msi_message=plan.exec_msi,
+        self._pci_functions: Dict[int, PciVirtioFunction] = {}
+        by_name: Dict[str, VirtioMmioDevice] = {}
+        for row, irq in zip(plan.devices, irqs):
+            device = by_name[row.name] = build[row.name](irq)
+            self._windows[row.mmio] = device
+            if plan.transport == "pci":
+                self._pci_functions[row.ecam] = PciVirtioFunction(
+                    slot=row.slot, device=device, bar0=row.mmio,
+                    msi_message=row.msi,
                 )
-                self._pci_functions[slot_address(plan.exec_slot)] = exec_fn
+        self.exec_device = by_name.get("exec")
         #: claimed guest-physical ranges: (start, end) pairs
-        self.ranges = [(self.mmio_base, self.mmio_base + self.mmio_size)]
-        if self._pci_functions:
-            lo = min(self._pci_functions)
-            hi = max(self._pci_functions) + VMSH_MMIO_STRIDE
-            self.ranges.append((lo, hi))
+        self.ranges = [(start, start + size) for start, size in plan.regions()]
+        self.mmio_base = self.ranges[0][0]
         # Deferred-kick servicing (scheduler mode) lives in the
         # VirtioServiceHost mixin; see virtio/core.py.
         self._init_service_fifo()
 
     def devices(self) -> list:
-        out = [self.console, self.blk]
-        if self.exec_device is not None:
-            out.append(self.exec_device)
-        return out
+        return list(self._windows.values())
 
     def contains(self, addr: int) -> bool:
         return any(lo <= addr < hi for lo, hi in self.ranges)

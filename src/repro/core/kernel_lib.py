@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.core.libbuild import VMSH_DEVICES
 from repro.errors import GuestPanicError
 from repro.guestos.kernel import GuestKernel, register_program
 from repro.guestos.kfunctions import PosRef
@@ -72,18 +73,14 @@ class _LibRun:
         kernel = self.kernel
         self.call("printk", "vmsh: kernel library loaded")
 
-        # 1. Register the console and block platform devices.  The
-        #    struct payloads were packed by VMSH for the version it
-        #    detected; the guest parses them for the version it runs.
-        self.call(
-            "platform_device_register_full", self.blob.config["console_pdev"]
-        )
-        self.call("platform_device_register_full", self.blob.config["blk_pdev"])
-        if "exec_pdev" in self.blob.config:
-            # The optional vm-exec device (§2.2 vision).
-            self.call(
-                "platform_device_register_full", self.blob.config["exec_pdev"]
-            )
+        # 1. Register the platform devices the blob carries, in table
+        #    order.  The struct payloads were packed by VMSH for the
+        #    version it detected; the guest parses them for the version
+        #    it runs.
+        for device in VMSH_DEVICES:
+            info = self.blob.config.get(device.config_key)
+            if info is not None:
+                self.call("platform_device_register_full", info)
 
         # 2. Copy the embedded stage-2 binary into a writable path
         #    (/dev per §5) using only exported file-IO functions.

@@ -11,11 +11,12 @@ than silently working.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.guestos.kfunctions import (
+    DEVICE_KIND_VIRTIO_MMIO,
+    DEVICE_KIND_VIRTIO_PCI,
     PlatformDeviceInfo,
     REQUIRED_KERNEL_FUNCTIONS,
     UmhArgs,
@@ -23,29 +24,67 @@ from repro.guestos.kfunctions import (
 from repro.arch import Arch
 from repro.guestos.version import KernelVersion
 from repro.sideload import build_blob
+from repro.virtio.pci import SLOT_STRIDE, slot_address
 
 #: guest-physical window where VMSH places its MMIO devices — above
 #: the hypervisors' device region, below nothing (unbacked gpa space,
 #: so accesses exit).
 VMSH_MMIO_BASE = 0xE0000000
 VMSH_MMIO_STRIDE = 0x1000
-VMSH_CONSOLE_GSI = 64
-VMSH_BLK_GSI = 65
 
 STAGE2_GUEST_PATH = "/dev/.vmsh-stage2"
 KERNEL_LIB_PROGRAM_ID = "vmsh-kernel-lib"
 STAGE2_PROGRAM_ID = "vmsh-stage2"
 
 
-#: PCI-transport parameters: VMSH claims high device slots in the
-#: ECAM window and MSI messages (see repro.virtio.pci).
-VMSH_PCI_CONSOLE_SLOT = 0xF0
-VMSH_PCI_BLK_SLOT = 0xF1
-VMSH_PCI_EXEC_SLOT = 0xF2
-VMSH_MSI_CONSOLE = 41
-VMSH_MSI_BLK = 42
-VMSH_MSI_EXEC = 43
-VMSH_EXEC_GSI = 66
+@dataclass(frozen=True)
+class VmshDevice:
+    """One side-loadable device: where it lives and how it interrupts.
+
+    On the mmio transport the guest finds the register window at
+    ``mmio`` and VMSH signals pin ``gsi``; on pci (the extension, see
+    repro.virtio.pci) the device is a function in ECAM ``slot`` whose
+    BAR0 is the same window, signalling MSI message ``msi``.
+    """
+
+    name: str
+    mmio: int
+    gsi: int
+    slot: int
+    msi: int
+
+    @property
+    def ecam(self) -> int:
+        """Guest-physical address of the function's config page."""
+        return slot_address(self.slot)
+
+    @property
+    def config_key(self) -> str:
+        """The blob config entry holding this device's registration."""
+        return f"{self.name}_pdev"
+
+    def pdev(self, transport: str) -> PlatformDeviceInfo:
+        """The platform_device_register_full argument for ``transport``."""
+        if transport == "pci":
+            return PlatformDeviceInfo(
+                mmio_base=self.ecam, irq=self.msi, kind=DEVICE_KIND_VIRTIO_PCI
+            )
+        return PlatformDeviceInfo(
+            mmio_base=self.mmio, irq=self.gsi, kind=DEVICE_KIND_VIRTIO_MMIO
+        )
+
+
+#: Every device VMSH can side-load, in registration order; a plan
+#: takes a prefix.  VMSH claims the windows and the ECAM pages as one
+#: range each, so both run contiguously from the first row.  The last
+#: row is the optional vm-exec device (§2.2 vision).
+VMSH_DEVICES: Tuple[VmshDevice, ...] = (
+    VmshDevice("console", VMSH_MMIO_BASE, gsi=64, slot=0xF0, msi=41),
+    VmshDevice("blk", VMSH_MMIO_BASE + VMSH_MMIO_STRIDE, gsi=65, slot=0xF1,
+               msi=42),
+    VmshDevice("exec", VMSH_MMIO_BASE + 2 * VMSH_MMIO_STRIDE, gsi=66,
+               slot=0xF2, msi=43),
+)
 
 
 @dataclass(frozen=True)
@@ -53,28 +92,25 @@ class LibraryPlan:
     """What the builder decided to generate."""
 
     version: KernelVersion
-    console_mmio: int
-    blk_mmio: int
-    console_gsi: int
-    blk_gsi: int
     command: str
     container_pid: int
     reloc_names: List[str]
+    #: the side-loaded devices, a prefix of :data:`VMSH_DEVICES`
+    devices: Tuple[VmshDevice, ...]
     #: "mmio" (the paper's implementation) or "pci" (the extension)
     transport: str = "mmio"
-    console_slot: int = VMSH_PCI_CONSOLE_SLOT
-    blk_slot: int = VMSH_PCI_BLK_SLOT
-    console_msi: int = VMSH_MSI_CONSOLE
-    blk_msi: int = VMSH_MSI_BLK
-    #: the optional vm-exec device (§2.2 vision)
-    exec_device: bool = False
-    exec_mmio: int = VMSH_MMIO_BASE + 2 * VMSH_MMIO_STRIDE
-    exec_gsi: int = VMSH_EXEC_GSI
-    exec_slot: int = VMSH_PCI_EXEC_SLOT
-    exec_msi: int = VMSH_MSI_EXEC
     #: guest architecture — sizes the trampoline scratch area to the
     #: arch's register file; ``None`` falls back to max-over-arches.
     arch: Optional[Arch] = None
+
+    def regions(self) -> List[Tuple[int, int]]:
+        """The guest-physical ranges VMSH serves, as (start, size): the
+        devices' register windows, plus their ECAM pages on pci."""
+        first, count = self.devices[0], len(self.devices)
+        regions = [(first.mmio, count * VMSH_MMIO_STRIDE)]
+        if self.transport == "pci":
+            regions.append((first.ecam, count * SLOT_STRIDE))
+        return regions
 
 
 def plan_library(
@@ -89,27 +125,17 @@ def plan_library(
         raise ValueError(f"unknown virtio transport {transport!r}")
     return LibraryPlan(
         version=version,
-        console_mmio=VMSH_MMIO_BASE,
-        blk_mmio=VMSH_MMIO_BASE + VMSH_MMIO_STRIDE,
-        console_gsi=VMSH_CONSOLE_GSI,
-        blk_gsi=VMSH_BLK_GSI,
         command=command,
         container_pid=container_pid,
         reloc_names=list(REQUIRED_KERNEL_FUNCTIONS),
+        devices=VMSH_DEVICES if exec_device else VMSH_DEVICES[:2],
         transport=transport,
-        exec_device=exec_device,
         arch=arch,
     )
 
 
 def build_library(plan: LibraryPlan) -> bytes:
     """Assemble the SELF blob (relocation slots still zero)."""
-    from repro.guestos.kfunctions import (
-        DEVICE_KIND_VIRTIO_MMIO,
-        DEVICE_KIND_VIRTIO_PCI,
-    )
-    from repro.virtio.pci import slot_address
-
     version = plan.version
     stage2_argv = [
         STAGE2_GUEST_PATH,
@@ -118,46 +144,15 @@ def build_library(plan: LibraryPlan) -> bytes:
         "--container-pid",
         str(plan.container_pid),
     ]
-    if plan.transport == "pci":
-        console_pdev = PlatformDeviceInfo(
-            mmio_base=slot_address(plan.console_slot),
-            irq=plan.console_msi,
-            kind=DEVICE_KIND_VIRTIO_PCI,
-        )
-        blk_pdev = PlatformDeviceInfo(
-            mmio_base=slot_address(plan.blk_slot),
-            irq=plan.blk_msi,
-            kind=DEVICE_KIND_VIRTIO_PCI,
-        )
-    else:
-        console_pdev = PlatformDeviceInfo(
-            mmio_base=plan.console_mmio, irq=plan.console_gsi,
-            kind=DEVICE_KIND_VIRTIO_MMIO,
-        )
-        blk_pdev = PlatformDeviceInfo(
-            mmio_base=plan.blk_mmio, irq=plan.blk_gsi,
-            kind=DEVICE_KIND_VIRTIO_MMIO,
-        )
     config = {
-        "console_pdev": console_pdev.pack(version),
-        "blk_pdev": blk_pdev.pack(version),
-        "abi": version.kernel_rw_variant.encode("ascii"),
-        "umh": UmhArgs(STAGE2_GUEST_PATH, tuple(stage2_argv)).pack(version),
-        "stage2_path": STAGE2_GUEST_PATH.encode(),
+        device.config_key: device.pdev(plan.transport).pack(version)
+        for device in plan.devices
     }
-    if plan.exec_device:
-        if plan.transport == "pci":
-            exec_pdev = PlatformDeviceInfo(
-                mmio_base=slot_address(plan.exec_slot),
-                irq=plan.exec_msi,
-                kind=DEVICE_KIND_VIRTIO_PCI,
-            )
-        else:
-            exec_pdev = PlatformDeviceInfo(
-                mmio_base=plan.exec_mmio, irq=plan.exec_gsi,
-                kind=DEVICE_KIND_VIRTIO_MMIO,
-            )
-        config["exec_pdev"] = exec_pdev.pack(version)
+    config.update(
+        abi=version.kernel_rw_variant.encode("ascii"),
+        umh=UmhArgs(STAGE2_GUEST_PATH, tuple(stage2_argv)).pack(version),
+        stage2_path=STAGE2_GUEST_PATH.encode(),
+    )
     payload = _stage2_binary()
     return build_blob(
         program_id=KERNEL_LIB_PROGRAM_ID,

@@ -8,7 +8,8 @@ simulated stack, in three layers:
   makes a VM's execution state: guest physical memory, vCPU register
   files, the memslot layout, device register + virtqueue state on both
   sides of every ring (device ``last_avail``/``used_idx``/EVENT_IDX
-  words, driver free-lists and in-flight chain windows),
+  words and posted heads, driver free-lists and in-flight chain
+  windows),
   irqfd/ioeventfd/ioregionfd routes, and — when a VMSH session is
   attached — the overlay image bytes and session flags.
 
@@ -59,11 +60,13 @@ from repro.virtio.memio import AccessorStats
 
 @dataclass
 class _RingState:
-    """Device-side virtqueue indices (the EVENT_IDX protocol state)."""
+    """Device-side virtqueue indices (the EVENT_IDX protocol state) and
+    the chains popped from the avail ring but not yet used."""
 
     last_avail: int
     used_idx: int
     used_event: Optional[int]
+    posted: List[int]
 
 
 @dataclass
@@ -301,6 +304,7 @@ def _capture_ring(ring) -> Optional[_RingState]:
         last_avail=ring._last_avail,
         used_idx=ring._used_idx,
         used_event=ring._used_event,
+        posted=list(ring.posted),
     )
 
 
@@ -340,6 +344,7 @@ def _restore_device(device, state: _DeviceState) -> None:
             queue.ring._last_avail = saved.ring.last_avail
             queue.ring._used_idx = saved.ring.used_idx
             queue.ring._used_event = saved.ring.used_event
+            queue.ring.posted[:] = saved.ring.posted
 
 
 # ---------------------------------------------------------------------------

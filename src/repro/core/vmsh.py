@@ -50,13 +50,7 @@ from repro.core.devices import (
 from repro.core.gateway import GuestMemoryGateway
 from repro.core.kaslr import KernelLocation, find_kernel
 from repro.core.ksymtab import ParsedKsymtab, parse_ksymtab
-from repro.core.libbuild import (
-    LibraryPlan,
-    VMSH_BLK_GSI,
-    VMSH_CONSOLE_GSI,
-    build_library,
-    plan_library,
-)
+from repro.core.libbuild import LibraryPlan, build_library, plan_library
 # Importing these registers the guest-side program runtimes.
 from repro.core import kernel_lib as _kernel_lib  # noqa: F401
 from repro.core import stage2 as _stage2          # noqa: F401
@@ -562,8 +556,8 @@ class Vmsh:
         txn.step("create_device_fds")
         yield "create_device_fds"
         mode = self._choose_mode(mmio_mode, ioregionfd_supported)
-        console_efd, blk_efd, exec_efd, ioregion_socket, session_fds = (
-            self._create_device_fds(txn, session, inject_thread, vm_fd, plan, mode)
+        device_efds, ioregion_socket, session_fds = self._create_device_fds(
+            txn, session, inject_thread, vm_fd, plan, mode
         )
 
         # 9. Library placement.
@@ -588,11 +582,7 @@ class Vmsh:
             accessor=accessor,
             plan=plan,
             image_bytes=image_bytes,
-            console_irq=self._irq_signaller(console_efd),
-            blk_irq=self._irq_signaller(blk_efd),
-            exec_irq=(
-                self._irq_signaller(exec_efd) if exec_efd is not None else None
-            ),
+            irqs=[self._irq_signaller(efd) for efd in device_efds],
             event_idx=event_idx,
         )
         dispatch: MmioDispatch
@@ -736,15 +726,15 @@ class Vmsh:
         vm_fd: int,
         plan: LibraryPlan,
         mode: str,
-    ) -> Tuple[int, int, Optional[int], Optional[SocketPair], List[int]]:
+    ) -> Tuple[List[int], Optional[SocketPair], List[int]]:
         """Create irqfds (and the ioregionfd socket) in the hypervisor
         and pass them back over an injected UNIX socket.
 
-        Returns ``(console_efd, blk_efd, exec_efd, ioregion_socket,
-        session_fds)``; ``exec_efd`` is ``None`` unless the plan
-        includes the vm-exec device, ``ioregion_socket`` is ``None``
-        outside ioregionfd mode, ``session_fds`` are all VMSH-side fds
-        the session owns (for detach).
+        Returns ``(device_efds, ioregion_socket, session_fds)``:
+        ``device_efds`` holds one eventfd per planned device, in plan
+        order, ``ioregion_socket`` is ``None`` outside ioregionfd mode,
+        ``session_fds`` are all VMSH-side fds the session owns (for
+        detach).
 
         Every injected fd and every KVM registration pushes a
         compensating action onto ``txn``.  Before returning, the
@@ -763,60 +753,34 @@ class Vmsh:
                 lambda fd=fd: session.inject_syscall(thread, "close", fd),
             )
 
-        console_efd_hv = session.inject_syscall(thread, "eventfd2")
-        track_hv_fd(console_efd_hv)
-        blk_efd_hv = session.inject_syscall(thread, "eventfd2")
-        track_hv_fd(blk_efd_hv)
-        exec_efd_hv = None
-        if plan.exec_device:
-            exec_efd_hv = session.inject_syscall(thread, "eventfd2")
-            track_hv_fd(exec_efd_hv)
-        if plan.transport == "pci":
-            # MSI-routed irqfds: no GSI pins needed (the extension).
-            msi_routes = [
-                (console_efd_hv, plan.console_msi),
-                (blk_efd_hv, plan.blk_msi),
-            ]
-            if exec_efd_hv is not None:
-                msi_routes.append((exec_efd_hv, plan.exec_msi))
-            for efd_hv, msi in msi_routes:
+        efds_hv = []
+        for _ in plan.devices:
+            efds_hv.append(session.inject_syscall(thread, "eventfd2"))
+            track_hv_fd(efds_hv[-1])
+        for device, efd_hv in zip(plan.devices, efds_hv):
+            if plan.transport == "pci":
+                # MSI-routed irqfds: no GSI pins needed (the extension).
+                request, route = "KVM_IRQFD_MSI", {"msi_message": device.msi}
+                label = f"MSI irqfd (message {device.msi})"
+            else:
+                # Pin-based irqfds — this is where Cloud Hypervisor's
+                # MSI-X-only model fails (Table 1).
+                request, route = "KVM_IRQFD", {"gsi": device.gsi}
+                label = f"irqfd (GSI {device.gsi})"
+            try:
                 session.inject_syscall(
-                    thread, "ioctl", vm_fd, "KVM_IRQFD_MSI",
-                    {"msi_message": msi, "eventfd": efd_hv},
+                    thread, "ioctl", vm_fd, request, {**route, "eventfd": efd_hv}
                 )
-                txn.push(
-                    f"deassign MSI irqfd (message {msi})",
-                    lambda msi=msi: session.inject_syscall(
-                        thread, "ioctl", vm_fd, "KVM_IRQFD_MSI",
-                        {"msi_message": msi, "deassign": True},
-                    ),
-                )
-        else:
-            # Pin-based irqfds — this is where Cloud Hypervisor's
-            # MSI-X-only model fails (Table 1).
-            gsi_routes = [
-                (console_efd_hv, plan.console_gsi),
-                (blk_efd_hv, plan.blk_gsi),
-            ]
-            if exec_efd_hv is not None:
-                gsi_routes.append((exec_efd_hv, plan.exec_gsi))
-            for efd_hv, gsi in gsi_routes:
-                try:
-                    session.inject_syscall(
-                        thread, "ioctl", vm_fd, "KVM_IRQFD",
-                        {"gsi": gsi, "eventfd": efd_hv},
-                    )
-                except KvmError as exc:
-                    raise HypervisorNotSupportedError(
-                        f"cannot route VMSH interrupts on this hypervisor: {exc}"
-                    ) from exc
-                txn.push(
-                    f"deassign irqfd (GSI {gsi})",
-                    lambda gsi=gsi: session.inject_syscall(
-                        thread, "ioctl", vm_fd, "KVM_IRQFD",
-                        {"gsi": gsi, "deassign": True},
-                    ),
-                )
+            except KvmError as exc:
+                raise HypervisorNotSupportedError(
+                    f"cannot route VMSH interrupts on this hypervisor: {exc}"
+                ) from exc
+            txn.push(
+                f"deassign {label}",
+                lambda request=request, route=route: session.inject_syscall(
+                    thread, "ioctl", vm_fd, request, {**route, "deassign": True}
+                ),
+            )
 
         # Injected UNIX socket for fd passing (§5): one end stays in
         # the hypervisor, VMSH connects to the other.
@@ -830,59 +794,27 @@ class Vmsh:
         )
 
         ioregion_socket: Optional[SocketPair] = None
-        attached = [console_efd_hv, blk_efd_hv]
+        attached = list(efds_hv)
         if mode == "ioregionfd":
             io_a, io_b = session.inject_syscall(thread, "socketpair")
             track_hv_fd(io_a)
             track_hv_fd(io_b)
-            window_count = 3 if plan.exec_device else 2
-            session.inject_syscall(
-                thread, "ioctl", vm_fd, "KVM_SET_IOREGION",
-                {
-                    "gpa": plan.console_mmio,
-                    "size": window_count * 0x1000,
-                    "socket": io_a,
-                },
-            )
-            txn.push(
-                "remove ioregion (MMIO window)",
-                lambda: session.inject_syscall(
-                    thread, "ioctl", vm_fd, "KVM_SET_IOREGION",
-                    {
-                        "gpa": plan.console_mmio,
-                        "size": window_count * 0x1000,
-                        "remove": True,
-                    },
-                ),
-            )
-            if plan.transport == "pci":
-                # The ECAM config pages of VMSH's device slots.
-                from repro.virtio.pci import slot_address
-
-                ecam_gpa = slot_address(plan.console_slot)
+            # The devices' register windows, plus on pci the ECAM
+            # config pages of their device slots.
+            for (gpa, size), window in zip(plan.regions(), ("MMIO", "ECAM")):
                 session.inject_syscall(
                     thread, "ioctl", vm_fd, "KVM_SET_IOREGION",
-                    {
-                        "gpa": ecam_gpa,
-                        "size": window_count * 0x1000,
-                        "socket": io_a,
-                    },
+                    {"gpa": gpa, "size": size, "socket": io_a},
                 )
                 txn.push(
-                    "remove ioregion (ECAM window)",
-                    lambda: session.inject_syscall(
+                    f"remove ioregion ({window} window)",
+                    lambda gpa=gpa, size=size: session.inject_syscall(
                         thread, "ioctl", vm_fd, "KVM_SET_IOREGION",
-                        {
-                            "gpa": ecam_gpa,
-                            "size": window_count * 0x1000,
-                            "remove": True,
-                        },
+                        {"gpa": gpa, "size": size, "remove": True},
                     ),
                 )
             attached.append(io_b)
 
-        if exec_efd_hv is not None:
-            attached.insert(2, exec_efd_hv)
         session.inject_syscall(thread, "sendmsg", sock_a, "vmsh-fds", attached)
         payload, fds = self.host.syscall(self._thread, "recvmsg", vmsh_sock_fd)
         if payload != "vmsh-fds":
@@ -892,14 +824,9 @@ class Vmsh:
                 f"close VMSH device fd {fd}",
                 lambda fd=fd: self.host.syscall(self._thread, "close", fd),
             )
-        console_efd, blk_efd = fds[0], fds[1]
-        exec_efd = None
-        cursor = 2
-        if exec_efd_hv is not None:
-            exec_efd = fds[cursor]
-            cursor += 1
+        device_efds = fds[: len(plan.devices)]
         if mode == "ioregionfd":
-            socket_obj = self.process.fds.get(fds[cursor])
+            socket_obj = self.process.fds.get(fds[-1])
             assert isinstance(socket_obj, SocketPair)
             ioregion_socket = socket_obj
 
@@ -912,7 +839,7 @@ class Vmsh:
             txn.discharge(hv_fd_entries[fd])
         self.host.syscall(self._thread, "close", vmsh_sock_fd)
         txn.discharge(vmsh_sock_entry)
-        return console_efd, blk_efd, exec_efd, ioregion_socket, fds
+        return device_efds, ioregion_socket, fds
 
     def _irq_signaller(self, eventfd_fd: int):
         host, thread = self.host, self._thread

@@ -139,7 +139,6 @@ class GuestKernel:
         self.vmsh_console: Optional[Any] = None       # GuestVirtioConsole
         self.vmsh_block: Optional[BlockDevice] = None
         self.vmsh_exec: Optional[Any] = None          # GuestVmExecDriver
-        self.vmsh_nic: Optional[Any] = None           # GuestVirtioNic
 
         self._irq_handlers: Dict[int, Callable[[int], None]] = {}
         self._kernel_files: Dict[int, OpenFile] = {}
@@ -435,17 +434,15 @@ class GuestKernel:
         from repro.virtio import constants as C
         from repro.virtio.blk import GuestVirtioBlkDisk
         from repro.virtio.console import GuestVirtioConsole
-        from repro.virtio.net import GuestVirtioNic
         from repro.virtio.vmexec import DEVICE_ID_VMEXEC, GuestVmExecDriver
 
         handle = next(self._pdev_counter)
         if device_id == DEVICE_ID_VMEXEC:
             exec_driver = GuestVmExecDriver(self, transport)
-            self.vmsh_exec = exec_driver  # type: ignore[attr-defined]
+            self.vmsh_exec = exec_driver
             self.platform_devices[handle] = exec_driver
             self.printk(f"vmsh: exec device at {where}")
-            return handle
-        if device_id == C.DEVICE_ID_CONSOLE:
+        elif device_id == C.DEVICE_ID_CONSOLE:
             console = GuestVirtioConsole(self, transport, name="vmsh-hvc")
             self.vmsh_console = console
             self.platform_devices[handle] = console
@@ -456,15 +453,6 @@ class GuestKernel:
             self.block_devices[disk.name] = disk
             self.platform_devices[handle] = disk
             self.printk(f"vmsh: block device at {where}")
-        elif device_id == C.DEVICE_ID_NET:
-            nic = GuestVirtioNic(
-                self, transport, name="vmsh_nic",
-                queue_pairs=self.config.nic_queue_pairs,
-            )
-            self.vmsh_nic = nic
-            self.net_devices[nic.name] = nic
-            self.platform_devices[handle] = nic
-            self.printk(f"vmsh: net device at {where}")
         else:
             self.panic(f"unknown virtio device id {device_id}")
         return handle
@@ -478,9 +466,6 @@ class GuestKernel:
         if device is self.vmsh_block:
             self.block_devices.pop(getattr(device, "name", ""), None)
             self.vmsh_block = None
-        if device is self.vmsh_nic:
-            self.net_devices.pop(getattr(device, "name", ""), None)
-            self.vmsh_nic = None
         return 0
 
     # -- file IO (4) ------------------------------------------------------------------------

@@ -239,6 +239,26 @@ def run_attach_case(
     )
 
 
+def _write_desc(ring, index: int, addr: int, length: int,
+                flags: int, nxt: int) -> None:
+    """Scribble one descriptor into a driver ring's table in guest RAM."""
+    mem = ring._mem
+    base = ring.desc_gpa + index * DESC_SIZE
+    mem.write_u64(base, addr)
+    mem.write_u32(base + 8, length)
+    mem.write_u16(base + 12, flags)
+    mem.write_u16(base + 14, nxt)
+
+
+def _publish(ring, head: int) -> None:
+    """Put ``head`` on a driver ring's avail ring, bypassing its API."""
+    mem = ring._mem
+    slot = ring._avail_idx % ring.size
+    mem.write_u16(ring.avail_gpa + AVAIL_HEADER + slot * 2, head)
+    ring._avail_idx = (ring._avail_idx + 1) & 0xFFFF
+    mem.write_u16(ring.avail_gpa + 2, ring._avail_idx)
+
+
 def _virtio_abuse(hv: Any, kind: str) -> List[str]:
     """Behave like a hostile guest driver against the vmsh-blk queue.
 
@@ -259,25 +279,11 @@ def _virtio_abuse(hv: Any, kind: str) -> List[str]:
     if disk is None:
         return []
     ring = disk.ring
-    mem = disk.kernel.memory
     violations: List[str] = []
-
-    def write_desc(index: int, addr: int, length: int, flags: int, nxt: int) -> None:
-        base = ring.desc_gpa + index * DESC_SIZE
-        mem.write_u64(base, addr)
-        mem.write_u32(base + 8, length)
-        mem.write_u16(base + 12, flags)
-        mem.write_u16(base + 14, nxt)
-
-    def publish(head: int) -> None:
-        slot = ring._avail_idx % ring.size
-        mem.write_u16(ring.avail_gpa + AVAIL_HEADER + slot * 2, head)
-        ring._avail_idx = (ring._avail_idx + 1) & 0xFFFF
-        mem.write_u16(ring.avail_gpa + 2, ring._avail_idx)
 
     if kind == "bogus_used_event":
         if ring.event_idx:
-            mem.write_u16(ring.used_event_gpa, 0xBEEF)
+            ring._mem.write_u16(ring.used_event_gpa, 0xBEEF)
         try:
             disk.write_sectors(0, b"\xa5" * 512)
             if disk.read_sectors(0, 1) != b"\xa5" * 512:
@@ -288,16 +294,16 @@ def _virtio_abuse(hv: Any, kind: str) -> List[str]:
 
     data_gpa = disk._data_gpa
     if kind == "desc_loop":
-        write_desc(0, data_gpa, 512, VRING_DESC_F_NEXT, 0)
+        _write_desc(ring, 0, data_gpa, 512, VRING_DESC_F_NEXT, 0)
     elif kind == "desc_index":
-        write_desc(0, data_gpa, 512, VRING_DESC_F_NEXT, ring.size + 7)
+        _write_desc(ring, 0, data_gpa, 512, VRING_DESC_F_NEXT, ring.size + 7)
     elif kind == "zero_len":
-        write_desc(0, data_gpa, 0, 0, 0)
+        _write_desc(ring, 0, data_gpa, 0, 0, 0)
     elif kind == "bad_gpa":
-        write_desc(0, 0x7FFF_FFF0_0000, 512, 0, 0)
+        _write_desc(ring, 0, 0x7FFF_FFF0_0000, 512, 0, 0)
     else:
         raise RecordingError(f"unknown virtio abuse {kind!r}")
-    publish(0)
+    _publish(ring, 0)
     try:
         disk.transport.notify(0)
         violations.append("virtio-crash:garbage-accepted")
@@ -328,23 +334,7 @@ def _virtio_net_abuse(hv: Any, kind: str) -> List[str]:
     device = getattr(hv, "nics", {}).get("net0")
     if nic is None or device is None:
         return []
-    mem = nic.kernel.memory
     violations: List[str] = []
-
-    def write_desc(ring, index: int, addr: int, length: int,
-                   flags: int, nxt: int) -> None:
-        base = ring.desc_gpa + index * DESC_SIZE
-        mem.write_u64(base, addr)
-        mem.write_u32(base + 8, length)
-        mem.write_u16(base + 12, flags)
-        mem.write_u16(base + 14, nxt)
-
-    def publish(ring, head: int) -> None:
-        slot = ring._avail_idx % ring.size
-        mem.write_u16(ring.avail_gpa + AVAIL_HEADER + slot * 2, head)
-        ring._avail_idx = (ring._avail_idx + 1) & 0xFFFF
-        mem.write_u16(ring.avail_gpa + 2, ring._avail_idx)
-
     received: List[bytes] = []
     nic.on_receive(lambda frame, pair: received.append(frame))
 
@@ -353,8 +343,8 @@ def _virtio_net_abuse(hv: Any, kind: str) -> List[str]:
         # the device must refuse to write an inbound frame through it.
         # (Single-descriptor chains, so head index == descriptor index.)
         head = device.posted_heads(0)[0]
-        write_desc(nic.rx_rings[0], head, nic._rx[0].base,
-                   nic.RX_BUFFER_SIZE, 0, head)
+        _write_desc(nic.rx_rings[0], head, nic._rx[0].base,
+                    nic.RX_BUFFER_SIZE, 0, head)
         try:
             device.deliver(make_frame(device.mac, b"\x02" * 6, b"ping"))
             violations.append("virtio-crash:garbage-accepted")
@@ -365,12 +355,12 @@ def _virtio_net_abuse(hv: Any, kind: str) -> List[str]:
     else:
         tx_ring = nic.tx_rings[0]
         if kind == "net_tx_desc_loop":
-            write_desc(tx_ring, 0, nic._tx_gpa[0], 64, VRING_DESC_F_NEXT, 0)
+            _write_desc(tx_ring, 0, nic._tx_gpa[0], 64, VRING_DESC_F_NEXT, 0)
         elif kind == "net_tx_bad_gpa":
-            write_desc(tx_ring, 0, 0x7FFF_FFF0_0000, 64, 0, 0)
+            _write_desc(tx_ring, 0, 0x7FFF_FFF0_0000, 64, 0, 0)
         else:
             raise RecordingError(f"unknown virtio abuse {kind!r}")
-        publish(tx_ring, 0)
+        _publish(tx_ring, 0)
         try:
             nic.transport.notify(1)
             violations.append("virtio-crash:garbage-accepted")

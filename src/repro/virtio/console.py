@@ -174,9 +174,7 @@ class GuestVirtioConsole:
         self._input_sink = sink
 
     def send(self, data: bytes) -> None:
-        """Guest -> host transmission."""
-        if len(data) > 4096:
-            raise VirtioError("console TX larger than one buffer")
+        """Guest -> host transmission, at most one page per send."""
         self._tx.send(data)
 
     def _on_irq(self, gsi: int) -> None:

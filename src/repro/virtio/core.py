@@ -43,11 +43,12 @@ made them, so seeded traces are unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VirtioError, VmshError
 from repro.sim.costs import CostModel
 from repro.sim.sched import Completion, Poll, Scheduler, SchedulerError, Task
+from repro.units import PAGE_SIZE
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import VirtioMmioDevice
 
@@ -61,9 +62,9 @@ class VirtioDeviceCore(VirtioMmioDevice):
       MAC/MQ) OR-ed into the offer after the transport-level bits;
     * a per-device ``virtio{device=...}`` metrics scope with the batch
       depth histogram and request counter every device reports;
-    * posted-buffer lists per queue (:meth:`posted_heads` /
-      :meth:`absorb_posted`) for receive-style queues, and
-      :meth:`fill_posted` to write a payload into the next one;
+    * the posted-buffer list of a receive-style queue, kept by its
+      :class:`DeviceRing` (:meth:`posted_heads` / :meth:`absorb_posted`),
+      and :meth:`fill_posted` to write a payload into the next one;
     * :meth:`publish_batch` — the one true completion-publication path.
     """
 
@@ -88,7 +89,6 @@ class VirtioDeviceCore(VirtioMmioDevice):
             offer_event_idx=offer_event_idx,
         )
         self.device_features |= extra_features
-        self._posted: Dict[int, List[int]] = {}
         self._obs = getattr(costs, "obs", None)
         self.bind_metrics()
 
@@ -106,16 +106,13 @@ class VirtioDeviceCore(VirtioMmioDevice):
 
     def posted_heads(self, index: int) -> List[int]:
         """The driver-posted (not yet consumed) chain heads of a queue."""
-        heads = self._posted.get(index)
-        if heads is None:
-            heads = self._posted[index] = []
-        return heads
+        return self._ring(index).posted
 
     def absorb_posted(self, index: int) -> List[int]:
         """Pull newly-published chains into the queue's posted list."""
-        heads = self.posted_heads(index)
-        heads.extend(self._ring(index).pop_available())
-        return heads
+        ring = self._ring(index)
+        ring.posted.extend(ring.pop_available())
+        return ring.posted
 
     def fill_posted(self, index: int, payload: bytes) -> Tuple[int, int]:
         """Scatter ``payload`` over the queue's next posted chain.
@@ -123,10 +120,11 @@ class VirtioDeviceCore(VirtioMmioDevice):
         One vectored write for the whole chain; returns the used
         element ``(head, written)`` for :meth:`publish_batch`.
         """
-        head = self.posted_heads(index).pop(0)
+        ring = self._ring(index)
+        head = ring.posted.pop(0)
         iov = []
         written = 0
-        for desc in self._ring(index).read_chain(head):
+        for desc in ring.read_chain(head):
             if not desc.device_writable:
                 raise VirtioError(
                     f"{self.name}: RX buffer must be device-writable"
@@ -401,11 +399,12 @@ class GuestRxPath(_GuestQueuePath):
 class GuestTxPath(_GuestQueuePath):
     """Guest transmit path for sends that do not wait for completion.
 
-    A send takes a free slot of ``pages`` guest pages; a slot is free
-    again once its completion is collected.  One more slot is allocated
-    only when every slot is in flight, up to the ring's size: a device
-    serviced inline completes each send before the next, so the first
-    slot is the only one.
+    A send takes a free slot of ``pages`` guest pages, and a larger send
+    raises before anything is written; a slot is free again once its
+    completion is collected.  One more slot is allocated only when
+    every slot is in flight, up to the ring's size: a device serviced
+    inline completes each send before the next, so the first slot is
+    the only one.
     """
 
     def __init__(self, kernel, transport, ring, index: int, pages: int) -> None:
@@ -418,6 +417,11 @@ class GuestTxPath(_GuestQueuePath):
         return next((gpa for gpa in self.slots if gpa not in busy), None)
 
     def send(self, data: bytes) -> None:
+        if len(data) > self.pages * PAGE_SIZE:
+            raise VirtioError(
+                f"queue {self.index}: {len(data)}-byte send exceeds its "
+                f"{self.pages * PAGE_SIZE}-byte slot"
+            )
         slot = self._free_slot()
         if slot is None:
             # Completions the device published since the last send.

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel
 from repro.sim.sched import Poll
+from repro.units import PAGE_SIZE
 from repro.virtio.core import GuestRxPath, GuestTxPath, VirtioDeviceCore
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import GuestVirtioTransport
@@ -37,7 +38,10 @@ REQUEST_QUEUE = 0
 RESPONSE_QUEUE = 1
 
 REQUEST_BUFFER_SIZE = 4096
-RESPONSE_BUFFER_LIMIT = 64 * 1024
+#: guest pages of one response slot: a response is its header plus as
+#: much output as fits
+RESPONSE_SLOT_PAGES = 16
+RESPONSE_HEADER = struct.Struct("<iI")
 
 
 def pack_request(argv: List[str]) -> bytes:
@@ -66,13 +70,14 @@ def unpack_request(data: bytes) -> List[str]:
 
 
 def pack_response(exit_code: int, output: bytes) -> bytes:
-    output = output[:RESPONSE_BUFFER_LIMIT]
-    return struct.pack("<iI", exit_code, len(output)) + output
+    output = output[: RESPONSE_SLOT_PAGES * PAGE_SIZE - RESPONSE_HEADER.size]
+    return RESPONSE_HEADER.pack(exit_code, len(output)) + output
 
 
 def unpack_response(data: bytes) -> "ExecResult":
-    exit_code, length = struct.unpack_from("<iI", data, 0)
-    return ExecResult(exit_code=exit_code, output=data[8 : 8 + length].decode(errors="replace"))
+    exit_code, length = RESPONSE_HEADER.unpack_from(data, 0)
+    output = data[RESPONSE_HEADER.size : RESPONSE_HEADER.size + length]
+    return ExecResult(exit_code=exit_code, output=output.decode(errors="replace"))
 
 
 @dataclass
@@ -198,7 +203,7 @@ class GuestVmExecDriver:
         self._rx = GuestRxPath(guest_kernel, transport, request_ring,
                                REQUEST_QUEUE, REQUEST_BUFFER_SIZE, 4)
         self._tx = GuestTxPath(guest_kernel, transport, response_ring,
-                               RESPONSE_QUEUE, 16)
+                               RESPONSE_QUEUE, RESPONSE_SLOT_PAGES)
         self._executor: Optional[Callable[[List[str]], ExecResult]] = None
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
         self._rx.post()

@@ -229,6 +229,9 @@ class DeviceRing:
         self.event_idx = event_idx
         self._last_avail = 0
         self._used_idx = 0
+        #: heads popped for a receive-style queue and not yet used:
+        #: buffers the driver posted for the device to fill
+        self.posted: List[int] = []
         # used_event snapshot piggybacked on the last pop_available();
         # None until the driver's hint has been observed at least once.
         self._used_event: Optional[int] = None

@@ -8,6 +8,7 @@ from repro.errors import SeccompViolationError, VmshError
 from repro.testbed import Testbed
 from repro.units import MSEC
 from repro.usecases.monitoring import GuestMonitor
+from repro.virtio.vmexec import ExecResult
 
 
 # -- vm-exec device -------------------------------------------------------------
@@ -65,6 +66,19 @@ def test_exec_many_requests_recycle_buffers(exec_session):
     tb, hv, session = exec_session
     for i in range(20):
         assert session.exec(f"echo round{i}").output == f"round{i}"
+
+
+def test_exec_output_is_cut_to_its_response_slot(exec_session):
+    """A response is its 8-byte header plus output, and never spills
+    past the guest's 16-page response slot."""
+    tb, hv, session = exec_session
+    driver = hv.guest.vmsh_exec
+    driver.set_executor(lambda argv: ExecResult(0, "y" * 70_000))
+    after_slot = driver._tx.slots[0] + 16 * 4096
+    before = hv.guest.memory.read(after_slot, 8)
+    result = session.exec("flood")
+    assert result.ok and result.output == "y" * 65_528
+    assert hv.guest.memory.read(after_slot, 8) == before
 
 
 # -- seccomp-aware injection -----------------------------------------------------

@@ -91,10 +91,11 @@ def test_config_space_identification():
     hv = tb.launch_qemu()
     session = tb.vmsh().attach(hv.pid, transport="pci")
     probe = GuestPciProbe(hv.guest)
-    from repro.core.libbuild import VMSH_PCI_BLK_SLOT, VMSH_PCI_CONSOLE_SLOT
+    from repro.core.libbuild import VMSH_DEVICES
 
-    console_fn = probe.probe_slot(VMSH_PCI_CONSOLE_SLOT)
-    blk_fn = probe.probe_slot(VMSH_PCI_BLK_SLOT)
+    console, blk = VMSH_DEVICES[:2]
+    console_fn = probe.probe_slot(console.slot)
+    blk_fn = probe.probe_slot(blk.slot)
     assert console_fn is not None and blk_fn is not None
     assert console_fn["virtio_id"] == 3      # console
     assert blk_fn["virtio_id"] == 2          # block

@@ -6,6 +6,8 @@ from repro.core.gateway import GuestMemoryGateway
 from repro.core.libbuild import (
     STAGE2_GUEST_PATH,
     STAGE2_PROGRAM_ID,
+    VMSH_DEVICES,
+    VMSH_MMIO_STRIDE,
     _stage2_binary,
     build_library,
     plan_library,
@@ -20,6 +22,7 @@ from repro.host.ebpf import MemslotSnooper
 from repro.sideload import parse_blob
 from repro.testbed import Testbed
 from repro.units import PAGE_SIZE
+from repro.virtio.pci import SLOT_STRIDE
 
 
 # -- gateway ----------------------------------------------------------------
@@ -208,6 +211,29 @@ def test_exec_device_config_only_when_requested():
     assert "exec_pdev" in parse_blob(
         lambda o, l: with_exec[o : o + l]
     ).config
+
+
+def test_device_table_prefixes_need_one_region_each():
+    """VMSH serves a plan's register windows, and on pci their ECAM
+    pages, as one ioregion each from the first row: that holds for
+    every prefix of the table only if both run contiguously from the
+    first row.  Interrupt routes must not collide either."""
+    first = VMSH_DEVICES[0]
+    for at, row in enumerate(VMSH_DEVICES):
+        assert row.mmio == first.mmio + at * VMSH_MMIO_STRIDE
+        assert row.ecam == first.ecam + at * SLOT_STRIDE
+    for field in ("name", "gsi", "msi"):
+        values = [getattr(row, field) for row in VMSH_DEVICES]
+        assert len(set(values)) == len(values), field
+    for exec_device, count in ((False, 2), (True, 3)):
+        plan = plan_library(
+            KernelVersion(5, 10), transport="pci", exec_device=exec_device
+        )
+        assert plan.devices == VMSH_DEVICES[:count]
+        assert plan.regions() == [
+            (first.mmio, count * VMSH_MMIO_STRIDE),
+            (first.ecam, count * SLOT_STRIDE),
+        ]
 
 
 def test_command_travels_in_umh_args():

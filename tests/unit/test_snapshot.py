@@ -32,6 +32,7 @@ from repro.units import MSEC, SEC, SECTOR_SIZE
 from repro.usecases.fleet import FleetControlPlane
 from repro.usecases.serverless import ServerlessDebugger, VHivePlatform
 from repro.virtio.blk import MappedImageBackend
+from repro.virtio.console import RX_QUEUE, VirtioConsoleDevice
 from repro.virtio.net import BROADCAST_MAC, make_frame
 
 
@@ -353,6 +354,34 @@ def test_restore_with_attached_session_keeps_console_alive():
     snap.restore_into(hv, session=session)
     out = session.console.run_command("cat /var/lib/vmsh/etc/hostname")
     assert "guest" in out.output
+    session.detach()
+
+
+def test_restore_keeps_the_buffers_the_device_holds():
+    """A restore rewinds each device ring's posted heads with its
+    ``last_avail``: the console device holds exactly the RX buffers the
+    driver has in flight, however often the VM is restored."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid)
+    device = next(d for d in session.device_host.devices()
+                  if isinstance(d, VirtioConsoleDevice))
+    driver = hv.guest.vmsh_console
+
+    def held():
+        heads = device.absorb_posted(RX_QUEUE)
+        assert sorted(heads) == sorted(driver.rx_ring._chain_heads)
+        return len(set(heads))
+
+    snap = VmSnapshot.capture(hv, session=session)
+    for n in range(3):
+        session.console.run_command(f"echo {n}")
+    snap.restore_into(hv, session=session)
+    assert held() == driver.RX_BUFFER_COUNT
+    for n in range(5):
+        snap.restore_into(hv, session=session)
+        assert session.console.run_command(f"echo r{n}").output == f"r{n}"
+        assert held() == driver.RX_BUFFER_COUNT
     session.detach()
 
 

@@ -16,7 +16,12 @@ from repro.virtio.blk import (
     RawDiskBackend,
     VirtioBlkDevice,
 )
-from repro.virtio.console import Pts
+from repro.virtio.console import (
+    RX_QUEUE,
+    GuestVirtioConsole,
+    Pts,
+    VirtioConsoleDevice,
+)
 from repro.virtio.memio import InProcessAccessor
 from repro.virtio.mmio import GuestVirtioTransport
 
@@ -130,6 +135,21 @@ def test_mapped_image_backend_readonly():
     backend = MappedImageBackend(CostModel(Clock()), b"\x00" * 4096, writable=False)
     with pytest.raises(VirtioError):
         backend.write(0, b"\x01" * 512)
+
+
+def test_reset_device_holds_only_buffers_posted_after_it():
+    """Posted heads live on the queue's ring, so a reset drops them."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid)
+    device = next(d for d in session.device_host.devices()
+                  if isinstance(d, VirtioConsoleDevice))
+    transport = hv.guest.vmsh_console.transport
+    assert len(device.absorb_posted(RX_QUEUE)) == GuestVirtioConsole.RX_BUFFER_COUNT
+    transport.write32(C.REG_STATUS, 0)
+    fresh = GuestVirtioConsole(hv.guest, transport)
+    heads = device.absorb_posted(RX_QUEUE)
+    assert sorted(heads) == sorted(fresh.rx_ring._chain_heads)
 
 
 def test_pts_buffers_until_device_connects():

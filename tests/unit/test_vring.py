@@ -210,3 +210,16 @@ def test_tx_path_grows_a_slot_only_when_every_slot_is_in_flight(rings):
     assert len(tx.slots) == driver.size
     assert driver.in_flight_tokens() == [tx.slots[0]]
     assert mem.read(tx.slots[0], 6) == b"again!"
+
+
+def test_tx_path_refuses_a_send_larger_than_its_slot(rings):
+    mem, driver, device = rings
+    tx = GuestTxPath(_BumpKernel(mem), _Doorbell(device), driver, 1, pages=1)
+    slot = tx.slots[0]
+    tx.send(b"x" * 4096)
+    with pytest.raises(VirtioError, match="exceeds its 4096-byte slot"):
+        tx.send(b"y" * 4097)
+    # Nothing was written or posted: not into the slot, not past it.
+    assert mem.read(slot, 4097) == b"x" * 4096 + b"\x00"
+    assert tx.slots == [slot]
+    assert device.pop_available() == []
