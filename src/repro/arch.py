@@ -127,9 +127,9 @@ class Arch:
         """Page-table walker over a ``read_u64(paddr)`` callback."""
         return PageTableWalker(self.pt_format, read_u64)
 
-    def builder(self, read_u64, write_u64, alloc_table_page) -> PageTableBuilder:
+    def builder(self, read_u64, write_u64, alloc_table_page, write_run=None) -> PageTableBuilder:
         """Page-table builder writing real entry bytes into guest memory."""
-        return PageTableBuilder(self.pt_format, read_u64, write_u64, alloc_table_page)
+        return PageTableBuilder(self.pt_format, read_u64, write_u64, alloc_table_page, write_run)
 
     def encode_pt_root(self, root_paddr: int) -> int:
         """Turn a root-table physical address into the sreg value.

@@ -17,7 +17,7 @@ hardware-independent, like-for-like across environments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 from repro.guestos.blockcore import BlockDevice, NativeDisk
 from repro.guestos.fs import Filesystem

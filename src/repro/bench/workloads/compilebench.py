@@ -10,7 +10,6 @@ overhead in Figure 5.
 from __future__ import annotations
 
 from repro.bench.harness import BenchEnv, Measurement, throughput_mb_s
-from repro.guestos.vfs import O_CREAT, O_RDONLY, O_RDWR
 from repro.sim.rng import stream
 
 DIRS = 12

@@ -10,7 +10,6 @@ are the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.bench.harness import BenchEnv, Measurement, ops_per_second, throughput_mb_s
 from repro.guestos.vfs import O_CREAT, O_DIRECT, O_RDWR

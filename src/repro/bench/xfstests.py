@@ -27,7 +27,6 @@ from repro.guestos.vfs import (
     O_EXCL,
     O_RDONLY,
     O_RDWR,
-    O_TRUNC,
     O_WRONLY,
     Vfs,
 )

@@ -16,6 +16,8 @@ paid *per mechanism*:
   copies each table page it touches with one 4 KiB remote read and
   decodes entries from that copy, so the KASLR scan of an x86-64
   guest reads four table pages, whichever slot the kernel sits in.
+  The scan's range walks (:meth:`GuestMemoryGateway.walk`) descend
+  once per table and decide a whole unmapped region at once.
   Page-table writes are buffered and flushed in one vectored
   ``process_vm_writev``.  No view outlives its step, so nothing it
   holds ever needs invalidating.
@@ -23,8 +25,10 @@ paid *per mechanism*:
   implicitly by the current CR3 (it is flushed on
   :meth:`GuestMemoryGateway.set_cr3` and
   :meth:`~GuestMemoryGateway.refresh_memslots`, like a real TLB on a
-  CR3 write), so the ksymtab read of the image the KASLR scan just
-  walked translates without walking again.
+  CR3 write).  The KASLR scan's walk of the image fills it, so the
+  ksymtab read of the image translates without walking again.  A
+  walked address counts one ``tlb_misses``, mapped or not, and a
+  lookup that finds its page one ``tlb_hits``.
 * ``read_virt``/``write_virt`` translate the whole range first, merge
   physically-contiguous page runs, and push the result through the
   accessor's scatter-gather API — one charged ``process_vm_*`` call
@@ -37,7 +41,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
 from repro.arch import Arch, X86_64
-from repro.errors import PageFaultError, SideloadError
+from repro.errors import SideloadError
 from repro.host.kernel import HostKernel
 from repro.host.process import Thread
 from repro.mem.pagetable import PageTableView
@@ -133,13 +137,28 @@ class GuestMemoryGateway:
             self._m_tlb_hits.inc()
         return base + (vaddr - vpage)
 
-    def is_mapped(self, vaddr: int) -> bool:
-        """True when ``vaddr`` translates under the current CR3."""
-        try:
-            self.translate(vaddr)
-            return True
-        except PageFaultError:
-            return False
+    def walk(self, start: int, end: int, step: int = PAGE_SIZE) -> Iterator[Tuple[int, bool]]:
+        """Decide, in order, which of ``start``, ``start + step``, ...
+        below ``end`` translate under the current CR3.
+
+        Yields ``(vaddr, mapped)`` from one range walk of the open
+        page-table view (:meth:`~repro.mem.pagetable.PageTableWalker.walk_range`):
+        run it inside :meth:`page_tables`.  Each mapped address is
+        cached.  Each address decided counts one TLB miss, as its walk
+        through :meth:`translate` would, and so does each one a skip
+        passes over: ``step`` is a power of two of at least a page and
+        ``start`` a multiple of it, as for KASLR slots, so every skip
+        lands on one of these addresses.
+        """
+        if not self.cr3:
+            raise SideloadError("gateway has no CR3 yet")
+        for vaddr, leaf in self._view.walker.walk_range(self.cr3, start, end, step):
+            self._m_tlb_misses.inc((vaddr - start) // step + 1)
+            start = vaddr + step
+            if leaf is not None:
+                self._tlb[vaddr] = leaf[0]          # its paddr
+            yield vaddr, leaf is not None
+        self._m_tlb_misses.inc(len(range(start, end, step)))
 
     @property
     def tlb_hit_rate(self) -> float:

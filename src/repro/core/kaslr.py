@@ -5,17 +5,22 @@ placed into a fixed number of slots in memory, located in a fixed
 address range.  VMSH can therefore locate the kernel by iterating over
 the guest VM's page table entries."
 
-The scan probes each 2 MiB-aligned slot base in the kernel text range;
-the first mapped slot is the image base (nothing else lives in that
-range).  A second fine-grained pass finds where the mapping ends, which
-is where VMSH maps its own library.
+The scan reads the window in address order, from the page tables
+themselves.  It decides each 2 MiB-aligned slot base with the entries
+on its walk only, skipping a whole region where an upper entry is
+absent; the first mapped slot is the image base (nothing else lives in
+that range).  It then reads the image's leaf entries from there, one
+descent per table, and stops at the first unmapped page: that is where
+the image ends, and where VMSH maps its own library.  No table page
+past that page is read.
 
-Every probe walks the guest's page tables through the gateway.  Run
-inside the analyse step's page-table view, a walk decodes entries from
-table pages the view copied once, so the whole scan costs one remote
-read per table page it touches (four on an x86-64 guest with a 2 MiB
-image), whichever slot the kernel sits in.  Outside a view, each probe
-opens its own.
+Both passes are range walks of the gateway's page-table view
+(:meth:`~repro.mem.pagetable.PageTableWalker.walk_range`): each table
+page they touch costs one remote read (four on an x86-64 guest with a
+2 MiB image), whichever slot the kernel sits in, and each entry is
+decoded from that copy.  The image's translations land in the
+gateway's TLB, so the ksymtab read that follows translates without
+walking again.
 """
 
 from __future__ import annotations
@@ -42,24 +47,14 @@ class KernelLocation:
 def find_kernel(gateway: GuestMemoryGateway, max_image_size: int = 64 * 1024 * 1024) -> KernelLocation:
     """Scan the architecture's KASLR range for the kernel image."""
     arch = gateway.arch
-    vbase = None
-    for slot_base in range(
-        arch.kernel_text_base,
-        arch.kernel_text_base + arch.kernel_text_range,
-        arch.kaslr_align,
-    ):
-        if gateway.is_mapped(slot_base):
-            vbase = slot_base
-            break
-    if vbase is None:
-        raise KernelNotFoundError(
-            "no mapped pages in the KASLR range — is CR3 from a booted vCPU?"
-        )
-
-    # The fine-grained end scan walks each page once; the gateway's TLB
-    # remembers the walks, so the later ksymtab read of the same image
-    # translates without walking again.
-    vend = vbase
-    while vend < vbase + max_image_size and gateway.is_mapped(vend):
-        vend += PAGE_SIZE
+    start = arch.kernel_text_base
+    with gateway.page_tables():
+        slots = gateway.walk(start, start + arch.kernel_text_range, arch.kaslr_align)
+        vbase = next((vaddr for vaddr, mapped in slots if mapped), None)
+        if vbase is None:
+            raise KernelNotFoundError(
+                "no mapped pages in the KASLR range — is CR3 from a booted vCPU?"
+            )
+        image = gateway.walk(vbase + PAGE_SIZE, vbase + max_image_size)
+        vend = next((vaddr for vaddr, mapped in image if not mapped), vbase + max_image_size)
     return KernelLocation(vbase=vbase, vend=vend)

@@ -11,7 +11,6 @@ started by VMSH."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.guestos.fs import Filesystem
 from repro.guestos.vfs import MountNamespace, Vfs

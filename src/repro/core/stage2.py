@@ -15,7 +15,7 @@ can to this statically linked userspace program, which it copies to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.overlay import OverlayResult, build_overlay
 from repro.errors import GuestError

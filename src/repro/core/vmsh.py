@@ -74,7 +74,7 @@ from repro.image.builder import build_admin_image
 from repro.kvm.vcpu import VcpuFd
 from repro.sideload import parse_blob, reloc_slot_offset
 from repro.sim.sched import Poll, run_inline
-from repro.units import MiB, PAGE_SIZE, page_align_up
+from repro.units import PAGE_SIZE, page_align_up
 from repro.virtio.console import Pts
 from repro.virtio.memio import BytewiseRemoteAccessor, RemoteProcessAccessor
 
@@ -919,7 +919,7 @@ class Vmsh:
         with gateway.page_tables(fresh=reserve) as view:
             txn.push("restore guest page-table words", view.undo)
             builder = gateway.arch.builder(
-                view.read_u64, view.write_u64, alloc_pt_page
+                view.read_u64, view.write_u64, alloc_pt_page, view.write_run
             )
             builder.map_range(
                 gateway.cr3, lib_vaddr, blob_gpa, page_align_up(len(blob))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import VfsError
 from repro.guestos.blockcore import BlockDevice

@@ -22,13 +22,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import GuestError, GuestPanicError, VfsError
+from repro.errors import GuestError, GuestPanicError
 from repro.guestos.blockcore import BlockDevice
-from repro.guestos.console import GuestShell, GuestTty
+from repro.guestos.console import GuestShell
 from repro.guestos.fs import Filesystem
 from repro.guestos.kfunctions import (
-    BlockConfig,
-    ConsoleConfig,
     PlatformDeviceInfo,
     PosRef,
     REQUIRED_KERNEL_FUNCTIONS,
@@ -43,12 +41,7 @@ from repro.guestos.process import (
 )
 from repro.guestos.version import KernelVersion
 from repro.guestos.vfs import (
-    Mount,
     MountNamespace,
-    O_APPEND,
-    O_CREAT,
-    O_RDWR,
-    O_TRUNC,
     OpenFile,
     Vfs,
 )
@@ -56,7 +49,7 @@ from repro.kvm.api import GuestPhysMemory, VmFd
 from repro.kvm.vcpu import VcpuFd
 from repro.mem.layout import FIRST_USABLE_GPA
 from repro.mem.pagetable import PageTableView
-from repro.sideload import SelfBlob, parse_blob
+from repro.sideload import parse_blob
 from repro.sim.rng import stream
 from repro.units import PAGE_SIZE
 
@@ -175,7 +168,7 @@ class GuestKernel:
             self.memory, self.arch.walker, range(self._phys_bump, self._ram_end)
         )
         builder = self.arch.builder(
-            view.read_u64, view.write_u64, self._alloc_table_page
+            view.read_u64, view.write_u64, self._alloc_table_page, view.write_run
         )
         # ``cr3`` holds the *register-encoded* root (identity on x86/arm64,
         # MODE|PPN satp form on riscv) — exactly what the vCPU sreg carries

@@ -17,7 +17,7 @@ from typing import Dict
 from repro.guestos.kfunctions import expected_symbol_names
 from repro.guestos.symbols import SymbolSections, build_symbol_sections
 from repro.guestos.version import KernelVersion
-from repro.units import MiB, PAGE_SIZE
+from repro.units import MiB
 
 KERNEL_IMAGE_SIZE = 2 * MiB
 

@@ -9,8 +9,8 @@ it spawns.  This module models exactly that context.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import GuestError
 from repro.guestos.vfs import MountNamespace, Vfs

@@ -23,7 +23,7 @@ must work without access to this builder's metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 ENTRY_SIZES = {"absolute": 16, "prel32": 8, "prel32_ns": 12}
 

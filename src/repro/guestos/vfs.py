@@ -12,7 +12,7 @@ mount-point crossing) faithful enough for the xfstests suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import VfsError

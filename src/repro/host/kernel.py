@@ -18,7 +18,7 @@ from repro.errors import (
     NoSuchProcessError,
     PermissionDeniedError,
 )
-from repro.host.process import EventFd, FileObject, Process, SocketPair, Thread
+from repro.host.process import EventFd, Process, SocketPair, Thread
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
 from repro.sim.faults import FaultInjector

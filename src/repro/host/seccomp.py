@@ -9,7 +9,7 @@ explicit allowlists so that exact failure mode reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from repro.errors import SeccompViolationError

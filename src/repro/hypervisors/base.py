@@ -23,7 +23,7 @@ from repro.kvm.exits import MmioExit
 from repro.kvm.vcpu import VcpuFd
 from repro.mem.layout import VIRTIO_MMIO_REGION_BASE
 from repro.sim.netfab import NetPort
-from repro.units import GiB, MiB, SECTOR_SIZE
+from repro.units import MiB, SECTOR_SIZE
 from repro.virtio.blk import RawDiskBackend, VirtioBlkDevice
 from repro.virtio.memio import InProcessAccessor
 from repro.virtio.mmio import VirtioMmioDevice

@@ -13,8 +13,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.host.files import HostFile
 from repro.host.seccomp import (
     SeccompFilter,

@@ -15,7 +15,7 @@ images that are a single statically linked Go executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.errors import VfsError
 from repro.guestos.vfs import O_RDONLY

@@ -16,7 +16,7 @@ magnitudes; file *contents* in the simulated rootfs are small markers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.sim.rng import stream
 from repro.units import KiB, MiB

@@ -13,7 +13,7 @@ that a minimal image must keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Set
+from typing import Callable, Set
 
 from repro.errors import VfsError
 from repro.guestos.kernel import GuestKernel

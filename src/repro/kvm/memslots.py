@@ -10,7 +10,7 @@ hypervisor or — VMSH's route — to snoop it with an eBPF program on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import InvalidGpaError, MemslotOverlapError
 

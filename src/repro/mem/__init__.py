@@ -12,7 +12,6 @@ from repro.mem.layout import (
     canonical,
     kaslr_slot_to_vaddr,
     uncanonical,
-    vaddr_to_kaslr_slot,
 )
 from repro.mem.physmem import PhysicalMemory
 
@@ -29,5 +28,4 @@ __all__ = [
     "canonical",
     "uncanonical",
     "kaslr_slot_to_vaddr",
-    "vaddr_to_kaslr_slot",
 ]

@@ -68,11 +68,3 @@ def kaslr_slot_to_vaddr(slot: int) -> int:
     if not 0 <= slot < KASLR_SLOTS:
         raise ValueError(f"KASLR slot {slot} out of range [0, {KASLR_SLOTS})")
     return KERNEL_TEXT_BASE + slot * KASLR_ALIGN
-
-
-def vaddr_to_kaslr_slot(vaddr: int) -> int:
-    """Inverse of :func:`kaslr_slot_to_vaddr` (requires slot alignment)."""
-    offset = vaddr - KERNEL_TEXT_BASE
-    if offset < 0 or offset >= KERNEL_TEXT_RANGE or offset % KASLR_ALIGN:
-        raise ValueError(f"{vaddr:#x} is not a KASLR slot base")
-    return offset // KASLR_ALIGN

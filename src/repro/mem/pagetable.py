@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFaultError
 from repro.mem.layout import CANONICAL_MASK, canonical, uncanonical
@@ -109,8 +109,9 @@ class EntryFormat:
         anything)."""
         raise NotImplementedError
 
-    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
-        """The entry mapping the 4 KiB page at ``paddr``."""
+    def leaf_flags(self, writable: bool, nx: bool) -> int:
+        """The flags of an entry mapping a 4 KiB page: the entry for the
+        page at ``paddr`` is ``encode(paddr) | leaf_flags(...)``."""
         raise NotImplementedError
 
     def perms(self, tr: Translation) -> FrozenSet[str]:
@@ -134,9 +135,9 @@ class X86Format(EntryFormat):
         # PS is reserved in a PML4 entry; the walk reads it as a table.
         return level in (2, 3) and bool(entry & PTE_PSE)
 
-    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
+    def leaf_flags(self, writable: bool, nx: bool) -> int:
         return (
-            self.encode(paddr) | PTE_PRESENT | PTE_ACCESSED | PTE_GLOBAL
+            PTE_PRESENT | PTE_ACCESSED | PTE_GLOBAL
             | (PTE_WRITABLE if writable else 0) | (PTE_NX if nx else 0)
         )
 
@@ -173,26 +174,24 @@ class PageTableWalker:
         levels = fmt.walk_levels(root, vaddr)
         raw = uncanonical(canonical(vaddr))
         table = fmt.root_table(root)
-        addr_mask, addr_shift = fmt.addr_mask, fmt.addr_shift
         path_and, path_or = -1, 0
         for level, shift in levels:
             pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(pte_paddr)
+            if fmt.classify(entry, level, vaddr):
+                return Translation(*self._leaf(raw, shift, level, pte_paddr, entry, path_and, path_or))
             path_and &= entry
             path_or |= entry
-            # fmt.address(entry), inlined: this loop is the attach's hottest.
-            table = ((entry & addr_mask) >> addr_shift) << PAGE_SHIFT
-            if fmt.classify(entry, level, vaddr):
-                page_mask = (1 << shift) - 1
-                return Translation(
-                    paddr=(table & ~page_mask) | (raw & page_mask),
-                    flags=entry & ~addr_mask,
-                    level=level,
-                    pte_paddr=pte_paddr,
-                    path_and=path_and & ~addr_mask,
-                    path_or=path_or & ~addr_mask,
-                )
+            table = fmt.address(entry)
         raise AssertionError("unreachable: a level-1 entry maps or faults")
+
+    def _leaf(self, raw, shift, level, pte_paddr, entry, path_and, path_or) -> Tuple[int, ...]:
+        """The fields of the :class:`Translation` of ``raw`` by the leaf
+        ``entry`` at ``level``, in its order; ``path_and`` and
+        ``path_or`` combine the entries above it on the walk."""
+        flags, page_mask = ~self._fmt.addr_mask, (1 << shift) - 1
+        paddr = (self._fmt.address(entry) & ~page_mask) | (raw & page_mask)
+        return paddr, entry & flags, level, pte_paddr, path_and & entry & flags, (path_or | entry) & flags
 
     def is_mapped(self, root: int, vaddr: int) -> bool:
         try:
@@ -206,41 +205,78 @@ class PageTableWalker:
     ) -> Iterator[Tuple[int, Translation]]:
         """Yield (vaddr, translation) for each mapped page in [start, end).
 
-        It walks top-down and skips absent higher-level entries
-        wholesale, so listing a 1 GiB range is cheap even when only a
-        few MiB are mapped.  VMSH's KASLR scan does not use it: it
-        probes slot bases through the gateway, whose TLB then already
-        holds the image's translations for the ksymtab read, and its
-        page-table view makes every probe's walk a local decode.
+        It runs on :meth:`walk_range`, so listing a 1 GiB range is cheap
+        even when only a few MiB are mapped.
         """
+        for vaddr, leaf in self.walk_range(root, start, end, step):
+            if leaf is not None:
+                yield vaddr, Translation(*leaf)
+
+    def walk_range(
+        self, root: int, start: int, end: int, step: int = PAGE_SIZE
+    ) -> Iterator[Tuple[int, Optional[Tuple[int, ...]]]]:
+        """Decide, in address order, which addresses from ``start`` on,
+        ``step`` apart and below ``end``, translate.
+
+        Yields ``(vaddr, leaf)``: ``leaf`` holds the fields of the
+        :class:`Translation` that ``translate(root, vaddr)`` returns, in
+        its order, or is None where that walk faults.  After a fault
+        the walk goes on past the largest region the entries show
+        unmapped (see :meth:`_skip`), so a sparse range is cheap.  The
+        tables on the current address's path stay open: the walk
+        descends once per table, reads one entry per address it
+        decides, and raises no :class:`PageFaultError` for an absent
+        entry.  :meth:`iter_present_range` and VMSH's KASLR scan
+        (:mod:`repro.core.kaslr`) run on it.
+        """
+        fmt = self._fmt
+        read, valid, classify = self._read_u64, fmt.valid, fmt.classify
         # Count in raw 48-bit addresses, whose order canonical() keeps:
         # a skip past the last top-level entry then lands on the top of
-        # the space and ends the scan instead of folding back to 0.
+        # the space and ends the walk instead of folding back to 0.
         raw = uncanonical(canonical(start))
+        if canonical(raw) >= end:
+            return
+        levels = fmt.walk_levels(root, canonical(raw))
+        # (table, AND and OR of the entries above it, ``raw >> shift``
+        # of the entry pointing at it) for each table on the path
+        path = [(fmt.root_table(root), -1, 0, 0)]
         while raw <= CANONICAL_MASK:
             vaddr = canonical(raw)
             if vaddr >= end:
                 return
-            try:
-                tr = self.translate(root, vaddr)
+            depth = len(path) - 1
+            while depth and raw >> levels[depth - 1][1] != path[depth][3]:
+                path.pop()              # raw has left this table's span
+                depth -= 1
+            table, path_and, path_or, _ = path[depth]
+            level, shift = levels[depth]
+            pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
+            entry = read(pte_paddr)
+            try:                        # None: absent, or rejected by the ISA
+                maps = classify(entry, level, vaddr) if entry & valid else None
             except PageFaultError:
-                raw = self._next_candidate(root, vaddr, step)
-                continue
-            yield vaddr, tr
-            raw += step
+                maps = None
+            if maps is None:
+                yield vaddr, None
+                raw = self._skip(levels[depth:], entry, raw, step)
+            elif maps:
+                yield vaddr, self._leaf(raw, shift, level, pte_paddr, entry, path_and, path_or)
+                raw += step
+            else:                       # a table: descend into it
+                path.append((fmt.address(entry), path_and & entry, path_or | entry, raw >> shift))
 
-    def _next_candidate(self, root: int, vaddr: int, step: int) -> int:
-        """Skip past the largest provably-unmapped region after a fault."""
+    def _skip(self, levels: Tuple[Tuple[int, int], ...], entry: int, raw: int, step: int) -> int:
+        """Where a walk goes on after faulting at ``entry``, the entry
+        of ``levels[0]`` on the walk of ``raw``: past the largest region
+        the entries from it down show unmapped."""
         fmt = self._fmt
-        levels = fmt.walk_levels(root, vaddr)
-        raw = uncanonical(canonical(vaddr))
-        table = fmt.root_table(root)
-        for level, shift in levels:
-            entry = self._read_u64(table + ((raw >> shift) & _INDEX_MASK) * 8)
+        for depth, (level, shift) in enumerate(levels):
+            if depth:
+                entry = self._read_u64(table + ((raw >> shift) & _INDEX_MASK) * 8)
             if not entry & fmt.valid:
                 # Entire subtree absent: jump to the next entry at this level.
-                span = 1 << shift
-                return ((raw >> shift) + 1) << shift if span >= step else raw + step
+                return ((raw >> shift) + 1) << shift if 1 << shift >= step else raw + step
             if fmt.superpage(entry, level):
                 return raw + step
             table = fmt.address(entry)
@@ -253,7 +289,10 @@ class PageTableBuilder:
     Used by the guest kernel at boot, and later by VMSH when it maps
     its side-loaded library right after the kernel image (§4.2) — the
     latter writes entries through the hypervisor's memory mapping.
-    Both write through a :class:`PageTableView`.
+    Both write through a :class:`PageTableView`, whose
+    :meth:`~PageTableView.write_run` they pass as ``write_run``: it
+    writes a run of consecutive entries in one call.  Without it, a run
+    is written word by word through ``write_u64``.
     """
 
     def __init__(
@@ -262,10 +301,12 @@ class PageTableBuilder:
         read_u64: Callable[[int], int],
         write_u64: Callable[[int, int], None],
         alloc_table_page: Callable[[], int],
+        write_run: Optional[Callable[[int, Sequence[int]], None]] = None,
     ):
         self._fmt = fmt
         self._read_u64 = read_u64
         self._write_u64 = write_u64
+        self._write_run = write_run or self._write_words
         self._alloc = alloc_table_page
         self.tables_allocated: List[int] = []
 
@@ -288,6 +329,10 @@ class PageTableBuilder:
         self.tables_allocated.append(paddr)
         return paddr
 
+    def _write_words(self, paddr: int, words: Sequence[int]) -> None:
+        for offset, word in enumerate(words):
+            self._write_u64(paddr + offset * 8, word)
+
     def map_page(
         self,
         root: int,
@@ -297,23 +342,7 @@ class PageTableBuilder:
         nx: bool = False,
     ) -> None:
         """Map one 4 KiB page, allocating intermediate tables on demand."""
-        if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
-            raise ValueError("mappings must be page aligned")
-        fmt = self._fmt
-        levels = fmt.walk_levels(root, vaddr)
-        raw = uncanonical(canonical(vaddr))
-        table = fmt.root_table(root)
-        for level, shift in levels[:-1]:
-            entry_addr = table + ((raw >> shift) & _INDEX_MASK) * 8
-            entry = self._read_u64(entry_addr)
-            if not entry & fmt.valid:
-                entry = fmt.encode(self._alloc_table()) | fmt.table_bits
-                self._write_u64(entry_addr, entry)
-            elif fmt.superpage(entry, level):
-                raise ValueError(f"cannot split superpage mapping at {canonical(vaddr):#x}")
-            table = fmt.address(entry)
-        index = (raw >> PAGE_SHIFT) & _INDEX_MASK
-        self._write_u64(table + index * 8, fmt.leaf_entry(paddr, writable, nx))
+        self.map_range(root, vaddr, paddr, PAGE_SIZE, writable=writable, nx=nx)
 
     def map_range(
         self,
@@ -324,29 +353,52 @@ class PageTableBuilder:
         writable: bool = True,
         nx: bool = False,
     ) -> None:
-        """Map a page-aligned range of ``length`` bytes."""
+        """Map a page-aligned range of ``length`` bytes, allocating
+        intermediate tables on demand.
+
+        It descends once per leaf table and writes the range's run of
+        entries in that table with one ``write_run`` call.
+        """
         if length <= 0:
             raise ValueError("length must be positive")
-        npages = (length + PAGE_SIZE - 1) // PAGE_SIZE
-        for i in range(npages):
-            self.map_page(
-                root, vaddr + i * PAGE_SIZE, paddr + i * PAGE_SIZE,
-                writable=writable, nx=nx,
-            )
+        if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
+            raise ValueError("mappings must be page aligned")
+        encode, flags = self._fmt.encode, self._fmt.leaf_flags(writable, nx)
+        frames = range(paddr, paddr + length, PAGE_SIZE)
+        while frames:
+            table, index = self._leaf_table(root, vaddr, allocate=True)
+            run, frames = frames[: ENTRIES_PER_TABLE - index], frames[ENTRIES_PER_TABLE - index :]
+            self._write_run(table + index * 8, [encode(frame) | flags for frame in run])
+            vaddr += len(run) * PAGE_SIZE
 
     def unmap_page(self, root: int, vaddr: int) -> None:
         """Clear the leaf entry for ``vaddr`` (intermediate tables remain)."""
+        table, index = self._leaf_table(root, vaddr, allocate=False)
+        self._write_u64(table + index * 8, 0)
+
+    def _leaf_table(self, root: int, vaddr: int, allocate: bool) -> Tuple[int, int]:
+        """The level-1 table on ``vaddr``'s walk, and ``vaddr``'s index
+        in it.
+
+        A missing table on the way is allocated, or raises
+        :class:`PageFaultError` unless ``allocate``.  A superpage on the
+        way raises ``ValueError``: its frame is data, not a table.
+        """
         fmt = self._fmt
-        levels = fmt.walk_levels(root, vaddr)
         raw = uncanonical(canonical(vaddr))
         table = fmt.root_table(root)
-        for _, shift in levels[:-1]:
-            entry = self._read_u64(table + ((raw >> shift) & _INDEX_MASK) * 8)
+        for level, shift in fmt.walk_levels(root, vaddr)[:-1]:
+            entry_addr = table + ((raw >> shift) & _INDEX_MASK) * 8
+            entry = self._read_u64(entry_addr)
             if not entry & fmt.valid:
-                raise PageFaultError(canonical(vaddr), "unmap of absent mapping")
+                if not allocate:
+                    raise PageFaultError(canonical(vaddr), "unmap of absent mapping")
+                entry = fmt.encode(self._alloc_table()) | fmt.table_bits
+                self._write_u64(entry_addr, entry)
+            elif fmt.superpage(entry, level):
+                raise ValueError(f"cannot split superpage mapping at {canonical(vaddr):#x}")
             table = fmt.address(entry)
-        index = (raw >> PAGE_SHIFT) & _INDEX_MASK
-        self._write_u64(table + index * 8, 0)
+        return table, (raw >> PAGE_SHIFT) & _INDEX_MASK
 
 
 _PAGE_MASK = PAGE_SIZE - 1
@@ -358,17 +410,17 @@ class PageTableView:
 
     ``phys`` reads with ``read(paddr, length)`` and writes with
     ``write_vectored(iov)``: VMSH's remote accessor of the hypervisor,
-    or the guest's own physical memory at boot.  :meth:`read_u64` and
-    :meth:`write_u64` are the callbacks the arch's walker and builder
-    take.  The first touch of a table page copies it with one 4 KiB
-    read; later entries decode from the copy.  Pages inside ``fresh``
-    (memory nothing has written yet: VMSH's just-mmapped reserve, or
-    guest RAM the boot allocator has not handed out) are known to be
-    zero and are never read.  Writes land in the copy; :meth:`flush`
-    writes the words that changed in one vectored call and journals
-    the old value of each word outside ``fresh``, which :meth:`undo`
-    puts back.  Words in ``fresh`` need no journal: VMSH's reserve
-    goes away with its memslot on rollback.
+    or the guest's own physical memory at boot.  :meth:`read_u64`,
+    :meth:`write_u64` and :meth:`write_run` are the callbacks the
+    arch's walker and builder take.  The first touch of a table page
+    copies it with one 4 KiB read; later entries decode from the copy.
+    Pages inside ``fresh`` (memory nothing has written yet: VMSH's
+    just-mmapped reserve, or guest RAM the boot allocator has not
+    handed out) are known to be zero and are never read.  Writes land
+    in the copy; :meth:`flush` writes the words that changed in one
+    vectored call and journals the old value of each word outside
+    ``fresh``, which :meth:`undo` puts back.  Words in ``fresh`` need
+    no journal: VMSH's reserve goes away with its memslot on rollback.
     """
 
     def __init__(self, phys, walker_factory: Callable, fresh: range = range(0)):
@@ -394,20 +446,29 @@ class PageTableView:
         return _U64.unpack_from(page, paddr & _PAGE_MASK)[0]
 
     def write_u64(self, paddr: int, value: int) -> None:
+        self.write_run(paddr, (value & 0xFFFFFFFFFFFFFFFF,))
+
+    def write_run(self, paddr: int, words: Sequence[int]) -> None:
+        """Write consecutive words from ``paddr`` on, all in one table
+        page: note the words they replace, then pack them with one
+        struct call."""
         page = self._page(paddr & ~_PAGE_MASK)
-        offset = paddr & _PAGE_MASK
-        if paddr not in self._before:
-            self._before[paddr] = _U64.unpack_from(page, offset)[0]
-        _U64.pack_into(page, offset, value & 0xFFFFFFFFFFFFFFFF)
+        offset, layout = paddr & _PAGE_MASK, f"<{len(words)}Q"
+        before = self._before
+        olds = zip(range(paddr, paddr + len(words) * 8, 8),
+                   struct.unpack_from(layout, page, offset))
+        before.update({addr: old for addr, old in olds if addr not in before})
+        struct.pack_into(layout, page, offset, *words)
 
     def flush(self) -> None:
         """Write every changed word in one vectored call, adjacent
         words merged into one segment."""
         runs: List[Tuple[int, List[bytes]]] = []
         end = -1
+        pages = self._pages
         for paddr in sorted(self._before):
             old = self._before[paddr]
-            new = self.read_u64(paddr)
+            new = _U64.unpack_from(pages[paddr & ~_PAGE_MASK], paddr & _PAGE_MASK)[0]
             if new == old:
                 continue
             if paddr not in self._fresh:

@@ -53,9 +53,9 @@ class Arm64Format(EntryFormat):
     def superpage(self, entry: int, level: int) -> bool:
         return level in (2, 3) and (entry & 0b11) == DESC_BLOCK
 
-    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
+    def leaf_flags(self, writable: bool, nx: bool) -> int:
         return (
-            self.encode(paddr) | DESC_TABLE_OR_PAGE | ATTR_AF
+            DESC_TABLE_OR_PAGE | ATTR_AF
             | (0 if writable else ATTR_AP_RO) | (ATTR_UXN | ATTR_PXN if nx else 0)
         )
 

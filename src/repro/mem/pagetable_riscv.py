@@ -107,9 +107,9 @@ class RiscvFormat(EntryFormat):
     def superpage(self, entry: int, level: int) -> bool:
         return bool(entry & (PTE_R | PTE_X))
 
-    def leaf_entry(self, paddr: int, writable: bool, nx: bool) -> int:
+    def leaf_flags(self, writable: bool, nx: bool) -> int:
         return (
-            self.encode(paddr) | PTE_V | PTE_R | PTE_A | PTE_D | PTE_G
+            PTE_V | PTE_R | PTE_A | PTE_D | PTE_G
             | (PTE_W if writable else 0) | (0 if nx else PTE_X)
         )
 

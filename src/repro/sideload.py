@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.arch import ARCHES, Arch
 from repro.errors import SideloadError

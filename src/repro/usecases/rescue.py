@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.vmsh import Vmsh, VmshSession
+from repro.core.vmsh import Vmsh
 from repro.errors import VmshError
 from repro.hypervisors.base import Hypervisor
 from repro.image.builder import build_rescue_image

@@ -19,7 +19,7 @@ the paper does for now).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.vmsh import Vmsh, VmshSession
@@ -29,7 +29,7 @@ from repro.hypervisors.flavors import Firecracker
 from repro.image.builder import build_serverless_debug_image
 from repro.sim.sched import Completion, PeriodicTimer, Scheduler, run_inline
 from repro.testbed import Testbed
-from repro.units import MSEC, SEC
+from repro.units import SEC
 
 
 @dataclass

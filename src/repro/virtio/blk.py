@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import mmap
 import struct
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.errors import VirtioError
 from repro.guestos.blockcore import BlockDevice

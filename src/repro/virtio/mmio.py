@@ -9,8 +9,8 @@ hypervisor's in-process devices, or VMSH via ptrace/ioregionfd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.errors import VirtioError
 from repro.sim.costs import CostModel

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.guestos.fs import Filesystem, Inode
+from repro.guestos.fs import Filesystem
 from repro.guestos.pagecache import PageCache
 from repro.host.files import HostFile
 from repro.sim.costs import CostModel

@@ -16,12 +16,13 @@ from repro.core.overlay import GUEST_MOUNT_ROOT, build_overlay
 from repro.errors import SideloadError, VmshError
 from repro.guestos.fs import Filesystem
 from repro.guestos.kfunctions import REQUIRED_KERNEL_FUNCTIONS
+from repro.guestos.loader import KERNEL_IMAGE_SIZE
 from repro.guestos.version import KernelVersion
 from repro.guestos.vfs import MountNamespace, Vfs
 from repro.host.ebpf import MemslotSnooper
 from repro.sideload import parse_blob
 from repro.testbed import Testbed
-from repro.units import PAGE_SIZE
+from repro.units import MiB, PAGE_SIZE
 from repro.virtio.pci import SLOT_STRIDE
 
 
@@ -125,14 +126,32 @@ def test_gateway_refresh_memslots_flushes_tlb_keeps_stats():
     assert _tlb(gateway)[1] > misses
 
 
+def test_gateway_walk_counts_and_caches_as_translate_does():
+    """The gateway's range walk counts one TLB miss for each address it
+    decides or skips, and caches each page it finds mapped, so a later
+    read of those pages hits the TLB on every page."""
+    tb, hv, gateway = _gateway()
+    vbase = hv.guest.image.vbase
+    slot = 2 * MiB
+    pages = KERNEL_IMAGE_SIZE // PAGE_SIZE
+    with gateway.page_tables():
+        slots = gateway.walk(vbase - 4 * slot, vbase + 3 * slot, slot)
+        assert [vaddr for vaddr, mapped in slots if mapped] == [vbase]
+        assert _tlb(gateway) == (0, 7)
+        image = list(gateway.walk(vbase + PAGE_SIZE, vbase + slot + PAGE_SIZE))
+        assert image[-1] == (vbase + KERNEL_IMAGE_SIZE, False)
+        assert _tlb(gateway) == (0, 7 + pages)      # the unmapped page counts too
+    gateway.read_virt(vbase, KERNEL_IMAGE_SIZE)
+    assert _tlb(gateway) == (pages, 7 + pages)
+
+
 def test_page_table_view_reads_each_table_page_once():
     tb, hv, gateway = _gateway()
     vbase = hv.guest.image.vbase
     with gateway.page_tables() as view:
         before = tb.costs.count("procvm_copy")
-        for page in range(8):
-            assert gateway.is_mapped(vbase + page * PAGE_SIZE)
-        assert not gateway.is_mapped(vbase - PAGE_SIZE)
+        assert all(mapped for _, mapped in gateway.walk(vbase, vbase + 8 * PAGE_SIZE))
+        assert [mapped for _, mapped in gateway.walk(vbase - PAGE_SIZE, vbase)] == [False]
         # PML4, PDPT, PD and one PT page: one 4 KiB read each.
         assert tb.costs.count("procvm_copy") - before == 4
         with gateway.page_tables() as inner:

@@ -8,7 +8,15 @@ import pytest
 from repro.arch import ARM64, RISCV64, RISCV64_SV48, X86_64
 from repro.errors import PageFaultError
 from repro.mem.layout import canonical, kaslr_slot_to_vaddr
-from repro.mem.pagetable import PTE_ADDR_MASK, PTE_NX, PTE_PRESENT, PTE_WRITABLE
+from repro.mem.pagetable import (
+    PTE_ADDR_MASK,
+    PTE_NX,
+    PTE_PRESENT,
+    PTE_PSE,
+    PTE_WRITABLE,
+)
+from repro.mem.pagetable_arm64 import ATTR_AF, DESC_BLOCK
+from repro.mem.pagetable_riscv import PTE_A, PTE_R, PTE_V
 from repro.mem.physmem import PhysicalMemory
 from repro.units import GiB, MiB, PAGE_SIZE
 
@@ -86,6 +94,45 @@ def test_unmap_absent_raises(env):
     _, builder, _, cr3 = env
     with pytest.raises(PageFaultError):
         builder.unmap_page(cr3, kaslr_slot_to_vaddr(2))
+
+
+#: a level-2 entry's flags that make it map a 2 MiB superpage
+SUPERPAGE_BITS = {
+    "x86_64": PTE_PRESENT | PTE_PSE,
+    "arm64": DESC_BLOCK | ATTR_AF,
+    "riscv64": PTE_V | PTE_R | PTE_A,
+    "riscv64_sv48": PTE_V | PTE_R | PTE_A,
+}
+
+
+@pytest.mark.parametrize(
+    "arch", [X86_64, ARM64, RISCV64, RISCV64_SV48], ids=lambda a: a.name
+)
+def test_unmap_refuses_a_superpage(arch):
+    """Unmapping a page inside a superpage raises before it writes
+    anything: the way down must not take the superpage's data frame
+    for a page table and clear a word of guest data in it."""
+    mem = PhysicalMemory(16 * MiB)
+    alloc = itertools.count(1 * MiB, PAGE_SIZE)
+    builder = arch.builder(mem.read_u64, mem.write_u64, lambda: next(alloc))
+    walker = arch.walker(mem.read_u64)
+    fmt = arch.pt_format
+    root = arch.encode_pt_root(builder.new_root())
+    base = arch.kernel_text_base
+    builder.map_page(root, base, 0x200000)
+    table = fmt.root_table(root)
+    for level, shift in fmt.walk_levels(root, base):
+        entry_addr = table + ((base & ((1 << 48) - 1)) >> shift & 511) * 8
+        if level == 2:
+            break
+        table = fmt.address(mem.read_u64(entry_addr))
+    mem.write_u64(entry_addr, fmt.encode(0x800000) | SUPERPAGE_BITS[arch.name])
+    data = bytes(range(256)) * 16
+    mem.write(0x800000, data)
+    with pytest.raises(ValueError, match="cannot split superpage mapping at"):
+        builder.unmap_page(root, base + 5 * PAGE_SIZE)
+    assert mem.read(0x800000, PAGE_SIZE) == data
+    assert walker.translate(root, base + 5 * PAGE_SIZE).paddr == 0x805000
 
 
 def test_misaligned_mapping_rejected(env):
