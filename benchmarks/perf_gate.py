@@ -28,6 +28,10 @@ them against the committed baseline
 The gate also runs the dispatch storm on a bare ``Scheduler()`` with no
 observability hub and prints both storms' ns/event and their ratio:
 what recording every turn costs.  The ratio is printed, not gated.
+Next to it the gate prints the median wall time of an in-place
+``restore_into`` of a Firecracker VM and of a QEMU VM with an attached
+VMSH session; restore is off every suite workload, so it is printed,
+not gated.
 
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
@@ -56,6 +60,7 @@ PLANE_INVOCATIONS_PER_FN = 64
 IO_SECTORS = 32          # per-VM: 32 writes + 32 reads, iodepth 4
 WALL_TOLERANCE = 0.35    # wall rates >= 35% of the baseline rate
 CLONES = 256             # clones timed at the clone point
+RESTORES = 21            # restores timed per VM kind (printed only)
 
 
 def clone_point(fleet: int, clones: int) -> dict:
@@ -78,6 +83,31 @@ def clone_point(fleet: int, clones: int) -> dict:
     return {"clones_per_s_wall": clones / wall_s}
 
 
+def restore_point(rounds: int = RESTORES) -> dict:
+    """Median wall ms of one silent ``restore_into``, per VM kind."""
+    import statistics
+
+    from repro.core.snapshot import VmSnapshot
+    from repro.testbed import Testbed
+
+    medians = {}
+    for kind in ("firecracker", "qemu+session"):
+        tb = Testbed()
+        if kind == "firecracker":
+            hv, session = tb.launch_firecracker(seccomp=False), None
+        else:
+            hv = tb.launch_qemu()
+            session = tb.vmsh().attach(hv.pid)
+        snap = VmSnapshot.capture(hv, session=session)
+        walls = []
+        for _ in range(rounds):
+            wall0 = time.perf_counter()
+            snap.restore_into(hv, session=session)
+            walls.append(time.perf_counter() - wall0)
+        medians[kind] = statistics.median(walls) * 1e3
+    return medians
+
+
 def measure() -> dict:
     from test_fleet_scaling import fleet_point, plane_point, sched_storm_point
 
@@ -96,6 +126,10 @@ def measure() -> dict:
     print(f"dispatch storm: {storm['ns_per_event']:.0f} ns/event with every "
           f"turn recorded, {bare['ns_per_event']:.0f} ns/event with no obs "
           f"(ratio {storm['ns_per_event'] / bare['ns_per_event']:.2f}x)")
+    restore = restore_point()
+    print(f"restore: median {restore['firecracker']:.2f} ms for a Firecracker "
+          f"VM, {restore['qemu+session']:.2f} ms for a QEMU VM with an "
+          f"attached session")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

@@ -124,6 +124,7 @@ class _LibRun:
         kthread_pid = self.call("kthread_create_on_node", token, "vmsh-worker")
         self.call("wake_up_process", kthread_pid)
         self.call("kernel_wait4", kthread_pid)
+        del kernel.kthread_entries[token]       # the thread has been reaped
 
         # 4. Trampoline epilogue: restore the interrupted context from
         #    the scratch save area and hand the vCPU back.

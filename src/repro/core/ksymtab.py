@@ -64,9 +64,18 @@ def parse_ksymtab(gateway: GuestMemoryGateway, location: KernelLocation) -> Pars
         raise SideloadError("no candidate .ksymtab_strings region in kernel image")
 
     best: Optional[Tuple[str, int, Dict[str, int], int]] = None
+    # prel32 and prel32_ns share one pre-filter per region: it reads an
+    # entry's value and name words, never the namespace word.
+    prefilters: Dict[Tuple[bool, int, int], List[int]] = {}
     for layout in ENTRY_STRIDES:
         for region_start, region_end in regions:
-            run = _scan_entries(image, location, layout, region_start, region_end)
+            key = (layout == "absolute", region_start, region_end)
+            if key not in prefilters:
+                prefilters[key] = _candidate_offsets(
+                    image, location, layout, region_start, region_end
+                )
+            run = _scan_entries(image, location, layout, region_start,
+                                region_end, prefilters[key])
             if run is None:
                 continue
             table_off, symbols = run
@@ -204,13 +213,14 @@ def _scan_entries(
     layout: str,
     region_start: int,
     region_end: int,
+    candidates: List[int],
 ) -> Optional[Tuple[int, Dict[str, int]]]:
     stride = ENTRY_STRIDES[layout]
     region = (region_start, region_end)
     best_run: Optional[Tuple[int, Dict[str, int]]] = None
     size = len(image) - stride
     consumed_until = -1
-    for offset in _candidate_offsets(image, location, layout, region_start, region_end):
+    for offset in candidates:
         if offset <= consumed_until or offset > size:
             continue
         if _decode_entry(image, location, layout, offset, region) is None:

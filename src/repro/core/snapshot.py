@@ -2,45 +2,45 @@
 
 The paper leaves open what happens to a VMSH session when its VM is
 snapshotted or live-migrated (§7).  This module answers it for the
-simulated stack, in three layers:
+simulated stack with one description of a VM's state, its *image*:
 
-* :meth:`VmSnapshot.capture` — a *plain-data* image of everything that
-  makes a VM's execution state: guest physical memory, vCPU register
-  files, the memslot layout, device register + virtqueue state on both
-  sides of every ring (device ``last_avail``/``used_idx``/EVENT_IDX
-  words and posted heads, driver free-lists and in-flight chain
-  windows),
-  irqfd/ioeventfd/ioregionfd routes, and — when a VMSH session is
-  attached — the overlay image bytes and session flags.
+* :meth:`VmSnapshot.capture` pickles ``(hv, session)`` once
+  (:class:`_ImageWriter`): the VMM process, VmFd, vCPUs, devices and
+  their rings, the guest kernel and guest RAM, and — when a VMSH
+  session is passed — the session and its device host.  What the VM
+  runs in, and what a restore must never rewind, stays by reference
+  in the image's table.
 
-* :meth:`VmSnapshot.restore_into` — writes that state back *in place*,
-  preserving object identity so every live reference (guest runtime,
-  irq closures, accessors, gateways) stays valid.  Restore is silent:
-  it charges no costs, bumps no counters and emits no spans, so a
-  capture/restore round trip is bit-invisible to the metrics registry
-  and the trace exports (the determinism acceptance criterion).  Cost
-  accounting and observability happen in the Testbed entry points.
+* :meth:`VmSnapshot.restore_into` loads the image and writes each
+  loaded object's state into the live object at the same place in the
+  graph (:func:`_restore_by_place`): identities survive, objects made
+  after the capture drop out, and what the live graph lost since comes
+  back as the loaded copy.  Restore is silent: it charges no costs,
+  bumps no counters and emits no spans, so a capture/restore round
+  trip is bit-invisible to the metrics registry and the trace exports.
+  Cost accounting and observability happen in the Testbed entry points.
 
-* :meth:`VmSnapshot.clone_into` — materializes a *new* VM from the
-  snapshot's frozen image (the VM's object graph serialized once, at
-  freeze): a fresh process (new pid/tids) on a chosen host, with irqfd
-  callbacks re-armed against the clone, device interrupt closures
-  rebound, and metrics re-homed under the new pid.  This is the
+* :meth:`VmSnapshot.clone_into` loads the same image as a *new* VM: a
+  fresh process (new pid/tids) on a chosen host, with its NICs on fresh
+  fabric ports and its metrics re-homed under the new pid.  This is the
   substrate for the serverless snapshot pool and for
-  :func:`migrate_vm`.
+  :func:`migrate_vm`.  A VM that a live VMSH session holds is captured
+  for restore only (:func:`freeze_refusal`).
 
 Quiesce semantics: a live session's device-host service task is
-stopped (draining its pending queue windows inline, in order) before
-capture and restarted afterwards.  Page-table state needs no separate
-journal replay on restore — the journaled PT words live in guest RAM,
-so the page capture subsumes the PR 2 ``pt_journal``; what the journal
-still buys is rollback of an attach *in progress*, which composes with
+stopped (draining its pending queue windows inline, in order) before a
+capture or restore and restarted afterwards.  Page-table state needs
+no journal replay: the journaled PT words live in guest RAM, so the
+image subsumes the attach's ``pt_journal``; what the journal still
+buys is rollback of an attach *in progress*, which composes with
 snapshots because both operate on the same RAM image.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import mmap
 import pickle
 import types
 import weakref
@@ -48,66 +48,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SnapshotError
-from repro.kvm.memslots import Memslot
-from repro.mem.physmem import PhysicalMemory
-from repro.obs.metrics import MetricsRegistry
+from repro.host.process import Process
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.sched import PeriodicTimer, Task, Timer
 from repro.virtio.memio import AccessorStats
-
-# ---------------------------------------------------------------------------
-# Plain-data state fragments
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RingState:
-    """Device-side virtqueue indices (the EVENT_IDX protocol state) and
-    the chains popped from the avail ring but not yet used."""
-
-    last_avail: int
-    used_idx: int
-    used_event: Optional[int]
-    posted: List[int]
-
-
-@dataclass
-class _QueueState:
-    num: int
-    ready: bool
-    desc_gpa: int
-    avail_gpa: int
-    used_gpa: int
-    ring: Optional[_RingState]
-
-
-@dataclass
-class _DeviceState:
-    """Register file + queues of one virtio-mmio device."""
-
-    status: int
-    driver_features: int
-    interrupt_status: int
-    queue_sel: int
-    queues: List[_QueueState]
-
-
-@dataclass
-class _DriverRingState:
-    """Guest-driver-side mirror of one virtqueue."""
-
-    free: List[int]
-    avail_idx: int
-    last_used: int
-    kicked_avail: int
-    #: head -> (descriptor indices, token): the in-flight chains
-    chain_heads: Dict[int, Any]
-
-
-@dataclass
-class _SessionState:
-    detached: bool
-    image_bytes: Optional[bytes]
-    image_writable: Optional[bool]
-
 
 # ---------------------------------------------------------------------------
 # Quiesce
@@ -119,10 +63,9 @@ def quiesce(session) -> Optional[Callable[[Any], None]]:
 
     Stopping the service task restores inline kicks and services every
     pending queue window in submission order — nothing in flight is
-    lost, and afterwards the device host holds no queued work that a
-    plain-data capture could not represent.  Returns ``None`` when
-    there was nothing to stop, else a callable taking the scheduler to
-    restart the task on.
+    lost, and afterwards the device host holds no queued work.  Returns
+    ``None`` when there was nothing to stop, else a callable taking the
+    scheduler to restart the task on.
     """
     if session is None:
         return None
@@ -136,10 +79,10 @@ def quiesce(session) -> Optional[Callable[[Any], None]]:
 
     def resume(scheduler) -> None:
         # The stopped generator may not have been dispatched to
-        # completion yet; cancel it so start_service_task accepts.
-        if device_host._service_task is not None:
-            device_host._service_task.cancel()
-            device_host._service_task = None
+        # completion yet; cancel it so start_service_task accepts.  A
+        # restore may have put the captured task in its place.
+        task.cancel()
+        device_host._service_task = None
         device_host.start_service_task(scheduler)
 
     return resume
@@ -169,7 +112,7 @@ def _environment_of(hv) -> List[Any]:
 
 
 def freeze_refusal(hv) -> Optional[str]:
-    """Why ``hv`` cannot be frozen for cloning right now, or ``None``.
+    """Why ``hv`` cannot be captured for cloning right now, or ``None``.
 
     A live VMSH session is host-local state a clone cannot carry: its
     ptrace link, or the device host answering its ioregionfd sockets.
@@ -184,16 +127,22 @@ def freeze_refusal(hv) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Images: a VM graph serialized once, loaded once per clone
+# Images: a VM graph serialized once, loaded per restore or clone
 # ---------------------------------------------------------------------------
 
-#: The types ``copy.deepcopy`` returns as-is (besides classes and
-#: plain values): an image keeps them by reference too.  Closures are
-#: among them, which is why ``_rebind_clone`` finds the stale ones by
-#: identity.
+#: The exact types an image keeps by reference: the deepcopy atoms
+#: (classes, functions and closures, builtins, weakrefs, code objects,
+#: properties), registry scope views (handles onto the one shared
+#: metrics tree), what a restore must never rewind (metric cells and
+#: accessor stats), what cannot be pickled (scheduler tasks and timers,
+#: whose generators and callbacks belong to the running simulation; the
+#: read-only overlay image), and every host process but the VM's own
+#: (``_ImageWriter`` copies that one).
 _BY_REFERENCE_TYPES = frozenset((
     types.FunctionType, types.BuiltinFunctionType, types.CodeType,
-    weakref.ref, property,
+    weakref.ref, property, type, MetricsRegistry,
+    Counter, Gauge, Histogram, AccessorStats,
+    Task, Timer, PeriodicTimer, memoryview, Process,
 ))
 
 #: Exact types pickle saves by value without consulting
@@ -215,28 +164,26 @@ class _ImageWriter(pickle.Pickler):
     """Serializes a VM graph, keeping what it does not own by reference.
 
     Kept by reference, as entries of :attr:`refs`: the environment
-    (seeded first, in :func:`_environment_of` order), registry scope
-    views (handles onto the one shared metrics tree), and every
-    deepcopy atom — classes, functions, closures, builtins, weakrefs,
-    code objects, properties.  Everything else is copied by value.
+    (seeded first, in :func:`_environment_of` order) and every object of
+    an exact type in ``_BY_REFERENCE_TYPES`` but the VM's own process,
+    ``own``.  Everything else is copied by value.
     """
 
-    def __init__(self, buffer, environment: List[Any]) -> None:
+    def __init__(self, buffer, environment: List[Any], own: Process) -> None:
         super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
         for obj in environment:
             assert type(obj) not in _PICKLED_BY_VALUE, type(obj)
         self.refs = list(environment)
         self._env = {id(obj): index for index, obj in enumerate(environment)}
+        self._own = own
 
     def reducer_override(self, obj: Any) -> Any:
         # Called once per object (pickle memoizes), never for the
         # _PICKLED_BY_VALUE types.
         index = self._env.get(id(obj))
         if index is None:
-            if obj is _ref or not (
-                type(obj) in _BY_REFERENCE_TYPES
-                or isinstance(obj, (type, MetricsRegistry))
-            ):
+            if (type(obj) not in _BY_REFERENCE_TYPES or obj is _ref
+                    or obj is self._own):
                 return NotImplemented
             index = len(self.refs)
             self.refs.append(obj)
@@ -244,7 +191,7 @@ class _ImageWriter(pickle.Pickler):
 
 
 class _ImageLoader(pickle.Unpickler):
-    """Builds one clone from an image and its reference table."""
+    """Builds one copy of an image's graph from its reference table."""
 
     def __init__(self, image: bytes, refs: List[Any]) -> None:
         super().__init__(io.BytesIO(image))
@@ -256,95 +203,161 @@ class _ImageLoader(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _device_map(hv, session) -> Dict[str, Any]:
-    """Every virtio-mmio device around this VM, keyed for restore."""
-    devices: Dict[str, Any] = {}
-    for base, device in hv._mmio_devices.items():
-        devices[f"vmm:{base:#x}"] = device
-    device_host = getattr(session, "device_host", None) if session else None
-    if device_host is not None:
-        for base, device in device_host._windows.items():
-            devices[f"vmsh:{base:#x}"] = device
-    return devices
+# ---------------------------------------------------------------------------
+# Restore by place
+# ---------------------------------------------------------------------------
+
+#: Immutable leaves: a restore takes the loaded value as it is.
+_LEAVES = frozenset((type(None), bool, int, float, complex, str, bytes,
+                     range))
+#: Immutable holders of references: rebuilt around live partners.
+_FROZEN = (tuple, frozenset, types.MethodType)
+_CONTAINERS = (dict, list, set)
+#: Buffers a restore refills in place.
+_BUFFERS = (bytearray, mmap.mmap)
+_MISSING = object()
 
 
-def _guest_drivers(hv) -> Dict[str, Any]:
-    """Every guest driver once, keyed by the first table that lists it.
+@functools.lru_cache(maxsize=None)
+def _slots(kind) -> Tuple[str, ...]:
+    names: List[str] = []
+    for cls in kind.__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.extend((slots,) if isinstance(slots, str) else slots)
+    return tuple(name for name in names
+                 if name not in ("__dict__", "__weakref__"))
 
-    A sideloaded vmsh driver is both a platform device and a block,
-    net or console device, and a detached session leaves its drivers
-    behind in ``platform_devices``.
+
+@functools.lru_cache(maxsize=None)
+def _in_place(kind) -> bool:
+    """Whether a restore writes a ``kind`` object's state into the live
+    one: a mutable container or buffer, or an object whose state is its
+    ``__dict__`` and slots.  Anything else (an ``itertools.count``) is
+    replaced by its loaded copy."""
+    return (kind in _CONTAINERS or kind in _BUFFERS
+            or bool(kind.__dictoffset__ or _slots(kind)))
+
+
+def _places(obj):
+    """``(place, child)`` for each reference ``obj`` holds by place: an
+    attribute or slot name, a dict key or a sequence index."""
+    kind = type(obj)
+    if kind is dict:
+        return obj.items()
+    if kind in (list, tuple):
+        return enumerate(obj)
+    if kind is types.MethodType:
+        return (("__self__", obj.__self__),)
+    if kind in (set, frozenset) or kind in _BUFFERS:
+        return ()
+    places = list(getattr(obj, "__dict__", {}).items())
+    for slot in _slots(kind):
+        value = getattr(obj, slot, _MISSING)
+        if value is not _MISSING:
+            places.append((slot, value))
+    return places
+
+
+def _at(obj, place) -> Any:
+    """What ``obj`` holds at ``place``, or ``_MISSING``."""
+    kind = type(obj)
+    if kind is dict:
+        return obj.get(place, _MISSING)
+    if kind in (list, tuple):
+        return obj[place] if place < len(obj) else _MISSING
+    return getattr(obj, place, _MISSING)
+
+
+def _restore_by_place(loaded, live, refs: List[Any]) -> None:
+    """Write the loaded graph ``loaded`` into the live graph ``live``.
+
+    First each loaded object is paired with the live object of its
+    type at the same place, walking from the roots along pairs only,
+    so an object shared between places keeps its live identity.  Then
+    every loaded object the pairing did not reach is adopted: it joins
+    the live graph as it is.  Last, each loaded object's state, with
+    every reference to a paired object swapped for its live partner,
+    is written into its partner, or into itself when adopted.  Objects
+    in ``refs`` are live already and are neither walked nor written.
     """
-    guest = hv.guest
-    drivers: Dict[str, Any] = {}
-    seen: set = set()
-    for kind, table in (("blk", guest.block_devices),
-                        ("net", guest.net_devices),
-                        ("pdev", guest.platform_devices)):
-        for name, driver in table.items():
-            if id(driver) not in seen:
-                seen.add(id(driver))
-                drivers[f"{kind}:{name}"] = driver
-    return drivers
+    skip = {id(obj) for obj in refs}
+    pairs: Dict[int, Any] = {}
+    claimed: set = set()
+    visited: Dict[int, Any] = {}
+    stack = [(loaded, live)]
+    adopted = []
+    while stack:
+        old, new = stack.pop()
+        kind = type(old)
+        if kind in _LEAVES or id(old) in skip or id(old) in visited:
+            continue
+        if kind is not type(new) or id(new) in claimed:
+            adopted.append(old)
+            continue
+        visited[id(old)] = old
+        if _in_place(kind):
+            pairs[id(old)] = new
+            claimed.add(id(new))
+        elif kind not in _FROZEN:
+            continue
+        stack.extend((child, _at(new, place)) for place, child in _places(old))
+    while adopted:
+        old = adopted.pop()
+        if type(old) in _LEAVES or id(old) in skip or id(old) in visited:
+            continue
+        visited[id(old)] = old
+        adopted.extend(child for _, child in _places(old))
+
+    rebuilt: Dict[int, Any] = {}
+
+    def live_of(obj):
+        partner = pairs.get(id(obj))
+        if partner is not None:
+            return partner
+        kind = type(obj)
+        if kind not in _FROZEN:
+            return obj
+        if id(obj) not in rebuilt:
+            if kind is types.MethodType:
+                owner = live_of(obj.__self__)
+                rebuilt[id(obj)] = (obj if owner is obj.__self__ else
+                                    types.MethodType(obj.__func__, owner))
+            else:
+                rebuilt[id(obj)] = kind(live_of(item) for item in obj)
+        return rebuilt[id(obj)]
+
+    for old in visited.values():
+        if _in_place(type(old)):
+            _write(old, pairs.get(id(old), old), live_of)
 
 
-def _driver_rings(hv) -> Dict[str, Any]:
-    """Every DriverRing of every guest driver, found through its transport."""
-    return {
-        f"{key}/q{index}": ring
-        for key, driver in _guest_drivers(hv).items()
-        for index, ring in driver.transport.rings.items()
-    }
-
-
-def _capture_ring(ring) -> Optional[_RingState]:
-    if ring is None:
-        return None
-    return _RingState(
-        last_avail=ring._last_avail,
-        used_idx=ring._used_idx,
-        used_event=ring._used_event,
-        posted=list(ring.posted),
-    )
-
-
-def _capture_device(device) -> _DeviceState:
-    return _DeviceState(
-        status=device.status,
-        driver_features=device.driver_features,
-        interrupt_status=device.interrupt_status,
-        queue_sel=device._queue_sel,
-        queues=[
-            _QueueState(
-                num=q.num, ready=q.ready, desc_gpa=q.desc_gpa,
-                avail_gpa=q.avail_gpa, used_gpa=q.used_gpa,
-                ring=_capture_ring(q.ring),
-            )
-            for q in device.queues
-        ],
-    )
-
-
-def _restore_device(device, state: _DeviceState) -> None:
-    device.status = state.status
-    device.driver_features = state.driver_features
-    device.interrupt_status = state.interrupt_status
-    device._queue_sel = state.queue_sel
-    for queue, saved in zip(device.queues, state.queues):
-        queue.num = saved.num
-        queue.ready = saved.ready
-        queue.desc_gpa = saved.desc_gpa
-        queue.avail_gpa = saved.avail_gpa
-        queue.used_gpa = saved.used_gpa
-        if saved.ring is None:
-            queue.ring = None
-        elif queue.ring is not None:
-            # Identity-preserving: the device keeps its DeviceRing (and
-            # its registry-bound counters); only the indices roll back.
-            queue.ring._last_avail = saved.ring.last_avail
-            queue.ring._used_idx = saved.ring.used_idx
-            queue.ring._used_event = saved.ring.used_event
-            queue.ring.posted[:] = saved.ring.posted
+def _write(old, new, live_of) -> None:
+    """Write ``old``'s state, through ``live_of``, into ``new``."""
+    kind = type(old)
+    if kind is dict:
+        items = [(live_of(key), live_of(value)) for key, value in old.items()]
+        new.clear()
+        new.update(items)
+    elif kind is list:
+        new[:] = [live_of(item) for item in old]
+    elif kind is set:
+        items = {live_of(item) for item in old}
+        new.clear()
+        new.update(items)
+    elif kind in _BUFFERS:
+        if new is not old:
+            new[:] = old
+    else:
+        if kind.__dictoffset__:
+            state = {name: live_of(value) for name, value in vars(old).items()}
+            vars(new).clear()
+            vars(new).update(state)
+        for slot in _slots(kind):
+            value = getattr(old, slot, _MISSING)
+            if value is not _MISSING:
+                setattr(new, slot, live_of(value))
+            elif hasattr(new, slot):
+                delattr(new, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -353,47 +366,35 @@ def _restore_device(device, state: _DeviceState) -> None:
 
 
 class VmSnapshot:
-    """A restorable (and optionally clonable) image of one VM."""
+    """A restorable (and, unless a live session held the VM, clonable)
+    image of one VM.
+
+    Holds the image bytes, its reference table and scalars; no live
+    object of the VM.  An image never leaves the process: only bytes
+    this module wrote are ever loaded.
+    """
 
     def __init__(self) -> None:
         self.flavor: str = ""
         self.source_pid: int = 0
         self.taken_at_ns: int = 0
-        #: per-mapping sparse page images: [(name, size, {index: bytes})]
-        self.memory: List[Tuple[str, int, Dict[int, bytes]]] = []
-        self.memslots: Tuple = ()
-        self.vcpus: List[Tuple[Dict[str, int], Dict[str, int]]] = []
-        self.irq_routes: Dict[int, Any] = {}
-        self.irq_route_cbs: Dict[int, Any] = {}
-        self.msi_routes: Dict[int, Any] = {}
-        self.ioeventfds: List[Any] = []
-        self.ioregions: List[Any] = []
-        self.devices: Dict[str, _DeviceState] = {}
-        self.driver_rings: Dict[str, _DriverRingState] = {}
-        self.guest_phys_bump: int = 0
-        self.guest_klog: List[str] = []
-        self.guest_booted: bool = False
-        self.guest_panicked: Optional[str] = None
-        self.session: Optional[_SessionState] = None
-        #: the VM graph serialized for clone()/migrate(), and the
-        #: objects it keeps by reference; None when the snapshot was
-        #: captured restore-only (freeze=False).  An image never leaves
-        #: the process: only bytes this module wrote are ever loaded.
-        self._image: Optional[bytes] = None
+        #: guest pages captured
+        self.pages: int = 0
+        #: why the image cannot be cloned (``freeze_refusal``), or None
+        self.clone_refusal: Optional[str] = None
+        self._image: bytes = b""
         self._refs: List[Any] = []
 
     # -- capture -----------------------------------------------------------------
 
     @classmethod
-    def capture(cls, hv, session=None, freeze: bool = False,
-                scheduler=None) -> "VmSnapshot":
+    def capture(cls, hv, session=None, scheduler=None) -> "VmSnapshot":
         """Capture ``hv`` (and optionally its attached ``session``).
 
         Pure with respect to the simulation: no virtual time passes, no
-        counters move.  ``freeze`` additionally serializes the object
-        graph into an image so the snapshot can be cloned.  A live
-        service task is quiesced for the duration and restarted on
-        ``scheduler`` (defaults to the host's scheduler).
+        counters move.  A live service task is quiesced for the
+        duration and restarted on ``scheduler`` (defaults to the host's
+        scheduler).
         """
         resume = quiesce(session)
         try:
@@ -401,53 +402,14 @@ class VmSnapshot:
             snap.flavor = hv.NAME
             snap.source_pid = hv.process.pid
             snap.taken_at_ns = hv.host.clock.now
-            snap._capture_memory(hv)
-            vm = hv.vm
-            snap.memslots = tuple(
-                (s.slot, s.gpa, s.size, s.hva) for s in vm.memslots()
-            )
-            snap.vcpus = [(dict(v.regs), dict(v.sregs)) for v in vm.vcpus]
-            snap.irq_routes = dict(vm.irq_routes)
-            snap.irq_route_cbs = dict(vm._irq_route_cbs)
-            snap.msi_routes = dict(vm._msi_routes)
-            snap.ioeventfds = list(vm.ioeventfds)
-            snap.ioregions = list(vm.ioregions)
-            snap.devices = {
-                key: _capture_device(device)
-                for key, device in _device_map(hv, session).items()
-            }
-            snap.driver_rings = {
-                key: _DriverRingState(
-                    free=list(ring._free),
-                    avail_idx=ring._avail_idx,
-                    last_used=ring._last_used,
-                    kicked_avail=ring._kicked_avail,
-                    chain_heads=dict(ring._chain_heads),
-                )
-                for key, ring in _driver_rings(hv).items()
-            }
-            guest = hv.guest
-            snap.guest_phys_bump = guest._phys_bump
-            snap.guest_klog = list(guest.klog)
-            snap.guest_booted = guest.booted
-            snap.guest_panicked = getattr(guest, "panicked", None)
-            if session is not None:
-                device_host = getattr(session, "device_host", None)
-                backend = getattr(device_host, "backend", None)
-                snap.session = _SessionState(
-                    detached=session.detached,
-                    image_bytes=(bytes(backend._data)
-                                 if backend is not None else None),
-                    image_writable=(backend.writable
-                                    if backend is not None else None),
-                )
-                if device_host is not None and device_host._pending_kicks:
-                    raise SnapshotError(
-                        "device host still has pending queue windows after "
-                        "quiesce — cannot capture a non-quiescent session"
-                    )
-            if freeze:
-                snap._freeze(hv)
+            snap.pages = sum(len(mapping.backing._pages)
+                             for mapping in hv.process.address_space._mappings)
+            snap.clone_refusal = freeze_refusal(hv)
+            buffer = io.BytesIO()
+            writer = _ImageWriter(buffer, _environment_of(hv), own=hv.process)
+            writer.dump((hv, session))
+            snap._image = buffer.getvalue()
+            snap._refs = writer.refs
             return snap
         finally:
             if resume is not None:
@@ -459,195 +421,73 @@ class VmSnapshot:
                     )
                 resume(sched)
 
-    def _capture_memory(self, hv) -> None:
-        for mapping in hv.process.address_space._mappings:
-            if not isinstance(mapping.backing, PhysicalMemory):
-                continue
-            pages = {
-                index: bytes(page)
-                for index, page in mapping.backing._pages.items()
-            }
-            self.memory.append((mapping.name, mapping.backing.size, pages))
-
-    @property
-    def pages(self) -> int:
-        """Guest pages captured."""
-        return sum(len(pages) for _, _, pages in self.memory)
-
-    def _freeze(self, hv) -> None:
-        refusal = freeze_refusal(hv)
-        if refusal is not None:
-            raise SnapshotError(
-                f"cannot freeze a VM with {refusal} — detach first, or "
-                "migrate() with the detach/re-attach fallback"
-            )
-        buffer = io.BytesIO()
-        writer = _ImageWriter(buffer, _environment_of(hv))
-        writer.dump(hv)
-        self._image = buffer.getvalue()
-        self._refs = writer.refs
-
     @property
     def clonable(self) -> bool:
-        return self._image is not None
+        return self.clone_refusal is None
+
+    def _load(self, refs: Optional[List[Any]] = None):
+        """A fresh copy of the captured ``(hv, session)``."""
+        return _ImageLoader(self._image, refs or self._refs).load()
 
     # -- restore ----------------------------------------------------------------------
 
     def restore_into(self, hv, session=None, scheduler=None) -> None:
-        """Overwrite ``hv``'s mutable state with the snapshot, in place.
+        """Rewind ``hv`` (and ``session``) to the snapshot, in place.
 
-        Every object keeps its identity — register dicts are updated,
-        page stores refilled, ring indices rewound — so closures and
-        cross-references built since boot stay valid.  irqfd routes
-        added since the capture are deassigned and missing ones
-        re-armed (without touching the assign/deassign counters: a
-        round trip must be metrics-invisible).
+        ``hv`` must be the captured VM.  Every live object keeps its
+        identity, so closures and cross-references built since boot stay
+        valid; see :func:`_restore_by_place`.
         """
-        if hv.NAME != self.flavor:
+        if (hv.NAME, hv.process.pid) != (self.flavor, self.source_pid):
             raise SnapshotError(
-                f"snapshot of {self.flavor!r} cannot restore a {hv.NAME!r} VM"
+                f"snapshot of {self.flavor!r} pid {self.source_pid} cannot "
+                f"restore {hv.NAME!r} pid {hv.process.pid}: a restore rewinds "
+                "the captured VM, clone_into() makes another"
             )
         resume = quiesce(session)
         try:
-            self._restore_memory(hv)
-            vm = hv.vm
-            vm._memslots._slots = [Memslot(*entry) for entry in self.memslots]
-            if len(vm.vcpus) != len(self.vcpus):
-                raise SnapshotError(
-                    f"vCPU count changed: snapshot has {len(self.vcpus)}, "
-                    f"VM has {len(vm.vcpus)}"
-                )
-            for vcpu, (regs, sregs) in zip(vm.vcpus, self.vcpus):
-                vcpu.regs.clear()
-                vcpu.regs.update(regs)
-                vcpu.sregs.clear()
-                vcpu.sregs.update(sregs)
-            self._rearm_routes(vm)
-            vm.ioeventfds[:] = list(self.ioeventfds)
-            vm.ioregions[:] = list(self.ioregions)
-            current_devices = _device_map(hv, session)
-            for key, state in self.devices.items():
-                device = current_devices.get(key)
-                if device is not None:
-                    _restore_device(device, state)
-            current_rings = _driver_rings(hv)
-            for key, state in self.driver_rings.items():
-                ring = current_rings.get(key)
-                if ring is None:
-                    continue
-                ring._free[:] = list(state.free)
-                ring._avail_idx = state.avail_idx
-                ring._last_used = state.last_used
-                ring._kicked_avail = state.kicked_avail
-                ring._chain_heads.clear()
-                ring._chain_heads.update(state.chain_heads)
-            guest = hv.guest
-            guest._phys_bump = self.guest_phys_bump
-            guest.klog[:] = list(self.guest_klog)
-            guest.booted = self.guest_booted
-            if self.guest_panicked is not None or hasattr(guest, "panicked"):
-                guest.panicked = self.guest_panicked
-            if session is not None and self.session is not None:
-                session.detached = self.session.detached
-                device_host = getattr(session, "device_host", None)
-                backend = getattr(device_host, "backend", None)
-                if backend is not None and self.session.image_bytes is not None:
-                    backend._data[:] = self.session.image_bytes
-                    backend.writable = bool(self.session.image_writable)
+            _restore_by_place(self._load(), (hv, session), self._refs)
         finally:
             if resume is not None:
                 sched = scheduler if scheduler is not None else hv.host.scheduler
                 if sched is not None:
                     resume(sched)
 
-    def _restore_memory(self, hv) -> None:
-        mappings = [
-            m for m in hv.process.address_space._mappings
-            if isinstance(m.backing, PhysicalMemory)
-        ]
-        if len(mappings) != len(self.memory):
-            raise SnapshotError(
-                f"mapping layout changed: snapshot has {len(self.memory)} "
-                f"physical mappings, process has {len(mappings)}"
-            )
-        for mapping, (name, size, pages) in zip(mappings, self.memory):
-            if mapping.name != name or mapping.backing.size != size:
-                raise SnapshotError(
-                    f"mapping {mapping.name!r} no longer matches the "
-                    f"snapshot's {name!r} ({size:#x} bytes)"
-                )
-            mapping.backing._pages.clear()
-            for page_index, page in pages.items():
-                mapping.backing._pages[page_index] = bytearray(page)
-
-    def _rearm_routes(self, vm) -> None:
-        """Reconcile irqfd routes with the snapshot, metrics-silently."""
-        for gsi in [g for g in vm.irq_routes if g not in self.irq_routes]:
-            eventfd = vm.irq_routes.pop(gsi)
-            cb = vm._irq_route_cbs.pop(gsi, None)
-            if cb is not None:
-                eventfd.remove_signal(cb)
-            eventfd.decref()
-        for gsi, eventfd in self.irq_routes.items():
-            if gsi in vm.irq_routes:
-                continue
-            cb = self.irq_route_cbs.get(gsi)
-            if cb is None:
-                cb = lambda gsi=gsi: vm.kernel.wakeup(  # noqa: E731
-                    lambda gsi=gsi: vm.inject_irq(gsi), label=f"irqfd:gsi{gsi}"
-                )
-            vm.irq_routes[gsi] = eventfd
-            vm._irq_route_cbs[gsi] = cb
-            if cb not in eventfd._callbacks:
-                eventfd.on_signal(cb)
-            eventfd.incref()
-        for message in [m for m in vm._msi_routes if m not in self.msi_routes]:
-            eventfd, cb = vm._msi_routes.pop(message)
-            eventfd.remove_signal(cb)
-            eventfd.decref()
-        for message, (eventfd, cb) in self.msi_routes.items():
-            if message in vm._msi_routes:
-                continue
-            vm._msi_routes[message] = (eventfd, cb)
-            if cb not in eventfd._callbacks:
-                eventfd.on_signal(cb)
-            eventfd.incref()
-
     # -- clone -------------------------------------------------------------------------
 
     def clone_into(self, host, kvm) -> Any:
-        """Materialize a new VM from the frozen image on ``host``.
+        """Materialize a new VM from the image on ``host``.
 
         The returned hypervisor is a fully independent VM: fresh
         pid/tids drawn from ``host``'s deterministic counters, its own
-        guest RAM and disk image (copied from the snapshot), irqfd
-        callbacks and device interrupt closures rebound to the clone's
-        VmFd, and metrics re-homed under the new pid.
+        guest RAM and disk image (copied from the snapshot), interrupts
+        that signal its own VmFd, and metrics re-homed under the new
+        pid.
         """
-        if self._image is None:
+        if self.clone_refusal is not None:
             raise SnapshotError(
-                "snapshot was captured without freeze=True — no frozen "
-                "image to clone from"
+                f"cannot clone a VM captured with {self.clone_refusal} — "
+                "detach first, or migrate() with the detach/re-attach fallback"
             )
         refs = self._refs
         if host is not refs[0]:
             # Cross-host materialization (migration): the destination's
             # host and KVM stand in for the source's.
             refs = [host, kvm, *refs[2:]]
-        hv = _ImageLoader(self._image, refs).load()
+        hv = self._load(refs)[0]
         _rebind_clone(hv, host, kvm, source_pid=self.source_pid)
         return hv
+
 
 
 def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
     """Fix up a cloned VM graph so it lives on ``host`` as itself.
 
-    An image rebinds bound methods to the copied objects but keeps
-    plain closures by reference — so the irqfd wakeup callbacks and the
-    device ``inject_irq`` closures still point at the *source* VmFd
-    and must be rebuilt against the clone.  The fabric is kept by
-    reference too, while the NIC ports were copied off it: each NIC
-    gets a fresh port, and with it the fault checks of ``host``.
+    An image rebinds bound methods, irqfd wakeups and device interrupt
+    lines to the copied objects.  What it keeps by reference needs
+    fixing: the fabric is kept by reference while the NIC ports were
+    copied off it, so each NIC gets a fresh port, and with it the fault
+    checks of ``host``; and the metric cells are the source's.
     """
     process = hv.process
     process.pid = next(host.pid_counter)
@@ -662,41 +502,7 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
         if id(file) in environment:
             file.incref()
 
-    vm = hv.vm
-    kvm.vms.append(vm)
-
-    # Re-arm irqfd routes: drop the source's callbacks (present in the
-    # cloned eventfds by identity) and register clone-bound ones.
-    for gsi, eventfd in list(vm.irq_routes.items()):
-        stale = vm._irq_route_cbs.get(gsi)
-        if stale is not None:
-            eventfd.remove_signal(stale)
-        cb = lambda gsi=gsi: vm.kernel.wakeup(  # noqa: E731
-            lambda gsi=gsi: vm.inject_irq(gsi), label=f"irqfd:gsi{gsi}"
-        )
-        vm._irq_route_cbs[gsi] = cb
-        eventfd.on_signal(cb)
-    for message, (eventfd, stale) in list(vm._msi_routes.items()):
-        eventfd.remove_signal(stale)
-        cb = lambda message=message: vm.kernel.wakeup(  # noqa: E731
-            lambda message=message: vm.inject_msi(message),
-            label=f"irqfd:msi{message}",
-        )
-        vm._msi_routes[message] = (eventfd, cb)
-        eventfd.on_signal(cb)
-
-    # Device interrupt closures captured the source VmFd in _attach_blk.
-    costs = host.costs
-    for device in hv._mmio_devices.values():
-        gsi = getattr(device, "gsi", None)
-        if gsi is None:
-            continue
-
-        def inject_irq(gsi: int = gsi) -> None:
-            costs.syscall()
-            vm.inject_irq(gsi)
-
-        device._irq_signal = inject_irq
+    kvm.vms.append(hv.vm)
 
     # Each cloned NIC plugs into a fresh port on the live fabric, with a
     # MAC of its own, which its guest driver learns too.
@@ -715,14 +521,30 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
     )
 
 
+def _guest_drivers(hv) -> List[Any]:
+    """Every guest driver once.
+
+    A sideloaded vmsh driver is both a platform device and a block,
+    net or console device, and a detached session leaves its drivers
+    behind in ``platform_devices``.
+    """
+    guest = hv.guest
+    drivers: Dict[int, Any] = {}
+    for table in (guest.block_devices, guest.net_devices,
+                  guest.platform_devices):
+        for driver in table.values():
+            drivers.setdefault(id(driver), driver)
+    return list(drivers.values())
+
+
 def _rebind_metrics(hv, host) -> None:
     """Re-home the clone's metric cells onto the live registry.
 
-    Registry scope views are shared, but the Counter/Gauge/Histogram
-    cells a VM graph caches were copied with it: detached cells no
-    export sees.  Each holder re-resolves them to the series a fresh
-    launch binds — per-pid series under the clone's new pid, and the
-    pid-less device/driver series a second VM of the flavor shares.
+    An image keeps the Counter/Gauge/Histogram cells a VM graph caches
+    by reference, so a loaded clone still counts into its source's
+    series.  Each holder re-resolves them to the series a fresh launch
+    binds — per-pid series under the clone's new pid, and the pid-less
+    device/driver series a second VM of the flavor shares.
     """
     pid = hv.process.pid
     registry = host.obs.metrics
@@ -739,7 +561,7 @@ def _rebind_metrics(hv, host) -> None:
         hv.bind_memio(device.mem)
         device.bind_metrics()
 
-    for driver in _guest_drivers(hv).values():
+    for driver in _guest_drivers(hv):
         if hasattr(driver, "bind_metrics"):     # the exec driver has none
             driver.bind_metrics()
 
@@ -766,7 +588,7 @@ def migrate_vm(hv, dst_host, dst_kvm, session=None,
                reattach: Optional[Callable[[int], Any]] = None) -> MigrationResult:
     """Move a running VM to another simulated host.
 
-    The VM is quiesced, frozen and materialized on ``dst_host`` with
+    The VM is quiesced, captured and materialized on ``dst_host`` with
     fresh pids; the source process exits.  A live VMSH session cannot
     ride along — its ptrace link, injected fds and irqfd routes are
     host-kernel state the destination does not share — so the paper's
@@ -782,7 +604,7 @@ def migrate_vm(hv, dst_host, dst_kvm, session=None,
             "host-local — detach/re-attach fallback"
         )
         session.detach()
-    snap = VmSnapshot.capture(hv, freeze=True)
+    snap = VmSnapshot.capture(hv)
     clone = snap.clone_into(dst_host, dst_kvm)
     hv.exit()
     new_session = None

@@ -183,11 +183,10 @@ class HypervisorNotSupportedError(VmshError):
 class SnapshotError(VmshError):
     """A VM snapshot could not be captured, restored, cloned or migrated.
 
-    Raised when the VM's live state cannot be made quiescent (pending
-    device-host windows with no scheduler to drain them), when a
-    restore target no longer matches the snapshot's layout, or when a
-    clone is requested from a snapshot that was captured without a
-    frozen object graph.
+    Raised when a quiesced service task has no scheduler to restart
+    on, when a snapshot is restored into a VM of another flavor, or
+    when a clone is requested of a VM captured while a live VMSH
+    session held it.
     """
 
 

@@ -34,6 +34,23 @@ MMIO_WINDOW_STRIDE = 0x1000
 FIRST_DEVICE_GSI = 32
 
 
+class IrqLine:
+    """An in-process device's interrupt: KVM_IRQ_LINE on its GSI.
+
+    An object rather than a closure, so a snapshot image copies it with
+    its VM: a clone's devices interrupt the clone, and no image keeps
+    its source VM alive.
+    """
+
+    def __init__(self, vm: VmFd, gsi: int) -> None:
+        self.vm = vm
+        self.gsi = gsi
+
+    def __call__(self) -> None:
+        self.vm.kernel.costs.syscall()
+        self.vm.inject_irq(self.gsi)
+
+
 class Hypervisor:
     """A generic KVM userspace hypervisor."""
 
@@ -214,18 +231,10 @@ class Hypervisor:
         )
         gsi = self._next_gsi
         self._next_gsi += 1
-        vm = self.vm
-        costs = self.host.costs
-
-        def inject_irq() -> None:
-            # In-process devices assert the line with KVM_IRQ_LINE.
-            costs.syscall()
-            vm.inject_irq(gsi)
-
         device = VirtioBlkDevice(
             accessor=self._memio_accessor(name),
-            irq_signal=inject_irq,
-            costs=costs,
+            irq_signal=IrqLine(self.vm, gsi),
+            costs=self.host.costs,
             backend=backend,
             name=f"{self.NAME}-blk-{name}",
             offer_event_idx=self.VIRTIO_EVENT_IDX,
@@ -249,18 +258,10 @@ class Hypervisor:
         pairs = max(1, min(queue_pairs, self.VIRTIO_NET_QUEUE_PAIRS_MAX))
         gsi = self._next_gsi
         self._next_gsi += 1
-        vm = self.vm
-        costs = self.host.costs
-
-        def inject_irq() -> None:
-            # In-process devices assert the line with KVM_IRQ_LINE.
-            costs.syscall()
-            vm.inject_irq(gsi)
-
         device = VirtioNetDevice(
             accessor=self._memio_accessor(name),
-            irq_signal=inject_irq,
-            costs=costs,
+            irq_signal=IrqLine(self.vm, gsi),
+            costs=self.host.costs,
             mac=self.ports[name].mac,
             name=f"{self.NAME}-net-{name}",
             queue_pairs=pairs,

@@ -60,6 +60,32 @@ class IoRegionFd:
         return self.gpa <= addr and addr + length <= self.gpa + self.size
 
 
+class IrqfdWakeup:
+    """What an irqfd route does when its eventfd is signalled.
+
+    The signal is a *wakeup*: under a running scheduler the injection is
+    queued as an event (so one VM's irq can interleave with another VM's
+    work); otherwise it is immediate.  An object rather than a closure,
+    so a snapshot image copies it with its VM: a clone's routes signal
+    the clone, and no image keeps its source VM alive.
+    """
+
+    def __init__(self, vm: "VmFd", vector: int, msi: bool = False) -> None:
+        self.vm = vm
+        #: the GSI pin, or the MSI message when ``msi``
+        self.vector = vector
+        self.msi = msi
+
+    def __call__(self) -> None:
+        vm, vector = self.vm, self.vector
+        if self.msi:
+            vm.kernel.wakeup(lambda: vm.inject_msi(vector),
+                             label=f"irqfd:msi{vector}")
+        else:
+            vm.kernel.wakeup(lambda: vm.inject_irq(vector),
+                             label=f"irqfd:gsi{vector}")
+
+
 class KvmSystem(FileObject):
     """The ``/dev/kvm`` node of a host."""
 
@@ -116,7 +142,7 @@ class VmFd(FileObject):
         self.irq_routes: Dict[int, EventFd] = {}
         # gsi -> the signal callback registered on the eventfd, kept so
         # KVM_IRQFD deassign can unhook exactly what assign hooked.
-        self._irq_route_cbs: Dict[int, Callable[[], None]] = {}
+        self._irq_route_cbs: Dict[int, IrqfdWakeup] = {}
         # msi message -> (eventfd, callback), for KVM_IRQFD_MSI deassign.
         self._msi_routes: Dict[int, tuple] = {}
         self.ioeventfds: List[IoEventFd] = []
@@ -186,12 +212,7 @@ class VmFd(FileObject):
             gsi = arg["gsi"]
             if gsi in self.irq_routes:
                 self._irqfd_deassign(gsi)
-            # The irqfd signal is a *wakeup*: under a running scheduler
-            # the injection is queued as an event (so one VM's irq can
-            # interleave with another VM's work); otherwise immediate.
-            cb = lambda gsi=gsi: self.kernel.wakeup(  # noqa: E731
-                lambda gsi=gsi: self.inject_irq(gsi), label=f"irqfd:gsi{gsi}"
-            )
+            cb = IrqfdWakeup(self, gsi)
             self.irq_routes[gsi] = eventfd
             self._irq_route_cbs[gsi] = cb
             self._m_irqfd_assigned.inc()
@@ -228,10 +249,7 @@ class VmFd(FileObject):
                 raise KvmError("KVM_IRQFD_MSI requires an eventfd")
             if message in self._msi_routes:
                 self._irqfd_msi_deassign(message)
-            cb = lambda message=message: self.kernel.wakeup(  # noqa: E731
-                lambda message=message: self.inject_msi(message),
-                label=f"irqfd:msi{message}",
-            )
+            cb = IrqfdWakeup(self, message, msi=True)
             self._msi_routes[message] = (eventfd, cb)
             eventfd.on_signal(cb)
             eventfd.incref()

@@ -185,25 +185,22 @@ class Testbed:
         self.obs.metrics.scope("testbed").counter("hosts_added").inc()
         return host
 
-    def snapshot(self, hv, session=None, freeze="auto"):
+    def snapshot(self, hv, session=None):
         """Capture a :class:`~repro.core.snapshot.VmSnapshot` of ``hv``.
 
         Charges ``vm_snapshot_capture_ns`` of virtual time (quiesce +
-        page walk + serialize).  ``freeze="auto"`` also serializes the
-        object graph into an image for later :meth:`clone` whenever no
-        live VMSH session holds the VM (a ptrace link or a connected
-        ioregionfd socket); pass ``False`` for a cheap restore-only
-        capture or ``True`` to require clonability.
+        serialize).  The one image serves :meth:`restore` and
+        :meth:`clone`; a VM that a live VMSH session holds (a ptrace
+        link or a connected ioregionfd socket) can be restored but not
+        cloned (``VmSnapshot.clone_refusal`` says why).
         """
-        from repro.core.snapshot import VmSnapshot, freeze_refusal
+        from repro.core.snapshot import VmSnapshot
 
-        if freeze == "auto":
-            freeze = freeze_refusal(hv) is None
         with self.obs.span("snapshot.capture", track="snapshot",
                            vm=hv.pid, flavor=hv.NAME):
             self.costs.vm_snapshot_capture()
             snap = VmSnapshot.capture(
-                hv, session=session, freeze=freeze, scheduler=self.scheduler,
+                hv, session=session, scheduler=self.scheduler,
             )
         return snap
 

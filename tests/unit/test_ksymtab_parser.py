@@ -87,3 +87,28 @@ def test_find_kernel_reports_image_extent():
     from repro.guestos.loader import KERNEL_IMAGE_SIZE
 
     assert location.size == KERNEL_IMAGE_SIZE
+
+
+@pytest.mark.parametrize("version", [KernelVersion(4, 4), KernelVersion(5, 10)],
+                         ids=str)
+def test_relative_layouts_share_one_prefilter_per_region(version, monkeypatch):
+    """prel32 and prel32_ns read the same two words of an entry, so a
+    parse runs the vectorised pre-filter twice per string region: once
+    for absolute entries and once for both relative layouts."""
+    from repro.core import ksymtab
+
+    _, hv, gateway = _gateway_for(version)
+    location = find_kernel(gateway)
+    image = gateway.read_virt(location.vbase, location.size)
+    calls = []
+    real = ksymtab._candidate_offsets
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(ksymtab, "_candidate_offsets", counted)
+    parsed = parse_ksymtab(gateway, location)
+    assert parsed.layout == version.ksymtab_layout
+    assert parsed.symbols["linux_banner"] == hv.guest.image.symbols["linux_banner"]
+    assert len(calls) == 2 * len(ksymtab._find_string_regions(image))

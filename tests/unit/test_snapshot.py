@@ -33,6 +33,7 @@ from repro.usecases.fleet import FleetControlPlane
 from repro.usecases.serverless import ServerlessDebugger, VHivePlatform
 from repro.virtio.blk import MappedImageBackend
 from repro.virtio.console import RX_QUEUE, VirtioConsoleDevice
+from repro.virtio.constants import REG_STATUS
 from repro.virtio.net import BROADCAST_MAC, make_frame
 
 
@@ -135,6 +136,34 @@ def test_restored_exec_session_keeps_answering():
     session.detach()
 
 
+def test_restore_reads_the_captured_guest_files_as_a_clone_does():
+    """Guest state that lives outside guest RAM, such as the VFS, is
+    rewound with the rest: a write after the capture is gone."""
+    tb = Testbed()
+    hv = tb.launch_firecracker(seccomp=False)
+    captured = hv.guest.kernel_vfs.read_file("/etc/shadow")
+    snap = tb.snapshot(hv)
+    hv.guest.kernel_vfs.write_file("/etc/shadow", b"root:$6$after:19000::::::\n")
+    tb.restore(snap, hv)
+    assert hv.guest.kernel_vfs.read_file("/etc/shadow") == captured
+    assert tb.clone(snap).guest.kernel_vfs.read_file("/etc/shadow") == captured
+
+
+def test_restore_after_a_console_reset_keeps_the_console():
+    """A driver reset after the capture drops the queue's ring; the
+    restore brings it back, on the device's own accessor."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid)
+    device = next(d for d in session.device_host.devices()
+                  if isinstance(d, VirtioConsoleDevice))
+    snap = VmSnapshot.capture(hv, session=session)
+    device.write_register(REG_STATUS, 0)
+    snap.restore_into(hv, session=session)
+    assert session.console.run_command("echo ok").output == "ok"
+    session.detach()
+
+
 # -- clone ---------------------------------------------------------------------------
 
 
@@ -198,7 +227,7 @@ def test_nic_vm_image_does_not_grow_with_the_fabric():
         for _ in range(others):
             tb.launch_firecracker(seccomp=False, nic=True)
         hv = tb.launch_firecracker(seccomp=False, nic=True)
-        sizes.append(len(tb.snapshot(hv, freeze=True)._image))
+        sizes.append(len(tb.snapshot(hv)._image))
     assert max(sizes) <= 1.01 * min(sizes), sizes
 
 
@@ -221,8 +250,9 @@ def test_clones_take_their_reference_on_dev_kvm():
 def test_clone_requires_frozen_graph():
     tb = Testbed()
     hv = tb.launch_qemu()
-    snap = VmSnapshot.capture(hv, freeze=False)
-    with pytest.raises(SnapshotError, match="freeze"):
+    session = tb.vmsh().attach(hv.pid)
+    snap = VmSnapshot.capture(hv, session=session)      # restore-only
+    with pytest.raises(SnapshotError, match="cannot clone"):
         snap.clone_into(tb.host, tb.kvm)
 
 
@@ -234,9 +264,9 @@ def test_freeze_refuses_ptraced_vm():
     vmsh = tb.vmsh()
     ptrace = ptrace_attach(tb.host, vmsh.process, hv.process)
     with pytest.raises(SnapshotError, match="detach"):
-        VmSnapshot.capture(hv, freeze=True)
+        VmSnapshot.capture(hv).clone_into(tb.host, tb.kvm)
     ptrace.detach()
-    assert VmSnapshot.capture(hv, freeze=True) is not None
+    assert VmSnapshot.capture(hv).clone_into(tb.host, tb.kvm) is not None
 
 
 def test_snapshot_and_clone_charge_virtual_time():
@@ -407,7 +437,7 @@ def test_quiesce_drains_service_task():
     # quiesce drained and the resume hook reinstalled a service task
     assert device_host._pending_kicks == []
     assert device_host._service_task is not None
-    assert snap.session is not None
+    assert snap._load()[1] is not None          # the image holds the session
     device_host.stop_service_task()
     session.detach()
 
@@ -419,12 +449,12 @@ def test_freeze_refuses_a_live_ioregionfd_session():
     session.start_service(tb.scheduler)
     assert hv.process.tracer is None            # no ptrace link to refuse on
     snap = tb.snapshot(hv, session=session)
-    assert not snap.clonable                    # auto: restore-only
+    assert not snap.clonable                    # restore-only
     with pytest.raises(SnapshotError, match="live ioregionfd session"):
-        tb.snapshot(hv, session=session, freeze=True)
+        tb.clone(snap)
     session.device_host.stop_service_task()
     session.detach()
-    snap = tb.snapshot(hv, session=session, freeze=True)
+    snap = tb.snapshot(hv, session=session)
     clone = tb.clone(snap)
     again = tb.vmsh().attach(clone.pid)
     assert again.console.run_command("echo ok").output == "ok"
@@ -847,5 +877,5 @@ def test_clone_binds_the_memio_labels_of_a_fresh_launch():
     for kwargs in ({"disk": tb.nvme_partition()}, {"nic": True}):
         hv = tb.launch_qemu(**kwargs)
         fresh = _vmm_memio_devices(tb, hv.pid)
-        clone = tb.clone(tb.snapshot(hv, freeze=True))
+        clone = tb.clone(tb.snapshot(hv))
         assert fresh and _vmm_memio_devices(tb, clone.pid) == fresh, kwargs

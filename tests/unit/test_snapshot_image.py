@@ -206,7 +206,7 @@ def _run(case, make_clone, monkeypatch):
     for _ in range(2):
         tb.launch_firecracker(seccomp=False) if arch == "x86_64" else tb.launch_qemu()
     hv = launch(tb)
-    snap = tb.snapshot(hv, freeze=True)
+    snap = tb.snapshot(hv)
     clone = make_clone(tb, hv, snap)
     registry = tb.obs.metrics
     source_records, source_ids, source_refs = _walk(hv, registry)
