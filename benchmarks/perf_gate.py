@@ -30,8 +30,8 @@ observability hub and prints both storms' ns/event and their ratio:
 what recording every turn costs.  The ratio is printed, not gated.
 Next to it the gate prints the median wall time of an in-place
 ``restore_into`` of a Firecracker VM and of a QEMU VM with an attached
-VMSH session; restore is off every suite workload, so it is printed,
-not gated.
+VMSH session, with the size of each captured image; restore is off
+every suite workload, so both are printed, not gated.
 
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
@@ -84,7 +84,8 @@ def clone_point(fleet: int, clones: int) -> dict:
 
 
 def restore_point(rounds: int = RESTORES) -> dict:
-    """Median wall ms of one silent ``restore_into``, per VM kind."""
+    """Median wall ms of one silent ``restore_into`` and the captured
+    image's size in KiB, per VM kind."""
     import statistics
 
     from repro.core.snapshot import VmSnapshot
@@ -104,7 +105,7 @@ def restore_point(rounds: int = RESTORES) -> dict:
             wall0 = time.perf_counter()
             snap.restore_into(hv, session=session)
             walls.append(time.perf_counter() - wall0)
-        medians[kind] = statistics.median(walls) * 1e3
+        medians[kind] = (statistics.median(walls) * 1e3, len(snap._image) / 1024)
     return medians
 
 
@@ -126,10 +127,13 @@ def measure() -> dict:
     print(f"dispatch storm: {storm['ns_per_event']:.0f} ns/event with every "
           f"turn recorded, {bare['ns_per_event']:.0f} ns/event with no obs "
           f"(ratio {storm['ns_per_event'] / bare['ns_per_event']:.2f}x)")
+    # An image that carries the overlay again shows up as its size.
     restore = restore_point()
-    print(f"restore: median {restore['firecracker']:.2f} ms for a Firecracker "
-          f"VM, {restore['qemu+session']:.2f} ms for a QEMU VM with an "
-          f"attached session")
+    fc_ms, fc_kib = restore["firecracker"]
+    qemu_ms, qemu_kib = restore["qemu+session"]
+    print(f"restore: median {fc_ms:.2f} ms for a Firecracker VM "
+          f"({fc_kib:.0f} KiB image), {qemu_ms:.2f} ms for a QEMU VM with an "
+          f"attached session ({qemu_kib:.0f} KiB image)")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import io
-import mmap
 import pickle
 import types
 import weakref
@@ -136,8 +135,8 @@ def freeze_refusal(hv) -> Optional[str]:
 #: metrics tree), what a restore must never rewind (metric cells and
 #: accessor stats), what cannot be pickled (scheduler tasks and timers,
 #: whose generators and callbacks belong to the running simulation; the
-#: read-only overlay image), and every host process but the VM's own
-#: (``_ImageWriter`` copies that one).
+#: read-only overlay image that every session's blk backend shares), and
+#: every host process but the VM's own (``_ImageWriter`` copies that one).
 _BY_REFERENCE_TYPES = frozenset((
     types.FunctionType, types.BuiltinFunctionType, types.CodeType,
     weakref.ref, property, type, MetricsRegistry,
@@ -214,7 +213,7 @@ _LEAVES = frozenset((type(None), bool, int, float, complex, str, bytes,
 _FROZEN = (tuple, frozenset, types.MethodType)
 _CONTAINERS = (dict, list, set)
 #: Buffers a restore refills in place.
-_BUFFERS = (bytearray, mmap.mmap)
+_BUFFERS = (bytearray,)
 _MISSING = object()
 
 

@@ -298,8 +298,10 @@ class Vmsh:
     def image(self) -> bytes:
         """The default overlay image: the caller's, else the admin image.
 
-        The admin image (8 MiB) is built on first use, so a caller that
-        passes its own image to every attach never builds it.
+        The admin image (8 MiB) is looked up on first use, so a caller
+        that passes its own image to every attach never builds it; the
+        first lookup in a process builds it, and every ``Vmsh`` after
+        shares that one read-only view.
         """
         if self._image is None:
             self._image = build_admin_image()

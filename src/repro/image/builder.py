@@ -5,10 +5,15 @@ of :mod:`repro.image.fsimage`) ready to hand to :class:`repro.core.Vmsh`.
 Real deployments would pack musl-linked binaries; our binaries are
 SIMELF personalities plus deterministic filler so the bytes still
 travel the whole virtqueue path.
+
+The admin, rescue and debug images are built once per distinct content
+and shared by every caller: a session's blk backend copies what it
+writes and never writes the image it serves.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Optional
 
 from repro.image.fsimage import ImageSpec, build_image
@@ -16,6 +21,7 @@ from repro.image.fsimage import ImageSpec, build_image
 _SHELL = b"#!SIMELF:shell\n"
 
 
+@functools.lru_cache(maxsize=64)
 def _tool(name: str, size: int = 8192) -> bytes:
     """A deterministic standalone 'binary' body.
 
@@ -44,12 +50,30 @@ def _base_spec(extra_tools: Iterable[str] = ()) -> ImageSpec:
     return spec
 
 
+#: (files, symlinks, modes, extra space) -> the one view built for them
+_CANNED: Dict[tuple, memoryview] = {}
+
+
+def _canned(spec: ImageSpec, extra_space: int = 4 * 1024 * 1024) -> memoryview:
+    """``build_image(spec, extra_space)``, built once per distinct spec.
+
+    The key is the spec's content, not the builder's arguments, so a
+    builder still packs its tools on every call (cheaply: ``_tool`` is
+    cached) and only the image is shared.
+    """
+    key = (tuple(spec.files.items()), tuple(spec.symlinks.items()),
+           tuple(spec.modes.items()), extra_space)
+    if key not in _CANNED:
+        _CANNED[key] = build_image(spec, extra_space=extra_space)
+    return _CANNED[key]
+
+
 def build_admin_image(extra_space: int = 8 * 1024 * 1024) -> memoryview:
     """The general administration/debugging image (default for attach)."""
     spec = _base_spec(
         extra_tools=("strace", "tcpdump", "lsof", "gdb", "vim", "htop", "curl")
     )
-    return build_image(spec, extra_space=extra_space)
+    return _canned(spec, extra_space=extra_space)
 
 
 def build_rescue_image() -> memoryview:
@@ -60,7 +84,7 @@ def build_rescue_image() -> memoryview:
         "/etc/motd",
         b"VMSH rescue system - the guest root is under /var/lib/vmsh\n",
     )
-    return build_image(spec)
+    return _canned(spec)
 
 
 def build_scanner_image(secdb: Optional[bytes] = None) -> memoryview:
@@ -75,7 +99,7 @@ def build_serverless_debug_image() -> memoryview:
     """Use-case #1: interactive debugging tools for lambda instances."""
     spec = _base_spec(extra_tools=("strace", "py-spy", "node-inspect", "tail"))
     spec.add_file("/etc/motd", b"vHive lambda debug shell (via VMSH)\n")
-    return build_image(spec)
+    return _canned(spec)
 
 
 def build_custom_image(

@@ -461,6 +461,44 @@ def test_freeze_refuses_a_live_ioregionfd_session():
     again.detach()
 
 
+@pytest.mark.parametrize("mode, with_session", [
+    ("ioregionfd", False), ("ioregionfd", True), ("wrap_syscall", True),
+])
+def test_a_session_capture_carries_no_overlay_image(mode, with_session):
+    """The overlay image is shared read-only, so an image keeps it by
+    reference: a capture that reaches the session's blk backend holds
+    only the chunks the session wrote (none here), not 8 MiB of image."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid, mmio_mode=mode)
+    snap = VmSnapshot.capture(hv, session=session if with_session else None)
+    assert len(snap._image) < 512 * 1024
+    session.detach()
+
+
+def test_restore_rewinds_the_overlay_chunks_a_session_wrote():
+    """A chunk written before the capture and overwritten after it
+    reads its captured bytes after a restore; a chunk first written
+    after the capture reads the shared image again."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid)
+    disk, backend = hv.guest.vmsh_block, session.device_host.backend
+    per_chunk = backend.CHUNK // SECTOR_SIZE
+    early = disk.capacity_sectors - 4 * per_chunk
+    late = disk.capacity_sectors - 2 * per_chunk
+    image_at_late = disk.read_sectors(late, 8)
+    disk.write_sectors(early, b"\xaa" * 4096)
+    snap = VmSnapshot.capture(hv, session=session)
+    disk.write_sectors(early, b"\xbb" * 4096)
+    disk.write_sectors(late, b"\xcc" * 4096)
+    snap.restore_into(hv, session=session)
+    assert disk.read_sectors(early, 8) == b"\xaa" * 4096
+    assert disk.read_sectors(late, 8) == image_at_late
+    assert late // per_chunk not in backend._chunks
+    session.detach()
+
+
 # -- migrate --------------------------------------------------------------------------
 
 

@@ -38,10 +38,12 @@ _VALUES = (type(None), bool, int, float, complex, str, bytes, range)
 _GLOBAL_COUNTERS = ((MountNamespace, "_ids", 1), (Filesystem, "_fs_ids", 1),
                     (GuestProcess, "_pid_counter", 2))
 
-#: what both mechanisms keep by reference (``copy.deepcopy``'s atoms)
+#: what both mechanisms keep by reference (``copy.deepcopy``'s atoms),
+#: and the read-only overlay image a session's blk backend shares, which
+#: an image keeps by reference and a deepcopy clone never reaches
 _BY_REFERENCE = (types.FunctionType, types.BuiltinFunctionType,
                  types.CodeType, weakref.ref, property, type,
-                 MetricsRegistry)
+                 MetricsRegistry, memoryview)
 
 
 def _is_value(obj):
@@ -58,6 +60,8 @@ def _describe(obj):
         return ("view", obj.subsystem, obj._labels)
     if isinstance(obj, weakref.ref):
         return ("weakref", type(obj()).__qualname__)
+    if isinstance(obj, memoryview):
+        return ("memoryview", obj.nbytes, hashlib.sha256(obj).hexdigest())
     return (type(obj).__name__, getattr(obj, "__module__", None),
             getattr(obj, "__qualname__", None))
 

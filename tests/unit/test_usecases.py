@@ -179,6 +179,37 @@ def test_debug_shell_never_builds_the_admin_image(monkeypatch):
     assert built == [1]
 
 
+def test_every_vmsh_shares_one_admin_image(monkeypatch):
+    """The admin image is built once and shared read-only: the Vmsh of
+    another testbed gets the same view, and a session's writes stay in
+    its own backend."""
+    import hashlib
+
+    from repro.image import builder
+
+    built = []
+    real = builder.build_image
+
+    def counting_build(spec, extra_space):
+        built.append(extra_space)
+        return real(spec, extra_space=extra_space)
+
+    monkeypatch.setattr(builder, "build_image", counting_build)
+    monkeypatch.setattr(builder, "_CANNED", {})
+    first, second = Testbed(), Testbed()
+    image = first.vmsh().image
+    assert image is second.vmsh().image
+    digest = hashlib.sha256(image).digest()
+    for tb in (first, second, first):
+        hv = tb.launch_qemu()
+        session = tb.vmsh().attach(hv.pid)
+        disk = hv.guest.vmsh_block
+        disk.write_sectors(disk.capacity_sectors - 8, b"\xee" * 4096)
+        session.detach()
+    assert len(built) == 1
+    assert hashlib.sha256(image).digest() == digest
+
+
 def test_debug_shell_too_late_after_scale_down():
     tb, platform = _platform()
     platform.invoke("resize", {"bad": 1})

@@ -137,6 +137,20 @@ def test_mapped_image_backend_readonly():
         backend.write(0, b"\x01" * 512)
 
 
+def test_mapped_image_backend_rejects_a_negative_sector_or_count():
+    """A negative sector or count is rejected before any charge."""
+    from repro.sim.clock import Clock
+    from repro.sim.costs import CostModel
+
+    clock = Clock()
+    backend = MappedImageBackend(CostModel(clock), bytes(16 * SECTOR_SIZE))
+    for request in (lambda: backend.read(-8, 8), lambda: backend.read(4, -2),
+                    lambda: backend.write(-8, bytes(8 * SECTOR_SIZE))):
+        with pytest.raises(VirtioError, match="negative"):
+            request()
+    assert clock.now == 0
+
+
 def test_reset_device_holds_only_buffers_posted_after_it():
     """Posted heads live on the queue's ring, so a reset drops them."""
     tb = Testbed()
