@@ -31,7 +31,12 @@ what recording every turn costs.  The ratio is printed, not gated.
 Next to it the gate prints the median wall time of an in-place
 ``restore_into`` of a Firecracker VM and of a QEMU VM with an attached
 VMSH session, with the size of each captured image; restore is off
-every suite workload, so both are printed, not gated.
+every suite workload, so both are printed, not gated.  Last it prints
+the median wall time of ``parse_ksymtab`` over a flat buffer holding
+the booted v5.10 kernel image, whose pages are mostly zero, and the
+same image over a dense fill, with each buffer's count of live
+(non-zero) pages; no suite workload parses a dense image, so this line
+is where a regression on either side shows.  Printed, not gated.
 
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
@@ -61,6 +66,7 @@ IO_SECTORS = 32          # per-VM: 32 writes + 32 reads, iodepth 4
 WALL_TOLERANCE = 0.35    # wall rates >= 35% of the baseline rate
 CLONES = 256             # clones timed at the clone point
 RESTORES = 21            # restores timed per VM kind (printed only)
+PARSES = 21              # ksymtab parses timed per image (printed only)
 
 
 def clone_point(fleet: int, clones: int) -> dict:
@@ -109,6 +115,49 @@ def restore_point(rounds: int = RESTORES) -> dict:
     return medians
 
 
+class _FlatGateway:
+    """Virtual reads of a kernel image from a flat buffer at ``vbase``."""
+
+    def __init__(self, image: bytes, vbase: int):
+        self.image, self.vbase = image, vbase
+
+    def read_virt(self, vaddr: int, length: int) -> bytes:
+        return self.image[vaddr - self.vbase : vaddr - self.vbase + length]
+
+
+def ksymtab_point(rounds: int = PARSES) -> dict:
+    """Median wall ms of ``parse_ksymtab`` and the live-page count, for
+    the booted v5.10 kernel image and for that image's live pages over
+    a dense fill that holds no NUL and no identifier byte."""
+    import statistics
+
+    from repro.core.kaslr import KernelLocation
+    from repro.core.ksymtab import PAGE_SIZE, parse_ksymtab
+    from repro.guestos.version import KernelVersion
+    from repro.testbed import Testbed
+
+    hv = Testbed().launch_qemu(guest_version=KernelVersion(5, 10))
+    kernel = hv.guest.image
+    booted = hv.vm.guest_memory().read(kernel.pbase, kernel.size)
+    live = [start for start in range(0, kernel.size, PAGE_SIZE)
+            if booted.count(0, start, start + PAGE_SIZE) < PAGE_SIZE]
+    dense = bytearray(bytes(range(0x80, 0x100)) * (kernel.size // 128))
+    for start in live:
+        dense[start : start + PAGE_SIZE] = booted[start : start + PAGE_SIZE]
+    location = KernelLocation(kernel.vbase, kernel.vbase + kernel.size)
+    points = {}
+    for name, image, pages in (("booted", booted, len(live)),
+                               ("dense", bytes(dense), kernel.size // PAGE_SIZE)):
+        gateway = _FlatGateway(image, kernel.vbase)
+        walls = []
+        for _ in range(rounds):
+            wall0 = time.perf_counter()
+            parse_ksymtab(gateway, location)
+            walls.append(time.perf_counter() - wall0)
+        points[name] = (statistics.median(walls) * 1e3, pages)
+    return points
+
+
 def measure() -> dict:
     from test_fleet_scaling import fleet_point, plane_point, sched_storm_point
 
@@ -134,6 +183,13 @@ def measure() -> dict:
     print(f"restore: median {fc_ms:.2f} ms for a Firecracker VM "
           f"({fc_kib:.0f} KiB image), {qemu_ms:.2f} ms for a QEMU VM with an "
           f"attached session ({qemu_kib:.0f} KiB image)")
+    # Printed, not gated: the parse scans live pages only, so a dense
+    # image is its slow side.
+    parse = ksymtab_point()
+    print(f"ksymtab: median parse_ksymtab {parse['booted'][0]:.2f} ms on the "
+          f"booted v5.10 image ({parse['booted'][1]} live pages), "
+          f"{parse['dense'][0]:.2f} ms on it over a dense fill "
+          f"({parse['dense'][1]} live pages)")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

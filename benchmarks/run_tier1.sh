@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate, the one list of checks CI runs: byte-compile, the full
 # test suite (chaos suite included, on a pinned master seed so fault
-# schedules are replayable) and its replay and second-seed checks, the
+# schedules are replayable), the restore oracles on bytecode of another
+# hash seed, the suite's replay and second-seed checks, the
 # ablation and arch-matrix benchmarks, the benchmark self-test, the
 # perf gate, the Perfetto export, the fuzz smoke, the CLI
 # record/replay round trips, the examples and the src/ line count.  Run
@@ -17,6 +18,16 @@ python -m compileall -q src
 export VMSH_CHAOS_SEED="${VMSH_CHAOS_SEED:-0x564D5348}"
 
 PYTHONPATH=src python -m pytest -x -q
+
+# Hash-seed leg: bytecode compiled under one hash seed, run under two
+# others.  A frozenset constant is marshalled in its compile-time order,
+# and a restore must give back the graph it captured whichever order
+# that is.  The tests above ran on bytecode of one seed only.
+PYTHONHASHSEED=1 python -m compileall -q -f src
+for seed in 4 9; do
+    PYTHONHASHSEED=$seed PYTHONPATH=src python -m pytest -q \
+        tests/props/test_prop_restore.py
+done
 
 # Chaos replay check: the same seed again must give the same schedules.
 PYTHONPATH=src python -m pytest -q tests/chaos

@@ -9,6 +9,16 @@ variants in parallel* — an entry run is only accepted if every entry's
 name reference lands on a valid NUL-terminated identifier inside a
 plausible strings section and its value lands inside the kernel image.
 The layout with the most consistent entries wins.
+
+Most of a kernel image is zero pages: a booted 2 MiB image holds data
+in 5 of its 512 pages.  Both passes therefore run over the image's live
+pages only (:func:`_live_spans`: the maximal runs of 4 KiB pages that
+hold a non-zero byte), and give what a scan of the whole image gives.
+A string region never holds two NULs in a row, so it cannot cross a
+zero page and ends at the latest on the first byte after a span.  An
+entry none of whose words lies in a span is all zeros, and an all-zero
+entry passes the pre-filter only in a window each layout names
+(:func:`_candidate_offsets`), which is scanned with the spans.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ _CLASSES = bytes(
     ord("I") if byte in IDENTIFIER_BYTES else ord(".") for byte in range(256)
 )
 
+PAGE_SIZE = 4096                # bytes
 MIN_STRING_REGION = 32          # bytes
 MIN_RUN_LENGTH = 8              # entries
 ENTRY_STRIDES = {"absolute": 16, "prel32": 8, "prel32_ns": 12}
@@ -59,7 +70,8 @@ def parse_ksymtab(gateway: GuestMemoryGateway, location: KernelLocation) -> Pars
     # contiguous runs into batched process_vm_readv calls, instead of
     # one remote walk + one syscall per page of the image.
     image = gateway.read_virt(location.vbase, location.size)
-    regions = _find_string_regions(image)
+    spans = _live_spans(image)
+    regions = _find_string_regions(image, spans)
     if not regions:
         raise SideloadError("no candidate .ksymtab_strings region in kernel image")
 
@@ -72,7 +84,7 @@ def parse_ksymtab(gateway: GuestMemoryGateway, location: KernelLocation) -> Pars
             key = (layout == "absolute", region_start, region_end)
             if key not in prefilters:
                 prefilters[key] = _candidate_offsets(
-                    image, location, layout, region_start, region_end
+                    image, location, layout, region_start, region_end, spans
                 )
             run = _scan_entries(image, location, layout, region_start,
                                 region_end, prefilters[key])
@@ -95,37 +107,63 @@ def parse_ksymtab(gateway: GuestMemoryGateway, location: KernelLocation) -> Pars
     )
 
 
+def _live_spans(image: bytes) -> List[Tuple[int, int]]:
+    """Byte ranges of the maximal runs of live pages: 4 KiB pages that
+    hold a non-zero byte.  A trailing partial page counts as live."""
+    import numpy as np
+
+    pages = len(image) // PAGE_SIZE
+    live = np.frombuffer(image, dtype="<u8", count=pages * PAGE_SIZE // 8)
+    live = live.reshape(pages, PAGE_SIZE // 8).any(axis=1)
+    edges = np.flatnonzero(np.diff(np.concatenate(
+        ([False], live, [len(image) % PAGE_SIZE != 0], [False]))))
+    return [(int(start) * PAGE_SIZE, min(int(end) * PAGE_SIZE, len(image)))
+            for start, end in zip(edges[::2], edges[1::2])]
+
+
 # ---------------------------------------------------------------------------
 # Pass 1: candidate string sections
 # ---------------------------------------------------------------------------
 
-def _find_string_regions(image: bytes) -> List[Tuple[int, int]]:
-    """Maximal runs of NUL-separated identifiers, largest first."""
+def _find_string_regions(
+    image: bytes, spans: List[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """Maximal runs of NUL-separated identifiers, largest first.
+
+    Each span is scanned with the one byte after it, where a region
+    that runs to the span's end stops (that byte is a NUL of a zero
+    page; a region never holds two in a row).
+    """
     regions: List[Tuple[int, int]] = []
-    size = len(image)
-    # A kernel image is mostly zeros: find the next identifier byte in
-    # C rather than stepping over the gaps one byte at a time.
-    classes = image.translate(_CLASSES)
-    pos = classes.find(b"I")
-    while pos != -1:
-        start = pos
-        identifiers = 0
-        cursor = pos
-        while cursor < size:
-            word_start = cursor
-            while cursor < size and image[cursor] in IDENTIFIER_BYTES:
-                cursor += 1
-            if cursor >= size or image[cursor] != 0:
-                break
-            if cursor > word_start:
-                identifiers += 1
-            cursor += 1  # consume the NUL
-            if cursor < size and image[cursor] not in IDENTIFIER_BYTES:
-                break
-        end = cursor
-        if identifiers >= 3 and end - start >= MIN_STRING_REGION:
-            regions.append((start, end))
-        pos = classes.find(b"I", max(end, pos + 1))
+    for span_start, span_end in spans:
+        if span_start == 0 and span_end == len(image):
+            window = image
+        else:
+            window = image[span_start : span_end + 1]
+        size = len(window)
+        # Find the next identifier byte in C rather than stepping over
+        # the gaps one byte at a time.
+        classes = window.translate(_CLASSES)
+        pos = classes.find(b"I")
+        while pos != -1:
+            start = pos
+            identifiers = 0
+            cursor = pos
+            while cursor < size:
+                word_start = cursor
+                while cursor < size and window[cursor] in IDENTIFIER_BYTES:
+                    cursor += 1
+                if cursor >= size or window[cursor] != 0:
+                    break
+                if cursor > word_start:
+                    identifiers += 1
+                cursor += 1  # consume the NUL
+                if cursor < size and window[cursor] not in IDENTIFIER_BYTES:
+                    break
+            end = cursor
+            if identifiers >= 3 and end - start >= MIN_STRING_REGION:
+                regions.append((span_start + start, span_start + end))
+            pos = classes.find(b"I", max(end, pos + 1))
     regions.sort(key=lambda r: r[1] - r[0], reverse=True)
     return regions[:8]
 
@@ -149,11 +187,12 @@ def _identifier_at(image: bytes, offset: int, region: Tuple[int, int]) -> Option
 # Pass 2: entry-run scan per layout
 # ---------------------------------------------------------------------------
 
-#: image words per vectorised block of :func:`_candidate_offsets`.
-#: Whole-image int64 temporaries would be 16 MiB per call on a 2 MiB
-#: kernel image: transient heap blocks that large, freed mid-run, leave
-#: the resident size of a long run differing by ~12 MiB from one run to
-#: the next, depending on where the allocator placed them.
+#: image words per vectorised block of :func:`_candidate_offsets`, the
+#: cap on its temporaries inside one window.  Whole-image int64
+#: temporaries would be 16 MiB per call on a dense 2 MiB kernel image:
+#: transient heap blocks that large, freed mid-run, leave the resident
+#: size of a long run differing by ~12 MiB from one run to the next,
+#: depending on where the allocator placed them.
 _BLOCK_WORDS = 1 << 14
 
 
@@ -163,47 +202,68 @@ def _candidate_offsets(
     layout: str,
     region_start: int,
     region_end: int,
+    spans: List[Tuple[int, int]],
 ) -> List[int]:
     """Vectorised pre-filter: offsets whose value/name references are
     plausible for this layout.  Final validation stays byte-exact in
     :func:`_decode_entry`; this only prunes the search space.
 
-    The image is read through a zero-copy array view, one block of
-    :data:`_BLOCK_WORDS` entries at a time.
+    The filter runs, through a zero-copy array view and one block of
+    :data:`_BLOCK_WORDS` entries at a time, over the entries with a
+    word in a live span (each span widened by one entry on either side)
+    and over the window where an all-zero entry passes: for relative
+    entries, the offsets ``[region_start - 4, region_end - 4)``; for
+    absolute ones, none unless the kernel sits at vaddr 0 and the region
+    at offset 0, and then the whole image.
     """
     import numpy as np
 
-    image_span = location.vend - location.vbase
-    found: List[int] = []
     if layout == "absolute":
+        width = 8
         words = np.frombuffer(image, dtype="<u8", count=len(image) // 8)
+
         # entry k pairs word k (value) with word k + 1 (name)
-        for base in range(0, len(words) - 1, _BLOCK_WORDS):
-            stop = min(base + _BLOCK_WORDS, len(words) - 1)
+        def passes(base: int, stop: int):
             value, name = words[base:stop], words[base + 1 : stop + 1]
-            ok = (
+            return (
                 (value >= location.vbase)
                 & (value < location.vend)
                 & (name >= location.vbase + region_start)
                 & (name < location.vbase + region_end)
             )
-            found.extend((base + int(k)) * 8 for k in np.nonzero(ok)[0])
-        return found
 
-    rel = np.frombuffer(image, dtype="<i4", count=len(image) // 4)
-    # entry k's value is relative to word k, its name to word k + 1
-    for base in range(0, len(rel) - 1, _BLOCK_WORDS):
-        stop = min(base + _BLOCK_WORDS, len(rel) - 1)
-        offsets = np.arange(base * 4, stop * 4, 4, dtype=np.int64)
-        value_target = offsets + rel[base:stop]
-        name_target = offsets + 4 + rel[base + 1 : stop + 1]
-        ok = (
-            (value_target >= 0)
-            & (value_target < image_span)
-            & (name_target >= region_start)
-            & (name_target < region_end)
-        )
-        found.extend((base + int(k)) * 4 for k in np.nonzero(ok)[0])
+        zeros = ([(0, len(words))]
+                 if location.vbase == 0 and region_start == 0 else [])
+    else:
+        width = 4
+        words = np.frombuffer(image, dtype="<i4", count=len(image) // 4)
+        image_span = location.vend - location.vbase
+
+        # entry k's value is relative to word k, its name to word k + 1
+        def passes(base: int, stop: int):
+            offsets = np.arange(base * 4, stop * 4, 4, dtype=np.int64)
+            value_target = offsets + words[base:stop]
+            name_target = offsets + 4 + words[base + 1 : stop + 1]
+            return (
+                (value_target >= 0)
+                & (value_target < image_span)
+                & (name_target >= region_start)
+                & (name_target < region_end)
+            )
+
+        zeros = [(-(-region_start // 4) - 1, -(-region_end // 4) - 1)]
+    windows = sorted([(start // width - 1, -(-end // width) + 1)
+                      for start, end in spans] + zeros)
+    entries = len(words) - 1
+    found: List[int] = []
+    done = 0
+    for low, high in windows:
+        high = min(high, entries)
+        for base in range(max(low, done), high, _BLOCK_WORDS):
+            stop = min(base + _BLOCK_WORDS, high)
+            found.extend((base + int(k)) * width
+                         for k in np.nonzero(passes(base, stop))[0])
+        done = max(done, high)
     return found
 
 

@@ -281,6 +281,8 @@ def _restore_by_place(loaded, live, refs: List[Any]) -> None:
     """
     skip = {id(obj) for obj in refs}
     pairs: Dict[int, Any] = {}
+    #: the live frozenset at each loaded frozenset's place
+    frozen: Dict[int, frozenset] = {}
     claimed: set = set()
     visited: Dict[int, Any] = {}
     stack = [(loaded, live)]
@@ -297,6 +299,8 @@ def _restore_by_place(loaded, live, refs: List[Any]) -> None:
         if _in_place(kind):
             pairs[id(old)] = new
             claimed.add(id(new))
+        elif kind is frozenset:
+            frozen[id(old)] = new
         elif kind not in _FROZEN:
             continue
         stack.extend((child, _at(new, place)) for place, child in _places(old))
@@ -322,7 +326,10 @@ def _restore_by_place(loaded, live, refs: List[Any]) -> None:
                 rebuilt[id(obj)] = (obj if owner is obj.__self__ else
                                     types.MethodType(obj.__func__, owner))
             else:
-                rebuilt[id(obj)] = kind(live_of(item) for item in obj)
+                value = kind(live_of(item) for item in obj)
+                # An equal live frozenset stays, iteration order and all.
+                rebuilt[id(obj)] = (frozen[id(obj)]
+                                    if frozen.get(id(obj)) == value else value)
         return rebuilt[id(obj)]
 
     for old in visited.values():
@@ -341,8 +348,9 @@ def _write(old, new, live_of) -> None:
         new[:] = [live_of(item) for item in old]
     elif kind is set:
         items = {live_of(item) for item in old}
-        new.clear()
-        new.update(items)
+        if new != items:        # an equal live set keeps its order
+            new.clear()
+            new.update(items)
     elif kind in _BUFFERS:
         if new is not old:
             new[:] = old

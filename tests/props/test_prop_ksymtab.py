@@ -20,6 +20,7 @@ from repro.core.ksymtab import (
     MIN_STRING_REGION,
     _candidate_offsets,
     _find_string_regions,
+    _live_spans,
     parse_ksymtab,
 )
 from repro.errors import SideloadError
@@ -152,7 +153,8 @@ _token_soup = st.lists(
 @given(image=st.one_of(_byte_soup, _token_soup))
 @settings(max_examples=200, deadline=None)
 def test_string_region_scan_matches_reference(image):
-    assert _find_string_regions(image) == _reference_string_regions(image)
+    assert (_find_string_regions(image, _live_spans(image))
+            == _reference_string_regions(image))
 
 
 @pytest.mark.parametrize("layout", sorted(ENTRY_SIZES))
@@ -161,7 +163,7 @@ def test_string_region_scan_matches_reference_on_kernel_images(layout):
     build_kernel_image(KernelVersion(5, 10), KERNEL_TEXT_BASE, 0, mem.write,
                        ksymtab_layout=layout)
     image = mem.read(0, KERNEL_IMAGE_SIZE)
-    regions = _find_string_regions(image)
+    regions = _find_string_regions(image, _live_spans(image))
     assert regions                      # the .ksymtab_strings section
     assert regions == _reference_string_regions(image)
 
@@ -219,7 +221,8 @@ def test_candidate_offsets_match_reference(layout, words, tail, region, block):
     image += tail
     location = KernelLocation(KERNEL_TEXT_BASE, KERNEL_TEXT_BASE + len(image))
     with mock.patch.object(ksymtab, "_BLOCK_WORDS", block):
-        got = _candidate_offsets(image, location, layout, *region)
+        got = _candidate_offsets(image, location, layout, *region,
+                                 _live_spans(image))
     assert got == _reference_candidate_offsets(image, location, layout, *region)
 
 
@@ -230,11 +233,177 @@ def test_candidate_offsets_match_reference_on_kernel_images(image_layout):
                        ksymtab_layout=image_layout)
     image = mem.read(0, KERNEL_IMAGE_SIZE)
     location = KernelLocation(KERNEL_TEXT_BASE, KERNEL_TEXT_BASE + len(image))
+    spans = _live_spans(image)
     hits = 0
     for layout in ENTRY_STRIDES:
-        for region in _find_string_regions(image):
-            got = _candidate_offsets(image, location, layout, *region)
+        for region in _find_string_regions(image, spans):
+            got = _candidate_offsets(image, location, layout, *region, spans)
             assert got == _reference_candidate_offsets(
                 image, location, layout, *region)
             hits += len(got)
     assert hits                         # the real table is among them
+
+
+# -- both passes over sparse images against the whole-image references -------------
+
+PAGE = ksymtab.PAGE_SIZE
+vbases = st.sampled_from([0, KERNEL_TEXT_BASE])
+
+
+def _put(image: bytearray, at: int, data: bytes) -> None:
+    """Write ``data`` at ``at``, clipped to the image."""
+    start = min(max(at, 0), len(image))
+    data = data[start - at :][: len(image) - start]
+    image[start : start + len(data)] = data
+
+
+_soups = {
+    "bytes": _byte_soup,
+    "tokens": _token_soup,
+    # a run of identifiers, as in a .ksymtab_strings section
+    "strings": st.lists(_word, min_size=3, max_size=12).map(b"".join),
+}
+
+
+def _near_edge(size: int, reach: int):
+    """Offsets within ``reach`` bytes of a page boundary of a
+    ``size``-byte image, clipped to it."""
+    return st.sampled_from(range(0, size + 1, PAGE)).flatmap(
+        lambda b: st.integers(max(b - reach, 0), min(b + reach, size)))
+
+
+@st.composite
+def _sparse_images(draw, vbase: int = KERNEL_TEXT_BASE, targets=None) -> bytes:
+    """0-8 zero pages and a 0-300-byte tail, with byte and token soups,
+    runs of identifiers, absolute pointers into the image and small
+    relative words written within 40 bytes of page boundaries.  A soup
+    or run may end at its anchor, cut after its last non-NUL byte; words
+    are aligned to their size.  The image offsets the words point at are
+    appended to ``targets``."""
+    size = draw(st.integers(0, 8)) * PAGE + draw(st.integers(0, 300))
+    image = bytearray(size)
+    pointers = st.lists(st.one_of(st.integers(0, size), _near_edge(size, 64)),
+                        min_size=1, max_size=4)
+    relatives = st.lists(st.integers(-16, 16), min_size=1, max_size=8)
+    for _ in range(draw(st.integers(0, 6))):
+        at = (draw(st.sampled_from(range(0, size + 1, PAGE)))
+              + draw(st.one_of(st.just(0), st.integers(-40, 40))))
+        kind = draw(st.sampled_from(
+            ["bytes", "tokens", "strings", "pointers", "relatives"]))
+        if kind == "pointers":
+            at -= at % 8
+            offsets = draw(pointers)
+            data = b"".join((vbase + off).to_bytes(8, "little") for off in offsets)
+        elif kind == "relatives":
+            at -= at % 4
+            words = draw(relatives)
+            data = b"".join(w.to_bytes(4, "little", signed=True) for w in words)
+            # word k is relative to its own offset
+            offsets = [at + 4 * k + w for k, w in enumerate(words)]
+        else:
+            data, offsets = draw(_soups[kind]), []
+            if draw(st.booleans()):
+                data = data.rstrip(b"\x00")
+                at -= len(data)
+        _put(image, at, data)
+        if targets is not None:
+            targets.extend(off for off in offsets if 0 <= off <= size)
+    return bytes(image)
+
+
+def _regions_in(size: int, targets=()):
+    """Regions anywhere in a ``size``-byte image, zero pages included:
+    often starting at 0 or near a page boundary, often short, and often
+    around an offset in ``targets``."""
+    start = st.one_of(st.just(0), st.integers(0, size), _near_edge(size, 8))
+    length = st.one_of(st.integers(0, 64), st.integers(0, size))
+    anywhere = st.tuples(start, length).map(
+        lambda r: (r[0], min(r[0] + r[1], size)))
+    if not targets:
+        return anywhere
+    around = st.tuples(st.sampled_from(targets), st.integers(0, 12),
+                       st.integers(1, 12)).map(
+        lambda t: (max(t[0] - t[1], 0), min(t[0] + t[2], size)))
+    return st.one_of(anywhere, around)
+
+
+@given(image=_sparse_images())
+@settings(max_examples=300, deadline=None)
+def test_string_regions_of_sparse_images_match_reference(image):
+    assert (_find_string_regions(image, _live_spans(image))
+            == _reference_string_regions(image))
+
+
+@given(data=st.data(), vbase=vbases,
+       block=st.sampled_from([64, ksymtab._BLOCK_WORDS]))
+@settings(max_examples=300, deadline=None)
+def test_candidate_offsets_of_sparse_images_match_reference(data, vbase, block):
+    targets = []
+    image = data.draw(_sparse_images(vbase, targets))
+    regions = data.draw(st.lists(_regions_in(len(image), targets),
+                                 min_size=1, max_size=8))
+    location = KernelLocation(vbase, vbase + len(image))
+    spans = _live_spans(image)
+    with mock.patch.object(ksymtab, "_BLOCK_WORDS", block):
+        for layout in ENTRY_STRIDES:
+            for region in regions:
+                got = _candidate_offsets(image, location, layout, *region, spans)
+                assert got == _reference_candidate_offsets(
+                    image, location, layout, *region)
+
+
+def _outcome(image: bytes, vbase: int):
+    location = KernelLocation(vbase, vbase + len(image))
+    try:
+        return parse_ksymtab(FakeGateway(image, vbase), location)
+    except SideloadError as exc:
+        return str(exc)
+
+
+@given(data=st.data(), vbase=vbases, layout=st.sampled_from(sorted(ENTRY_SIZES)),
+       symbols=st.lists(identifier, min_size=9, max_size=16, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_parse_of_a_sparse_image_matches_the_whole_image_parse(data, vbase, layout,
+                                                               symbols):
+    """A real table whose sections start or end near page boundaries,
+    among soups: the parse equals one whose passes scan every byte."""
+    image = bytearray(data.draw(_sparse_images(vbase)))
+    size = len(image)
+    build_symbol_sections(
+        {name: vbase + data.draw(st.integers(0, max(size - 1, 0)))
+         for name in symbols},
+        layout,
+        strings_vaddr=vbase + data.draw(_near_edge(size, 64)),
+        ksymtab_vaddr=vbase + data.draw(_near_edge(size, 64)) // 4 * 4,
+        write=lambda vaddr, blob: _put(image, vaddr - vbase, blob),
+    )
+    image = bytes(image)
+    with mock.patch.object(
+        ksymtab, "_find_string_regions",
+        lambda image, spans: _reference_string_regions(image),
+    ), mock.patch.object(
+        ksymtab, "_candidate_offsets",
+        lambda image, location, layout, start, end, spans:
+            _reference_candidate_offsets(image, location, layout, start, end),
+    ):
+        expected = _outcome(image, vbase)
+    assert _outcome(image, vbase) == expected
+
+
+@pytest.mark.parametrize("layout", sorted(ENTRY_SIZES))
+def test_a_kernel_image_in_a_16_mib_zero_buffer_parses_to_the_same_table(layout):
+    mem = PhysicalMemory(KERNEL_IMAGE_SIZE)
+    build_kernel_image(KernelVersion(5, 10), KERNEL_TEXT_BASE, 0, mem.write,
+                       ksymtab_layout=layout)
+    image = mem.read(0, KERNEL_IMAGE_SIZE)
+    location = KernelLocation(KERNEL_TEXT_BASE, KERNEL_TEXT_BASE + len(image))
+    alone = parse_ksymtab(FakeGateway(image), location)
+    # The image sits 5 MiB into the buffer, which starts that much lower.
+    offset = 5 * MiB
+    buffer = bytearray(16 * MiB)
+    buffer[offset : offset + len(image)] = image
+    vbase = KERNEL_TEXT_BASE - offset
+    wide = parse_ksymtab(FakeGateway(bytes(buffer), vbase),
+                         KernelLocation(vbase, vbase + len(buffer)))
+    assert wide == alone
+    assert len(alone.symbols) >= 8

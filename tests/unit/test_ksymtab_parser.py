@@ -111,4 +111,5 @@ def test_relative_layouts_share_one_prefilter_per_region(version, monkeypatch):
     parsed = parse_ksymtab(gateway, location)
     assert parsed.layout == version.ksymtab_layout
     assert parsed.symbols["linux_banner"] == hv.guest.image.symbols["linux_banner"]
-    assert len(calls) == 2 * len(ksymtab._find_string_regions(image))
+    assert len(calls) == 2 * len(
+        ksymtab._find_string_regions(image, ksymtab._live_spans(image)))

@@ -87,6 +87,29 @@ def test_restore_is_metrics_and_clock_silent():
     assert tb.obs.metrics_json() == metrics
 
 
+def test_restore_keeps_a_set_equal_to_its_captured_value_in_its_order():
+    """A set or frozenset that equals its captured value after a
+    restore is the live object still, so it iterates as before: a
+    rebuilt frozenset or a refilled set can iterate in another order.
+    Int hashes do not depend on the hash seed."""
+    tb = Testbed()
+    hv = tb.launch_firecracker(seccomp=False)
+    init = hv.guest.processes.get(1)
+    init.capabilities = frozenset(
+        [104, 448, 504, 464, 31, 2752, 57, 53, 320, 2752, 44, 3840, 2496])
+    init.seen = set()
+    for item in (40, 232, 40, 14, 288, 6):
+        init.seen.add(item)
+    init.seen.discard(40)
+    capabilities, seen = init.capabilities, init.seen
+    orders = list(capabilities), list(seen)
+    assert orders[1] == [288, 6, 232, 14]
+    snap = VmSnapshot.capture(hv)
+    snap.restore_into(hv)
+    assert (list(init.capabilities), list(init.seen)) == orders
+    assert init.capabilities is capabilities and init.seen is seen
+
+
 def test_restore_rejects_flavor_mismatch():
     tb = Testbed()
     qemu = tb.launch_qemu()
