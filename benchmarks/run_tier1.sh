@@ -3,8 +3,8 @@
 # test suite (chaos suite included, on a pinned master seed so fault
 # schedules are replayable), the restore oracles on bytecode of another
 # hash seed, the suite's replay and second-seed checks, the
-# ablation and arch-matrix benchmarks, the benchmark self-test, the
-# perf gate, the Perfetto export, the fuzz smoke, the CLI
+# ablation, paper-experiment and arch-matrix benchmarks, the benchmark
+# self-test, the perf gate, the Perfetto export, the fuzz smoke, the CLI
 # record/replay round trips, the examples and the src/ line count.  Run
 # from anywhere.
 set -euo pipefail
@@ -47,6 +47,17 @@ PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_event_idx.py \
     benchmarks/test_ablation_snapshot.py \
     benchmarks/test_fleet_scaling.py
+
+# Paper-experiment leg: E1 and E4-E10 (§6.1, §6.3-§6.5, Figures 5-8)
+# run the guest fs, page cache, native disk, host file, 9p, tty and pts
+# cost paths and rewrite their reports under benchmarks/results/.
+PYTHONPATH=src python -m pytest -q \
+    benchmarks/test_e1_xfstests.py \
+    benchmarks/test_e4_phoronix.py \
+    benchmarks/test_e5_fio.py \
+    benchmarks/test_e6_console.py \
+    benchmarks/test_e7_debloat.py \
+    benchmarks/test_e8_e10_usecases.py
 
 # Arch-matrix leg: the riscv64 attach integration suite, the
 # page-table engine against the per-ISA walkers it replaced on hostile

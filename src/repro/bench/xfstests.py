@@ -500,7 +500,8 @@ def _exdev_rename(ctx: TestContext) -> None:
     ctx.vfs.write_file(f"{ctx.testdir}/f", b"x")
     other = f"{ctx.testdir}/otherfs"
     ctx.vfs.makedirs(other)
-    ctx.vfs.mount(Filesystem("tmpfs", label="exdev-tmp"), other)
+    tmpfs = Filesystem("tmpfs", costs=ctx.fs.costs, label="exdev-tmp")
+    ctx.vfs.mount(tmpfs, other)
     try:
         _expect(ctx, "EXDEV", lambda: ctx.vfs.rename(f"{ctx.testdir}/f", f"{other}/f"))
     finally:
@@ -576,7 +577,7 @@ def _mount_tests() -> List[Tuple[str, Callable]]:
         def fn(ctx: TestContext, i=i) -> None:
             sub = f"{ctx.testdir}/mnt{i}"
             ctx.vfs.makedirs(sub)
-            extra = Filesystem("tmpfs", label=f"tmp{i}")
+            extra = Filesystem("tmpfs", costs=ctx.fs.costs, label=f"tmp{i}")
             ctx.vfs.mount(extra, sub)
             try:
                 ctx.vfs.write_file(f"{sub}/inside", b"on-tmpfs")

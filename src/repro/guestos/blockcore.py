@@ -12,8 +12,6 @@ Three device families implement :class:`BlockDevice`:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import GuestError
 from repro.sim.costs import CostModel
 from repro.units import SECTOR_SIZE
@@ -92,7 +90,7 @@ class NativeDisk(BlockDevice):
 
     supports_pquota = True
 
-    def __init__(self, name: str, capacity_bytes: int, costs: Optional[CostModel] = None):
+    def __init__(self, name: str, capacity_bytes: int, costs: CostModel):
         if capacity_bytes % SECTOR_SIZE:
             raise ValueError("capacity must be sector aligned")
         self.name = name
@@ -106,9 +104,8 @@ class NativeDisk(BlockDevice):
 
     def read_sectors(self, sector: int, count: int) -> bytes:
         self._check(sector, count)
-        if self._costs is not None:
-            self._costs.syscall()
-            self._costs.disk_io(count * SECTOR_SIZE)
+        self._costs.syscall()
+        self._costs.disk_io(count * SECTOR_SIZE)
         return b"".join(
             self._store.get(sector + i, b"\x00" * SECTOR_SIZE) for i in range(count)
         )
@@ -118,9 +115,8 @@ class NativeDisk(BlockDevice):
             raise ValueError("write must be sector aligned")
         count = len(data) // SECTOR_SIZE
         self._check(sector, count)
-        if self._costs is not None:
-            self._costs.syscall()
-            self._costs.disk_io(len(data))
+        self._costs.syscall()
+        self._costs.disk_io(len(data))
         for i in range(count):
             self._store[sector + i] = bytes(
                 data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]

@@ -25,7 +25,7 @@ SEARCH_PATH = ("/bin", "/usr/bin", "/sbin", "/usr/sbin")
 class GuestTty:
     """Line-disciplined tty pumping between a byte channel and a shell."""
 
-    def __init__(self, costs: Optional[CostModel], write_out: Callable[[bytes], None]):
+    def __init__(self, costs: CostModel, write_out: Callable[[bytes], None]):
         self._costs = costs
         self._write_out = write_out
         self._line_buffer = bytearray()
@@ -43,8 +43,7 @@ class GuestTty:
             self._dispatch_line(line.decode(errors="replace"))
 
     def _dispatch_line(self, line: str) -> None:
-        if self._costs is not None:
-            self._costs.tty_turnaround()
+        self._costs.tty_turnaround()
         if self._shell is None:
             return
         output = self._shell.execute(line)
@@ -62,7 +61,8 @@ class GuestShell:
         self,
         process: GuestProcess,
         kernel: Optional["GuestKernel"] = None,
-        costs: Optional[CostModel] = None,
+        *,
+        costs: CostModel,
     ):
         self.process = process
         self.kernel = kernel
@@ -76,8 +76,7 @@ class GuestShell:
         line = line.strip()
         if not line:
             return ""
-        if self._costs is not None:
-            self._costs.shell_exec()
+        self._costs.shell_exec()
         self.history.append(line)
         argv = line.split()
         command, args = argv[0], argv[1:]

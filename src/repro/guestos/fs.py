@@ -85,7 +85,8 @@ class Filesystem:
         fstype: str,
         device: Optional[BlockDevice] = None,
         cache: Optional[PageCache] = None,
-        costs: Optional[CostModel] = None,
+        *,
+        costs: CostModel,
         features: Optional[Set[str]] = None,
         label: str = "",
     ):
@@ -100,7 +101,6 @@ class Filesystem:
 
         self._inodes: Dict[int, Inode] = {}
         self._ino_counter = itertools.count(2)
-        self._time = itertools.count(1)
         root = Inode(no=1, kind="dir", mode=0o755, nlink=2)
         root.entries = {}
         self._inodes[1] = root
@@ -124,13 +124,10 @@ class Filesystem:
     # -- time / cost helpers --------------------------------------------------------
 
     def _now(self) -> int:
-        if self.costs is not None:
-            return self.costs.clock.now
-        return next(self._time)
+        return self.costs.clock.now
 
     def _meta_op(self) -> None:
-        if self.costs is not None:
-            self.costs.guest_fs_op()
+        self.costs.guest_fs_op()
 
     # -- inode primitives --------------------------------------------------------------
 
@@ -383,8 +380,7 @@ class Filesystem:
         for page_start, count, sector in self._extents(node, first, last, False):
             if sector is None:
                 continue
-            if self.costs is not None:
-                self.costs.guest_block_submit()
+            self.costs.guest_block_submit()
             data = self.device.read_sectors(sector, count * SECTORS_PER_PAGE)
             at = (page_start - first) * PAGE_SIZE
             buf[at : at + len(data)] = data
@@ -581,8 +577,7 @@ class Filesystem:
             assert self.device is not None
             if use_cache and self.cache is not None:
                 return self._readahead(node, page_index)
-            if self.costs is not None:
-                self.costs.guest_block_submit()
+            self.costs.guest_block_submit()
             data = self.device.read_sectors(sector, SECTORS_PER_PAGE)
         if use_cache and self.cache is not None:
             self.cache.insert(self.fs_id, node.no, page_index, data)
@@ -602,8 +597,7 @@ class Filesystem:
             if sector is None:
                 data_block = b"\x00" * (count * PAGE_SIZE)
             else:
-                if self.costs is not None:
-                    self.costs.guest_block_submit()
+                self.costs.guest_block_submit()
                 data_block = self.device.read_sectors(sector, count * SECTORS_PER_PAGE)
             for i in range(count):
                 page = page_start + i
@@ -612,8 +606,6 @@ class Filesystem:
                     self.cache.insert(self.fs_id, node.no, page, page_bytes)
                 if page == page_index:
                     wanted = page_bytes
-            if sector is None and self.costs is None:
-                pass
         assert wanted is not None
         return wanted
 
@@ -662,8 +654,7 @@ class Filesystem:
         buf[head_gap : head_gap + len(data)] = data
         for page_start, count, sector in self._extents(node, first, last, True):
             assert sector is not None
-            if self.costs is not None:
-                self.costs.guest_block_submit()
+            self.costs.guest_block_submit()
             at = (page_start - first) * PAGE_SIZE
             self.device.write_sectors(sector, bytes(buf[at : at + count * PAGE_SIZE]))
 
@@ -683,8 +674,7 @@ class Filesystem:
             if not run:
                 return
             assert run_sector is not None
-            if self.costs is not None:
-                self.costs.guest_block_submit()
+            self.costs.guest_block_submit()
             payload = b"".join(pages[i] for i in run)
             self.device.write_sectors(run_sector, payload)
             for i in run:
@@ -710,8 +700,7 @@ class Filesystem:
             return
         sector = self._page_sector(node, page_index, allocate=True)
         assert sector is not None and self.device is not None
-        if self.costs is not None:
-            self.costs.guest_block_submit()
+        self.costs.guest_block_submit()
         self.device.write_sectors(sector, data)
 
     def _zero_tail(self, node: Inode, new_size: int) -> None:

@@ -35,7 +35,7 @@ class CacheStats:
 class PageCache:
     """Per-guest page cache keyed by (filesystem id, inode, page index)."""
 
-    def __init__(self, costs: Optional[CostModel] = None, capacity_pages: int = 262_144):
+    def __init__(self, costs: CostModel, capacity_pages: int = 262_144):
         self._costs = costs
         self._capacity = capacity_pages
         self._pages: Dict[Tuple[int, int, int], bytearray] = {}
@@ -58,8 +58,7 @@ class PageCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if self._costs is not None:
-            self._costs.pagecache_hit(1)
+        self._costs.pagecache_hit(1)
         return bytes(page)
 
     def contains(self, fs_id: int, inode: int, page_index: int) -> bool:
@@ -80,8 +79,7 @@ class PageCache:
         self._pages[key] = page
         if dirty:
             self._dirty.add(key)
-        if self._costs is not None:
-            self._costs.pagecache_insert(1)
+        self._costs.pagecache_insert(1)
 
     def write_through_cache(
         self, fs_id: int, inode: int, page_index: int, offset: int, data: bytes
@@ -96,9 +94,8 @@ class PageCache:
                 self._evict_one()
             page = bytearray(PAGE_SIZE)
             self._pages[key] = page
-            if self._costs is not None:
-                self._costs.pagecache_insert(1)
-        elif self._costs is not None:
+            self._costs.pagecache_insert(1)
+        else:
             self._costs.pagecache_hit(1)
         page[offset : offset + len(data)] = data
         self._dirty.add(key)

@@ -8,7 +8,7 @@ backends), buffered opens hit it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.host.process import FileObject
 from repro.sim.costs import CostModel
@@ -22,7 +22,7 @@ class HostFile(FileObject):
         self,
         path: str,
         size: int,
-        costs: Optional[CostModel] = None,
+        costs: CostModel,
         direct: bool = False,
         initial_data: bytes = b"",
     ):
@@ -78,13 +78,10 @@ class HostFile(FileObject):
         self.pwrite_raw(offset, data)
 
     def io_sync(self) -> None:
-        if self._costs is not None:
-            self._costs.host_fs_op()
+        self._costs.host_fs_op()
         self._host_cached.clear()
 
     def _charge(self, offset: int, length: int, is_write: bool) -> None:
-        if self._costs is None:
-            return
         if self.direct:
             self._costs.disk_io(length)
             return

@@ -194,7 +194,8 @@ def parse_toc(header: bytes, toc: bytes) -> List[ImageEntry]:
 def mount_image(
     device: BlockDevice,
     cache: Optional[PageCache] = None,
-    costs: Optional[CostModel] = None,
+    *,
+    costs: CostModel,
     writable: bool = True,
     label: str = "vmsh-image",
 ) -> Filesystem:

@@ -335,34 +335,27 @@ class GuestVirtioBlkDisk(BlockDevice):
         self._data_pool_bytes = 128 * 4096
         self.iodepth = 1
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
-        # Guest kernels may run without a cost model (unit fixtures);
-        # the observability hub rides on it, so gate everything here.
-        costs = guest_kernel.costs
-        self._obs = costs.obs if costs is not None else None
         # The shared driver-side engine owns doorbells, window posting
         # and harvesting; blk contributes the request encoding and the
         # status/data read-back as closures.
+        costs = guest_kernel.costs
         self._engine = QueuedWindowDriver(
             ring=self.ring,
             transport=transport,
             queue_index=0,
             name=name,
             costs=costs,
-            obs=self._obs,
             span_name="blk.window",
             track=f"blk:{name}",
-            per_chain_cost=(
-                costs.guest_block_submit if costs is not None else None
-            ),
+            per_chain_cost=costs.guest_block_submit,
         )
         self.bind_metrics()
 
     def bind_metrics(self) -> None:
         """Resolve the driver's registry handles (again, on a clone)."""
-        if self._obs is not None:
-            self._engine._m_windows = self._obs.metrics.scope(
-                "blk", role="driver", device=self.name
-            ).counter("windows")
+        self._engine._m_windows = self.kernel.costs.obs.metrics.scope(
+            "blk", role="driver", device=self.name
+        ).counter("windows")
 
     @property
     def capacity_sectors(self) -> int:
@@ -464,8 +457,7 @@ class GuestVirtioBlkDisk(BlockDevice):
         self._engine.kick()
 
     def _submit(self, buffers) -> None:
-        if self.kernel.costs is not None:
-            self.kernel.costs.guest_block_submit()
+        self.kernel.costs.guest_block_submit()
         head = self.ring.add_chain(buffers)
         self._kick()
         completions = self.ring.collect_used()

@@ -24,7 +24,7 @@ TX_QUEUE = 1
 class Pts:
     """A host pseudo-terminal pair (the §6.3-D measurement point)."""
 
-    def __init__(self, costs: Optional[CostModel] = None):
+    def __init__(self, costs: CostModel):
         self._costs = costs
         self._to_device: List[bytes] = []
         self.output: List[bytes] = []
@@ -161,11 +161,9 @@ class GuestVirtioConsole:
         reports: doorbell rings, coalesced completions per interrupt,
         and the per-harvest batch-depth distribution.
         """
-        costs = self.kernel.costs
-        obs = costs.obs if costs is not None else None
-        scope = None
-        if obs is not None:
-            scope = obs.metrics.scope("console", role="driver", device=self.name)
+        scope = self.kernel.costs.obs.metrics.scope(
+            "console", role="driver", device=self.name
+        )
         self._rx.bind_metrics(scope)
         self._tx.bind_metrics(scope)
 

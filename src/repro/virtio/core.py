@@ -89,18 +89,13 @@ class VirtioDeviceCore(VirtioMmioDevice):
             offer_event_idx=offer_event_idx,
         )
         self.device_features |= extra_features
-        self._obs = getattr(costs, "obs", None)
         self.bind_metrics()
 
     def bind_metrics(self) -> None:
         super().bind_metrics()
-        if self._obs is not None:
-            scope = self._obs.metrics.scope("virtio", device=self.name)
-            self._m_batch_depth = scope.histogram("batch_depth")
-            self._m_requests = scope.counter("requests")
-        else:
-            self._m_batch_depth = None
-            self._m_requests = None
+        scope = self.costs.obs.metrics.scope("virtio", device=self.name)
+        self._m_batch_depth = scope.histogram("batch_depth")
+        self._m_requests = scope.counter("requests")
 
     # -- posted receive buffers ----------------------------------------------
 
@@ -146,10 +141,8 @@ class VirtioDeviceCore(VirtioMmioDevice):
     # -- completion publication ----------------------------------------------
 
     def begin_batch_span(self, span_name: str, index: int, depth: int):
-        """Open the per-batch span (``None`` when observability is off)."""
-        if self._obs is None:
-            return None
-        return self._obs.spans.begin(
+        """Open the per-batch span :meth:`publish_batch` closes."""
+        return self.costs.obs.spans.begin(
             span_name, track=f"dev:{self.name}", queue=index, depth=depth,
         )
 
@@ -175,21 +168,20 @@ class VirtioDeviceCore(VirtioMmioDevice):
         if not batch:
             return False
         self.costs.virtio_batch(kind, len(batch))
-        if self._m_batch_depth is not None:
-            self._m_batch_depth.observe(len(batch))
-            self._m_requests.inc(len(batch))
+        self._m_batch_depth.observe(len(batch))
+        self._m_requests.inc(len(batch))
         if before_publish is not None:
             before_publish()
         if self._ring(index).push_used_batch(batch):
             if len(batch) > 1:
                 self.costs.virtio_irq_coalesced(len(batch) - 1)
             if span is not None:
-                self._obs.spans.end(span, interrupt="delivered")
+                self.costs.obs.spans.end(span, interrupt="delivered")
             self.raise_interrupt()
             return True
         self.costs.virtio_irq_suppressed()
         if span is not None:
-            self._obs.spans.end(span, interrupt="suppressed")
+            self.costs.obs.spans.end(span, interrupt="suppressed")
         return False
 
 
@@ -214,22 +206,20 @@ class QueuedWindowDriver:
         transport,
         queue_index: int,
         name: str,
-        costs: Optional[CostModel] = None,
-        obs=None,
-        span_name: Optional[str] = None,
+        costs: CostModel,
+        span_name: str,
+        per_chain_cost: Callable[[], None],
         track: Optional[str] = None,
-        per_chain_cost: Optional[Callable[[], None]] = None,
     ):
         self.ring = ring
         self.transport = transport
         self.queue_index = queue_index
         self.name = name
         self._costs = costs
-        self._obs = obs
         self._span_name = span_name
         self._track = track
         # The owning driver's ``windows`` counter, set by its
-        # ``bind_metrics`` (None while observability is off).
+        # ``bind_metrics`` before the first window.
         self._m_windows = None
         self._per_chain_cost = per_chain_cost
 
@@ -237,7 +227,7 @@ class QueuedWindowDriver:
         """Ring the doorbell unless the device is known to be looking."""
         if self.ring.kick_prepare():
             self.transport.notify(self.queue_index)
-        elif self._costs is not None:
+        else:
             self._costs.virtio_kick_suppressed()
         self.ring.note_kick()
 
@@ -254,8 +244,7 @@ class QueuedWindowDriver:
         inflight: dict = {}
         for at, op in enumerate(window):
             buffers, token = prepare(start, at, op)
-            if self._per_chain_cost is not None:
-                self._per_chain_cost()
+            self._per_chain_cost()
             head = self.ring.add_chain(buffers)
             inflight[head] = token
             if not self.ring.event_idx:
@@ -265,7 +254,7 @@ class QueuedWindowDriver:
                 (self.ring.last_used + len(window) - 1) & 0xFFFF
             )
             self.kick()
-            if self._costs is not None and len(window) > 1:
+            if len(window) > 1:
                 # Doorbells the in-flight window deferred into one kick.
                 self._costs.virtio_kick_suppressed(len(window) - 1)
         return inflight
@@ -278,13 +267,10 @@ class QueuedWindowDriver:
             consume(token, written)
 
     def _begin_window_span(self, start: int, depth: int):
-        if self._obs is None or self._span_name is None:
-            return None
-        span = self._obs.spans.begin(
+        span = self._costs.obs.spans.begin(
             self._span_name, track=self._track, start=start, depth=depth,
         )
-        if self._m_windows is not None:
-            self._m_windows.inc()
+        self._m_windows.inc()
         return span
 
     def run_queued_task(self, ops, depth: int, prepare, consume):
@@ -313,11 +299,9 @@ class QueuedWindowDriver:
                         yield Poll(f"{self.name}:harvest")
                     except SchedulerError:
                         # Run inline: nothing else can finish the window.
-                        if span is not None:
-                            self._obs.spans.end(span, waits=waits)
+                        self._costs.obs.spans.end(span, waits=waits)
                         raise
-            if span is not None:
-                self._obs.spans.end(span, waits=waits)
+            self._costs.obs.spans.end(span, waits=waits)
 
 
 class _GuestQueuePath:

@@ -146,9 +146,10 @@ class GuestMemoryAccessor:
 
         Device rings use this to reject guest-planted descriptors that
         point into unmapped space *before* a payload copy dereferences
-        them.  Returns ``None`` when the accessor cannot answer without
-        performing the access (plain test memories) — the caller then
-        skips the pre-check and relies on the access itself to fail.
+        them.  This base answers ``None``: it cannot tell without
+        performing the access, so the ring skips the pre-check and
+        relies on the access itself to fail.  Accessors that can answer
+        cheaply override it.
         """
         return None
 

@@ -163,10 +163,6 @@ class VirtioMmioDevice:
         queue = self.queues[index]
         if not queue.num:
             raise VirtioError(f"{self.name}: queue {index} readied with size 0")
-        obs = getattr(self.costs, "obs", None)
-        metrics = None
-        if obs is not None:
-            metrics = obs.metrics.scope("vring", device=self.name, queue=index)
         queue.ring = DeviceRing(
             self.mem,
             queue.desc_gpa,
@@ -174,7 +170,9 @@ class VirtioMmioDevice:
             queue.used_gpa,
             queue.num,
             event_idx=self.event_idx,
-            metrics=metrics,
+            metrics=self.costs.obs.metrics.scope(
+                "vring", device=self.name, queue=index
+            ),
         )
         queue.ready = True
 
@@ -342,9 +340,7 @@ class GuestVirtioTransport:
 
     def notify(self, index: int) -> None:
         """Kick the device (Fig. 4/3): MMIO write causing a VMEXIT."""
-        costs = getattr(self.kernel, "costs", None)
-        if costs is not None:
-            costs.virtio_kick()
+        self.kernel.costs.virtio_kick()
         self.write32(C.REG_QUEUE_NOTIFY, index)
 
     def ack_interrupt(self) -> None:

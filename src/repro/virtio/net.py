@@ -273,7 +273,6 @@ class GuestVirtioNic:
             queue_pairs = 1
         self.queue_pairs = max(1, min(queue_pairs, max_pairs or 1))
         costs = guest_kernel.costs
-        self._obs = costs.obs if costs is not None else None
         self.rx_rings = []
         self.tx_rings = []
         self._engines: List[QueuedWindowDriver] = []
@@ -289,11 +288,8 @@ class GuestVirtioNic:
                     queue_index=2 * pair + 1,
                     name=f"{name}.tx{pair}",
                     costs=costs,
-                    obs=self._obs,
                     span_name="net.window",
-                    per_chain_cost=(
-                        costs.guest_net_submit if costs is not None else None
-                    ),
+                    per_chain_cost=costs.guest_net_submit,
                 )
             )
         transport.driver_ok()
@@ -319,13 +315,13 @@ class GuestVirtioNic:
         A clone binds again: its NIC has a new MAC, and the track of its
         ``net.window`` spans, ``net:<name>@<mac>``, names it.
         """
-        scope = windows = None
-        if self._obs is not None:
-            scope = self._obs.metrics.scope("net", role="driver", device=self.name)
-            windows = scope.counter("windows")
+        scope = self.kernel.costs.obs.metrics.scope(
+            "net", role="driver", device=self.name
+        )
+        windows = scope.counter("windows")
         for rx in self._rx:
             rx.bind_metrics(scope)
-        self._m_kicks = scope.counter("kicks") if scope is not None else None
+        self._m_kicks = scope.counter("kicks")
         track = f"net:{self.name}@{self.mac.hex(':')}"
         for engine in self._engines:
             engine._m_windows = windows

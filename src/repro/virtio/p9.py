@@ -56,7 +56,6 @@ class P9Filesystem(Filesystem):
 
     def _rpc(self, data_op: bool) -> None:
         """One 9p request/response round trip."""
-        assert self.costs is not None
         # MMIO kick + hypervisor wakeup for the request, then the
         # protocol processing itself (walk/open/rw/clunk sequence).
         self.costs.vmexit()
@@ -68,16 +67,15 @@ class P9Filesystem(Filesystem):
 
     def _meta_op(self) -> None:
         super()._meta_op()
-        if self.costs is not None:
-            self._rpc(data_op=False)
-            self.costs.host_fs_op()
+        self._rpc(data_op=False)
+        self.costs.host_fs_op()
 
     # -- data path: stacked caches ---------------------------------------------------------
 
     def read(self, ino: int, offset: int, length: int, direct: bool = False) -> bytes:
         node = self.inode(ino)
         length = max(0, min(length, node.size - offset))
-        if length == 0 or self.costs is None:
+        if length == 0:
             return super().read(ino, offset, length, direct=direct)
         first = offset // PAGE_SIZE
         last = (offset + length - 1) // PAGE_SIZE
@@ -100,7 +98,7 @@ class P9Filesystem(Filesystem):
         return super().read(ino, offset, length, direct=False)
 
     def write(self, ino: int, offset: int, data: bytes, direct: bool = False) -> int:
-        if data and self.costs is not None:
+        if data:
             first = offset // PAGE_SIZE
             last = (offset + len(data) - 1) // PAGE_SIZE
             pages = list(range(first, last + 1))

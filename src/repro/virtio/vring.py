@@ -219,7 +219,8 @@ class DeviceRing:
         used_gpa: int,
         size: int,
         event_idx: bool = False,
-        metrics=None,
+        *,
+        metrics,
     ):
         self._mem = accessor
         self.desc_gpa = desc_gpa
@@ -235,8 +236,8 @@ class DeviceRing:
         # used_event snapshot piggybacked on the last pop_available();
         # None until the driver's hint has been observed at least once.
         self._used_event: Optional[int] = None
-        # Optional registry scope (transports pass one per queue); the
-        # counters are cached so the per-batch overhead is one branch.
+        # The ring's registry scope (the transport passes one per
+        # queue); the counters are cached off the per-batch path.
         self._metrics = metrics
         self.bind_metrics()
 
@@ -247,16 +248,10 @@ class DeviceRing:
         from the registry, while the scope view is the shared tree.
         """
         metrics = self._metrics
-        if metrics is not None:
-            self._m_publishes = metrics.counter("used_publishes")
-            self._m_entries = metrics.counter("used_entries")
-            self._m_irq_delivered = metrics.counter("interrupts_delivered")
-            self._m_irq_suppressed = metrics.counter("interrupts_suppressed")
-        else:
-            self._m_publishes = None
-            self._m_entries = None
-            self._m_irq_delivered = None
-            self._m_irq_suppressed = None
+        self._m_publishes = metrics.counter("used_publishes")
+        self._m_entries = metrics.counter("used_entries")
+        self._m_irq_delivered = metrics.counter("interrupts_delivered")
+        self._m_irq_suppressed = metrics.counter("interrupts_suppressed")
 
     def _parse_error(self, reason: str, message: str) -> None:
         """Reject guest-controlled garbage: count it, then raise.
@@ -267,8 +262,7 @@ class DeviceRing:
         ``vring.parse_errors{reason=...}`` — the fuzzer's coverage
         signal for the descriptor-validation paths.
         """
-        if self._metrics is not None:
-            self._metrics.counter("parse_errors", reason=reason).inc()
+        self._metrics.counter("parse_errors", reason=reason).inc()
         raise VirtioError(message)
 
     @property
@@ -278,23 +272,6 @@ class DeviceRing:
     @property
     def avail_event_gpa(self) -> int:
         return self.used_gpa + USED_HEADER + USED_ELEM_SIZE * self.size
-
-    # Plain memories (tests, guest-side adapters) may lack the
-    # scatter-gather accessor API; fall back to per-segment access.
-
-    def _read_vectored(self, iov) -> bytes:
-        vectored = getattr(self._mem, "read_vectored", None)
-        if vectored is not None:
-            return vectored(iov)
-        return b"".join(self._mem.read(gpa, length) for gpa, length in iov)
-
-    def _write_vectored(self, iov) -> None:
-        vectored = getattr(self._mem, "write_vectored", None)
-        if vectored is not None:
-            vectored(iov)
-            return
-        for gpa, data in iov:
-            self._mem.write(gpa, data)
 
     def pop_available(self) -> List[int]:
         """New chain heads published by the driver since the last poll.
@@ -328,7 +305,7 @@ class DeviceRing:
             ]
         if self.event_idx:
             iov.append((self.used_event_gpa, 2))
-        slot_bytes = self._read_vectored(iov)
+        slot_bytes = self._mem.read_vectored(iov)
         if self.event_idx:
             self._used_event = int.from_bytes(slot_bytes[-2:], "little")
             slot_bytes = slot_bytes[:-2]
@@ -354,7 +331,7 @@ class DeviceRing:
         chain: List[Descriptor] = []
         index = head
         seen = set()
-        covers = getattr(self._mem, "covers", None)
+        covers = self._mem.covers
         while True:
             if index in seen:
                 self._parse_error("desc_loop", f"descriptor loop at index {index}")
@@ -373,7 +350,7 @@ class DeviceRing:
                 )
             # Accessors that can answer cheaply veto unmapped buffers
             # here, before any payload copy dereferences them.
-            if covers is not None and covers(addr, length) is False:
+            if covers(addr, length) is False:
                 self._parse_error(
                     "bad_gpa",
                     f"descriptor {index} points at unmapped guest memory "
@@ -437,10 +414,9 @@ class DeviceRing:
         iov.append((self.used_gpa + 2, self._used_idx.to_bytes(2, "little")))
         if self.event_idx:
             iov.append((self.avail_event_gpa, self._last_avail.to_bytes(2, "little")))
-        self._write_vectored(iov)
-        if self._m_publishes is not None:
-            self._m_publishes.inc()
-            self._m_entries.inc(len(elems))
+        self._mem.write_vectored(iov)
+        self._m_publishes.inc()
+        self._m_entries.inc(len(elems))
         if not self.event_idx:
             notify = True
         else:
@@ -448,9 +424,8 @@ class DeviceRing:
             if used_event is None:
                 used_event = self._mem.read_u16(self.used_event_gpa)
             notify = vring_need_event(used_event, self._used_idx, old_used)
-        if self._m_irq_delivered is not None:
-            if notify:
-                self._m_irq_delivered.inc()
-            else:
-                self._m_irq_suppressed.inc()
+        if notify:
+            self._m_irq_delivered.inc()
+        else:
+            self._m_irq_suppressed.inc()
         return notify

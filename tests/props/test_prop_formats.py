@@ -11,6 +11,8 @@ from repro.guestos.vfs import MountNamespace, Vfs
 from repro.image.fsimage import ImageSpec, build_image, mount_image
 from repro.mem.physmem import PhysicalMemory
 from repro.sideload import build_blob, pack_config, parse_blob, unpack_config
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.units import MiB, SECTOR_SIZE
 
 identifier = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=24)
@@ -100,7 +102,7 @@ def test_image_roundtrip_arbitrary_trees(files):
     image = build_image(spec)
     device = MemoryBlockDevice("img", max(len(image), 1 * MiB))
     device.write_sectors(0, bytes(image) + b"\x00" * (-len(image) % SECTOR_SIZE))
-    fs = mount_image(device)
+    fs = mount_image(device, costs=CostModel(Clock()))
     vfs = Vfs(MountNamespace())
     vfs.mount(fs, "/")
     for path, content in cleaned.items():

@@ -7,16 +7,20 @@ from repro.guestos.blockcore import MemoryBlockDevice
 from repro.guestos.fs import Filesystem
 from repro.guestos.pagecache import PageCache
 from repro.guestos.vfs import MountNamespace, O_CREAT, O_RDWR, Vfs
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.units import MiB
 
 
 def _vfs(device_backed: bool) -> Vfs:
+    costs = CostModel(Clock())
     if device_backed:
         fs = Filesystem(
-            "xfs", device=MemoryBlockDevice("d", 16 * MiB), cache=PageCache()
+            "xfs", device=MemoryBlockDevice("d", 16 * MiB),
+            cache=PageCache(costs), costs=costs,
         )
     else:
-        fs = Filesystem("tmpfs")
+        fs = Filesystem("tmpfs", costs=costs)
     vfs = Vfs(MountNamespace())
     vfs.mount(fs, "/")
     return vfs

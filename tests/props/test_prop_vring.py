@@ -3,16 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MiB
 from repro.virtio.vring import DeviceRing, DriverRing
 
-
-class DirectMemory:
-    def __init__(self):
-        self._mem = PhysicalMemory(1 * MiB)
-
-    def __getattr__(self, name):
-        return getattr(self._mem, name)
+from tests.unit.test_vring import DirectMemory
 
 
 chains = st.lists(
@@ -35,9 +30,10 @@ chains = st.lists(
 def test_chains_roundtrip_in_order(batches):
     """Whatever the driver publishes, the device reads back verbatim,
     and completions recycle every descriptor."""
-    mem = DirectMemory()
+    mem = DirectMemory(PhysicalMemory(1 * MiB))
     driver = DriverRing(mem, 0x1000, 0x3000, 0x4000, 64)
-    device = DeviceRing(mem, 0x1000, 0x3000, 0x4000, 64)
+    device = DeviceRing(mem, 0x1000, 0x3000, 0x4000, 64,
+                        metrics=MetricsRegistry().scope("vring"))
     for batch in batches:
         published = {}
         for chain_spec in batch:
@@ -65,9 +61,10 @@ def test_chains_roundtrip_in_order(batches):
 )
 @settings(max_examples=30)
 def test_free_descriptor_accounting(sizes):
-    mem = DirectMemory()
+    mem = DirectMemory(PhysicalMemory(1 * MiB))
     driver = DriverRing(mem, 0x1000, 0x3000, 0x4000, 16)
-    device = DeviceRing(mem, 0x1000, 0x3000, 0x4000, 16)
+    device = DeviceRing(mem, 0x1000, 0x3000, 0x4000, 16,
+                        metrics=MetricsRegistry().scope("vring"))
     outstanding = 0
     for size in sizes:
         if size > driver.free_descriptors:

@@ -21,6 +21,8 @@ from repro.guestos.version import KernelVersion
 from repro.guestos.vfs import MountNamespace, Vfs
 from repro.host.ebpf import MemslotSnooper
 from repro.sideload import parse_blob
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.testbed import Testbed
 from repro.units import MiB, PAGE_SIZE
 from repro.virtio.pci import SLOT_STRIDE
@@ -268,13 +270,14 @@ def test_command_travels_in_umh_args():
 # -- overlay ---------------------------------------------------------------------------
 
 def _base_namespace():
+    costs = CostModel(Clock())
     ns = MountNamespace()
     vfs = Vfs(ns)
-    root = Filesystem("ext4", label="guest-root")
+    root = Filesystem("ext4", costs=costs, label="guest-root")
     vfs.mount(root, "/")
     vfs.makedirs("/data")
     vfs.write_file("/etc-marker", b"guest")
-    extra = Filesystem("xfs", label="guest-data")
+    extra = Filesystem("xfs", costs=costs, label="guest-data")
     vfs.mount(extra, "/data")
     vfs.write_file("/data/db", b"payload")
     return ns, vfs
@@ -282,7 +285,7 @@ def _base_namespace():
 
 def test_overlay_moves_all_guest_mounts():
     base_ns, base_vfs = _base_namespace()
-    image_fs = Filesystem("vmshfs", label="image")
+    image_fs = Filesystem("vmshfs", costs=CostModel(Clock()), label="image")
     result = build_overlay(image_fs, base_ns)
     overlay_vfs = result.vfs
     assert overlay_vfs.read_file(f"{GUEST_MOUNT_ROOT}/etc-marker") == b"guest"
@@ -294,7 +297,7 @@ def test_overlay_moves_all_guest_mounts():
 def test_overlay_does_not_mutate_base_namespace():
     base_ns, base_vfs = _base_namespace()
     mounts_before = [(m.path, m.fs.fs_id) for m in base_ns.mounts()]
-    build_overlay(Filesystem("vmshfs"), base_ns)
+    build_overlay(Filesystem("vmshfs", costs=CostModel(Clock())), base_ns)
     assert [(m.path, m.fs.fs_id) for m in base_ns.mounts()] == mounts_before
     assert base_vfs.read_file("/etc-marker") == b"guest"
 
@@ -302,17 +305,17 @@ def test_overlay_does_not_mutate_base_namespace():
 def test_overlay_nested_mount_order():
     """Deeper mounts must land inside the relocated parents."""
     base_ns, base_vfs = _base_namespace()
-    deeper = Filesystem("tmpfs", label="deeper")
+    deeper = Filesystem("tmpfs", costs=CostModel(Clock()), label="deeper")
     base_vfs.makedirs("/data/cache")
     base_vfs.mount(deeper, "/data/cache")
     base_vfs.write_file("/data/cache/hot", b"hot")
-    result = build_overlay(Filesystem("vmshfs"), base_ns)
+    result = build_overlay(Filesystem("vmshfs", costs=CostModel(Clock())), base_ns)
     assert result.vfs.read_file(f"{GUEST_MOUNT_ROOT}/data/cache/hot") == b"hot"
 
 
 def test_overlay_writes_stay_in_image():
     base_ns, base_vfs = _base_namespace()
-    image_fs = Filesystem("vmshfs")
+    image_fs = Filesystem("vmshfs", costs=CostModel(Clock()))
     result = build_overlay(image_fs, base_ns)
     result.vfs.write_file("/only-overlay", b"x")
     assert not base_vfs.exists("/only-overlay")

@@ -1,11 +1,70 @@
 """Cost model: charging, counters, copy-path scaling."""
 
+import pytest
+
+from repro.guestos.blockcore import MemoryBlockDevice, NativeDisk
+from repro.guestos.console import GuestShell, GuestTty
+from repro.guestos.fs import Filesystem
+from repro.guestos.pagecache import PageCache
+from repro.guestos.process import GuestProcess
+from repro.guestos.vfs import MountNamespace
+from repro.host.files import HostFile
+from repro.image.fsimage import mount_image
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, CostParams
+from repro.units import MiB
+from repro.virtio.console import Pts
+from repro.virtio.core import QueuedWindowDriver
+from repro.virtio.memio import GuestMemoryAccessor
+from repro.virtio.vring import DeviceRing
 
 
 def _model():
     return CostModel(Clock())
+
+
+def _engine(**charging):
+    return QueuedWindowDriver(
+        ring=None, transport=None, queue_index=0, name="q", **charging
+    )
+
+
+#: Every component that charges virtual time, built without an
+#: argument its charging needs: (id, build, the argument left out).
+_UNCHARGED = [
+    ("Filesystem", lambda: Filesystem("tmpfs"), "costs"),
+    ("PageCache", lambda: PageCache(), "costs"),
+    ("NativeDisk", lambda: NativeDisk("nvme", 1 * MiB), "costs"),
+    ("GuestTty", lambda: GuestTty(write_out=lambda data: None), "costs"),
+    ("GuestShell",
+     lambda: GuestShell(GuestProcess("sh", MountNamespace())), "costs"),
+    ("Pts", lambda: Pts(), "costs"),
+    ("HostFile", lambda: HostFile("/x", size=0), "costs"),
+    ("mount_image",
+     lambda: mount_image(MemoryBlockDevice("img", 1 * MiB)), "costs"),
+    ("DeviceRing",
+     lambda: DeviceRing(GuestMemoryAccessor(), 0x1000, 0x2000, 0x3000, 8),
+     "metrics"),
+    ("QueuedWindowDriver-costs",
+     lambda: _engine(span_name="w", per_chain_cost=lambda: None), "costs"),
+    ("QueuedWindowDriver-span_name",
+     lambda: _engine(costs=_model(), per_chain_cost=lambda: None),
+     "span_name"),
+    ("QueuedWindowDriver-per_chain_cost",
+     lambda: _engine(costs=_model(), span_name="w"), "per_chain_cost"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, missing",
+    [(build, missing) for _, build, missing in _UNCHARGED],
+    ids=[name for name, _, _ in _UNCHARGED],
+)
+def test_charging_components_require_their_cost_model(build, missing):
+    """No component runs cost-free: leaving out its model is an error,
+    never a silent gap in virtual time."""
+    with pytest.raises(TypeError, match=f"required .*argument: '{missing}'"):
+        build()
 
 
 def test_syscall_advances_clock():

@@ -12,10 +12,11 @@ from repro.units import MiB, PAGE_SIZE
 
 
 def memfs() -> Filesystem:
-    return Filesystem("tmpfs")
+    return Filesystem("tmpfs", costs=CostModel(Clock()))
 
 
-def devfs(costs=None) -> Filesystem:
+def devfs() -> Filesystem:
+    costs = CostModel(Clock())
     device = MemoryBlockDevice("vdx", 32 * MiB)
     return Filesystem("xfs", device=device, cache=PageCache(costs), costs=costs)
 
@@ -95,8 +96,9 @@ def test_readonly_filesystem(fs):
 
 def test_data_round_trips_through_device():
     """Written bytes must be reconstructable from raw device sectors."""
+    costs = CostModel(Clock())
     device = MemoryBlockDevice("vdx", 8 * MiB)
-    fs = Filesystem("xfs", device=device, cache=PageCache())
+    fs = Filesystem("xfs", device=device, cache=PageCache(costs), costs=costs)
     node = fs.create(fs.root_ino, "f")
     payload = bytes(range(256)) * 32
     fs.write(node.no, 0, payload)
@@ -156,8 +158,10 @@ def test_quota_accounting_per_uid():
 
 
 def test_quota_report_native_device():
-    device = NativeDisk("nvme", 8 * MiB)
-    fs = Filesystem("xfs", device=device, cache=PageCache(), features={"quota"})
+    costs = CostModel(Clock())
+    device = NativeDisk("nvme", 8 * MiB, costs=costs)
+    fs = Filesystem("xfs", device=device, cache=PageCache(costs), costs=costs,
+                    features={"quota"})
     node = fs.create(fs.root_ino, "mine", uid=1000)
     fs.write(node.no, 0, b"\x55" * (2 * PAGE_SIZE))
     fs.sync_all()
@@ -166,8 +170,9 @@ def test_quota_report_native_device():
 
 
 def test_enospc():
+    costs = CostModel(Clock())
     device = MemoryBlockDevice("tiny", 16 * PAGE_SIZE)
-    fs = Filesystem("xfs", device=device, cache=PageCache())
+    fs = Filesystem("xfs", device=device, cache=PageCache(costs), costs=costs)
     node = fs.create(fs.root_ino, "f")
     with pytest.raises(VfsError, match="ENOSPC"):
         fs.write(node.no, 0, b"\x66" * (20 * PAGE_SIZE))
@@ -216,8 +221,10 @@ def test_dirty_eviction_writes_back():
     from repro.guestos.pagecache import PageCache
     from repro.units import MiB
 
-    cache = PageCache(capacity_pages=4)
-    fs = Filesystem("xfs", device=MemoryBlockDevice("d", 8 * MiB), cache=cache)
+    costs = CostModel(Clock())
+    cache = PageCache(costs, capacity_pages=4)
+    fs = Filesystem("xfs", device=MemoryBlockDevice("d", 8 * MiB), cache=cache,
+                    costs=costs)
     fs.DIRTY_THRESHOLD_PAGES = 10**9        # defeat threshold writeback
     node = fs.create(fs.root_ino, "f")
     fs.write(node.no, 0, bytes([7]) * (8 * 4096))

@@ -6,6 +6,8 @@ from repro.errors import ImageError
 from repro.guestos.blockcore import MemoryBlockDevice
 from repro.guestos.pagecache import PageCache
 from repro.image.fsimage import ImageSpec, build_image, mount_image, parse_toc
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.units import MiB, PAGE_SIZE, SECTOR_SIZE
 
 
@@ -24,7 +26,8 @@ def test_build_and_mount_roundtrip():
         .add_symlink("/sh", "/bin/sh")
     )
     image = build_image(spec)
-    fs = mount_image(_device_with(image), cache=PageCache())
+    costs = CostModel(Clock())
+    fs = mount_image(_device_with(image), cache=PageCache(costs), costs=costs)
     from repro.guestos.vfs import MountNamespace, Vfs
 
     vfs = Vfs(MountNamespace())
@@ -37,7 +40,7 @@ def test_build_and_mount_roundtrip():
 
 def test_parent_dirs_implied():
     spec = ImageSpec().add_file("/deep/ly/nested/file", b"x")
-    fs = mount_image(_device_with(build_image(spec)))
+    fs = mount_image(_device_with(build_image(spec)), costs=CostModel(Clock()))
     from repro.guestos.vfs import MountNamespace, Vfs
 
     vfs = Vfs(MountNamespace())
@@ -48,7 +51,7 @@ def test_parent_dirs_implied():
 def test_multi_page_file_content():
     payload = bytes(range(256)) * 64  # 16 KiB
     spec = ImageSpec().add_file("/big.bin", payload)
-    fs = mount_image(_device_with(build_image(spec)))
+    fs = mount_image(_device_with(build_image(spec)), costs=CostModel(Clock()))
     from repro.guestos.vfs import MountNamespace, Vfs
 
     vfs = Vfs(MountNamespace())
@@ -59,7 +62,10 @@ def test_multi_page_file_content():
 def test_mounted_image_takes_writes():
     spec = ImageSpec().add_file("/keep", b"original")
     image = build_image(spec, extra_space=1 * MiB)
-    fs = mount_image(_device_with(image), cache=PageCache(), writable=True)
+    costs = CostModel(Clock())
+    fs = mount_image(
+        _device_with(image), cache=PageCache(costs), costs=costs, writable=True
+    )
     from repro.guestos.vfs import MountNamespace, Vfs
 
     vfs = Vfs(MountNamespace())
@@ -72,7 +78,9 @@ def test_mounted_image_takes_writes():
 
 def test_readonly_mount_rejects_writes():
     spec = ImageSpec().add_file("/f", b"x")
-    fs = mount_image(_device_with(build_image(spec)), writable=False)
+    fs = mount_image(
+        _device_with(build_image(spec)), costs=CostModel(Clock()), writable=False
+    )
     from repro.errors import VfsError
     from repro.guestos.vfs import MountNamespace, Vfs
 
@@ -86,7 +94,7 @@ def test_bad_magic_rejected():
     device = MemoryBlockDevice("junk", 1 * MiB)
     device.write_sectors(0, b"NOTANIMG" + b"\x00" * 504)
     with pytest.raises(ImageError):
-        mount_image(device)
+        mount_image(device, costs=CostModel(Clock()))
 
 
 def test_relative_path_rejected():

@@ -76,7 +76,7 @@ def test_host_file_raw_accessors_uncosted():
 
 
 def test_host_file_grows_on_write():
-    hf = HostFile("/x", size=0)
+    hf = HostFile("/x", size=0, costs=CostModel(Clock()))
     hf.pwrite_raw(5000, b"tail")
     assert hf.size == 5004
 

@@ -11,7 +11,7 @@ from repro.units import MiB, PAGE_SIZE
 
 
 def test_cache_miss_then_hit():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     assert cache.lookup(1, 1, 0) is None
     cache.insert(1, 1, 0, b"data")
     assert cache.lookup(1, 1, 0)[:4] == b"data"
@@ -20,7 +20,7 @@ def test_cache_miss_then_hit():
 
 
 def test_write_through_cache_marks_dirty():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     cache.write_through_cache(1, 1, 0, 100, b"dirty")
     dirty = cache.dirty_pages_of(1, 1)
     assert len(dirty) == 1
@@ -33,7 +33,7 @@ def test_write_through_cache_marks_dirty():
 
 
 def test_dirty_counters_per_fs():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     cache.write_through_cache(1, 1, 0, 0, b"a")
     cache.write_through_cache(1, 2, 0, 0, b"b")
     cache.write_through_cache(2, 1, 0, 0, b"c")
@@ -43,7 +43,7 @@ def test_dirty_counters_per_fs():
 
 
 def test_invalidate_inode():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     cache.insert(1, 1, 0, b"x")
     cache.write_through_cache(1, 1, 1, 0, b"y")
     cache.invalidate_inode(1, 1)
@@ -52,7 +52,7 @@ def test_invalidate_inode():
 
 
 def test_drop_clean_keeps_dirty():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     cache.insert(1, 1, 0, b"clean")
     cache.write_through_cache(1, 1, 1, 0, b"dirty")
     cache.drop_clean()
@@ -61,7 +61,7 @@ def test_drop_clean_keeps_dirty():
 
 
 def test_eviction_prefers_clean():
-    cache = PageCache(capacity_pages=2)
+    cache = PageCache(CostModel(Clock()), capacity_pages=2)
     cache.insert(1, 1, 0, b"clean")
     cache.write_through_cache(1, 1, 1, 0, b"dirty")
     cache.insert(1, 1, 2, b"new")          # evicts the clean page
@@ -79,7 +79,7 @@ def test_cache_hit_charges_less_than_insert():
 
 
 def test_oversized_page_rejected():
-    cache = PageCache()
+    cache = PageCache(CostModel(Clock()))
     with pytest.raises(ValueError):
         cache.insert(1, 1, 0, b"x" * (PAGE_SIZE + 1))
     with pytest.raises(ValueError):
@@ -112,12 +112,12 @@ def test_native_disk_charges_costs():
 
 
 def test_native_disk_trim():
-    disk = NativeDisk("nvme", 1 * MiB)
+    disk = NativeDisk("nvme", 1 * MiB, costs=CostModel(Clock()))
     disk.write_sectors(0, b"\x01" * 512)
     disk.discard_all()
     assert disk.read_sectors(0, 1) == b"\x00" * 512
 
 
 def test_native_disk_supports_pquota():
-    assert NativeDisk("nvme", 1 * MiB).supports_pquota
+    assert NativeDisk("nvme", 1 * MiB, costs=CostModel(Clock())).supports_pquota
     assert not MemoryBlockDevice("m", 1 * MiB).supports_pquota

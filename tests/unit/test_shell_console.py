@@ -6,20 +6,23 @@ from repro.guestos.console import GuestShell, GuestTty
 from repro.guestos.fs import Filesystem
 from repro.guestos.process import Credentials, GuestProcess
 from repro.guestos.vfs import MountNamespace, Vfs
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 from repro.testbed import Testbed
 
 
 @pytest.fixture()
 def shell():
+    costs = CostModel(Clock())
     ns = MountNamespace()
     vfs = Vfs(ns)
-    vfs.mount(Filesystem("ext4"), "/")
+    vfs.mount(Filesystem("ext4", costs=costs), "/")
     vfs.makedirs("/bin")
     vfs.makedirs("/etc")
     vfs.write_file("/bin/tool", b"#!SIMELF:shell\n")
     vfs.write_file("/etc/shadow", b"root:$5$oldhash:1::\nalice:$5$x:1::\n")
     process = GuestProcess("sh", ns, creds=Credentials(uid=7, gid=8))
-    return GuestShell(process)
+    return GuestShell(process, costs=costs)
 
 
 def test_echo(shell):
@@ -97,7 +100,7 @@ def test_ps_lists_guest_processes():
     hv = tb.launch_qemu()
     guest = hv.guest
     process = GuestProcess("monitor-sh", guest.root_ns)
-    shell = GuestShell(process, kernel=guest)
+    shell = GuestShell(process, kernel=guest, costs=guest.costs)
     out = shell.execute("ps")
     assert "init" in out
     assert "PID" in out
@@ -105,11 +108,12 @@ def test_ps_lists_guest_processes():
 
 def test_tty_line_buffering():
     outputs = []
-    tty = GuestTty(None, write_out=outputs.append)
+    costs = CostModel(Clock())
+    tty = GuestTty(costs, write_out=outputs.append)
     ns = MountNamespace()
     vfs = Vfs(ns)
-    vfs.mount(Filesystem("ext4"), "/")
-    shell = GuestShell(GuestProcess("sh", ns))
+    vfs.mount(Filesystem("ext4", costs=costs), "/")
+    shell = GuestShell(GuestProcess("sh", ns), costs=costs)
     tty.connect_shell(shell)
     tty.input_bytes(b"echo par")
     assert outputs == []                 # no newline yet
@@ -119,11 +123,12 @@ def test_tty_line_buffering():
 
 def test_tty_multiple_lines_in_one_write():
     outputs = []
-    tty = GuestTty(None, write_out=outputs.append)
+    costs = CostModel(Clock())
+    tty = GuestTty(costs, write_out=outputs.append)
     ns = MountNamespace()
     vfs = Vfs(ns)
-    vfs.mount(Filesystem("ext4"), "/")
-    tty.connect_shell(GuestShell(GuestProcess("sh", ns)))
+    vfs.mount(Filesystem("ext4", costs=costs), "/")
+    tty.connect_shell(GuestShell(GuestProcess("sh", ns), costs=costs))
     tty.input_bytes(b"echo a\necho b\n")
     assert outputs == [b"a\n", b"b\n"]
 

@@ -16,13 +16,15 @@ from repro.guestos.vfs import (
     Vfs,
     normalize,
 )
+from repro.sim.clock import Clock
+from repro.sim.costs import CostModel
 
 
 @pytest.fixture()
 def vfs():
     ns = MountNamespace()
     v = Vfs(ns)
-    v.mount(Filesystem("ext4", label="root"), "/")
+    v.mount(Filesystem("ext4", costs=CostModel(Clock()), label="root"), "/")
     return v
 
 
@@ -107,7 +109,7 @@ def test_dotdot_resolution(vfs):
 def test_mount_shadows_directory(vfs):
     vfs.makedirs("/mnt/data")
     vfs.write_file("/mnt/data/original", b"below")
-    overlay_fs = Filesystem("tmpfs", label="overlay")
+    overlay_fs = Filesystem("tmpfs", costs=CostModel(Clock()), label="overlay")
     vfs.mount(overlay_fs, "/mnt/data")
     assert not vfs.exists("/mnt/data/original")
     vfs.write_file("/mnt/data/new", b"above")
@@ -119,13 +121,13 @@ def test_mount_shadows_directory(vfs):
 def test_mount_requires_directory(vfs):
     vfs.write_file("/file", b"")
     with pytest.raises(VfsError, match="ENOTDIR"):
-        vfs.mount(Filesystem("tmpfs"), "/file")
+        vfs.mount(Filesystem("tmpfs", costs=CostModel(Clock())), "/file")
 
 
 def test_move_mount(vfs):
     vfs.makedirs("/from")
     vfs.makedirs("/to")
-    extra = Filesystem("tmpfs", label="mv")
+    extra = Filesystem("tmpfs", costs=CostModel(Clock()), label="mv")
     vfs.mount(extra, "/from")
     vfs.write_file("/from/marker", b"m")
     vfs.move_mount("/from", "/to")
@@ -139,7 +141,7 @@ def test_namespace_clone_isolation(vfs):
     cloned_vfs = Vfs(clone)
     cloned_vfs.makedirs("/only-ns2-mnt")
     vfs.makedirs("/only-ns2-mnt")  # same underlying fs!
-    extra = Filesystem("tmpfs", label="private")
+    extra = Filesystem("tmpfs", costs=CostModel(Clock()), label="private")
     cloned_vfs.mount(extra, "/only-ns2-mnt")
     cloned_vfs.write_file("/only-ns2-mnt/private", b"p")
     # Original namespace sees the underlying (empty) directory.
@@ -149,7 +151,7 @@ def test_namespace_clone_isolation(vfs):
 
 def test_rename_cross_mount_exdev(vfs):
     vfs.makedirs("/other")
-    vfs.mount(Filesystem("tmpfs"), "/other")
+    vfs.mount(Filesystem("tmpfs", costs=CostModel(Clock())), "/other")
     vfs.write_file("/f", b"x")
     with pytest.raises(VfsError, match="EXDEV"):
         vfs.rename("/f", "/other/f")
@@ -166,7 +168,7 @@ def test_rmtree(vfs):
 
 def test_rmdir_busy_mountpoint(vfs):
     vfs.makedirs("/busy")
-    vfs.mount(Filesystem("tmpfs"), "/busy")
+    vfs.mount(Filesystem("tmpfs", costs=CostModel(Clock())), "/busy")
     with pytest.raises(VfsError, match="EBUSY"):
         vfs.rmdir("/busy")
 

@@ -167,7 +167,10 @@ def test_reset_device_holds_only_buffers_posted_after_it():
 
 
 def test_pts_buffers_until_device_connects():
-    pts = Pts()
+    from repro.sim.clock import Clock
+    from repro.sim.costs import CostModel
+
+    pts = Pts(CostModel(Clock()))
     pts.user_write(b"early\n")
     got = []
     pts.connect_device(got.append)

@@ -6,8 +6,10 @@ from repro.errors import VirtioError
 from repro.kvm.api import KvmSystem
 from repro.host.kernel import HostKernel
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MiB
 from repro.virtio.core import GuestTxPath
+from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.vring import (
     DESC_SIZE,
     DeviceRing,
@@ -18,10 +20,11 @@ from repro.virtio.vring import (
 )
 
 
-class DirectMemory:
+class DirectMemory(GuestMemoryAccessor):
     """Adapter giving PhysicalMemory the accessor interface."""
 
     def __init__(self, mem: PhysicalMemory):
+        super().__init__()
         self._mem = mem
 
     def read(self, gpa, length):
@@ -30,24 +33,6 @@ class DirectMemory:
     def write(self, gpa, data):
         self._mem.write(gpa, data)
 
-    def read_u16(self, gpa):
-        return self._mem.read_u16(gpa)
-
-    def read_u32(self, gpa):
-        return self._mem.read_u32(gpa)
-
-    def read_u64(self, gpa):
-        return self._mem.read_u64(gpa)
-
-    def write_u16(self, gpa, value):
-        self._mem.write_u16(gpa, value)
-
-    def write_u32(self, gpa, value):
-        self._mem.write_u32(gpa, value)
-
-    def write_u64(self, gpa, value):
-        self._mem.write_u64(gpa, value)
-
 
 @pytest.fixture()
 def rings():
@@ -55,7 +40,8 @@ def rings():
     size = 8
     desc, avail, used = 0x1000, 0x2000, 0x3000
     driver = DriverRing(mem, desc, avail, used, size)
-    device = DeviceRing(mem, desc, avail, used, size)
+    device = DeviceRing(mem, desc, avail, used, size,
+                        metrics=MetricsRegistry().scope("vring"))
     return mem, driver, device
 
 

@@ -11,6 +11,7 @@ and without EVENT_IDX negotiated.
 import pytest
 
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MiB
 from repro.virtio.vring import (
     AVAIL_HEADER,
@@ -30,7 +31,8 @@ def _rings(size: int, event_idx: bool):
     mem = DirectMemory(PhysicalMemory(1 * MiB))
     desc, avail, used = 0x1000, 0x8000, 0x9000
     driver = DriverRing(mem, desc, avail, used, size, event_idx=event_idx)
-    device = DeviceRing(mem, desc, avail, used, size, event_idx=event_idx)
+    device = DeviceRing(mem, desc, avail, used, size, event_idx=event_idx,
+                        metrics=MetricsRegistry().scope("vring"))
     return mem, driver, device
 
 

@@ -16,25 +16,30 @@ from repro.obs.metrics import MetricsRegistry
 from repro.replay.scenarios import VIRTIO_ABUSES, AttachCase, run_attach_case
 from repro.units import MiB
 from repro.virtio.constants import VRING_DESC_F_NEXT
+from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.vring import AVAIL_HEADER, DESC_SIZE, DeviceRing, DriverRing
 
 QUEUE = 8
 DESC, AVAIL, USED = 0x1000, 0x2000, 0x3000
 
 
-class BoundedMemory:
-    """Raw memory adapter that can also answer :meth:`covers` — the
+class BoundedMemory(GuestMemoryAccessor):
+    """Raw memory accessor that can also answer :meth:`covers` — the
     pre-check hook the hardened parser uses to veto unmapped GPAs."""
 
     def __init__(self, size_bytes):
+        super().__init__()
         self._mem = PhysicalMemory(size_bytes)
         self._size = size_bytes
 
     def covers(self, gpa, length):
         return 0 <= gpa and gpa + length <= self._size
 
-    def __getattr__(self, name):
-        return getattr(self._mem, name)
+    def read(self, gpa, length):
+        return self._mem.read(gpa, length)
+
+    def write(self, gpa, data):
+        self._mem.write(gpa, data)
 
 
 @pytest.fixture()
@@ -151,10 +156,11 @@ def test_valid_chain_still_parses_after_rejection(harness):
 
 
 def test_parse_errors_unmetered_ring_still_raises():
-    """No registry scope: the error path must not depend on metrics."""
+    """A scope no one reads: the error is raised, not only counted."""
     mem = BoundedMemory(1 * MiB)
     driver = DriverRing(mem, DESC, AVAIL, USED, QUEUE)
-    device = DeviceRing(mem, DESC, AVAIL, USED, QUEUE)
+    device = DeviceRing(mem, DESC, AVAIL, USED, QUEUE,
+                        metrics=MetricsRegistry().scope("vring"))
     _write_desc(mem, 0, 0x8000, 0, 0, 0)
     _publish(mem, driver, 0)
     with pytest.raises(VirtioError, match="zero-length"):
