@@ -2,11 +2,11 @@
 # Tier-1 gate, the one list of checks CI runs: byte-compile, the full
 # test suite (chaos suite included, on a pinned master seed so fault
 # schedules are replayable), the restore oracles on bytecode of another
-# hash seed, the suite's replay and second-seed checks, the
-# ablation, paper-experiment and arch-matrix benchmarks, the benchmark
-# self-test, the perf gate, the Perfetto export, the fuzz smoke, the CLI
-# record/replay round trips, the examples and the src/ line count.  Run
-# from anywhere.
+# hash seed, the suite's replay and second-seed checks, the ablation,
+# paper-experiment and arch-matrix benchmarks (whose reports must
+# regenerate byte-identical), the benchmark self-test, the perf gate,
+# the Perfetto export, the fuzz smoke, the CLI record/replay round
+# trips, the examples and the src/ line count.  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +42,12 @@ VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
     tests/chaos/test_traffic_determinism.py \
     tests/chaos/test_driver_buffers.py
 
+# The next three legs rewrite the reports under benchmarks/results/;
+# each must come out byte-identical to the one it replaces (checked
+# after the arch-matrix leg).
+reports="$(mktemp -d)"
+cp benchmarks/results/*.txt "$reports/"
+
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_copy_path.py \
     benchmarks/test_ablation_event_idx.py \
@@ -68,6 +74,17 @@ PYTHONPATH=src python -m pytest -q \
     tests/props/test_prop_walker_parity.py \
     tests/props/test_prop_walker_differential.py \
     benchmarks/test_e2_e3_generality.py
+
+changed=0
+for report in "$reports"/*.txt; do
+    name="benchmarks/results/$(basename "$report")"
+    if ! diff -u "$report" "$name"; then
+        echo "tier-1: $name did not regenerate byte-identical" >&2
+        changed=1
+    fi
+done
+[ "$changed" = 0 ]
+rm -rf "$reports"
 
 # Benchmark self-test: every workload of benchmarks/suite/run.py at
 # --smoke sizes, traced and untraced (~1 min).

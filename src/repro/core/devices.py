@@ -16,7 +16,7 @@ hypervisor.  Two problems follow (§3.3 challenge #3):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.core.libbuild import LibraryPlan, VMSH_MMIO_STRIDE
 from repro.errors import VmshError
@@ -44,12 +44,11 @@ class VmshDeviceHost(VirtioServiceHost):
         plan: LibraryPlan,
         image_bytes: bytes,
         irqs: Sequence[Callable[[], None]],
-        pts: Optional[Pts] = None,
         event_idx: bool = True,
     ):
         """``irqs`` signals each planned device's interrupt, in plan order."""
         self.accessor = accessor
-        self.pts = pts if pts is not None else Pts(costs)
+        self.pts = Pts()
         self.backend = MappedImageBackend(costs, image_bytes, writable=True)
         build = {
             "console": lambda irq: VirtioConsoleDevice(

@@ -68,7 +68,6 @@ class GuestConfig:
     """Boot-time configuration of a guest."""
 
     version: KernelVersion = KernelVersion(5, 10)
-    kaslr: bool = True
     rng_label: str = "guest"
     #: virtio-mmio windows provided by the hypervisor: (base_gpa, gsi)
     mmio_devices: Tuple[Tuple[int, int], ...] = ()
@@ -150,7 +149,7 @@ class GuestKernel:
         if self.booted:
             raise GuestError("guest already booted")
         rng = stream(f"kaslr:{self.config.rng_label}")
-        slot = rng.randrange(self.arch.kaslr_slots - 1) if self.config.kaslr else 0
+        slot = rng.randrange(self.arch.kaslr_slots - 1)
         vbase = self.arch.kaslr_slot_to_vaddr(slot)
         pbase = self.alloc_guest_pages(KERNEL_IMAGE_SIZE // PAGE_SIZE)
 

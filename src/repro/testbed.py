@@ -99,14 +99,14 @@ class Testbed:
 
     # -- storage -----------------------------------------------------------------
 
-    def nvme_partition(self, size: int = 2 * GiB, direct: bool = True) -> HostFile:
+    def nvme_partition(self, size: int = 2 * GiB) -> HostFile:
         """A fresh partition on the dedicated NVMe drive (TRIMmed)."""
         self._disk_counter += 1
         return HostFile(
             f"/dev/nvme0n1p{self._disk_counter}",
             size=size,
             costs=self.costs,
-            direct=direct,
+            direct=True,
         )
 
     # -- hypervisors -------------------------------------------------------------

@@ -223,7 +223,6 @@ class VirtioBlkDevice(VirtioDeviceCore):
             offer_event_idx=offer_event_idx,
         )
         self.backend = backend
-        self.requests_served = 0
 
     def process_queue(self, index: int) -> None:
         if index != 0:
@@ -236,9 +235,7 @@ class VirtioBlkDevice(VirtioDeviceCore):
         table = ring.read_table()
         batch = []
         for head in heads:
-            written = self._service_request(head, table)
-            batch.append((head, written))
-            self.requests_served += 1
+            batch.append((head, self._service_request(head, table)))
         # All completions of one notification window are published with
         # a single scattered write; under EVENT_IDX the ring decides
         # whether the driver asked to be interrupted for this batch.
@@ -327,9 +324,10 @@ class GuestVirtioBlkDisk(BlockDevice):
         transport.initialize()
         self.ring = transport.setup_queue(0, C.DEFAULT_QUEUE_SIZE)
         transport.driver_ok()
-        # DMA bounce buffers: a header+status page and a data pool.
-        # In queued mode both are sliced into ``iodepth`` slots so N
-        # requests can be in flight against disjoint buffers.
+        # DMA bounce buffers: a header+status page and a data pool,
+        # both sliced into one slot per chain of a window, so a window's
+        # requests are in flight against disjoint buffers (a synchronous
+        # request's one-chain window uses the whole pool).
         self._hdr_gpa = guest_kernel.alloc_guest_pages(1)
         self._data_gpa = guest_kernel.alloc_guest_pages(128)   # 512 KiB pool
         self._data_pool_bytes = 128 * 4096
@@ -366,10 +364,10 @@ class GuestVirtioBlkDisk(BlockDevice):
     def set_iodepth(self, depth: int) -> None:
         """Configure the in-flight window for the queued submission API.
 
-        Depth 1 (the default) is the classic submit-and-spin driver and
-        leaves every existing trace unchanged; deeper windows submit
-        ``depth`` chains back to back and — with EVENT_IDX negotiated —
-        ring the doorbell once per window.
+        Depth 1 (the default) submits one-chain windows, as the
+        synchronous calls always do; deeper windows submit ``depth``
+        chains back to back and — with EVENT_IDX negotiated — ring the
+        doorbell once per window.
         """
         if not 1 <= depth <= self.MAX_IODEPTH:
             raise VirtioError(f"iodepth {depth} out of range 1..{self.MAX_IODEPTH}")
@@ -379,92 +377,44 @@ class GuestVirtioBlkDisk(BlockDevice):
 
     def read_sectors(self, sector: int, count: int) -> bytes:
         self._check(sector, count)
-        out = bytearray()
-        for chunk_sector, chunk_count in self._chunks(sector, count):
-            out += self._do_read(chunk_sector, chunk_count)
-        return bytes(out)
+        return b"".join(self._run_sync([
+            (C.VIRTIO_BLK_T_IN, at, nbytes, None)
+            for at, _, nbytes in self._chunks(sector, count)
+        ]))
 
     def write_sectors(self, sector: int, data: bytes) -> None:
         if len(data) % SECTOR_SIZE:
             raise VirtioError("write must be sector aligned")
         count = len(data) // SECTOR_SIZE
         self._check(sector, count)
-        offset = 0
-        for chunk_sector, chunk_count in self._chunks(sector, count):
-            nbytes = chunk_count * SECTOR_SIZE
-            self._do_write(chunk_sector, data[offset : offset + nbytes])
-            offset += nbytes
+        self._run_sync([
+            (C.VIRTIO_BLK_T_OUT, at, nbytes, data[offset : offset + nbytes])
+            for at, offset, nbytes in self._chunks(sector, count)
+        ])
 
     def flush(self) -> None:
-        header = struct.pack("<IIQ", C.VIRTIO_BLK_T_FLUSH, 0, 0)
-        self.kernel.memory.write(self._hdr_gpa, header)
-        status_gpa = self._hdr_gpa + BLK_HEADER_SIZE
-        self._submit([(self._hdr_gpa, BLK_HEADER_SIZE, False), (status_gpa, 1, True)])
-        self._check_status(status_gpa)
+        self._run_sync([(C.VIRTIO_BLK_T_FLUSH, 0, 0, None)])
 
     # -- request machinery ------------------------------------------------------------------
 
     def _chunks(self, sector: int, count: int):
-        """Split a request to fit the DMA pool (512 KiB per request)."""
-        max_sectors = self._data_pool_bytes // SECTOR_SIZE
-        while count > 0:
-            take = min(count, max_sectors)
-            yield sector, take
-            sector += take
-            count -= take
+        """Split a request to fit the DMA pool (512 KiB per op): each
+        op's sector, byte offset into the request and byte count."""
+        step = self._data_pool_bytes // SECTOR_SIZE
+        for at in range(sector, sector + count, step):
+            yield (at, (at - sector) * SECTOR_SIZE,
+                   min(step, sector + count - at) * SECTOR_SIZE)
 
-    def _do_read(self, sector: int, count: int) -> bytes:
-        nbytes = count * SECTOR_SIZE
-        header = struct.pack("<IIQ", C.VIRTIO_BLK_T_IN, 0, sector)
-        self.kernel.memory.write(self._hdr_gpa, header)
-        status_gpa = self._hdr_gpa + BLK_HEADER_SIZE
-        buffers = [(self._hdr_gpa, BLK_HEADER_SIZE, False)]
-        buffers += [
-            (gpa, length, True) for gpa, length in self._data_segments(nbytes)
-        ]
-        buffers.append((status_gpa, 1, True))
-        self._submit(buffers)
-        self._check_status(status_gpa)
-        return self.kernel.memory.read(self._data_gpa, nbytes)
+    def _run_sync(self, ops) -> List[bytes]:
+        """Run a synchronous call's ops inline, each in a one-chain
+        window: the queued body at depth 1."""
+        return run_inline(self._run_queued_task(ops, 1), self.kernel.costs.clock)
 
-    def _do_write(self, sector: int, data: bytes) -> None:
-        header = struct.pack("<IIQ", C.VIRTIO_BLK_T_OUT, 0, sector)
-        self.kernel.memory.write(self._hdr_gpa, header)
-        self.kernel.memory.write(self._data_gpa, data)
-        status_gpa = self._hdr_gpa + BLK_HEADER_SIZE
-        buffers = [(self._hdr_gpa, BLK_HEADER_SIZE, False)]
-        buffers += [
-            (gpa, length, False) for gpa, length in self._data_segments(len(data))
-        ]
-        buffers.append((status_gpa, 1, True))
-        self._submit(buffers)
-        self._check_status(status_gpa)
-
-    def _data_segments(self, nbytes: int, base: int | None = None):
+    def _data_segments(self, nbytes: int, base: int):
         """One descriptor per 4 KiB page of payload."""
-        if base is None:
-            base = self._data_gpa
-        segments = []
-        offset = 0
-        while offset < nbytes:
-            length = min(4096, nbytes - offset)
-            segments.append((base + offset, length))
-            offset += length
-        return segments
+        return [(base + at, min(4096, nbytes - at)) for at in range(0, nbytes, 4096)]
 
-    def _kick(self) -> None:
-        """Ring the doorbell unless the device is known to be looking."""
-        self._engine.kick()
-
-    def _submit(self, buffers) -> None:
-        self.kernel.costs.guest_block_submit()
-        head = self.ring.add_chain(buffers)
-        self._kick()
-        completions = self.ring.collect_used()
-        if not any(h == head for h, _ in completions):
-            raise VirtioError(f"{self.name}: request {head} did not complete")
-
-    # -- queued submission (iodepth > 1) ------------------------------------------
+    # -- queued submission ----------------------------------------------------------
 
     def read_sectors_queued(self, requests) -> List[bytes]:
         """Read ``[(sector, count), ...]`` with up to ``iodepth`` in flight."""
@@ -490,7 +440,7 @@ class GuestVirtioBlkDisk(BlockDevice):
         for sector, count in requests:
             self._check(sector, count)
             ops.append((C.VIRTIO_BLK_T_IN, sector, count * SECTOR_SIZE, None))
-        return (yield from self._run_queued_task(ops))
+        return (yield from self._run_queued_task(ops, self.iodepth))
 
     def write_sectors_queued_task(self, requests):
         """Cooperative :meth:`write_sectors_queued` for scheduler tasks."""
@@ -500,18 +450,18 @@ class GuestVirtioBlkDisk(BlockDevice):
                 raise VirtioError("write must be sector aligned")
             self._check(sector, len(data) // SECTOR_SIZE)
             ops.append((C.VIRTIO_BLK_T_OUT, sector, len(data), data))
-        yield from self._run_queued_task(ops)
+        yield from self._run_queued_task(ops, self.iodepth)
 
-    def _run_queued_task(self, ops):
-        """Run one queued batch; the result lists the data each op read.
+    def _run_queued_task(self, ops, depth: int):
+        """Run ``ops`` in windows of ``depth``; the result lists the data
+        each op read.
 
-        The shared :class:`QueuedWindowDriver` drives doorbells and
-        harvesting; the closures here contribute the virtio-blk request
-        encoding (header + per-page data descriptors + status byte),
-        over one DMA slot per in-flight op, and the status/data
-        read-back.
+        The one body behind every request of this driver.  The shared
+        :class:`QueuedWindowDriver` drives doorbells and harvesting; the
+        closures here contribute the virtio-blk request encoding
+        (header + per-page data descriptors + status byte), over one DMA
+        slot per in-flight op, and the status/data read-back.
         """
-        depth = self.iodepth
         slot_bytes = (self._data_pool_bytes // depth) & ~4095
         results: List[bytes] = [b""] * len(ops)
         memory = self.kernel.memory
@@ -521,7 +471,7 @@ class GuestVirtioBlkDisk(BlockDevice):
             if nbytes > slot_bytes:
                 raise VirtioError(
                     f"{self.name}: {nbytes}-byte request exceeds the "
-                    f"{slot_bytes}-byte slot at iodepth {self.iodepth}"
+                    f"{slot_bytes}-byte slot at iodepth {depth}"
                 )
             hdr_gpa = self._hdr_gpa + at * 32
             status_gpa = hdr_gpa + BLK_HEADER_SIZE

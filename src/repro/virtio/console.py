@@ -24,8 +24,7 @@ TX_QUEUE = 1
 class Pts:
     """A host pseudo-terminal pair (the §6.3-D measurement point)."""
 
-    def __init__(self, costs: CostModel):
-        self._costs = costs
+    def __init__(self) -> None:
         self._to_device: List[bytes] = []
         self.output: List[bytes] = []
         self._device_input_cb: Optional[Callable[[bytes], None]] = None

@@ -10,7 +10,9 @@ scheduler task service many devices interleaved.  Three copies of the
 same idiom made every new device — virtio-net above all — a
 copy-paste liability.
 
-This module is the single home for all of it:
+This module is the single home for all of it, and the only code
+outside ``vring.py`` that adds chains, collects completions, writes
+``used_event``, publishes used elements or raises interrupts:
 
 * :class:`VirtioDeviceCore` — the device-side base.  It owns feature
   negotiation (via :class:`VirtioMmioDevice`, including device-specific
@@ -18,13 +20,15 @@ This module is the single home for all of it:
   state, per-device batch metrics, posted-buffer lists per queue, and
   :meth:`publish_batch`: one scattered used-ring write per
   notification window, interrupt coalescing under EVENT_IDX, and the
-  exact cost/span bookkeeping order the chaos suites pin.
-* :class:`QueuedWindowDriver` — the driver-side engine behind
-  ``GuestVirtioBlkDisk``'s queued API and ``GuestVirtioNic``'s TX
-  path: post a window of chains, defer per-chain doorbells into one
-  kick when EVENT_IDX is negotiated (raising ``used_event`` so the
-  completion interrupt coalesces too), then harvest: one generator a
-  scheduler task runs or a synchronous call runs inline.
+  exact cost/span bookkeeping order the chaos suites pin.  Every
+  device (blk, console, vm-exec, net) completes through it.
+* :class:`QueuedWindowDriver` — the driver-side engine behind every
+  ``GuestVirtioBlkDisk`` request (a synchronous one is a one-chain
+  window) and ``GuestVirtioNic``'s TX path: post a window of chains,
+  defer per-chain doorbells into one kick when EVENT_IDX is negotiated
+  (raising ``used_event`` so the completion interrupt coalesces too),
+  then harvest: one generator a scheduler task runs or a synchronous
+  call runs inline.
 * :class:`GuestRxPath` / :class:`GuestTxPath` — the console, vm-exec
   and net drivers' receive path (posted fixed-size buffers, harvested
   and re-posted) and the console and vm-exec transmit path (sends that
@@ -47,7 +51,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VirtioError, VmshError
 from repro.sim.costs import CostModel
-from repro.sim.sched import Completion, Poll, Scheduler, SchedulerError, Task
+from repro.sim.sched import Completion, Poll, Scheduler, Task
 from repro.units import PAGE_SIZE
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.mmio import VirtioMmioDevice
@@ -192,6 +196,8 @@ class QueuedWindowDriver:
     always-notify mode, or — with EVENT_IDX negotiated — one doorbell
     per window after raising ``used_event`` to the window's last
     completion (so the device coalesces the completion interrupt too).
+    Every blk request runs here; a synchronous one is a one-chain
+    window.
     The device-specific parts stay with the caller as two closures:
 
     * ``prepare(start, at, op) -> (buffers, token)`` — write the op's
@@ -240,6 +246,9 @@ class QueuedWindowDriver:
         EVENT_IDX the window's doorbells collapse into one: the driver
         raises ``used_event`` to the window's last completion before
         kicking, so the device also coalesces the completion interrupt.
+        A one-chain window leaves ``used_event`` alone: it wants the
+        interrupt of the very next completion, which the last
+        :meth:`DriverRing.collect_used` already asked for.
         """
         inflight: dict = {}
         for at, op in enumerate(window):
@@ -250,9 +259,10 @@ class QueuedWindowDriver:
             if not self.ring.event_idx:
                 self.kick()
         if self.ring.event_idx:
-            self.ring.set_used_event(
-                (self.ring.last_used + len(window) - 1) & 0xFFFF
-            )
+            if len(window) > 1:
+                self.ring.set_used_event(
+                    (self.ring.last_used + len(window) - 1) & 0xFFFF
+                )
             self.kick()
             if len(window) > 1:
                 # Doorbells the in-flight window deferred into one kick.
@@ -287,20 +297,23 @@ class QueuedWindowDriver:
             # begin/end rather than the context manager: the span must
             # survive the scheduler yields between submit and harvest.
             span = self._begin_window_span(start, len(window))
-            inflight = self.post_window(start, window, prepare)
             waits = 0
-            while inflight:
-                self.harvest(self.ring.collect_used(), inflight, consume)
-                if inflight:
-                    # The device host's service task has not reached
-                    # this queue yet; let other events run.
-                    waits += 1
-                    try:
+            try:
+                inflight = self.post_window(start, window, prepare)
+                while inflight:
+                    self.harvest(self.ring.collect_used(), inflight, consume)
+                    if inflight:
+                        # The device host's service task has not reached
+                        # this queue yet; let other events run.
+                        waits += 1
                         yield Poll(f"{self.name}:harvest")
-                    except SchedulerError:
-                        # Run inline: nothing else can finish the window.
-                        self._costs.obs.spans.end(span, waits=waits)
-                        raise
+            except Exception:
+                # A failed window (a request error, or, run inline, the
+                # SchedulerError of a poll nothing else can satisfy)
+                # closes its span, or later spans on the track would
+                # nest under it.
+                self._costs.obs.spans.end(span, waits=waits)
+                raise
             self._costs.obs.spans.end(span, waits=waits)
 
 

@@ -192,11 +192,7 @@ class VirtioMmioDevice:
             queue.ring = None
         self.interrupt_status = 0
 
-    # -- completion / interrupts -------------------------------------------------------
-
-    def complete(self, index: int, head: int, written: int) -> None:
-        ring = self._ring(index)
-        ring.push_used(head, written)
+    # -- interrupts ---------------------------------------------------------------------
 
     def raise_interrupt(self) -> None:
         """Signal the used-ring interrupt (Fig. 4/4: irqfd -> KVM)."""

@@ -9,7 +9,10 @@ Unlike the console (a byte stream a human types into), vm-exec is a
 structured request/response channel: the host submits an argv, the
 guest runs it in the overlay and returns exit code plus captured
 output.  Queue 0 carries requests (guest-posted receive buffers the
-device fills), queue 1 carries responses.
+device fills with ``fill_posted``), queue 1 carries responses.  Both
+queues complete through ``publish_batch`` (kinds ``exec_req`` and
+``exec_rsp``), so the device's ``virtio`` series count every request
+and response like any other device's.
 
 Wire format (little-endian)::
 
@@ -131,6 +134,7 @@ class VmExecDevice(VirtioDeviceCore):
         elif index == RESPONSE_QUEUE:
             ring = self._ring(RESPONSE_QUEUE)
             table = ring.read_table()
+            batch = []
             for head in ring.pop_available():
                 chain = ring.read_chain(head, table)
                 payload = self.mem.read_vectored(
@@ -138,8 +142,8 @@ class VmExecDevice(VirtioDeviceCore):
                 )
                 self._responses[self._responses_seen] = unpack_response(payload)
                 self._responses_seen += 1
-                ring.push_used(head, 0)
-            self.raise_interrupt()
+                batch.append((head, 0))
+            self.publish_batch(RESPONSE_QUEUE, batch, "exec_rsp")
         else:
             raise VirtioError(f"{self.name}: notify for unknown queue {index}")
 
@@ -150,26 +154,19 @@ class VmExecDevice(VirtioDeviceCore):
 
         Returns the request's number.
         """
-        ring = self._ring(REQUEST_QUEUE)
+        request = pack_request(argv)
         # The driver re-posts buffers without a doorbell (it knows the
         # device polls the avail ring on demand).
-        posted = self.absorb_posted(REQUEST_QUEUE)
-        if not posted:
+        if not self.absorb_posted(REQUEST_QUEUE):
             raise VirtioError(
                 f"{self.name}: guest has no posted request buffers"
             )
-        head = posted.pop(0)
-        chain = ring.read_chain(head)
-        request = pack_request(argv)
-        if not chain or not chain[0].device_writable:
-            raise VirtioError("vm-exec request buffer must be device-writable")
-        if chain[0].length < len(request):
-            raise VirtioError("vm-exec request buffer too small")
-        self.mem.write(chain[0].addr, request)
-        ring.push_used(head, len(request))
+        filled = self.fill_posted(REQUEST_QUEUE, request)
         number = self._requests_posted
         self._requests_posted += 1
-        self.raise_interrupt()
+        # Numbered before the interrupt: taken inline, it runs the guest
+        # agent, whose response lands before publish_batch returns.
+        self.publish_batch(REQUEST_QUEUE, [filled], "exec_req")
         return number
 
     def submit_task(self, argv: List[str]):

@@ -114,12 +114,18 @@ def test_queued_depth_one_behaves_like_sync(guest_env):
     disk = guest.block_devices["vda"]
     disk.write_sectors(0, b"\x22" * (8 * SECTOR_SIZE))
     tb.costs.reset_counters()
-    disk.read_sectors_queued([(i, 1) for i in range(8)])
+    start = tb.clock.now
+    queued = disk.read_sectors_queued([(i, 1) for i in range(8)])
+    queued_ns = tb.clock.now - start
     assert tb.costs.count("kicks") == 8
     assert tb.costs.count("kick_suppressed") == 0
     assert tb.costs.count("irq_coalesced") == 0
     assert tb.costs.count("irq_inject") == 8
     assert tb.costs.batch_histogram("blk") == {1: 8}
+    # The synchronous calls take exactly the same virtual time.
+    start = tb.clock.now
+    assert [disk.read_sectors(i, 1) for i in range(8)] == queued
+    assert tb.clock.now - start == queued_ns
 
 
 def test_queued_without_event_idx_kicks_per_request():
@@ -157,6 +163,88 @@ def test_queued_request_must_fit_its_pool_slot(guest_env):
             disk.read_sectors_queued([(0, 32)])  # 16 KiB request
     finally:
         disk.set_iodepth(1)
+
+
+# -- synchronous requests are one-chain windows ------------------------------
+
+
+def _disk(kind):
+    """A booted QEMU guest's qemu-blk ``vda`` or an attached ``vmshblk0``."""
+    tb = Testbed()
+    if kind == "vda":
+        hv = tb.launch_qemu(disk=tb.nvme_partition(32 * MiB))
+        return tb, hv.guest.block_devices["vda"]
+    hv = tb.launch_qemu()
+    tb.vmsh().attach(hv.pid)
+    return tb, hv.guest.vmsh_block
+
+
+def _windows(tb, disk):
+    """The driver's window count and its ``blk.window`` spans so far."""
+    count = tb.obs.metrics.scope(
+        "blk", role="driver", device=disk.name
+    ).counter("windows").value
+    spans = [span for span in tb.obs.spans.spans
+             if span.name == "blk.window" and span.track == f"blk:{disk.name}"]
+    return count, spans
+
+
+@pytest.mark.parametrize("kind", ["vda", "vmshblk0"])
+def test_sync_requests_run_as_depth_one_windows(kind):
+    tb, disk = _disk(kind)
+    sector = disk.capacity_sectors - 2048         # clear of the overlay fs
+    payload = bytes(range(256)) * 16               # 4 KiB
+    for call, windows in (
+        (lambda: disk.write_sectors(sector, payload), 1),
+        (lambda: disk.read_sectors(sector, 2048), 2),   # 1 MiB: two ops
+        (disk.flush, 1),
+    ):
+        count, spans = _windows(tb, disk)
+        call()
+        after, spans_after = _windows(tb, disk)
+        assert after - count == windows
+        opened = spans_after[len(spans):]
+        assert len(opened) == windows
+        assert all(span.attrs["depth"] == 1 for span in opened)
+        assert all(span.end_ns is not None for span in opened)
+    assert disk.read_sectors(sector, 8) == payload
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["sync", "queued"])
+def test_failed_request_closes_its_window_span(queued):
+    """A request the device fails raises and closes its window span, so
+    the next window on the track does not nest under it."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid)
+    disk = hv.guest.vmsh_block
+    session.device_host.backend.writable = False
+    sector = disk.capacity_sectors - 8
+    with pytest.raises(VirtioError, match="IO error"):
+        if queued:
+            disk.write_sectors_queued([(sector, bytes(4096))])
+        else:
+            disk.write_sectors(sector, bytes(4096))
+    assert not [s for s in tb.obs.spans.open_spans() if s.name == "blk.window"]
+    disk.read_sectors(sector, 8)
+    assert _windows(tb, disk)[1][-1].parent_sid is None
+
+
+def test_one_chain_window_leaves_used_event_alone(guest_env):
+    """A depth-1 window keeps the driver's ``used_event`` hint: with it
+    far ahead, the device suppresses the interrupt and the window still
+    harvests its completion from the used ring."""
+    tb, hv, guest = guest_env
+    disk = guest.block_devices["vda"]
+    payload = b"\x5a" * (8 * SECTOR_SIZE)
+    disk.write_sectors(64, payload)
+    disk.kernel.memory.write_u16(disk.ring.used_event_gpa, 0xBEEF)
+    suppressed = tb.obs.metrics.scope(
+        "vring", device="qemu-system-x86_64-blk-disk0", queue=0
+    ).counter("interrupts_suppressed")
+    before = suppressed.value
+    assert disk.read_sectors_queued([(64, 8)]) == [payload]
+    assert suppressed.value == before + 1
 
 
 # -- _service_request error semantics ---------------------------------------

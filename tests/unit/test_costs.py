@@ -13,7 +13,6 @@ from repro.image.fsimage import mount_image
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, CostParams
 from repro.units import MiB
-from repro.virtio.console import Pts
 from repro.virtio.core import QueuedWindowDriver
 from repro.virtio.memio import GuestMemoryAccessor
 from repro.virtio.vring import DeviceRing
@@ -38,7 +37,6 @@ _UNCHARGED = [
     ("GuestTty", lambda: GuestTty(write_out=lambda data: None), "costs"),
     ("GuestShell",
      lambda: GuestShell(GuestProcess("sh", MountNamespace())), "costs"),
-    ("Pts", lambda: Pts(), "costs"),
     ("HostFile", lambda: HostFile("/x", size=0), "costs"),
     ("mount_image",
      lambda: mount_image(MemoryBlockDevice("img", 1 * MiB)), "costs"),

@@ -167,16 +167,26 @@ def test_reset_device_holds_only_buffers_posted_after_it():
 
 
 def test_pts_buffers_until_device_connects():
-    from repro.sim.clock import Clock
-    from repro.sim.costs import CostModel
-
-    pts = Pts(CostModel(Clock()))
+    pts = Pts()
     pts.user_write(b"early\n")
     got = []
     pts.connect_device(got.append)
     assert got == [b"early\n"]
     pts.user_write(b"later\n")
     assert got == [b"early\n", b"later\n"]
+
+
+def test_vm_exec_publishes_through_the_device_core():
+    """Each exec is one request and one response batch of the device
+    core, counted in the device's ``virtio`` series."""
+    tb = Testbed()
+    hv = tb.launch_qemu()
+    session = tb.vmsh().attach(hv.pid, exec_device=True)
+    for _ in range(3):
+        assert session.exec("uname").ok
+    scope = tb.obs.metrics.scope("virtio", device="vmsh-exec")
+    assert scope.counter("requests").value == 6
+    assert scope.histogram("batch_depth").samples == {1: 6}
 
 
 def test_vmsh_console_roundtrip():
