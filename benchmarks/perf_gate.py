@@ -37,6 +37,13 @@ the booted v5.10 kernel image, whose pages are mostly zero, and the
 same image over a dense fill, with each buffer's count of live
 (non-zero) pages; no suite workload parses a dense image, so this line
 is where a regression on either side shows.  Printed, not gated.
+After it an ``analyse:`` line prints two median wall times: the
+attach's analysis, ``find_kernel`` plus ``parse_ksymtab`` through a
+fresh gateway on a booted QEMU v5.10 VM, and one
+``PhysicalMemory.read`` of a 2 MiB range with every page materialized.
+That read copies every page, the dense side of a read that otherwise
+copies only the pages memory holds; no suite workload runs it.  Also
+printed, not gated.
 
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
@@ -158,6 +165,49 @@ def ksymtab_point(rounds: int = PARSES) -> dict:
     return points
 
 
+def analyse_point(rounds: int = PARSES) -> dict:
+    """Median wall ms of the attach's analysis, ``find_kernel`` plus
+    ``parse_ksymtab`` through a fresh gateway each round on a booted
+    QEMU v5.10 VM, and of one ``PhysicalMemory.read`` of a 2 MiB range
+    whose every page is materialized."""
+    import statistics
+
+    from repro.core.gateway import GuestMemoryGateway
+    from repro.core.kaslr import find_kernel
+    from repro.core.ksymtab import parse_ksymtab
+    from repro.guestos.version import KernelVersion
+    from repro.host.ebpf import MemslotSnooper
+    from repro.mem.physmem import PhysicalMemory
+    from repro.testbed import Testbed
+    from repro.units import MiB
+
+    tb = Testbed()
+    hv = tb.launch_qemu(guest_version=KernelVersion(5, 10))
+    vmsh = tb.host.spawn_process("vmsh-gate")
+    snooper = MemslotSnooper(tb.host, vmsh)
+    snooper.attach()
+    tb.host.syscall(hv.process.main_thread, "ioctl", hv.vm_fd, "KVM_CHECK_EXTENSION", "X")
+    records = snooper.read_map()
+    snooper.detach()
+    analyse = []
+    for _ in range(rounds):
+        gateway = GuestMemoryGateway(tb.host, vmsh.main_thread, hv.pid, records)
+        gateway.set_cr3(hv.guest.cr3)
+        wall0 = time.perf_counter()
+        with gateway.page_tables():
+            parse_ksymtab(gateway, find_kernel(gateway))
+        analyse.append(time.perf_counter() - wall0)
+    memory = PhysicalMemory(4 * MiB)
+    memory.write(0, bytes(range(256)) * (2 * MiB // 256))
+    dense = []
+    for _ in range(rounds):
+        wall0 = time.perf_counter()
+        memory.read(0, 2 * MiB)
+        dense.append(time.perf_counter() - wall0)
+    return {"analyse": statistics.median(analyse) * 1e3,
+            "dense_read": statistics.median(dense) * 1e3}
+
+
 def measure() -> dict:
     from test_fleet_scaling import fleet_point, plane_point, sched_storm_point
 
@@ -190,6 +240,13 @@ def measure() -> dict:
           f"booted v5.10 image ({parse['booted'][1]} live pages), "
           f"{parse['dense'][0]:.2f} ms on it over a dense fill "
           f"({parse['dense'][1]} live pages)")
+    # Printed, not gated: the suite's attach workload times the
+    # analysis end to end, and no suite workload reads a dense 2 MiB
+    # range, the page-crossing read's slow side.
+    analyse = analyse_point()
+    print(f"analyse: median find_kernel + parse_ksymtab {analyse['analyse']:.2f} ms "
+          f"on a booted v5.10 VM, {analyse['dense_read']:.2f} ms for a 2 MiB "
+          f"PhysicalMemory.read with every page materialized")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

@@ -123,9 +123,9 @@ class Arch:
 
     # -- page tables ----------------------------------------------------------
 
-    def walker(self, read_u64) -> PageTableWalker:
+    def walker(self, read_u64, read_run=None) -> PageTableWalker:
         """Page-table walker over a ``read_u64(paddr)`` callback."""
-        return PageTableWalker(self.pt_format, read_u64)
+        return PageTableWalker(self.pt_format, read_u64, read_run)
 
     def builder(self, read_u64, write_u64, alloc_table_page, write_run=None) -> PageTableBuilder:
         """Page-table builder writing real entry bytes into guest memory."""

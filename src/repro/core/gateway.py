@@ -17,7 +17,8 @@ paid *per mechanism*:
   decodes entries from that copy, so the KASLR scan of an x86-64
   guest reads four table pages, whichever slot the kernel sits in.
   The scan's range walks (:meth:`GuestMemoryGateway.walk`) descend
-  once per table and decide a whole unmapped region at once.
+  once per table, decide a whole unmapped region at once, and decode
+  a table whose entries each span one step with one struct call.
   Page-table writes are buffered and flushed in one vectored
   ``process_vm_writev``.  No view outlives its step, so nothing it
   holds ever needs invalidating.
@@ -25,11 +26,14 @@ paid *per mechanism*:
   implicitly by the current CR3 (it is flushed on
   :meth:`GuestMemoryGateway.set_cr3` and
   :meth:`~GuestMemoryGateway.refresh_memslots`, like a real TLB on a
-  CR3 write).  The KASLR scan's walk of the image fills it, so the
-  ksymtab read of the image translates without walking again.  A
-  walked address counts one ``tlb_misses``, mapped or not, and a
-  lookup that finds its page one ``tlb_hits``.
-* ``read_virt``/``write_virt`` translate the whole range first, merge
+  CR3 write).  The KASLR scan's walk of the image fills it, a run of
+  pages with one update, so the ksymtab read of the image translates
+  without walking again.  A walked address counts one ``tlb_misses``,
+  mapped or not, and a lookup that finds its page one ``tlb_hits``;
+  a range walk and a range translation each count with one call per
+  run or per range.
+* ``read_virt``/``write_virt`` translate the whole range first, in one
+  loop over its pages that walks only on a TLB miss, merge
   physically-contiguous page runs, and push the result through the
   accessor's scatter-gather API — one charged ``process_vm_*`` call
   instead of one per page.
@@ -141,24 +145,42 @@ class GuestMemoryGateway:
         """Decide, in order, which of ``start``, ``start + step``, ...
         below ``end`` translate under the current CR3.
 
-        Yields ``(vaddr, mapped)`` from one range walk of the open
-        page-table view (:meth:`~repro.mem.pagetable.PageTableWalker.walk_range`):
-        run it inside :meth:`page_tables`.  Each mapped address is
-        cached.  Each address decided counts one TLB miss, as its walk
-        through :meth:`translate` would, and so does each one a skip
-        passes over: ``step`` is a power of two of at least a page and
-        ``start`` a multiple of it, as for KASLR slots, so every skip
-        lands on one of these addresses.
+        Yields ``(vaddr, mapped)`` where the answer changes: ``vaddr``
+        and every address after it, up to the next pair's, have that
+        answer.  So the first mapped address, or the first unmapped
+        one, is the first pair that says so.  The decisions come in runs
+        from one range walk of the open page-table view
+        (:meth:`~repro.mem.pagetable.PageTableWalker.walk_range`): run
+        it inside :meth:`page_tables`.  Each address decided counts one
+        TLB miss, as its walk through :meth:`translate` would, and so
+        does each one a skip passes over: ``step`` is a power of two of
+        at least a page and ``start`` a multiple of it, as for KASLR
+        slots, so every skip lands on one of these addresses.  Each
+        mapped address is cached.  A pair is counted and cached before
+        it is handed over, and the rest of its run after, each run with
+        one count and one TLB update: a caller that stops at a pair has
+        counted and cached nothing past it, as if it had been handed
+        every address.
         """
         if not self.cr3:
             raise SideloadError("gateway has no CR3 yet")
-        for vaddr, leaf in self._view.walker.walk_range(self.cr3, start, end, step):
-            self._m_tlb_misses.inc((vaddr - start) // step + 1)
-            start = vaddr + step
-            if leaf is not None:
-                self._tlb[vaddr] = leaf[0]          # its paddr
-            yield vaddr, leaf is not None
-        self._m_tlb_misses.inc(len(range(start, end, step)))
+        tlb, misses, answer = self._tlb, self._m_tlb_misses, None
+        for vaddr, paddrs in self._view.walker.walk_range(self.cr3, start, end, step):
+            mapped = paddrs[0] is not None
+            if mapped is not answer:
+                misses.inc((vaddr - start) // step + 1)
+                if mapped:
+                    tlb[vaddr] = paddrs[0]
+                start, answer = vaddr + step, mapped
+                yield vaddr, mapped
+                vaddr, paddrs = start, paddrs[1:]
+            if paddrs:
+                stop = vaddr + len(paddrs) * step
+                misses.inc((stop - start) // step)
+                if mapped:
+                    tlb.update(zip(range(vaddr, stop, step), paddrs))
+                start = stop
+        misses.inc(len(range(start, end, step)))
 
     @property
     def tlb_hit_rate(self) -> float:
@@ -167,20 +189,34 @@ class GuestMemoryGateway:
         return hits / total if total else 0.0
 
     def _phys_runs(self, vaddr: int, length: int) -> List[Tuple[int, int]]:
-        """Translate ``[vaddr, vaddr+length)`` into merged paddr runs."""
-        runs: List[Tuple[int, int]] = []
-        pos = 0
-        while pos < length:
-            cur = vaddr + pos
-            paddr = self.translate(cur)
-            in_page = cur & (PAGE_SIZE - 1)
-            chunk = min(length - pos, PAGE_SIZE - in_page)
-            if runs and runs[-1][0] + runs[-1][1] == paddr:
-                runs[-1] = (runs[-1][0], runs[-1][1] + chunk)
-            else:
-                runs.append((paddr, chunk))
-            pos += chunk
-        return runs
+        """Translate ``[vaddr, vaddr+length)`` into merged paddr runs.
+
+        One loop looks every page up in the TLB and calls
+        :meth:`translate` only on a miss; the hits count once, when the
+        loop ends.
+        """
+        if length <= 0:
+            return []
+        tlb, hits = self._tlb, 0
+        first, end = vaddr & ~(PAGE_SIZE - 1), vaddr + length
+        runs: List[List[int]] = []          # [paddr start, paddr end)
+        try:
+            for vpage in range(first, end, PAGE_SIZE):
+                base = tlb.get(vpage)
+                if base is None:
+                    base = self.translate(vpage)
+                else:
+                    hits += 1
+                if runs and runs[-1][1] == base:    # physically contiguous
+                    runs[-1][1] += PAGE_SIZE
+                else:
+                    runs.append([base, base + PAGE_SIZE])
+        finally:
+            self._m_tlb_hits.inc(hits)
+        # The first and last pages may be partly outside the range.
+        runs[0][0] += vaddr - first
+        runs[-1][1] -= -end % PAGE_SIZE
+        return [(start, stop - start) for start, stop in runs]
 
     def read_virt(self, vaddr: int, length: int) -> bytes:
         with self.page_tables():

@@ -15,12 +15,15 @@ the image ends, and where VMSH maps its own library.  No table page
 past that page is read.
 
 Both passes are range walks of the gateway's page-table view
-(:meth:`~repro.mem.pagetable.PageTableWalker.walk_range`): each table
-page they touch costs one remote read (four on an x86-64 guest with a
-2 MiB image), whichever slot the kernel sits in, and each entry is
-decoded from that copy.  The image's translations land in the
-gateway's TLB, so the ksymtab read that follows translates without
-walking again.
+(:meth:`GuestMemoryGateway.walk`): each table page they touch costs one
+remote read (four on an x86-64 guest with a 2 MiB image), whichever
+slot the kernel sits in.  Each pass steps by the span of one entry of
+the table it spends its time in, a level-2 table's 2 MiB for the slots
+and a leaf table's 4 KiB for the image, so the walk decodes the rest of
+such a table with one struct call and hands its decisions over as
+runs.  The scan takes the first mapped slot and the image end from
+those runs.  The image's translations land in the gateway's TLB, so
+the ksymtab read that follows translates without walking again.
 """
 
 from __future__ import annotations

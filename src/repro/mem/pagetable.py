@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFaultError
 from repro.mem.layout import CANONICAL_MASK, canonical, uncanonical
@@ -161,12 +161,22 @@ class PageTableWalker:
     The callback indirection matters: the guest kernel walks via direct
     physical memory access, while VMSH walks via
     ``process_vm_readv`` on the *hypervisor's* address space, paying
-    the corresponding costs.  Both use this same class.
+    the corresponding costs.  Both use this same class.  A
+    :class:`PageTableView` also passes its
+    :meth:`~PageTableView.read_run` as ``read_run``: it decodes
+    consecutive entries of one table page in one call.  Without it, a
+    run is read word by word through ``read_u64``.
     """
 
-    def __init__(self, fmt: EntryFormat, read_u64: Callable[[int], int]):
+    def __init__(self, fmt: EntryFormat, read_u64: Callable[[int], int],
+                 read_run: Optional[Callable[[int, int], Iterable[int]]] = None):
         self._fmt = fmt
         self._read_u64 = read_u64
+        self._read_run = read_run or self._read_words
+
+    def _read_words(self, paddr: int, count: int) -> Iterator[int]:
+        for offset in range(0, count * 8, 8):
+            yield self._read_u64(paddr + offset)
 
     def translate(self, root: int, vaddr: int) -> Translation:
         """Translate ``vaddr`` using the tables rooted at ``root``."""
@@ -179,19 +189,16 @@ class PageTableWalker:
             pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(pte_paddr)
             if fmt.classify(entry, level, vaddr):
-                return Translation(*self._leaf(raw, shift, level, pte_paddr, entry, path_and, path_or))
+                flags, page_mask = ~fmt.addr_mask, (1 << shift) - 1
+                paddr = (fmt.address(entry) & ~page_mask) | (raw & page_mask)
+                return Translation(
+                    paddr, entry & flags, level, pte_paddr,
+                    path_and & entry & flags, (path_or | entry) & flags,
+                )
             path_and &= entry
             path_or |= entry
             table = fmt.address(entry)
         raise AssertionError("unreachable: a level-1 entry maps or faults")
-
-    def _leaf(self, raw, shift, level, pte_paddr, entry, path_and, path_or) -> Tuple[int, ...]:
-        """The fields of the :class:`Translation` of ``raw`` by the leaf
-        ``entry`` at ``level``, in its order; ``path_and`` and
-        ``path_or`` combine the entries above it on the walk."""
-        flags, page_mask = ~self._fmt.addr_mask, (1 << shift) - 1
-        paddr = (self._fmt.address(entry) & ~page_mask) | (raw & page_mask)
-        return paddr, entry & flags, level, pte_paddr, path_and & entry & flags, (path_or | entry) & flags
 
     def is_mapped(self, root: int, vaddr: int) -> bool:
         try:
@@ -206,31 +213,45 @@ class PageTableWalker:
         """Yield (vaddr, translation) for each mapped page in [start, end).
 
         It runs on :meth:`walk_range`, so listing a 1 GiB range is cheap
-        even when only a few MiB are mapped.
+        even when only a few MiB are mapped; each mapped page is then
+        translated.
         """
-        for vaddr, leaf in self.walk_range(root, start, end, step):
-            if leaf is not None:
-                yield vaddr, Translation(*leaf)
+        for vaddr, paddrs in self.walk_range(root, start, end, step):
+            if paddrs[0] is not None:
+                for offset in range(0, len(paddrs) * step, step):
+                    yield vaddr + offset, self.translate(root, vaddr + offset)
 
     def walk_range(
         self, root: int, start: int, end: int, step: int = PAGE_SIZE
-    ) -> Iterator[Tuple[int, Optional[Tuple[int, ...]]]]:
+    ) -> Iterator[Tuple[int, List[Optional[int]]]]:
         """Decide, in address order, which addresses from ``start`` on,
         ``step`` apart and below ``end``, translate.
 
-        Yields ``(vaddr, leaf)``: ``leaf`` holds the fields of the
-        :class:`Translation` that ``translate(root, vaddr)`` returns, in
-        its order, or is None where that walk faults.  After a fault
-        the walk goes on past the largest region the entries show
-        unmapped (see :meth:`_skip`), so a sparse range is cheap.  The
+        Yields runs ``(vaddr, paddrs)``: ``paddrs[i]`` is where ``vaddr
+        + i * step`` translates to, as ``translate`` finds it, or None
+        where that walk faults; a run is all one or all the other.
+        After a fault the walk goes on past the largest region the
+        entries show unmapped (see :meth:`_skip`), so a sparse range is
+        cheap and the next run may start past the last one's end.  The
         tables on the current address's path stay open: the walk
         descends once per table, reads one entry per address it
         decides, and raises no :class:`PageFaultError` for an absent
-        entry.  :meth:`iter_present_range` and VMSH's KASLR scan
+        entry.
+
+        Where ``step`` is the span of one entry of a table below the
+        root (4 KiB in a leaf table, 2 MiB in a level-2 one) and the
+        address is aligned to it, each entry decides one address by its
+        own bits, so the rest of the table up to ``end`` is fetched with
+        one ``read_run`` call and decided in one loop.  A run is handed
+        over before anything else is read: before the walk descends
+        into a table, and before it skips past a rejected entry, whose
+        skip may read the tables below it.  So a caller that stops at an
+        address has caused no table-page read past it.
+        :meth:`iter_present_range` and VMSH's KASLR scan
         (:mod:`repro.core.kaslr`) run on it.
         """
         fmt = self._fmt
-        read, valid, classify = self._read_u64, fmt.valid, fmt.classify
+        read_run, valid, classify, address = self._read_run, fmt.valid, fmt.classify, fmt.address
         # Count in raw 48-bit addresses, whose order canonical() keeps:
         # a skip past the last top-level entry then lands on the top of
         # the space and ends the walk instead of folding back to 0.
@@ -238,33 +259,56 @@ class PageTableWalker:
         if canonical(raw) >= end:
             return
         levels = fmt.walk_levels(root, canonical(raw))
-        # (table, AND and OR of the entries above it, ``raw >> shift``
-        # of the entry pointing at it) for each table on the path
-        path = [(fmt.root_table(root), -1, 0, 0)]
+        # (table, ``raw >> shift`` of the entry pointing at it) for each
+        # table on the path
+        path = [(fmt.root_table(root), 0)]
         while raw <= CANONICAL_MASK:
             vaddr = canonical(raw)
             if vaddr >= end:
                 return
             depth = len(path) - 1
-            while depth and raw >> levels[depth - 1][1] != path[depth][3]:
+            while depth and raw >> levels[depth - 1][1] != path[depth][1]:
                 path.pop()              # raw has left this table's span
                 depth -= 1
-            table, path_and, path_or, _ = path[depth]
+            table = path[depth][0]
             level, shift = levels[depth]
-            pte_paddr = table + ((raw >> shift) & _INDEX_MASK) * 8
-            entry = read(pte_paddr)
-            try:                        # None: absent, or rejected by the ISA
-                maps = classify(entry, level, vaddr) if entry & valid else None
-            except PageFaultError:
-                maps = None
-            if maps is None:
-                yield vaddr, None
-                raw = self._skip(levels[depth:], entry, raw, step)
-            elif maps:
-                yield vaddr, self._leaf(raw, shift, level, pte_paddr, entry, path_and, path_or)
-                raw += step
-            else:                       # a table: descend into it
-                path.append((fmt.address(entry), path_and & entry, path_or | entry, raw >> shift))
+            index = (raw >> shift) & _INDEX_MASK
+            # A table below the root lies inside one root entry, so its
+            # addresses run on without the canonical hole.
+            count = 1
+            if depth and step == 1 << shift and not raw & (step - 1):
+                count = min(ENTRIES_PER_TABLE - index, (end - vaddr + step - 1) // step)
+            # In a run every address sits at the start of its entry's span.
+            frame_mask, offset = -1 << shift, raw & ((1 << shift) - 1)
+            first, paddrs = vaddr, []
+            for entry in read_run(table + index * 8, count):
+                try:                    # None: absent, or rejected by the ISA
+                    maps = classify(entry, level, vaddr) if entry & valid else None
+                except PageFaultError:
+                    maps = None
+                if maps is None:
+                    paddr = None
+                elif maps:
+                    paddr = address(entry) & frame_mask | offset
+                else:                   # a table: descend into it
+                    path.append((address(entry), raw >> shift))
+                    break
+                if paddrs and (paddr is None) is not (paddrs[0] is None):
+                    yield first, paddrs
+                    first, paddrs = vaddr, []
+                paddrs.append(paddr)
+                # An absent entry in a run skips just to the next entry.
+                # Any other fault hands the run over first: its skip may
+                # read the tables below, or land past the next address.
+                if paddr is None and (count == 1 or entry & valid):
+                    yield first, paddrs
+                    first, paddrs = vaddr + step, []
+                    raw = self._skip(levels[depth:], entry, raw, step)
+                else:
+                    raw += step
+                vaddr += step
+            if paddrs:
+                yield first, paddrs
 
     def _skip(self, levels: Tuple[Tuple[int, int], ...], entry: int, raw: int, step: int) -> int:
         """Where a walk goes on after faulting at ``entry``, the entry
@@ -411,9 +455,10 @@ class PageTableView:
     ``phys`` reads with ``read(paddr, length)`` and writes with
     ``write_vectored(iov)``: VMSH's remote accessor of the hypervisor,
     or the guest's own physical memory at boot.  :meth:`read_u64`,
-    :meth:`write_u64` and :meth:`write_run` are the callbacks the
-    arch's walker and builder take.  The first touch of a table page
-    copies it with one 4 KiB read; later entries decode from the copy.
+    :meth:`read_run`, :meth:`write_u64` and :meth:`write_run` are the
+    callbacks the arch's walker and builder take.  The first touch of a
+    table page copies it with one 4 KiB read; later entries decode from
+    the copy, a run of them with one struct call.
     Pages inside ``fresh`` (memory nothing has written yet: VMSH's
     just-mmapped reserve, or guest RAM the boot allocator has not
     handed out) are known to be zero and are never read.  Writes land
@@ -429,7 +474,7 @@ class PageTableView:
         self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
         self._before: Dict[int, int] = {}        # word paddr -> value before
         self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
-        self.walker = walker_factory(self.read_u64)
+        self.walker = walker_factory(self.read_u64, self.read_run)
 
     def _page(self, base: int) -> bytearray:
         page = self._pages.get(base)
@@ -444,6 +489,12 @@ class PageTableView:
     def read_u64(self, paddr: int) -> int:
         page = self._page(paddr & ~_PAGE_MASK)
         return _U64.unpack_from(page, paddr & _PAGE_MASK)[0]
+
+    def read_run(self, paddr: int, count: int) -> Tuple[int, ...]:
+        """The ``count`` consecutive words from ``paddr`` on, all in one
+        table page, decoded with one struct call."""
+        page = self._page(paddr & ~_PAGE_MASK)
+        return struct.unpack_from(f"<{count}Q", page, paddr & _PAGE_MASK)
 
     def write_u64(self, paddr: int, value: int) -> None:
         self.write_run(paddr, (value & 0xFFFFFFFFFFFFFFFF,))

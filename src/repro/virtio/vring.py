@@ -369,10 +369,6 @@ class DeviceRing:
                 return chain
             index = next_index
 
-    def push_used(self, head: int, written: int) -> None:
-        """Publish one completion: used element + index, one scattered write."""
-        self.push_used_batch([(head, written)])
-
     def push_used_batch(self, elems: Sequence[Tuple[int, int]]) -> bool:
         """Publish a batch of completions with one scattered write.
 

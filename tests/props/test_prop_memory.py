@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import X86_64
@@ -32,6 +33,52 @@ def test_physmem_matches_reference_bytearray(writes):
         start = max(0, addr - 8)
         length = min(len(data) + 16, MEM_SIZE - start)
         assert mem.read(start, length) == bytes(reference[start : start + length])
+
+
+@st.composite
+def sparse_reads(draw):
+    """Writes scattered over memory, and reads of 2-600 pages, of all
+    memory, or starting and ending mid-page."""
+    pages = MEM_SIZE // PAGE_SIZE
+    writes = draw(st.lists(
+        st.tuples(st.integers(0, MEM_SIZE - 1), st.binary(min_size=1, max_size=3 * PAGE_SIZE)),
+        max_size=12,
+    ))
+    reads = draw(st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, pages - 2), st.integers(2, 600)).map(
+                lambda r: (r[0] * PAGE_SIZE, min(r[1], pages - r[0]) * PAGE_SIZE)
+            ),
+            st.just((0, MEM_SIZE)),
+            st.tuples(st.integers(0, MEM_SIZE - 2), st.integers(2, 600 * PAGE_SIZE)).map(
+                lambda r: (r[0], min(r[1], MEM_SIZE - r[0]))
+            ),
+        ),
+        min_size=1, max_size=6,
+    ))
+    return writes, reads
+
+
+@given(case=sparse_reads())
+@settings(max_examples=60, deadline=None)
+def test_page_crossing_reads_match_the_dense_reference(case):
+    """A read across pages copies the materialized ones and zeros for
+    the rest: the bytes are the dense reference's, and the fault hook
+    sees the read once, as it is."""
+    writes, reads = case
+    mem = PhysicalMemory(MEM_SIZE)
+    reference = bytearray(MEM_SIZE)
+    for addr, data in writes:
+        data = data[: MEM_SIZE - addr]
+        mem.write(addr, data)
+        reference[addr : addr + len(data)] = data
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PhysicalMemory, "fault_check",
+                      lambda site, addr, length: seen.append((site, addr, length)))
+        for addr, length in reads:
+            assert mem.read(addr, length) == bytes(reference[addr : addr + length])
+    assert seen == [("physmem.read", addr, length) for addr, length in reads]
 
 
 @given(

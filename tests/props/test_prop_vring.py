@@ -50,7 +50,7 @@ def test_chains_roundtrip_in_order(batches):
                 for d in device.read_chain(head, table)
             ]
             assert read_back == list(published[head])
-            device.push_used(head, 1)
+            device.push_used_batch([(head, 1)])
         completed = dict(driver.collect_used())
         assert set(completed) == set(published)
     assert driver.free_descriptors == 64
@@ -74,6 +74,6 @@ def test_free_descriptor_accounting(sizes):
         assert driver.free_descriptors == 16 - outstanding
         if outstanding > 8:
             for head in device.pop_available():
-                device.push_used(head, 0)
+                device.push_used_batch([(head, 0)])
             driver.collect_used()
             outstanding = 0

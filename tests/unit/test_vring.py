@@ -67,7 +67,7 @@ def test_chain_roundtrip(rings):
         (0x10000, 100, False),
         (0x20000, 200, True),
     ]
-    device.push_used(head, 200)
+    device.push_used_batch([(head, 200)])
     completed = driver.collect_used()
     assert completed == [(head, 200)]
 
@@ -77,7 +77,7 @@ def test_descriptors_recycle(rings):
     for round_ in range(30):  # 30 rounds of 2-desc chains on an 8-deep queue
         head = driver.add_chain([(0x1000, 1, False), (0x2000, 1, True)])
         assert device.pop_available() == [head]
-        device.push_used(head, 0)
+        device.push_used_batch([(head, 0)])
         driver.collect_used()
     assert driver.free_descriptors == 8
 
@@ -118,7 +118,7 @@ def test_device_completion_of_unknown_head_rejected(rings):
     head = driver.add_chain([(0x1000, 1, False)])
     device.pop_available()
     wrong = (head + 3) % 8
-    device.push_used(wrong, 0)  # not the published head
+    device.push_used_batch([(wrong, 0)])  # not the published head
     with pytest.raises(VirtioError, match="unknown chain"):
         driver.collect_used()
 
@@ -133,7 +133,7 @@ def test_index_wraparound(rings):
     for _ in range(4):  # crosses the 0xFFFF -> 0 boundary
         head = driver.add_chain([(0x1000, 1, False)])
         assert device.pop_available() == [head]
-        device.push_used(head, 1)
+        device.push_used_batch([(head, 1)])
         assert driver.collect_used() == [(head, 1)]
 
 
