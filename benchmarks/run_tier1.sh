@@ -6,7 +6,8 @@
 # paper-experiment and arch-matrix benchmarks (whose reports must
 # regenerate byte-identical), the benchmark self-test, the perf gate,
 # the Perfetto export, the fuzz smoke, the CLI record/replay round
-# trips, the examples and the src/ line count.  Run from anywhere.
+# trips, the examples, the export digests (which must also come out
+# byte-identical) and the src/ line count.  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,9 +43,10 @@ VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
     tests/chaos/test_traffic_determinism.py \
     tests/chaos/test_driver_buffers.py
 
-# The next three legs rewrite the reports under benchmarks/results/;
-# each must come out byte-identical to the one it replaces (checked
-# after the arch-matrix leg).
+# The next three legs rewrite the reports under benchmarks/results/,
+# and the export leg near the end rewrites exports.txt there; each
+# must come out byte-identical to the one it replaces (checked after
+# the export leg).
 reports="$(mktemp -d)"
 cp benchmarks/results/*.txt "$reports/"
 
@@ -74,17 +76,6 @@ PYTHONPATH=src python -m pytest -q \
     tests/props/test_prop_walker_parity.py \
     tests/props/test_prop_walker_differential.py \
     benchmarks/test_e2_e3_generality.py
-
-changed=0
-for report in "$reports"/*.txt; do
-    name="benchmarks/results/$(basename "$report")"
-    if ! diff -u "$report" "$name"; then
-        echo "tier-1: $name did not regenerate byte-identical" >&2
-        changed=1
-    fi
-done
-[ "$changed" = 0 ]
-rm -rf "$reports"
 
 # Benchmark self-test: every workload of benchmarks/suite/run.py at
 # --smoke sizes, traced and untraced (~1 min).
@@ -119,8 +110,32 @@ PYTHONPATH=src python -m repro replay "$recordings/fleet.json"
 # The examples document the synchronous entry points (attach,
 # run_command, exec, invoke, debug_shell, watch): each must run clean.
 for example in examples/*.py; do
-    PYTHONPATH=src python "$example" > /dev/null
+    PYTHONPATH=src python "$example"
+done > "$recordings/examples.txt"
+
+# Export digests: "<name> <bytes> <sha256>" for the metrics dump, the
+# Perfetto trace above, the two CLI recordings and the examples'
+# concatenated stdout.  The check below then holds every export
+# byte-identical; a change that moves one on purpose commits the
+# regenerated file and says why.
+PYTHONPATH=src python -m repro metrics --format json > "$recordings/metrics.json"
+for export in "$recordings/metrics.json" benchmarks/results/fleet-trace.json \
+        "$recordings/traffic.json" "$recordings/fleet.json" \
+        "$recordings/examples.txt"; do
+    echo "$(basename "$export") $(wc -c < "$export" | tr -d ' ') $(sha256sum < "$export" | cut -d' ' -f1)"
+done > benchmarks/results/exports.txt
+rm -rf "$recordings"
+
+changed=0
+for report in "$reports"/*.txt; do
+    name="benchmarks/results/$(basename "$report")"
+    if ! diff -u "$report" "$name"; then
+        echo "tier-1: $name did not regenerate byte-identical" >&2
+        changed=1
+    fi
 done
+[ "$changed" = 0 ]
+rm -rf "$reports"
 
 # Source size, tracked like a benchmark: src/ lines of code, comment,
 # docstring and blank.

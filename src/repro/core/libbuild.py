@@ -33,6 +33,8 @@ VMSH_MMIO_BASE = 0xE0000000
 VMSH_MMIO_STRIDE = 0x1000
 
 STAGE2_GUEST_PATH = "/dev/.vmsh-stage2"
+#: what stage 2 spawns on the VMSH console, passed in its argv
+STAGE2_COMMAND = "/bin/sh"
 KERNEL_LIB_PROGRAM_ID = "vmsh-kernel-lib"
 STAGE2_PROGRAM_ID = "vmsh-stage2"
 
@@ -92,7 +94,6 @@ class LibraryPlan:
     """What the builder decided to generate."""
 
     version: KernelVersion
-    command: str
     container_pid: int
     reloc_names: List[str]
     #: the side-loaded devices, a prefix of :data:`VMSH_DEVICES`
@@ -115,7 +116,6 @@ class LibraryPlan:
 
 def plan_library(
     version: KernelVersion,
-    command: str = "/bin/sh",
     container_pid: int = 0,
     transport: str = "mmio",
     exec_device: bool = False,
@@ -125,7 +125,6 @@ def plan_library(
         raise ValueError(f"unknown virtio transport {transport!r}")
     return LibraryPlan(
         version=version,
-        command=command,
         container_pid=container_pid,
         reloc_names=list(REQUIRED_KERNEL_FUNCTIONS),
         devices=VMSH_DEVICES if exec_device else VMSH_DEVICES[:2],
@@ -140,7 +139,7 @@ def build_library(plan: LibraryPlan) -> bytes:
     stage2_argv = [
         STAGE2_GUEST_PATH,
         "--command",
-        plan.command,
+        STAGE2_COMMAND,
         "--container-pid",
         str(plan.container_pid),
     ]

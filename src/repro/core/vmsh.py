@@ -104,6 +104,10 @@ COPY_PATHS = {
     "staged": BytewiseRemoteAccessor,
 }
 
+#: virtual ns a retried attach sleeps before its first retry; each
+#: further retry doubles it
+RETRY_BACKOFF_NS = 100_000
+
 
 @dataclass
 class AttachReport:
@@ -329,7 +333,6 @@ class Vmsh:
         self,
         hypervisor_pid: int,
         mmio_mode: str = "auto",
-        command: str = "/bin/sh",
         container_pid: int = 0,
         image: Optional[bytes] = None,
         copy_path: str = "vectored",
@@ -338,7 +341,6 @@ class Vmsh:
         seccomp_aware: bool = False,
         retries: int = 0,
         deadline_ns: Optional[int] = None,
-        retry_backoff_ns: int = 100_000,
         event_idx: bool = True,
     ):
         """The attach pipeline as a generator; its result is the
@@ -365,7 +367,7 @@ class Vmsh:
 
         ``retries``: how many times to re-run the pipeline after a
         *transient* fault (each failed attempt is fully rolled back
-        first).  Retry N sleeps ``retry_backoff_ns << N`` on the
+        first).  Retry N sleeps ``RETRY_BACKOFF_NS << N`` on the
         simulated clock (a timed yield) — deterministic exponential
         backoff.  ``deadline_ns`` caps the total attach budget, backoff
         included; once exceeded the last transient error is re-raised.
@@ -388,7 +390,7 @@ class Vmsh:
             try:
                 try:
                     return (yield from self._attach_once_gen(
-                        hypervisor_pid, mmio_mode, command, container_pid,
+                        hypervisor_pid, mmio_mode, container_pid,
                         image, copy_path,
                         "mmio" if transport == "auto" else transport,
                         exec_device, seccomp_aware, event_idx,
@@ -399,13 +401,13 @@ class Vmsh:
                     # MSI-X-only irqchip: the failed mmio attempt has
                     # been rolled back, retry over PCI (§6.2 future work).
                     return (yield from self._attach_once_gen(
-                        hypervisor_pid, mmio_mode, command, container_pid,
+                        hypervisor_pid, mmio_mode, container_pid,
                         image, copy_path, "pci", exec_device,
                         seccomp_aware, event_idx,
                     ))
             except TransientFaultError as err:
                 # Deterministic exponential backoff, or re-raise.
-                backoff = retry_backoff_ns << attempt
+                backoff = RETRY_BACKOFF_NS << attempt
                 elapsed = self.host.clock.now - start_ns
                 if attempt >= retries or (
                     deadline_ns is not None and elapsed + backoff > deadline_ns
@@ -423,7 +425,6 @@ class Vmsh:
         self,
         hypervisor_pid: int,
         mmio_mode: str,
-        command: str,
         container_pid: int,
         image: Optional[bytes],
         copy_path: str,
@@ -458,7 +459,7 @@ class Vmsh:
         )
         try:
             session = yield from self._pipeline(
-                txn, hypervisor_pid, mmio_mode, command, container_pid,
+                txn, hypervisor_pid, mmio_mode, container_pid,
                 image, copy_path, transport, exec_device, seccomp_aware,
                 event_idx, attach_id,
             )
@@ -474,7 +475,6 @@ class Vmsh:
         txn: AttachTransaction,
         hypervisor_pid: int,
         mmio_mode: str,
-        command: str,
         container_pid: int,
         image: Optional[bytes],
         copy_path: str,
@@ -549,7 +549,7 @@ class Vmsh:
         txn.step("build_library")
         yield "build_library"
         plan = plan_library(
-            version, command=command, container_pid=container_pid,
+            version, container_pid=container_pid,
             transport=transport, exec_device=exec_device, arch=arch,
         )
         blob = build_library(plan)

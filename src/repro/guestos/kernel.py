@@ -47,11 +47,13 @@ from repro.guestos.vfs import (
 )
 from repro.kvm.api import GuestPhysMemory, VmFd
 from repro.kvm.vcpu import VcpuFd
-from repro.mem.layout import FIRST_USABLE_GPA
 from repro.mem.pagetable import PageTableView
 from repro.sideload import parse_blob
 from repro.sim.rng import stream
-from repro.units import PAGE_SIZE
+from repro.units import MiB, PAGE_SIZE
+
+#: the boot allocator's first page: it skips the legacy/BIOS hole
+FIRST_USABLE_GPA = 1 * MiB
 
 #: Registry of executable "programs": SELF program ids and userspace
 #: binary personalities.  Populated by repro.core (kernel library,

@@ -11,7 +11,6 @@ mount-point crossing) faithful enough for the xfstests suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -54,10 +53,7 @@ class Mount:
 class MountNamespace:
     """An ordered mount table; clones copy the table, not the FSs."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, mounts: Optional[List[Mount]] = None):
-        self.ns_id = next(MountNamespace._ids)
         self._mounts: List[Mount] = list(mounts or [])
 
     def clone(self) -> "MountNamespace":

@@ -11,12 +11,11 @@ per-thread seccomp filters).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import BadFileDescriptorError, HostError, MemoryError_
-from repro.mem.physmem import PhysicalMemory
+from repro.mem.physmem import LittleEndianWords, PhysicalMemory
 from repro.units import PAGE_SIZE, page_align_up
 
 
@@ -173,7 +172,7 @@ class Mapping:
         return self.start + self.size
 
 
-class AddressSpace:
+class AddressSpace(LittleEndianWords):
     """A process's virtual address space: a set of mappings.
 
     ``mmap`` places anonymous mappings at increasing addresses from a
@@ -218,12 +217,6 @@ class AddressSpace:
                 return
         raise MemoryError_(f"address {addr:#x} (+{len(data)}) is unmapped")
 
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
     def mappings(self) -> List[Mapping]:
         return list(self._mappings)
 
@@ -250,20 +243,16 @@ class Thread:
 
 
 class Process:
-    """A simulated host process."""
+    """A simulated host process.
 
-    # Fallback namespaces for processes built without a host kernel
-    # (unit tests); a HostKernel carries its own counters so that two
-    # identically-built hosts assign identical pids/tids — a
-    # prerequisite for replay-identical traces.
-    _pid_counter = itertools.count(1000)
-    # TIDs live in the same global namespace as on Linux: a thread id
-    # is unique host-wide, not per process.
-    _tid_counter = itertools.count(100_000)
+    Its pid and its threads' tids come from the counters of its
+    ``host`` kernel, so two identically-built hosts assign identical
+    ids, as replay-identical traces need.  As on Linux, a tid is unique
+    host-wide, not per process.
+    """
 
-    def __init__(self, name: str, host: Any = None, uid: int = 0):
-        pids = getattr(host, "pid_counter", None)
-        self.pid = next(pids if pids is not None else Process._pid_counter)
+    def __init__(self, name: str, host: Any, uid: int = 0):
+        self.pid = next(host.pid_counter)
         self.name = name
         self.host = host
         self.uid = uid
@@ -276,12 +265,7 @@ class Process:
         self.spawn_thread(name)  # the thread-group leader
 
     def spawn_thread(self, name: str) -> Thread:
-        tids = getattr(self.host, "tid_counter", None)
-        thread = Thread(
-            tid=next(tids if tids is not None else Process._tid_counter),
-            name=name,
-            process=self,
-        )
+        thread = Thread(tid=next(self.host.tid_counter), name=name, process=self)
         self.threads.append(thread)
         return thread
 

@@ -21,7 +21,6 @@ from repro.host.process import Process, Thread
 from repro.kvm.api import KvmSystem, VmFd
 from repro.kvm.exits import MmioExit
 from repro.kvm.vcpu import VcpuFd
-from repro.mem.layout import VIRTIO_MMIO_REGION_BASE
 from repro.sim.netfab import NetPort
 from repro.units import MiB, SECTOR_SIZE
 from repro.virtio.blk import RawDiskBackend, VirtioBlkDevice
@@ -30,6 +29,9 @@ from repro.virtio.mmio import VirtioMmioDevice
 from repro.virtio.net import VirtioNetDevice
 from repro.virtio.p9 import P9Filesystem
 
+#: the first virtio-mmio window, in a typical microVM MMIO region; each
+#: next device's window sits MMIO_WINDOW_STRIDE above
+VIRTIO_MMIO_REGION_BASE = 0xD0000000
 MMIO_WINDOW_STRIDE = 0x1000
 FIRST_DEVICE_GSI = 32
 

@@ -31,6 +31,7 @@ from repro.host.process import EventFd, FileObject, Process, SocketPair, Thread
 from repro.kvm.exits import MmioExit
 from repro.kvm.memslots import Memslot, MemslotTable
 from repro.kvm.vcpu import VcpuFd
+from repro.mem.physmem import LittleEndianWords
 
 
 @dataclass
@@ -466,7 +467,7 @@ class VmFd(FileObject):
         )
 
 
-class GuestPhysMemory:
+class GuestPhysMemory(LittleEndianWords):
     """Byte-addressable guest-physical memory, resolved through memslots.
 
     The guest kernel uses this as "the RAM bus"; accesses resolve
@@ -497,26 +498,3 @@ class GuestPhysMemory:
         for gpa, data in iov:
             self.write(gpa, data)
 
-    def read_u16(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 2), "little")
-
-    def read_u32(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 4), "little")
-
-    def read_u64(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 8), "little")
-
-    def read_i32(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 4), "little", signed=True)
-
-    def write_u16(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFF).to_bytes(2, "little"))
-
-    def write_u32(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
-    def write_i32(self, gpa: int, value: int) -> None:
-        self.write(gpa, value.to_bytes(4, "little", signed=True))

@@ -9,8 +9,11 @@ cannot cheat.
 
 x86-64, AArch64 (4 KiB granule) and RISC-V Sv39/Sv48 tables are the
 same radix tree: 4 KiB table pages of 512 eight-byte entries, indexed
-by nine virtual-address bits per level.  They differ only in what an
-entry means.  So one walker and one builder live here, and each ISA
+by nine virtual-address bits per level.  So a walk of N levels
+translates 12 + 9N address bits (48 for four levels, 39 for Sv39), and
+the bits above them must all equal the top one: any other address is
+non-canonical and faults.  The ISAs differ only in what an entry means.
+So one walker and one builder live here, and each ISA
 supplies an :class:`EntryFormat`: x86-64's below, AArch64's in
 :mod:`repro.mem.pagetable_arm64`, RISC-V's in
 :mod:`repro.mem.pagetable_riscv`.  Callers get the engine through
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFaultError
-from repro.mem.layout import CANONICAL_MASK, canonical, uncanonical
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 # PTE flag bits (Intel SDM Vol. 3, Table 4-19)
@@ -43,6 +45,18 @@ ENTRIES_PER_TABLE = 512
 _INDEX_MASK = ENTRIES_PER_TABLE - 1
 #: (level, index shift) from the root down; level 1 maps 4 KiB pages.
 FOUR_LEVELS = ((4, 39), (3, 30), (2, 21), (1, 12))
+
+
+def _raw(vaddr: int, levels: Sequence[Tuple[int, int]]) -> int:
+    """``vaddr`` without its sign extension, for a walk of ``levels``.
+
+    Raises :class:`PageFaultError` when a bit above the walk's width is
+    not a copy of its top bit, before any table is read.
+    """
+    bits = PAGE_SHIFT + 9 * len(levels)
+    if vaddr >> (bits - 1) not in (0, (1 << (65 - bits)) - 1):
+        raise PageFaultError(vaddr, "non-canonical address")
+    return vaddr & ((1 << bits) - 1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,8 @@ class EntryFormat:
     table_bits: int
 
     def walk_levels(self, root: int, vaddr: int) -> Tuple[Tuple[int, int], ...]:
-        """The (level, index shift) pairs a walk from ``root`` takes."""
+        """The (level, index shift) pairs a walk from ``root`` takes;
+        their count sets the walk's address width."""
         return FOUR_LEVELS
 
     def root_table(self, root: int) -> int:
@@ -128,7 +143,7 @@ class X86Format(EntryFormat):
 
     def classify(self, entry: int, level: int, vaddr: int) -> bool:
         if not entry & PTE_PRESENT:
-            raise PageFaultError(canonical(vaddr), f"not present at level {level}")
+            raise PageFaultError(vaddr, f"not present at level {level}")
         return level == 1 or self.superpage(entry, level)
 
     def superpage(self, entry: int, level: int) -> bool:
@@ -182,7 +197,7 @@ class PageTableWalker:
         """Translate ``vaddr`` using the tables rooted at ``root``."""
         fmt = self._fmt
         levels = fmt.walk_levels(root, vaddr)
-        raw = uncanonical(canonical(vaddr))
+        raw = _raw(vaddr, levels)
         table = fmt.root_table(root)
         path_and, path_or = -1, 0
         for level, shift in levels:
@@ -250,20 +265,23 @@ class PageTableWalker:
         :meth:`iter_present_range` and VMSH's KASLR scan
         (:mod:`repro.core.kaslr`) run on it.
         """
+        if start >= end:
+            return
         fmt = self._fmt
         read_run, valid, classify, address = self._read_run, fmt.valid, fmt.classify, fmt.address
-        # Count in raw 48-bit addresses, whose order canonical() keeps:
-        # a skip past the last top-level entry then lands on the top of
-        # the space and ends the walk instead of folding back to 0.
-        raw = uncanonical(canonical(start))
-        if canonical(raw) >= end:
-            return
-        levels = fmt.walk_levels(root, canonical(raw))
+        levels = fmt.walk_levels(root, start)
+        # Count in raw addresses of the walk's width, whose order the
+        # sign extension keeps: a start in the hole begins at the bottom
+        # of the upper half, and a skip past the last root entry lands
+        # on the top of the space and ends the walk.
+        size = 1 << (PAGE_SHIFT + 9 * len(levels))
+        half, extension = size >> 1, (1 << 64) - size
+        raw = start if start < half else max(start - extension, half)
         # (table, ``raw >> shift`` of the entry pointing at it) for each
         # table on the path
         path = [(fmt.root_table(root), 0)]
-        while raw <= CANONICAL_MASK:
-            vaddr = canonical(raw)
+        while raw < size:
+            vaddr = raw + extension if raw >= half else raw
             if vaddr >= end:
                 return
             depth = len(path) - 1
@@ -424,23 +442,25 @@ class PageTableBuilder:
         """The level-1 table on ``vaddr``'s walk, and ``vaddr``'s index
         in it.
 
-        A missing table on the way is allocated, or raises
-        :class:`PageFaultError` unless ``allocate``.  A superpage on the
-        way raises ``ValueError``: its frame is data, not a table.
+        A non-canonical ``vaddr`` raises :class:`PageFaultError`, and so
+        does a missing table on the way unless ``allocate``, which
+        allocates it.  A superpage on the way raises ``ValueError``: its
+        frame is data, not a table.
         """
         fmt = self._fmt
-        raw = uncanonical(canonical(vaddr))
+        levels = fmt.walk_levels(root, vaddr)
+        raw = _raw(vaddr, levels)
         table = fmt.root_table(root)
-        for level, shift in fmt.walk_levels(root, vaddr)[:-1]:
+        for level, shift in levels[:-1]:
             entry_addr = table + ((raw >> shift) & _INDEX_MASK) * 8
             entry = self._read_u64(entry_addr)
             if not entry & fmt.valid:
                 if not allocate:
-                    raise PageFaultError(canonical(vaddr), "unmap of absent mapping")
+                    raise PageFaultError(vaddr, "unmap of absent mapping")
                 entry = fmt.encode(self._alloc_table()) | fmt.table_bits
                 self._write_u64(entry_addr, entry)
             elif fmt.superpage(entry, level):
-                raise ValueError(f"cannot split superpage mapping at {canonical(vaddr):#x}")
+                raise ValueError(f"cannot split superpage mapping at {vaddr:#x}")
             table = fmt.address(entry)
         return table, (raw >> PAGE_SHIFT) & _INDEX_MASK
 

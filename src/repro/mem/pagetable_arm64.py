@@ -5,6 +5,10 @@ is a table descriptor and 0b01 a block mapping; at level 3, 0b11 is a
 page descriptor.  Output address lives in bits 47:12, the Access Flag
 in bit 10, AP[2] (read-only) in bit 7, UXN/PXN in bits 54/53.
 
+One root serves both TTBR halves: L0 entries 0-255 map the low half
+and 256-511 the high half, so an address is 48 bits, sign-extended
+from bit 47, as on x86-64.
+
 The walker and builder are the ones in :mod:`repro.mem.pagetable`;
 this module supplies the format they run over.
 """
@@ -14,7 +18,6 @@ from __future__ import annotations
 from typing import FrozenSet
 
 from repro.errors import PageFaultError
-from repro.mem.layout import canonical
 from repro.mem.pagetable import EntryFormat, Translation
 
 DESC_VALID = 0b1
@@ -39,15 +42,15 @@ class Arm64Format(EntryFormat):
 
     def classify(self, entry: int, level: int, vaddr: int) -> bool:
         if not entry & DESC_VALID:
-            raise PageFaultError(canonical(vaddr), f"translation fault level {4 - level}")
+            raise PageFaultError(vaddr, f"translation fault level {4 - level}")
         if (entry & 0b11) == DESC_TABLE_OR_PAGE:
             if level > 1:
                 return False
         elif level in (1, 4):
             # A block descriptor where the granule allows none (L0, L3).
-            raise PageFaultError(canonical(vaddr), f"invalid L{4 - level} descriptor")
+            raise PageFaultError(vaddr, f"invalid L{4 - level} descriptor")
         if not entry & ATTR_AF:
-            raise PageFaultError(canonical(vaddr), "access flag fault")
+            raise PageFaultError(vaddr, "access flag fault")
         return True
 
     def superpage(self, entry: int, level: int) -> bool:

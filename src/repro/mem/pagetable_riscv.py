@@ -9,8 +9,9 @@ pointer to the next-level table; any of R/W/X set makes it a leaf, at
 (1 GiB, level 3) are expressed.  A leaf above the last level whose
 lower PPN bits are nonzero is a misaligned superpage and faults.
 
-Sv39 is a three-level walk indexed by VPN[2:0] (shifts 30/21/12);
-Sv48 adds a fourth level (shift 39).  The paging mode is not a
+Sv39 is a three-level walk indexed by VPN[2:0] (shifts 30/21/12), so
+its virtual addresses are 39 bits, sign-extended from bit 38; Sv48 adds
+a fourth level (shift 39) and is 48 bits wide.  The paging mode is not a
 property of the tables but of the ``satp`` CSR: MODE lives in
 bits 63:60 (8 = Sv39, 9 = Sv48) and the root-table PPN in bits 43:0.
 The format therefore takes the *satp value* — not a bare root paddr —
@@ -24,7 +25,6 @@ from __future__ import annotations
 from typing import FrozenSet, Tuple
 
 from repro.errors import PageFaultError
-from repro.mem.layout import canonical
 from repro.mem.pagetable import FOUR_LEVELS, EntryFormat, Translation
 from repro.units import PAGE_SHIFT
 
@@ -77,7 +77,7 @@ class RiscvFormat(EntryFormat):
             return SV39_LEVELS
         if mode == SATP_MODE_SV48:
             return SV48_LEVELS
-        raise PageFaultError(canonical(vaddr), f"satp MODE {mode} is not Sv39/Sv48")
+        raise PageFaultError(vaddr, f"satp MODE {mode} is not Sv39/Sv48")
 
     def root_table(self, satp: int) -> int:
         return (satp & SATP_PPN_MASK) << PAGE_SHIFT
@@ -89,19 +89,17 @@ class RiscvFormat(EntryFormat):
 
     def classify(self, entry: int, level: int, vaddr: int) -> bool:
         if not entry & PTE_V:
-            raise PageFaultError(canonical(vaddr), f"not valid at level {level}")
+            raise PageFaultError(vaddr, f"not valid at level {level}")
         if entry & PTE_W and not entry & PTE_R:
-            raise PageFaultError(canonical(vaddr), "reserved W-without-R encoding")
+            raise PageFaultError(vaddr, "reserved W-without-R encoding")
         if not entry & (PTE_R | PTE_X):
             if level > 1:
                 return False
-            raise PageFaultError(canonical(vaddr), "pointer PTE at the last level")
+            raise PageFaultError(vaddr, "pointer PTE at the last level")
         if not entry & PTE_A:
-            raise PageFaultError(canonical(vaddr), "accessed-bit fault")
+            raise PageFaultError(vaddr, "accessed-bit fault")
         if _pte_paddr(entry) & ((1 << (PAGE_SHIFT + 9 * (level - 1))) - 1):
-            raise PageFaultError(
-                canonical(vaddr), f"misaligned superpage at level {level}"
-            )
+            raise PageFaultError(vaddr, f"misaligned superpage at level {level}")
         return True
 
     def superpage(self, entry: int, level: int) -> bool:

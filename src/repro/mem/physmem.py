@@ -34,7 +34,37 @@ def _zeros(length: int) -> List[memoryview]:
     return [_ZEROS[: min(step, length - start)] for start in range(0, length, step)]
 
 
-class PhysicalMemory:
+class LittleEndianWords:
+    """Little-endian word access for anything with ``read(addr,
+    length)`` and ``write(addr, data)``: each helper is one such access
+    plus an int conversion, so it charges what that access charges."""
+
+    def read_u16(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 2), "little")
+
+    def read_u32(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 4), "little")
+
+    def read_u64(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def read_i32(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 4), "little", signed=True)
+
+    def write_u16(self, addr: int, value: int) -> None:
+        self.write(addr, (value & 0xFFFF).to_bytes(2, "little"))
+
+    def write_u32(self, addr: int, value: int) -> None:
+        self.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
+
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write(addr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+
+    def write_i32(self, addr: int, value: int) -> None:
+        self.write(addr, value.to_bytes(4, "little", signed=True))
+
+
+class PhysicalMemory(LittleEndianWords):
     """A sparse, bounds-checked byte-addressable physical memory."""
 
     #: chaos hook consulted before every access (``physmem.read`` /
@@ -123,32 +153,6 @@ class PhysicalMemory:
                 page = pages[index] = bytearray(PAGE_SIZE)
             page[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
-
-    # -- word access (little-endian, matching x86) -------------------------------
-
-    def read_u16(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 2), "little")
-
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def read_i32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little", signed=True)
-
-    def write_u16(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFF).to_bytes(2, "little"))
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
-    def write_i32(self, addr: int, value: int) -> None:
-        self.write(addr, value.to_bytes(4, "little", signed=True))
 
     # -- introspection --------------------------------------------------------------
 

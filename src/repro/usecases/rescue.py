@@ -45,9 +45,7 @@ class RescueService:
         guest = hypervisor.guest
         processes_before = len(guest.processes.alive())
 
-        session = self.vmsh.attach(
-            hypervisor.pid, image=build_rescue_image(), command="/bin/sh"
-        )
+        session = self.vmsh.attach(hypervisor.pid, image=build_rescue_image())
         try:
             result = session.console.run_command(f"chpasswd {user}:{new_password}")
             shadow = session.console.run_command("cat /var/lib/vmsh/etc/shadow")

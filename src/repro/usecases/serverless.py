@@ -410,7 +410,6 @@ class ServerlessDebugger:
             session = yield from self.vmsh.attach_task(
                 instance.hypervisor.pid,
                 image=build_serverless_debug_image(),
-                command="/bin/sh",
                 **attach_kwargs,
             )
         except BaseException:

@@ -39,6 +39,7 @@ from repro.errors import VmshError
 from repro.host.kernel import HostKernel
 from repro.host.process import Thread
 from repro.kvm.api import GuestPhysMemory
+from repro.mem.physmem import LittleEndianWords
 from repro.sim.costs import CostModel
 
 # Linux caps one process_vm_readv/writev call at UIO_MAXIOV segments.
@@ -129,7 +130,7 @@ class AccessorStats:
         return self.as_dict() == other.as_dict()
 
 
-class GuestMemoryAccessor:
+class GuestMemoryAccessor(LittleEndianWords):
     """Abstract gpa-addressed accessor used by device backends."""
 
     def __init__(self) -> None:
@@ -168,26 +169,6 @@ class GuestMemoryAccessor:
         """Write every ``(gpa, data)`` segment."""
         for gpa, data in iov:
             self.write(gpa, data)
-
-    # Struct helpers ----------------------------------------------------------
-
-    def read_u16(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 2), "little")
-
-    def read_u32(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 4), "little")
-
-    def read_u64(self, gpa: int) -> int:
-        return int.from_bytes(self.read(gpa, 8), "little")
-
-    def write_u16(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFF).to_bytes(2, "little"))
-
-    def write_u32(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, gpa: int, value: int) -> None:
-        self.write(gpa, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
 
 
 class InProcessAccessor(GuestMemoryAccessor):

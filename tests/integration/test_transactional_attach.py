@@ -127,7 +127,7 @@ def test_retry_backoff_is_exponential_on_the_sim_clock():
         [FaultSpec(site="attach.discover", occurrence=1, count=2)]
     )
     with tb.host.faults.plan(plan):
-        session = tb.vmsh().attach(hv.pid, retries=3, retry_backoff_ns=100_000)
+        session = tb.vmsh().attach(hv.pid, retries=3)
     retries = tb.obs.spans.find("attach.retry")
     assert [e.attrs["backoff_ns"] for e in retries] == [100_000, 200_000]
     assert [e.attrs["attempt"] for e in retries] == [1, 2]

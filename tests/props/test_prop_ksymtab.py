@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import X86_64
 from repro.core import ksymtab
 from repro.core.kaslr import KernelLocation
 from repro.core.ksymtab import (
@@ -27,10 +28,10 @@ from repro.errors import SideloadError
 from repro.guestos.loader import KERNEL_IMAGE_SIZE, build_kernel_image
 from repro.guestos.symbols import ENTRY_SIZES, build_symbol_sections
 from repro.guestos.version import KernelVersion
-from repro.mem.layout import KERNEL_TEXT_BASE
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB
 
+KERNEL_TEXT_BASE = X86_64.kernel_text_base
 IMAGE_SIZE = 2 * MiB
 identifier = st.text(alphabet=string.ascii_lowercase + "_", min_size=2, max_size=20)
 

@@ -6,9 +6,12 @@ The reference below is the builder as it was before: a loop of
 ``map_page`` calls, each descending from the root and writing one word.
 On every arch configuration, for ranges of 1–1,500 pages that cross
 leaf- and upper-table boundaries (arm64's KASLR window starts 256 MiB
-into a 1 GiB entry), both must leave guest memory byte-identical,
-allocate the same table pages in the same order, flush the same runs,
-and raise the same error on misaligned input or a superpage in the way.
+into a 1 GiB entry) or run into Sv39's non-canonical hole, both must
+leave guest memory byte-identical, allocate the same table pages in the
+same order, flush the same runs, and raise the same error on misaligned
+input, a superpage in the way or a non-canonical address.  The
+reference keeps the 48-bit sign-extension helpers the builder read, and
+checks the address width of the walk (12 + 9 bits per level) first.
 
 Two structural checks pin what the change is for: mapping one aligned
 leaf table's 512 pages reads at most one entry per upper level, and the
@@ -29,7 +32,6 @@ from repro.core.kaslr import KernelLocation, find_kernel
 from repro.errors import PageFaultError
 from repro.host.ebpf import MemslotRecord
 from repro.host.kernel import HostKernel
-from repro.mem.layout import canonical, uncanonical
 from repro.mem.pagetable import PTE_PRESENT, PTE_PSE, PageTableView
 from repro.mem.pagetable_arm64 import ATTR_AF, DESC_BLOCK
 from repro.mem.pagetable_riscv import PTE_A, PTE_R, PTE_V
@@ -43,11 +45,30 @@ FRAME_BASE = 64 * MiB
 
 # -- the reference: the per-page builder as it was ----------------------------------
 
+CANONICAL_MASK = (1 << 48) - 1
+
+
+def canonical(vaddr):
+    """Sign-extend a 48-bit virtual address to 64 bits."""
+    vaddr &= CANONICAL_MASK
+    if vaddr & (1 << 47):
+        vaddr |= ~CANONICAL_MASK & 0xFFFFFFFFFFFFFFFF
+    return vaddr
+
+
+def uncanonical(vaddr):
+    """Strip the sign extension, returning the raw 48-bit address."""
+    return vaddr & CANONICAL_MASK
+
+
 def _reference_map_page(fmt, read_u64, write_u64, alloc, root, vaddr, paddr,
                         writable=True, nx=False):
     if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
         raise ValueError("mappings must be page aligned")
     levels = fmt.walk_levels(root, vaddr)
+    bits = 12 + 9 * len(levels)
+    if vaddr >> (bits - 1) not in (0, (1 << (65 - bits)) - 1):
+        raise PageFaultError(vaddr, "non-canonical address")
     raw = uncanonical(canonical(vaddr))
     table = fmt.root_table(root)
     for level, shift in levels[:-1]:
@@ -132,7 +153,7 @@ def _outcome(fn):
     try:
         fn()
         return "ok"
-    except ValueError as exc:
+    except (ValueError, PageFaultError) as exc:
         return str(exc)
 
 
@@ -164,9 +185,9 @@ def _pde_paddr(guest, vaddr):
 
 #: where ranges start, give or take 1,500 pages: the KASLR window's
 #: base (arm64's sits 256 MiB into a 1 GiB entry), a 1 GiB boundary,
-#: and 512 GiB, a top-level boundary of a four-level table, where Sv39
-#: folds back to 0
-ANCHORS = st.sampled_from(["window", "1g", "512g"])
+#: 256 GiB, the top of Sv39's lower half, and 512 GiB, a top-level
+#: boundary of a four-level table and inside Sv39's hole
+ANCHORS = st.sampled_from(["window", "1g", "256g", "512g"])
 
 
 @st.composite
@@ -176,6 +197,7 @@ def ranges(draw):
     base = {
         "window": arch.kernel_text_base,
         "1g": arch.kernel_text_base - arch.kernel_text_base % GiB + GiB,
+        "256g": 256 * GiB,
         "512g": 512 * GiB,
     }[anchor]
     calls = draw(st.lists(
@@ -198,8 +220,9 @@ def test_map_range_matches_the_per_page_builder(case):
     for first, pages, writable, nx, frame in calls:
         args = (base + first * PAGE_SIZE, FRAME_BASE + frame * PAGE_SIZE,
                 pages * PAGE_SIZE - PAGE_SIZE // 2, writable, nx)
-        new.map_range(*args)
-        ref.reference_map_range(*args)
+        assert _outcome(lambda: new.map_range(*args)) == _outcome(
+            lambda: ref.reference_map_range(*args)
+        )
     assert new.state() == ref.state()
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import X86_64
-from repro.mem.layout import KERNEL_TEXT_BASE, canonical
+from repro.errors import PageFaultError
 from repro.mem.physmem import PhysicalMemory
 from repro.units import MiB, PAGE_SIZE
+
+KERNEL_TEXT_BASE = X86_64.kernel_text_base
 
 MEM_SIZE = 4 * MiB
 
@@ -132,7 +134,18 @@ def test_pagetable_translations_match_mappings(mappings):
 
 @given(vaddr=st.integers(min_value=0, max_value=(1 << 64) - 1))
 def test_canonicalisation_idempotent(vaddr):
-    assert canonical(canonical(vaddr)) == canonical(vaddr)
+    """A walk canonicalises by the identity, which is idempotent: it
+    takes the address it is given as it is.  A canonical one (bits
+    63-47 all equal) faults as unmapped on an empty table, any other as
+    non-canonical, and either fault names that address."""
+    mem = PhysicalMemory(1 * MiB)
+    walker = X86_64.walker(mem.read_u64)
+    with pytest.raises(PageFaultError) as fault:
+        walker.translate(0, vaddr)
+    assert fault.value.vaddr == vaddr
+    assert (fault.value.reason == "non-canonical address") is (
+        vaddr >> 47 not in (0, (1 << 17) - 1)
+    )
 
 
 # -- gateway: virtual round-trips across page & memslot boundaries -------------

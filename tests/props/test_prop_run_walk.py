@@ -31,7 +31,6 @@ from repro.core.kaslr import KernelLocation, find_kernel
 from repro.errors import KernelNotFoundError, PageFaultError, ReproError
 from repro.host.ebpf import MemslotRecord
 from repro.host.kernel import HostKernel
-from repro.mem.layout import CANONICAL_MASK, canonical, uncanonical
 from repro.mem.pagetable import PTE_ACCESSED, PTE_PRESENT, PTE_PSE, PTE_WRITABLE
 from repro.mem.pagetable_arm64 import ATTR_AF, DESC_BLOCK, DESC_TABLE_OR_PAGE
 from repro.mem.pagetable_riscv import PTE_A, PTE_R, PTE_V, PTE_W, PTE_X
@@ -44,6 +43,19 @@ MAX_IMAGE_SIZE = 64 * MiB   # find_kernel's default end-scan bound
 
 
 # -- the reference: the per-address walk as it was ----------------------------------
+
+def canonical(raw, bits=48):
+    """Sign-extend a ``bits``-wide virtual address to 64 bits."""
+    raw &= (1 << bits) - 1
+    if raw >> (bits - 1):
+        raw |= (1 << 64) - (1 << bits)
+    return raw
+
+
+def uncanonical(vaddr, bits=48):
+    """Strip the sign extension, returning the raw ``bits``-wide address."""
+    return vaddr & ((1 << bits) - 1)
+
 
 def _reference_skip(fmt, read, levels, entry, raw, step):
     for depth, (level, shift) in enumerate(levels):
@@ -58,14 +70,17 @@ def _reference_skip(fmt, read, levels, entry, raw, step):
 
 
 def _reference_walk_range(fmt, read, root, start, end, step):
-    """Yields ``(vaddr, paddr or None)`` for each address it decides."""
-    raw = uncanonical(canonical(start))
-    if canonical(raw) >= end:
+    """Yields ``(vaddr, paddr or None)`` for each address it decides,
+    counting in raw addresses of the walk's width, 12 + 9 bits per
+    level."""
+    levels = fmt.walk_levels(root, start)
+    bits = 12 + 9 * len(levels)
+    raw = uncanonical(start, bits)
+    if canonical(raw, bits) >= end:
         return
-    levels = fmt.walk_levels(root, canonical(raw))
     path = [(fmt.root_table(root), 0)]
-    while raw <= CANONICAL_MASK:
-        vaddr = canonical(raw)
+    while raw < 1 << bits:
+        vaddr = canonical(raw, bits)
         if vaddr >= end:
             return
         depth = len(path) - 1
@@ -230,7 +245,7 @@ class _Guest:
         """Where the entry at ``level`` on ``vaddr``'s walk lives, if
         the walk gets there through table pointers inside RAM."""
         fmt = arch.pt_format
-        raw = uncanonical(canonical(vaddr))
+        raw = uncanonical(vaddr)
         table = fmt.root_table(self.root)
         for at, shift in fmt.walk_levels(self.root, vaddr):
             entry_paddr = table + ((raw >> shift) & 511) * 8
@@ -365,22 +380,24 @@ def test_a_rejected_entry_in_a_run_is_skipped_as_before(arch, slot, before):
     assert got[1][2].index(named) == len(arch.pt_format.walk_levels(guest.root, vaddr)) - 1
 
 
-@pytest.mark.parametrize("arch", [X86_64, ARM64, RISCV64_SV48], ids=lambda a: a.name)
+@pytest.mark.parametrize("arch", ALL_ARCHES, ids=lambda a: a.name)
 def test_runs_stop_at_the_canonical_hole(arch):
-    """Four-level root entries 255 and 256 sit either side of the
-    canonical hole, so a step of one root entry walks the root a word
-    at a time: the walk ends at ``end`` as the per-address one does."""
+    """Root entries 255 and 256 sit either side of the canonical hole
+    (an entry of a four-level root spans 512 GiB, of Sv39's 1 GiB), so
+    a step of one root entry walks the root a word at a time: the walk
+    ends at ``end`` as the per-address one does."""
     mem = PhysicalMemory(RAM)
     tables = itertools.count(PAGE_SIZE, PAGE_SIZE)
     builder = arch.builder(mem.read_u64, mem.write_u64, lambda: next(tables))
     root = arch.encode_pt_root(builder.new_root())
     builder.map_page(root, 0x1000, 0x200000)
-    step = 512 * GiB
-    start, end = canonical(254 * step), canonical(257 * step)
+    bits = 12 + 9 * len(arch.pt_format.walk_levels(root, 0))
+    step = 1 << (bits - 9)
+    start, end = canonical(254 * step, bits), canonical(257 * step, bits)
     got = [
         (vaddr + offset * step, paddr)
         for vaddr, paddrs in arch.walker(mem.read_u64).walk_range(root, start, end, step)
         for offset, paddr in enumerate(paddrs)
     ]
     want = list(_reference_walk_range(arch.pt_format, mem.read_u64, root, start, end, step))
-    assert got == want == [(canonical(index * step), None) for index in (254, 255, 256)]
+    assert got == want == [(canonical(index * step, bits), None) for index in (254, 255, 256)]

@@ -5,7 +5,11 @@ compared with the per-ISA walkers it replaced, not assumed equal to
 them ("On the Impossibility of a Perfect Hypervisor").  The reference
 below is those three walkers, verbatim: x86-64 (``PageTableWalker``),
 AArch64 (``Arm64PageTableWalker``) and RISC-V Sv39/Sv48
-(``RiscvPageTableWalker``), with the constants they read.
+(``RiscvPageTableWalker``), with the constants and the 48-bit
+sign-extension helpers they read.  Those helpers fold an address that
+is not canonical for its walk onto a canonical one, where the engine
+faults (``test_prop_address_width.py`` checks that against the specs),
+so every probe here is canonical: Sv39's sit below 2**38.
 
 Table pages are filled with random words.  Along the probes' index
 path each level's word is biased toward a table pointer, a leaf, or an
@@ -27,11 +31,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import ARM64, RISCV64, RISCV64_SV48, X86_64
 from repro.errors import PageFaultError
-from repro.mem.layout import canonical, uncanonical
 from repro.mem.pagetable import Translation
 from repro.units import GiB, MiB, PAGE_SHIFT, PAGE_SIZE
 
 # -- the reference: the per-ISA walkers as they were ------------------------------
+
+CANONICAL_MASK = (1 << 48) - 1
+
+
+def canonical(vaddr: int) -> int:
+    """Sign-extend a 48-bit virtual address to 64 bits."""
+    vaddr &= CANONICAL_MASK
+    if vaddr & (1 << 47):
+        vaddr |= ~CANONICAL_MASK & 0xFFFFFFFFFFFFFFFF
+    return vaddr
+
+
+def uncanonical(vaddr: int) -> int:
+    """Strip the sign extension, returning the raw 48-bit address."""
+    return vaddr & CANONICAL_MASK
+
 
 # x86-64 (Intel SDM Vol. 3, Table 4-19)
 PTE_PRESENT = 1 << 0
@@ -377,8 +396,11 @@ TABLE_PAGES = 6
 TABLE_BASE = 16 * PAGE_SIZE       # table page k sits at TABLE_BASE + k * 4K
 #: probes sit near this address.  Its index is below 511 at every level,
 #: so a skip past an absent entry never runs off the top of the address
-#: space (where both walkers fold 2**48 back to address 0).
+#: space (where the walkers above fold 2**48 back to address 0).
 VBASE = canonical((300 << 39) | (200 << 30) | (100 << 21) | (50 << 12))
+#: Sv39's probes sit near VBASE without its bits 38 and up: bit 38 is 0,
+#: so that address is Sv39-canonical and has the same indices (200/100/50)
+SV39_VBASE = VBASE & ((1 << 38) - 1)
 
 HIGH_BITS = (0, 1 << 63, 3 << 53, (1 << 63) | (3 << 53))
 
@@ -489,9 +511,10 @@ def hostile(draw):
         root = TABLE_BASE | noise | draw(st.sampled_from([0, 0xABC << 52]))
     else:
         root = (mode << 60) | (noise << 44) | (TABLE_BASE >> PAGE_SHIFT)
-    probes = [VBASE + page * PAGE_SIZE + byte for page, byte in draw(PROBES)]
+    base = SV39_VBASE if mode == SATP_MODE_SV39 else VBASE
+    probes = [base + page * PAGE_SIZE + byte for page, byte in draw(PROBES)]
     offset, span, step = draw(RANGES)
-    return config, pages, root, probes, (VBASE + offset, VBASE + offset + span, step)
+    return config, pages, root, probes, (base + offset, base + offset + span, step)
 
 
 def _memory(pages):

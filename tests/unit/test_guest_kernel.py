@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.arch import X86_64
 from repro.errors import GuestError, GuestPanicError
 from repro.guestos.kernel import GuestKernel
 from repro.guestos.kfunctions import PosRef
 from repro.guestos.loader import KERNEL_IMAGE_SIZE
 from repro.guestos.version import KernelVersion
 from repro.guestos.vfs import O_CREAT, O_RDWR
-from repro.mem.layout import KERNEL_TEXT_BASE, KERNEL_TEXT_RANGE
 from repro.mem.physmem import PhysicalMemory
 from repro.testbed import Testbed
 from repro.units import PAGE_SIZE
@@ -23,7 +23,8 @@ def guest():
 
 def test_boot_places_kernel_in_kaslr_range(guest):
     image = guest.image
-    assert KERNEL_TEXT_BASE <= image.vbase < KERNEL_TEXT_BASE + KERNEL_TEXT_RANGE
+    base = X86_64.kernel_text_base
+    assert base <= image.vbase < base + X86_64.kernel_text_range
     assert image.vbase % (2 * 1024 * 1024) == 0
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.arch import ARM64, RISCV64, RISCV64_SV48, X86_64
 from repro.errors import PageFaultError
-from repro.mem.layout import canonical, kaslr_slot_to_vaddr
 from repro.mem.pagetable import (
     PTE_ADDR_MASK,
     PTE_NX,
@@ -60,7 +59,7 @@ def test_unmapped_address_faults(env):
 
 def test_map_range_contiguous(env):
     _, builder, walker, cr3 = env
-    base = kaslr_slot_to_vaddr(3)
+    base = X86_64.kaslr_slot_to_vaddr(3)
     builder.map_range(cr3, base, 0x400000, 10 * PAGE_SIZE)
     for i in range(10):
         assert walker.translate(cr3, base + i * PAGE_SIZE).paddr == 0x400000 + i * PAGE_SIZE
@@ -83,7 +82,7 @@ def test_nx_and_readonly_flags(env):
 
 def test_unmap_page(env):
     _, builder, walker, cr3 = env
-    vaddr = kaslr_slot_to_vaddr(1)
+    vaddr = X86_64.kaslr_slot_to_vaddr(1)
     builder.map_page(cr3, vaddr, 0x300000)
     assert walker.is_mapped(cr3, vaddr)
     builder.unmap_page(cr3, vaddr)
@@ -93,7 +92,7 @@ def test_unmap_page(env):
 def test_unmap_absent_raises(env):
     _, builder, _, cr3 = env
     with pytest.raises(PageFaultError):
-        builder.unmap_page(cr3, kaslr_slot_to_vaddr(2))
+        builder.unmap_page(cr3, X86_64.kaslr_slot_to_vaddr(2))
 
 
 #: a level-2 entry's flags that make it map a 2 MiB superpage
@@ -145,8 +144,8 @@ def test_misaligned_mapping_rejected(env):
 
 def test_iter_present_range_finds_islands(env):
     _, builder, walker, cr3 = env
-    base_a = kaslr_slot_to_vaddr(5)
-    base_b = kaslr_slot_to_vaddr(200)
+    base_a = X86_64.kaslr_slot_to_vaddr(5)
+    base_b = X86_64.kaslr_slot_to_vaddr(200)
     builder.map_range(cr3, base_a, 0x500000, 2 * PAGE_SIZE)
     builder.map_range(cr3, base_b, 0x600000, PAGE_SIZE)
     found = [
@@ -215,6 +214,17 @@ def test_translation_shares_intermediate_tables(env):
     assert mid - before == 3  # PDPT + PD + PT
 
 
-def test_canonical_roundtrip():
-    assert canonical(0xFFFF_8000_0000_0000 & ((1 << 48) - 1)) == 0xFFFF_8000_0000_0000
-    assert canonical(0x0000_7FFF_FFFF_FFFF) == 0x7FFF_FFFF_FFFF
+def test_canonical_roundtrip(env):
+    """The last page below the hole and the first above it translate.
+    The upper one's raw 48-bit form, the lower one with bit 48 set and
+    an address with only bits 63-48 set fault as non-canonical, naming
+    the address given, instead of folding onto a canonical page."""
+    _, builder, walker, cr3 = env
+    edges = (0x0000_7FFF_FFFF_F000, 0xFFFF_8000_0000_0000)
+    for frame, vaddr in enumerate(edges, start=2):
+        builder.map_page(cr3, vaddr, frame * MiB)
+        assert walker.translate(cr3, vaddr + 5).paddr == frame * MiB + 5
+    for vaddr in (0x0000_8000_0000_0000, 0x0001_7FFF_FFFF_F000, 0xFFFF_0000_0000_0000):
+        with pytest.raises(PageFaultError, match="non-canonical") as fault:
+            walker.translate(cr3, vaddr)
+        assert fault.value.vaddr == vaddr

@@ -23,7 +23,6 @@ import pytest
 from repro.core.snapshot import _environment_of, _rebind_clone
 from repro.guestos.fs import Filesystem
 from repro.guestos.process import GuestProcess
-from repro.guestos.vfs import MountNamespace
 from repro.obs.metrics import MetricsRegistry
 from repro.testbed import Testbed
 from repro.virtio.net import BROADCAST_MAC, make_frame
@@ -35,8 +34,7 @@ _VALUES = (type(None), bool, int, float, complex, str, bytes, range)
 
 #: process-wide id counters, which a testbed's seed does not reach:
 #: restarted for each run so that both testbeds number alike
-_GLOBAL_COUNTERS = ((MountNamespace, "_ids", 1), (Filesystem, "_fs_ids", 1),
-                    (GuestProcess, "_pid_counter", 2))
+_GLOBAL_COUNTERS = ((Filesystem, "_fs_ids", 1), (GuestProcess, "_pid_counter", 2))
 
 #: what both mechanisms keep by reference (``copy.deepcopy``'s atoms),
 #: and the read-only overlay image a session's blk backend shares, which
