@@ -6,8 +6,8 @@
 # paper-experiment and arch-matrix benchmarks (whose reports must
 # regenerate byte-identical), the benchmark self-test, the perf gate,
 # the Perfetto export, the fuzz smoke, the CLI record/replay round
-# trips, the examples, the export digests (which must also come out
-# byte-identical) and the src/ line count.  Run from anywhere.
+# trips, the examples, the export digests and the src/ line count
+# (which must also come out byte-identical).  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,9 +44,9 @@ VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
     tests/chaos/test_driver_buffers.py
 
 # The next three legs rewrite the reports under benchmarks/results/,
-# and the export leg near the end rewrites exports.txt there; each
-# must come out byte-identical to the one it replaces (checked after
-# the export leg).
+# and the export and line-count legs near the end rewrite exports.txt
+# and src_lines.txt there; each must come out byte-identical to the
+# one it replaces (checked after the line count).
 reports="$(mktemp -d)"
 cp benchmarks/results/*.txt "$reports/"
 
@@ -126,6 +126,10 @@ for export in "$recordings/metrics.json" benchmarks/results/fleet-trace.json \
 done > benchmarks/results/exports.txt
 rm -rf "$recordings"
 
+# Source size, tracked like a report: src/ lines of code, comment,
+# docstring and blank.  A change to src/ commits the new counts.
+python benchmarks/src_lines.py > benchmarks/results/src_lines.txt
+
 changed=0
 for report in "$reports"/*.txt; do
     name="benchmarks/results/$(basename "$report")"
@@ -136,7 +140,3 @@ for report in "$reports"/*.txt; do
 done
 [ "$changed" = 0 ]
 rm -rf "$reports"
-
-# Source size, tracked like a benchmark: src/ lines of code, comment,
-# docstring and blank.
-python benchmarks/src_lines.py

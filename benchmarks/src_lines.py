@@ -2,9 +2,12 @@
 
     python benchmarks/src_lines.py [DIR]
 
-DIR defaults to the repository's ``src/``.  Every ``.py`` file under it
-is read with the standard library's ``tokenize``, and each physical
-line is counted once, as the first of these kinds it holds:
+DIR defaults to the repository's ``src/``.  The output names DIR
+relative to the repository, so it is the same in every checkout
+(``benchmarks/run_tier1.sh`` keeps it as ``results/src_lines.txt``).
+Every ``.py`` file under DIR is read with the standard library's
+``tokenize``, and each physical line is counted once, as the first of
+these kinds it holds:
 
 * **code** — any token that is not a comment or a docstring;
 * **docstring** — a string literal that is a statement of its own
@@ -18,12 +21,15 @@ trims comments or docstrings does not.
 
 from __future__ import annotations
 
+import os
 import sys
 import tokenize
 from pathlib import Path
 from typing import Dict
 
 KINDS = ("code", "docstring", "comment", "blank")
+
+REPO = Path(__file__).resolve().parent.parent
 
 #: tokens that carry no source of their own
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -78,9 +84,10 @@ def count_tree(root: Path) -> Dict[str, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+    root = Path(argv[0]) if argv else REPO / "src"
     totals = count_tree(root)
-    print(f"src lines under {root} ({totals['files']} files)")
+    name = os.path.relpath(root.resolve(), REPO)
+    print(f"src lines under {name} ({totals['files']} files)")
     for kind in KINDS:
         print(f"  {kind:10s} {totals[kind]:7d}")
     print(f"  {'total':10s} {sum(totals[k] for k in KINDS):7d}")

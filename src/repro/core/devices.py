@@ -64,8 +64,10 @@ class VmshDeviceHost(VirtioServiceHost):
                 accessor=accessor, irq_signal=irq, costs=costs
             ),
         }
-        #: register window -> device, in plan order
-        self._windows: Dict[int, VirtioMmioDevice] = {}
+        #: register window -> what serves it: the device, or on pci the
+        #: function that decodes its BAR0 (so the guest's memory-enable
+        #: bit applies)
+        self._windows: Dict[int, object] = {}
         #: PCI mode: (config-page base -> function)
         self._pci_functions: Dict[int, PciVirtioFunction] = {}
         by_name: Dict[str, VirtioMmioDevice] = {}
@@ -73,10 +75,12 @@ class VmshDeviceHost(VirtioServiceHost):
             device = by_name[row.name] = build[row.name](irq)
             self._windows[row.mmio] = device
             if plan.transport == "pci":
-                self._pci_functions[row.ecam] = PciVirtioFunction(
+                function = PciVirtioFunction(
                     slot=row.slot, device=device, bar0=row.mmio,
                     msi_message=row.msi,
                 )
+                self._windows[row.mmio] = self._pci_functions[row.ecam] = function
+        self._devices = list(by_name.values())
         self.exec_device = by_name.get("exec")
         #: claimed guest-physical ranges: (start, end) pairs
         self.ranges = [(start, start + size) for start, size in plan.regions()]
@@ -86,7 +90,7 @@ class VmshDeviceHost(VirtioServiceHost):
         self._init_service_fifo()
 
     def devices(self) -> list:
-        return list(self._windows.values())
+        return list(self._devices)
 
     def contains(self, addr: int) -> bool:
         return any(lo <= addr < hi for lo, hi in self.ranges)
@@ -100,14 +104,14 @@ class VmshDeviceHost(VirtioServiceHost):
                 function.config_write(offset, value)
                 return 0
             return function.config_read(offset)
-        device = self._windows.get(window)
-        if device is None:
+        registers = self._windows.get(window)
+        if registers is None:
             raise VmshError(f"MMIO access {addr:#x} outside vmsh windows")
         offset = addr - window
         if is_write:
-            device.write_register(offset, value)
+            registers.write_register(offset, value)
             return 0
-        return device.read_register(offset)
+        return registers.read_register(offset)
 
 
 # ---------------------------------------------------------------------------

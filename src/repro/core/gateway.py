@@ -65,9 +65,6 @@ class GuestMemoryGateway:
         arch: Arch = X86_64,
         metrics=None,
     ):
-        self.kernel = kernel
-        self.vmsh_thread = vmsh_thread
-        self.hypervisor_pid = hypervisor_pid
         self.arch = arch
         # Registry scope for this gateway's counters.  The session id
         # comes from the per-hub id stream so a re-attach to the same
@@ -84,21 +81,16 @@ class GuestMemoryGateway:
         self._m_tlb_misses = metrics.counter("tlb_misses")
         self.translator = GpaTranslator(memslot_records)
         self.phys = RemoteProcessAccessor(
-            kernel, vmsh_thread, hypervisor_pid, self.translator
+            kernel, vmsh_thread, hypervisor_pid, self.translator,
+            metrics.scope("phys"),
         )
-        self.phys.stats.bind(metrics.scope("phys"))
         self.cr3 = 0
         self._tlb: Dict[int, int] = {}      # vpage base -> page-frame paddr
         self._view = None                   # the open PageTableView, if any
 
     def refresh_memslots(self, memslot_records: List) -> None:
         """Re-snapshot after VMSH adds its own memslot."""
-        old_stats = self.phys.stats
-        self.translator = GpaTranslator(memslot_records)
-        self.phys = RemoteProcessAccessor(
-            self.kernel, self.vmsh_thread, self.hypervisor_pid, self.translator
-        )
-        self.phys.stats = old_stats         # keep counters cumulative
+        self.translator = self.phys.translator = GpaTranslator(memslot_records)
         # The gpa -> hva map changed under the cached walks; drop them.
         self._tlb.clear()
 

@@ -95,7 +95,6 @@ class LibraryPlan:
 
     version: KernelVersion
     container_pid: int
-    reloc_names: List[str]
     #: the side-loaded devices, a prefix of :data:`VMSH_DEVICES`
     devices: Tuple[VmshDevice, ...]
     #: "mmio" (the paper's implementation) or "pci" (the extension)
@@ -126,7 +125,6 @@ def plan_library(
     return LibraryPlan(
         version=version,
         container_pid=container_pid,
-        reloc_names=list(REQUIRED_KERNEL_FUNCTIONS),
         devices=VMSH_DEVICES if exec_device else VMSH_DEVICES[:2],
         transport=transport,
         arch=arch,
@@ -155,7 +153,7 @@ def build_library(plan: LibraryPlan) -> bytes:
     payload = _stage2_binary()
     return build_blob(
         program_id=KERNEL_LIB_PROGRAM_ID,
-        reloc_names=plan.reloc_names,
+        reloc_names=list(REQUIRED_KERNEL_FUNCTIONS),
         config=config,
         payload=payload,
         arch=plan.arch,

@@ -494,7 +494,7 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
     lines to the copied objects.  What it keeps by reference needs
     fixing: the fabric is kept by reference while the NIC ports were
     copied off it, so each NIC gets a fresh port, and with it the fault
-    checks of ``host``; and the metric cells are the source's.
+    checks of ``host``; and the per-VM metric series are the source's.
     """
     process = hv.process
     process.pid = next(host.pid_counter)
@@ -519,7 +519,7 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
         hv.plug_nic(name, fresh)
         macs[port.mac] = fresh.mac
     for driver in hv.guest.net_devices.values():
-        driver.mac = macs.get(driver.mac, driver.mac)
+        driver.set_mac(macs.get(driver.mac, driver.mac))
 
     _rebind_metrics(hv, host)
 
@@ -528,49 +528,27 @@ def _rebind_clone(hv, host, kvm, source_pid: int) -> None:
     )
 
 
-def _guest_drivers(hv) -> List[Any]:
-    """Every guest driver once.
-
-    A sideloaded vmsh driver is both a platform device and a block,
-    net or console device, and a detached session leaves its drivers
-    behind in ``platform_devices``.
-    """
-    guest = hv.guest
-    drivers: Dict[int, Any] = {}
-    for table in (guest.block_devices, guest.net_devices,
-                  guest.platform_devices):
-        for driver in table.values():
-            drivers.setdefault(id(driver), driver)
-    return list(drivers.values())
-
-
 def _rebind_metrics(hv, host) -> None:
-    """Re-home the clone's metric cells onto the live registry.
+    """Bind the clone's per-VM series under its new pid.
 
-    An image keeps the Counter/Gauge/Histogram cells a VM graph caches
-    by reference, so a loaded clone still counts into its source's
-    series.  Each holder re-resolves them to the series a fresh launch
-    binds — per-pid series under the clone's new pid, and the pid-less
-    device/driver series a second VM of the flavor shares.
+    An image keeps every metric cell and scope view by reference, so a
+    loaded clone counts into the cells its source holds.  For the
+    pid-less series (``vring``, ``virtio`` device and ``blk``/
+    ``console``/``net`` driver counters) those are the cells a fresh
+    launch of the flavor binds; only the series keyed by the VM's pid
+    are the source's, and these are bound again here: the VmFd's
+    ``kvm``, the VMM's ``vm`` and each device's ``memio`` series.
     """
-    pid = hv.process.pid
-    registry = host.obs.metrics
     hv.vm.bind_metrics()
 
-    hv.metrics = registry.scope("vm", vm=pid, flavor=hv.NAME)
+    hv.metrics = host.obs.metrics.scope("vm", vm=hv.process.pid, flavor=hv.NAME)
     hv.metrics.gauge("vcpus").set(hv.vcpu_count)
     hv.metrics.gauge("ram_bytes").set(hv.ram_bytes)
     hv.metrics.counter("cloned").inc()
 
     for device in hv._mmio_devices.values():
-        # A clone starts its memio accounting from zero under its pid.
-        device.mem.stats = AccessorStats()
-        hv.bind_memio(device.mem)
-        device.bind_metrics()
-
-    for driver in _guest_drivers(hv):
-        if hasattr(driver, "bind_metrics"):     # the exec driver has none
-            driver.bind_metrics()
+        # The label the device was launched with, under the new pid.
+        device.mem.stats = AccessorStats(hv.memio_scope(device.mem.label))
 
 
 # ---------------------------------------------------------------------------

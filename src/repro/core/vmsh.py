@@ -340,7 +340,6 @@ class Vmsh:
         exec_device: bool = False,
         seccomp_aware: bool = False,
         retries: int = 0,
-        deadline_ns: Optional[int] = None,
         event_idx: bool = True,
     ):
         """The attach pipeline as a generator; its result is the
@@ -369,9 +368,7 @@ class Vmsh:
         *transient* fault (each failed attempt is fully rolled back
         first).  Retry N sleeps ``RETRY_BACKOFF_NS << N`` on the
         simulated clock (a timed yield) — deterministic exponential
-        backoff.  ``deadline_ns`` caps the total attach budget, backoff
-        included; once exceeded the last transient error is re-raised.
-        Permanent faults and real errors never retry.
+        backoff.  Permanent faults and real errors never retry.
 
         ``event_idx``: whether VMSH's devices offer
         ``VIRTIO_RING_F_EVENT_IDX`` (notification suppression +
@@ -384,7 +381,6 @@ class Vmsh:
             raise VmshError(f"unknown copy path {copy_path!r}")
         if retries < 0:
             raise VmshError("retries must be >= 0")
-        start_ns = self.host.clock.now
         attempt = 0
         while True:
             try:
@@ -408,10 +404,7 @@ class Vmsh:
             except TransientFaultError as err:
                 # Deterministic exponential backoff, or re-raise.
                 backoff = RETRY_BACKOFF_NS << attempt
-                elapsed = self.host.clock.now - start_ns
-                if attempt >= retries or (
-                    deadline_ns is not None and elapsed + backoff > deadline_ns
-                ):
+                if attempt >= retries:
                     raise
                 self.host.obs.instant(
                     "attach.retry", track="attach-control",
@@ -576,9 +569,9 @@ class Vmsh:
         image_bytes = image if image is not None else self.image
         accessor_cls = COPY_PATHS[copy_path]
         accessor = accessor_cls(
-            self.host, self._thread, hypervisor_pid, gateway.translator
+            self.host, self._thread, hypervisor_pid, gateway.translator,
+            session_metrics.scope("device"),
         )
-        accessor.stats.bind(session_metrics.scope("device"))
         device_host = VmshDeviceHost(
             costs=self.host.costs,
             accessor=accessor,

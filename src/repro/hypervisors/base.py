@@ -198,21 +198,15 @@ class Hypervisor:
     def _memio_accessor(self, name: str) -> InProcessAccessor:
         """A device's guest-memory accessor, counted as ``memio{device=name}``."""
         assert self.vm is not None
-        accessor = InProcessAccessor(self.vm.guest_memory(), self.host.costs, label=name)
-        self.bind_memio(accessor)
-        return accessor
+        return InProcessAccessor(self.vm.guest_memory(), self.host.costs,
+                                 self.memio_scope(name), label=name)
 
-    def bind_memio(self, accessor: InProcessAccessor) -> None:
-        """Bind a device accessor's stats under the VM's current pid.
-
-        A snapshot clone re-binds once its process has a fresh pid,
-        keeping the label the device was launched with.
-        """
+    def memio_scope(self, label: str):
+        """The ``memio`` scope of device ``label`` under the VM's current
+        pid; a snapshot clone takes it again once it has a fresh pid."""
         assert self.process is not None
-        accessor.stats.bind(
-            self.host.obs.metrics.scope(
-                "memio", role="vmm", vm=self.process.pid, device=accessor.label
-            )
+        return self.host.obs.metrics.scope(
+            "memio", role="vmm", vm=self.process.pid, device=label
         )
 
     def add_disk(self, host_file: HostFile, name: str = "disk0") -> None:

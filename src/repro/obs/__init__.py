@@ -62,9 +62,6 @@ class Observability:
     def instant(self, name: str, /, track: str = "main", **attrs: object) -> Span:
         return self.spans.instant(name, track, **attrs)
 
-    def scope(self, *parts: str, **labels: object) -> MetricsRegistry:
-        return self.metrics.scope(*parts, **labels)
-
     # -- exports -----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
@@ -75,9 +72,6 @@ class Observability:
 
     def prometheus(self) -> str:
         return _export.prometheus_text(self.metrics)
-
-    def perfetto(self) -> dict:
-        return _export.perfetto_trace(self.spans)
 
     def perfetto_json(self) -> str:
         return _export.perfetto_json(self.spans)

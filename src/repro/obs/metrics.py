@@ -27,11 +27,7 @@ MetricKey = Tuple[str, str, LabelPairs]
 
 
 class Counter:
-    """Monotonic (by convention) integer counter.
-
-    ``value`` is writable so holders can migrate pre-existing totals
-    in (``AccessorStats.bind``).
-    """
+    """Monotonic (by convention) integer counter."""
 
     kind = "counter"
     __slots__ = ("name", "labels", "value")

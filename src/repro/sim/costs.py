@@ -154,9 +154,6 @@ class CostModel:
     def context_switch(self) -> None:
         self._charge("ctx_switch", self.p.host_ctx_switch_ns)
 
-    def sched_wakeup(self) -> None:
-        self._charge("sched_wakeup", self.p.sched_wakeup_ns)
-
     def ptrace_stop(self) -> None:
         self._charge("ptrace_stop", self.p.ptrace_stop_ns)
 

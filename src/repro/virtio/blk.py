@@ -346,14 +346,10 @@ class GuestVirtioBlkDisk(BlockDevice):
             span_name="blk.window",
             track=f"blk:{name}",
             per_chain_cost=costs.guest_block_submit,
+            windows=costs.obs.metrics.scope(
+                "blk", role="driver", device=name
+            ).counter("windows"),
         )
-        self.bind_metrics()
-
-    def bind_metrics(self) -> None:
-        """Resolve the driver's registry handles (again, on a clone)."""
-        self._engine._m_windows = self.kernel.costs.obs.metrics.scope(
-            "blk", role="driver", device=self.name
-        ).counter("windows")
 
     @property
     def capacity_sectors(self) -> int:

@@ -145,26 +145,19 @@ class GuestVirtioConsole:
         self.rx_ring = transport.setup_queue(RX_QUEUE, 64)
         self.tx_ring = transport.setup_queue(TX_QUEUE, 64)
         transport.driver_ok()
+        # Queued-submission counters, mirroring what the blk driver
+        # reports: doorbell rings, coalesced completions per interrupt,
+        # and the per-harvest batch-depth distribution.
+        scope = guest_kernel.costs.obs.metrics.scope(
+            "console", role="driver", device=name
+        )
         self._rx = GuestRxPath(guest_kernel, transport, self.rx_ring, RX_QUEUE,
-                               self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
-        self._tx = GuestTxPath(guest_kernel, transport, self.tx_ring, TX_QUEUE, 1)
+                               self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT, scope)
+        self._tx = GuestTxPath(guest_kernel, transport, self.tx_ring, TX_QUEUE,
+                               1, scope)
         self._input_sink: Optional[Callable[[bytes], None]] = None
-        self.bind_metrics()
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
         self._rx.post()
-
-    def bind_metrics(self) -> None:
-        """Resolve the driver's registry handles (again, on a clone).
-
-        Queued-submission counters, mirroring what the blk driver
-        reports: doorbell rings, coalesced completions per interrupt,
-        and the per-harvest batch-depth distribution.
-        """
-        scope = self.kernel.costs.obs.metrics.scope(
-            "console", role="driver", device=self.name
-        )
-        self._rx.bind_metrics(scope)
-        self._tx.bind_metrics(scope)
 
     def on_input(self, sink: Callable[[bytes], None]) -> None:
         """Register the tty-side consumer of host input."""

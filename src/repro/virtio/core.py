@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VirtioError, VmshError
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.sim.costs import CostModel
 from repro.sim.sched import Completion, Poll, Scheduler, Task
 from repro.units import PAGE_SIZE
@@ -93,11 +94,7 @@ class VirtioDeviceCore(VirtioMmioDevice):
             offer_event_idx=offer_event_idx,
         )
         self.device_features |= extra_features
-        self.bind_metrics()
-
-    def bind_metrics(self) -> None:
-        super().bind_metrics()
-        scope = self.costs.obs.metrics.scope("virtio", device=self.name)
+        scope = costs.obs.metrics.scope("virtio", device=name)
         self._m_batch_depth = scope.histogram("batch_depth")
         self._m_requests = scope.counter("requests")
 
@@ -215,6 +212,7 @@ class QueuedWindowDriver:
         costs: CostModel,
         span_name: str,
         per_chain_cost: Callable[[], None],
+        windows: Counter,
         track: Optional[str] = None,
     ):
         self.ring = ring
@@ -224,9 +222,8 @@ class QueuedWindowDriver:
         self._costs = costs
         self._span_name = span_name
         self._track = track
-        # The owning driver's ``windows`` counter, set by its
-        # ``bind_metrics`` before the first window.
-        self._m_windows = None
+        # The owning driver's ``windows`` counter.
+        self._m_windows = windows
         self._per_chain_cost = per_chain_cost
 
     def kick(self) -> None:
@@ -325,16 +322,14 @@ class _GuestQueuePath:
     (and a snapshot of the ring captures it).
     """
 
-    def __init__(self, kernel, transport, ring, index: int) -> None:
+    def __init__(self, kernel, transport, ring, index: int,
+                 metrics: Optional[MetricsRegistry]) -> None:
         self._kernel = kernel
         self.transport = transport
         self.ring = ring
         self.index = index
-        self.bind_metrics(None)
-
-    def bind_metrics(self, scope) -> None:
-        """Resolve the owning driver's ``kicks`` counter (none: no count)."""
-        self._m_kicks = scope.counter("kicks") if scope is not None else None
+        # The owning driver's ``kicks`` counter (no scope: no count).
+        self._m_kicks = metrics.counter("kicks") if metrics is not None else None
 
     def kick(self) -> None:
         if self._m_kicks is not None:
@@ -352,21 +347,17 @@ class GuestRxPath(_GuestQueuePath):
     """
 
     def __init__(self, kernel, transport, ring, index: int,
-                 size: int, count: int) -> None:
-        super().__init__(kernel, transport, ring, index)
+                 size: int, count: int,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(kernel, transport, ring, index, metrics)
         self.size = size
         self.count = count
         self.base = kernel.alloc_guest_pages((size * count + 4095) // 4096)
-
-    def bind_metrics(self, scope) -> None:
-        """Also the per-harvest batch depth and coalesced completions."""
-        super().bind_metrics(scope)
-        if scope is not None:
-            self._m_batch_depth = scope.histogram("batch_depth")
-            self._m_irq_coalesced = scope.counter("irq_coalesced")
-        else:
-            self._m_batch_depth = None
-            self._m_irq_coalesced = None
+        # Also the per-harvest batch depth and coalesced completions.
+        self._m_batch_depth = self._m_irq_coalesced = None
+        if metrics is not None:
+            self._m_batch_depth = metrics.histogram("batch_depth")
+            self._m_irq_coalesced = metrics.counter("irq_coalesced")
 
     def post(self) -> None:
         """Post every buffer and kick once."""
@@ -404,8 +395,9 @@ class GuestTxPath(_GuestQueuePath):
     the only one.
     """
 
-    def __init__(self, kernel, transport, ring, index: int, pages: int) -> None:
-        super().__init__(kernel, transport, ring, index)
+    def __init__(self, kernel, transport, ring, index: int, pages: int,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(kernel, transport, ring, index, metrics)
         self.pages = pages
         self.slots = [kernel.alloc_guest_pages(pages)]
 

@@ -47,7 +47,8 @@ IOV_MAX = 1024
 
 
 class AccessorStats:
-    """Per-accessor copy-path counters.
+    """Per-accessor copy-path counters, on the registry scope they are
+    built on.
 
     ``reads``/``writes`` count API-level operations (one vectored call
     counts once); ``calls`` counts the underlying charged copies
@@ -55,43 +56,16 @@ class AccessorStats:
     iovec segments those copies carried.  ``segments - calls`` is then
     the number of syscalls the scatter-gather batching saved.
 
-    Stats start in unregistered counters; :meth:`bind` migrates them
-    into a :class:`~repro.obs.metrics.MetricsRegistry` scope, so
-    exporters see every accessor in one tree.  Accessors update them
-    through :meth:`read_op`/:meth:`write_op`/:meth:`copies`, one call per
-    copy; readers take :meth:`as_dict`.
+    Accessors update them through :meth:`read_op`/:meth:`write_op`/
+    :meth:`copies`, one call per copy; readers take :meth:`as_dict`.
     """
 
     FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "calls", "segments")
     __slots__ = tuple("_" + name for name in FIELDS)
 
-    def __init__(self, **initial: int) -> None:
-        unknown = set(initial) - set(self.FIELDS)
-        if unknown:
-            raise TypeError(f"unknown AccessorStats fields: {sorted(unknown)}")
-        # Unbound storage reuses the Counter value cells (sans registry)
-        # so bound and unbound stats have one read/write path.
-        from repro.obs.metrics import Counter
-
+    def __init__(self, metrics) -> None:
         for name in self.FIELDS:
-            counter = Counter(name, ())
-            counter.value = initial.get(name, 0)
-            setattr(self, "_" + name, counter)
-
-    def bind(self, registry) -> "AccessorStats":
-        """Re-home the counters into ``registry`` (a metrics scope).
-
-        Current values migrate in additively: re-binding to a scope that
-        already holds counters (a re-attached session with the same
-        labels) keeps the registry cumulative, mirroring how
-        ``GuestMemoryGateway.refresh_memslots`` carries stats objects
-        across accessor rebuilds.
-        """
-        for name in self.FIELDS:
-            counter = registry.counter(name)
-            counter.value += getattr(self, "_" + name).value
-            setattr(self, "_" + name, counter)
-        return self
+            setattr(self, "_" + name, metrics.counter(name))
 
     def read_op(self, nbytes: int, calls: int, segments: int) -> None:
         """One API-level read of ``nbytes`` that took ``calls`` charged
@@ -124,17 +98,13 @@ class AccessorStats:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"AccessorStats({inner})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AccessorStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
 
 class GuestMemoryAccessor(LittleEndianWords):
-    """Abstract gpa-addressed accessor used by device backends."""
+    """Abstract gpa-addressed accessor used by device backends; its
+    :class:`AccessorStats` count on the registry scope ``metrics``."""
 
-    def __init__(self) -> None:
-        self.stats = AccessorStats()
+    def __init__(self, metrics) -> None:
+        self.stats = AccessorStats(metrics)
 
     def read(self, gpa: int, length: int) -> bytes:
         raise NotImplementedError
@@ -178,8 +148,8 @@ class InProcessAccessor(GuestMemoryAccessor):
     """
 
     def __init__(self, guest_memory: GuestPhysMemory, costs: CostModel,
-                 label: Optional[str] = None):
-        super().__init__()
+                 metrics, label: Optional[str] = None):
+        super().__init__(metrics)
         self._mem = guest_memory
         self._costs = costs
         self.label = label
@@ -315,18 +285,21 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
         caller_thread: Thread,
         hypervisor_pid: int,
         translator: GpaTranslator,
+        metrics,
     ):
-        super().__init__()
+        super().__init__(metrics)
         self._kernel = kernel
         self._thread = caller_thread
         self._pid = hypervisor_pid
-        self._translator = translator
+        #: the gpa -> hva map; the gateway swaps in a new one when
+        #: VMSH adds its own memslot
+        self.translator = translator
 
     def covers(self, gpa: int, length: int) -> Optional[bool]:
-        if self._translator.single_slot_hva(gpa, length) is not None:
+        if self.translator.single_slot_hva(gpa, length) is not None:
             return True
         try:
-            self._translator.to_hva_iov(gpa, length)
+            self.translator.to_hva_iov(gpa, length)
         except VmshError:
             return False
         return True
@@ -339,7 +312,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
             if length <= 0:
                 continue
             segment: List[Tuple[int, int]] = []
-            for hva, run_len in self._translator.to_hva_iov(gpa, length):
+            for hva, run_len in self.translator.to_hva_iov(gpa, length):
                 _merge_hva_run(segment, hva, run_len)
             runs.extend(segment)
         return runs
@@ -351,7 +324,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
                 continue
             segment: List[Tuple[int, bytes]] = []
             pos = 0
-            for hva, run_len in self._translator.to_hva_iov(gpa, len(data)):
+            for hva, run_len in self.translator.to_hva_iov(gpa, len(data)):
                 part = data[pos : pos + run_len]
                 pos += run_len
                 if segment and segment[-1][0] + len(segment[-1][1]) == hva:
@@ -401,7 +374,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
     # slot-spanning range builds hva runs.
 
     def read(self, gpa: int, length: int) -> bytes:
-        hva = self._translator.single_slot_hva(gpa, length)
+        hva = self.translator.single_slot_hva(gpa, length)
         if hva is None:
             self.stats.read_op(length, 0, 0)
             return self._readv(self._read_runs([(gpa, length)]))
@@ -411,7 +384,7 @@ class RemoteProcessAccessor(GuestMemoryAccessor):
         )
 
     def write(self, gpa: int, data: bytes) -> None:
-        hva = self._translator.single_slot_hva(gpa, len(data))
+        hva = self.translator.single_slot_hva(gpa, len(data))
         if hva is None:
             self.stats.write_op(len(data), 0, 0)
             self._writev(self._write_runs([(gpa, data)]))
@@ -438,7 +411,7 @@ class BytewiseRemoteAccessor(RemoteProcessAccessor):
     def read(self, gpa: int, length: int) -> bytes:
         self.stats.read_op(length, 0, 0)
         out = []
-        for hva, run_len in self._translator.to_hva_iov(gpa, length):
+        for hva, run_len in self.translator.to_hva_iov(gpa, length):
             # Staged copy: the data crosses an intermediate userspace
             # buffer at a much lower effective bandwidth.
             self.stats.copies(1, 1)
@@ -451,7 +424,7 @@ class BytewiseRemoteAccessor(RemoteProcessAccessor):
     def write(self, gpa: int, data: bytes) -> None:
         self.stats.write_op(len(data), 0, 0)
         pos = 0
-        for hva, run_len in self._translator.to_hva_iov(gpa, len(data)):
+        for hva, run_len in self.translator.to_hva_iov(gpa, len(data)):
             self.stats.copies(1, 1)
             self._kernel.costs.bytewise_copy(run_len)
             self._kernel.processes[self._pid].address_space.write(

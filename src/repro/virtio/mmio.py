@@ -176,16 +176,6 @@ class VirtioMmioDevice:
         )
         queue.ready = True
 
-    def bind_metrics(self) -> None:
-        """Re-resolve every registry handle the device caches.
-
-        The base device caches only its rings' counters; a snapshot
-        clone calls this so its copied counters rejoin the registry.
-        """
-        for queue in self.queues:
-            if queue.ring is not None:
-                queue.ring.bind_metrics()
-
     def _reset(self) -> None:
         for queue in self.queues:
             queue.ready = False

@@ -262,7 +262,6 @@ class GuestVirtioNic:
         self.transport = transport
         self.name = name
         cfg = transport.read_config(0, 10)
-        self.mac = cfg[:6]
         status, max_pairs = struct.unpack_from("<HH", cfg, 6)
         self.link_up = bool(status & C.VIRTIO_NET_S_LINK_UP)
         wanted = C.VIRTIO_NET_F_MAC | C.VIRTIO_NET_F_STATUS
@@ -273,6 +272,8 @@ class GuestVirtioNic:
             queue_pairs = 1
         self.queue_pairs = max(1, min(queue_pairs, max_pairs or 1))
         costs = guest_kernel.costs
+        scope = costs.obs.metrics.scope("net", role="driver", device=name)
+        windows = scope.counter("windows")
         self.rx_rings = []
         self.tx_rings = []
         self._engines: List[QueuedWindowDriver] = []
@@ -290,12 +291,13 @@ class GuestVirtioNic:
                     costs=costs,
                     span_name="net.window",
                     per_chain_cost=costs.guest_net_submit,
+                    windows=windows,
                 )
             )
         transport.driver_ok()
         self._rx = [
             GuestRxPath(guest_kernel, transport, ring, 2 * pair,
-                        self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
+                        self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT, scope)
             for pair, ring in enumerate(self.rx_rings)
         ]
         tx_pages = (self.RX_BUFFER_SIZE * self.MAX_TX_WINDOW + 4095) // 4096
@@ -303,29 +305,19 @@ class GuestVirtioNic:
             guest_kernel.alloc_guest_pages(tx_pages)
             for _ in range(self.queue_pairs)
         ]
-        self.bind_metrics()
+        self.set_mac(cfg[:6])
         self._rx_callback: Optional[Callable[[bytes, int], None]] = None
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
         for rx in self._rx:
             rx.post()
 
-    def bind_metrics(self) -> None:
-        """Resolve the driver's registry handles and window track.
-
-        A clone binds again: its NIC has a new MAC, and the track of its
-        ``net.window`` spans, ``net:<name>@<mac>``, names it.
-        """
-        scope = self.kernel.costs.obs.metrics.scope(
-            "net", role="driver", device=self.name
-        )
-        windows = scope.counter("windows")
-        for rx in self._rx:
-            rx.bind_metrics(scope)
-        self._m_kicks = scope.counter("kicks")
-        track = f"net:{self.name}@{self.mac.hex(':')}"
+    def set_mac(self, mac: bytes) -> None:
+        """Take ``mac`` as this NIC's address (a clone's NIC gets a new
+        one), and name the track of its ``net.window`` spans after it:
+        ``net:<name>@<mac>``."""
+        self.mac = bytes(mac)
         for engine in self._engines:
-            engine._m_windows = windows
-            engine._track = track
+            engine._track = f"net:{self.name}@{self.mac.hex(':')}"
 
     # -- receive path ----------------------------------------------------------
 

@@ -86,9 +86,10 @@ class PciVirtioFunction:
 
         BAR0 reuses the virtio-mmio register block, so feature
         negotiation — including ``VIRTIO_RING_F_EVENT_IDX`` — rides the
-        same ``bar_read``/``bar_write`` path as on MMIO transports; the
-        only PCI-specific difference is that coalesced completion
-        interrupts arrive as MSI-X messages instead of GSI pin toggles.
+        same ``read_register``/``write_register`` path as on MMIO
+        transports; the only PCI-specific difference is that coalesced
+        completion interrupts arrive as MSI-X messages instead of GSI
+        pin toggles.
         """
         return self.device.event_idx
 
@@ -119,14 +120,14 @@ class PciVirtioFunction:
             # (VMSH assigns it), so writes are ignored.
             pass
 
-    # -- BAR0 --------------------------------------------------------------------
+    # -- BAR0: the device's register block, while memory decoding is on -----
 
-    def bar_read(self, offset: int) -> int:
+    def read_register(self, offset: int) -> int:
         if not self.memory_enabled:
             raise VirtioError(f"slot {self.slot}: BAR access with memory disabled")
         return self.device.read_register(offset)
 
-    def bar_write(self, offset: int, value: int) -> None:
+    def write_register(self, offset: int, value: int) -> None:
         if not self.memory_enabled:
             raise VirtioError(f"slot {self.slot}: BAR access with memory disabled")
         self.device.write_register(offset, value)

@@ -239,15 +239,6 @@ class DeviceRing:
         # The ring's registry scope (the transport passes one per
         # queue); the counters are cached off the per-batch path.
         self._metrics = metrics
-        self.bind_metrics()
-
-    def bind_metrics(self) -> None:
-        """Resolve the cached counters from the ring's registry scope.
-
-        A snapshot clone re-binds: its copied counters are detached
-        from the registry, while the scope view is the shared tree.
-        """
-        metrics = self._metrics
         self._m_publishes = metrics.counter("used_publishes")
         self._m_entries = metrics.counter("used_entries")
         self._m_irq_delivered = metrics.counter("interrupts_delivered")

@@ -12,6 +12,7 @@ from repro.errors import HypervisorNotSupportedError
 from repro.testbed import Testbed
 from repro.virtio.pci import (
     CFG_BAR0,
+    CFG_COMMAND,
     CFG_VENDOR_ID,
     EMPTY_SLOT,
     GuestPciProbe,
@@ -102,6 +103,29 @@ def test_config_space_identification():
     assert console_fn["bar0"] != blk_fn["bar0"]
 
 
+@pytest.mark.parametrize("mmio_mode", ["ioregionfd", "wrap_syscall"])
+def test_bar0_decodes_only_while_memory_is_enabled(mmio_mode):
+    """The guest's COMMAND memory-enable bit gates BAR0 accesses that
+    arrive through KVM, not only calls on the function itself."""
+    from repro.core.libbuild import VMSH_DEVICES
+    from repro.errors import VirtioError
+    from repro.virtio.constants import MMIO_MAGIC, REG_MAGIC
+
+    tb = Testbed(ioregionfd=mmio_mode == "ioregionfd")
+    hv = tb.launch_cloud_hypervisor()
+    session = tb.vmsh().attach(hv.pid, transport="pci")
+    assert session.mmio_mode == mmio_mode
+    console = VMSH_DEVICES[0]
+    vcpu = hv.guest.boot_vcpu
+    command = slot_address(console.slot) + CFG_COMMAND
+    hv.vm.mmio_access(vcpu, True, command, 4, 0)        # decoding off
+    with pytest.raises(VirtioError, match="BAR access with memory disabled"):
+        hv.vm.mmio_access(vcpu, False, console.mmio + REG_MAGIC)
+    GuestPciProbe(hv.guest).enable(console.slot)
+    assert hv.vm.mmio_access(vcpu, False, console.mmio + REG_MAGIC) == MMIO_MAGIC
+    assert session.console.run_command("echo decoded").output == "decoded"
+
+
 def test_msi_interrupts_bypass_gsi_routing():
     """MSI delivery works on a VM with gsi_routing_supported=False."""
     tb = Testbed()
@@ -125,6 +149,7 @@ def test_msi_interrupts_bypass_gsi_routing():
 
 def test_pci_function_config_semantics():
     """Unit-level: the function's config registers behave like PCI."""
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.clock import Clock
     from repro.sim.costs import CostModel
     from repro.virtio.blk import MappedImageBackend, VirtioBlkDevice
@@ -139,7 +164,7 @@ def test_pci_function_config_semantics():
 
     costs = CostModel(Clock())
     device = VirtioBlkDevice(
-        NullAccessor(), lambda: None, costs,
+        NullAccessor(MetricsRegistry()), lambda: None, costs,
         MappedImageBackend(costs, b"\x00" * 4096),
     )
     fn = PciVirtioFunction(slot=5, device=device, bar0=0xE0000000, msi_message=9)
@@ -152,6 +177,6 @@ def test_pci_function_config_semantics():
     from repro.errors import VirtioError
 
     with pytest.raises(VirtioError):
-        fn.bar_read(0)
+        fn.read_register(0)
     fn.config_write(0x04, 1 << 1)
-    fn.bar_read(0)  # magic register; must not raise
+    fn.read_register(0)  # magic register; must not raise

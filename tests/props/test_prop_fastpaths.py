@@ -28,6 +28,7 @@ from repro.host.kernel import HostKernel
 from repro.host.seccomp import SeccompFilter
 from repro.kvm.api import KvmSystem
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import KiB, PAGE_SHIFT, PAGE_SIZE
 from repro.virtio.memio import GpaTranslator, RemoteProcessAccessor
 
@@ -115,7 +116,8 @@ def _remote():
         hva = host.syscall(hv.main_thread, "mmap", SLOT, f"guest-ram-{i}")
         records.append(MemslotRecord(slot=i, gpa=i * SLOT, size=SLOT, hva=hva))
     accessor = RemoteProcessAccessor(
-        host, vmsh.main_thread, hv.pid, GpaTranslator(records)
+        host, vmsh.main_thread, hv.pid, GpaTranslator(records),
+        MetricsRegistry(),
     )
     return host, hv, accessor
 
@@ -215,7 +217,7 @@ def test_gpa_hole_raises_vmsh_and_invalid_gpa_errors():
     kvm = KvmSystem(host)
     vm_fd = host.syscall(hv.main_thread, "ioctl", hv.fds.install(kvm), "KVM_CREATE_VM")
     vm = hv.fds.get(vm_fd)
-    for record in accessor._translator.slots():
+    for record in accessor.translator.slots():
         host.syscall(hv.main_thread, "ioctl", vm_fd, "KVM_SET_USER_MEMORY_REGION",
                      {"slot": record.slot, "gpa": record.gpa, "size": record.size,
                       "hva": record.hva})

@@ -10,6 +10,7 @@ from repro.guestos.process import GuestProcess
 from repro.guestos.vfs import MountNamespace
 from repro.host.files import HostFile
 from repro.image.fsimage import mount_image
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, CostParams
 from repro.units import MiB
@@ -24,7 +25,8 @@ def _model():
 
 def _engine(**charging):
     return QueuedWindowDriver(
-        ring=None, transport=None, queue_index=0, name="q", **charging
+        ring=None, transport=None, queue_index=0, name="q",
+        windows=MetricsRegistry().counter("windows"), **charging
     )
 
 
@@ -41,7 +43,8 @@ _UNCHARGED = [
     ("mount_image",
      lambda: mount_image(MemoryBlockDevice("img", 1 * MiB)), "costs"),
     ("DeviceRing",
-     lambda: DeviceRing(GuestMemoryAccessor(), 0x1000, 0x2000, 0x3000, 8),
+     lambda: DeviceRing(GuestMemoryAccessor(MetricsRegistry()),
+                        0x1000, 0x2000, 0x3000, 8),
      "metrics"),
     ("QueuedWindowDriver-costs",
      lambda: _engine(span_name="w", per_chain_cost=lambda: None), "costs"),

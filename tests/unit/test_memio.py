@@ -3,6 +3,7 @@
 from repro.host.ebpf import MemslotRecord
 from repro.host.kernel import HostKernel
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel
 from repro.units import MiB, PAGE_SIZE
@@ -22,22 +23,28 @@ def _remote(size=8 * MiB):
     hv = host.spawn_process("hypervisor")
     hva = host.syscall(hv.main_thread, "mmap", size, "guest-ram")
     translator = GpaTranslator([MemslotRecord(slot=0, gpa=0, size=size, hva=hva)])
-    return host, RemoteProcessAccessor(host, vmsh.main_thread, hv.pid, translator)
+    return host, RemoteProcessAccessor(host, vmsh.main_thread, hv.pid,
+                                       translator, MetricsRegistry())
 
 
 def test_accessor_stats_as_dict():
-    stats = AccessorStats(reads=2, writes=1, bytes_read=100, bytes_written=50,
-                          calls=3, segments=10)
+    scope = MetricsRegistry().scope("memio", device="d0")
+    stats = AccessorStats(scope)
+    stats.read_op(60, 2, 6)
+    stats.read_op(40, 1, 4)
+    stats.write_op(50, 0, 0)
     assert stats.as_dict() == {
         "reads": 2, "writes": 1, "bytes_read": 100, "bytes_written": 50,
         "calls": 3, "segments": 10, "segments_coalesced": 7,
     }
+    # The counters are the scope's own series.
+    assert scope.counter("segments").value == 10
 
 
 def test_base_vectored_falls_back_per_segment():
     class ArrayAccessor(GuestMemoryAccessor):
         def __init__(self):
-            super().__init__()
+            super().__init__(MetricsRegistry())
             self.buf = bytearray(4096)
 
         def read(self, gpa, length):
@@ -54,7 +61,7 @@ def test_base_vectored_falls_back_per_segment():
 def test_inprocess_vectored_is_one_memcpy():
     mem = PhysicalMemory(1 * MiB)
     costs = CostModel(Clock())
-    acc = InProcessAccessor(mem, costs)
+    acc = InProcessAccessor(mem, costs, MetricsRegistry())
     acc.write_vectored([(0, b"aa"), (PAGE_SIZE, b"bb"), (2 * PAGE_SIZE, b"")])
     assert costs.count("memcpy") == 1
     stats = acc.stats.as_dict()

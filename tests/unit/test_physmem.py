@@ -6,6 +6,7 @@ from repro.errors import MemoryError_, VmshError
 from repro.host.ebpf import MemslotRecord
 from repro.host.kernel import HostKernel
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import KiB, MiB, PAGE_SIZE
 from repro.virtio.memio import GpaTranslator, RemoteProcessAccessor
 
@@ -129,7 +130,8 @@ def _remote_env(slot_layout):
         hva = host.syscall(hv.main_thread, "mmap", size, f"guest-ram-{i}")
         records.append(MemslotRecord(slot=i, gpa=gpa, size=size, hva=hva))
     accessor = RemoteProcessAccessor(
-        host, vmsh.main_thread, hv.pid, GpaTranslator(records)
+        host, vmsh.main_thread, hv.pid, GpaTranslator(records),
+        MetricsRegistry(),
     )
     return host, hv, records, accessor
 

@@ -1,8 +1,8 @@
 """A clone loaded from a snapshot image equals a deepcopy clone.
 
 The reference is the mechanism images replaced: ``copy.deepcopy`` of
-the source VM with its environment pinned and registry scope views
-kept (they deep-copied to themselves), followed by ``_rebind_clone``.
+the source VM with its environment pinned and registry scope views and
+metric cells kept, as an image keeps them, followed by ``_rebind_clone``.
 Each clone is made in its own testbed with the same seed, so pids and
 labels match.  The two clones are compared structurally — a walk of
 the clone's object graph — and by behaviour: the same guest I/O must
@@ -23,7 +23,7 @@ import pytest
 from repro.core.snapshot import _environment_of, _rebind_clone
 from repro.guestos.fs import Filesystem
 from repro.guestos.process import GuestProcess
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.testbed import Testbed
 from repro.virtio.net import BROADCAST_MAC, make_frame
 
@@ -136,8 +136,9 @@ def _walk(root, registry, source_refs=None):
 def _reference_clone(tb, hv, monkeypatch):
     """The deepcopy clone images replaced, built in testbed ``tb``."""
     with monkeypatch.context() as patch:
-        patch.setattr(MetricsRegistry, "__deepcopy__",
-                      lambda view, memo: view, raising=False)
+        for kept in (MetricsRegistry, Counter, Gauge, Histogram):
+            patch.setattr(kept, "__deepcopy__",
+                          lambda obj, memo: obj, raising=False)
         memo = {id(obj): obj for obj in _environment_of(hv)}
         clone = copy.deepcopy(hv, memo)
     _rebind_clone(clone, tb.host, tb.kvm, source_pid=hv.pid)

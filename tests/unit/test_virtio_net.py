@@ -183,16 +183,20 @@ def test_explicit_pair_delivery_bounds_checked():
         device.deliver(make_frame(device.mac, b"\x02" * 6, b"x"), pair=7)
 
 
-def test_tx_burst_windows_are_doorbell_efficient():
-    _tb, hv, nic, device = _nic_pair()
+@pytest.mark.parametrize("flavor, kicks, suppressed", [
+    (Qemu, 1, 19),          # EVENT_IDX: one doorbell for the window
+    (Kvmtool, 20, 0),       # always-notify: one doorbell per frame
+], ids=["qemu", "kvmtool"])
+def test_tx_burst_windows_are_doorbell_efficient(flavor, kicks, suppressed):
+    tb, hv, nic, device = _nic_pair(flavor)
+    assert nic.transport.event_idx == flavor.VIRTIO_EVENT_IDX
     sink = []
     device.connect_tx(lambda frame, pair: sink.append(frame))
     frames = [make_frame(BROADCAST_MAC, nic.mac, b"b%d" % i)
               for i in range(20)]
-    kicks_before = nic._m_kicks.value if nic._m_kicks else None
+    before = tb.costs.count("kicks"), tb.costs.count("kick_suppressed")
     nic.send_burst(frames)
     assert sink == frames
     assert device.frames_tx == 20
-    if kicks_before is not None:
-        # EVENT_IDX coalesces a 20-frame burst into far fewer kicks
-        assert nic._m_kicks.value - kicks_before < 20
+    assert (tb.costs.count("kicks") - before[0],
+            tb.costs.count("kick_suppressed") - before[1]) == (kicks, suppressed)

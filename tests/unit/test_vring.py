@@ -24,7 +24,7 @@ class DirectMemory(GuestMemoryAccessor):
     """Adapter giving PhysicalMemory the accessor interface."""
 
     def __init__(self, mem: PhysicalMemory):
-        super().__init__()
+        super().__init__(MetricsRegistry())
         self._mem = mem
 
     def read(self, gpa, length):

@@ -28,7 +28,7 @@ class BoundedMemory(GuestMemoryAccessor):
     pre-check hook the hardened parser uses to veto unmapped GPAs."""
 
     def __init__(self, size_bytes):
-        super().__init__()
+        super().__init__(MetricsRegistry())
         self._mem = PhysicalMemory(size_bytes)
         self._size = size_bytes
 
