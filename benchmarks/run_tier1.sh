@@ -7,7 +7,8 @@
 # regenerate byte-identical), the benchmark self-test, the perf gate,
 # the Perfetto export, the fuzz smoke, the CLI record/replay round
 # trips, the examples, the export digests and the src/ line count
-# (which must also come out byte-identical).  Run from anywhere.
+# (which must also come out byte-identical; a committed report that no
+# leg rewrites fails too).  Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,9 +47,12 @@ VMSH_CHAOS_SEED=0x1CEB00DA PYTHONPATH=src python -m pytest -q \
 # The next three legs rewrite the reports under benchmarks/results/,
 # and the export and line-count legs near the end rewrite exports.txt
 # and src_lines.txt there; each must come out byte-identical to the
-# one it replaces (checked after the line count).
+# one it replaces (checked after the line count).  A report no leg
+# rewrites is stale however it reads: each must end up newer than the
+# stamp.
 reports="$(mktemp -d)"
 cp benchmarks/results/*.txt "$reports/"
+touch "$reports/stamp"
 
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_ablation_copy_path.py \
@@ -135,6 +139,12 @@ for report in "$reports"/*.txt; do
     name="benchmarks/results/$(basename "$report")"
     if ! diff -u "$report" "$name"; then
         echo "tier-1: $name did not regenerate byte-identical" >&2
+        changed=1
+    fi
+done
+for name in benchmarks/results/*.txt; do
+    if ! [ "$name" -nt "$reports/stamp" ]; then
+        echo "tier-1: $name is committed but no leg rewrote it" >&2
         changed=1
     fi
 done

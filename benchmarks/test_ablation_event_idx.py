@@ -51,9 +51,13 @@ def _vmsh_env(event_idx: bool) -> BenchEnv:
 def _sweep(env: BenchEnv) -> dict:
     """One row per depth: IOPS plus the notification counters."""
     costs = env.testbed.costs
+    depths = env.testbed.obs.metrics.scope(
+        "virtio", device="vmsh-blk"
+    ).histogram("batch_depth")
     rows = {}
     for depth in DEPTHS:
         costs.reset_counters()
+        before = dict(depths.samples)
         measurement = run_fio_blockdev(
             env,
             FioJob(block_size=4 * KiB, total_bytes=JOB_BYTES,
@@ -70,7 +74,10 @@ def _sweep(env: BenchEnv) -> dict:
             "kicks": costs.count("kicks"),
             "kick_suppressed": costs.count("kick_suppressed"),
             "irq_coalesced": costs.count("irq_coalesced"),
-            "batch_hist": costs.batch_histogram("blk"),
+            "batch_hist": {
+                d: n - before.get(d, 0) for d, n in depths.samples.items()
+                if n != before.get(d, 0)
+            },
         }
     return rows
 

@@ -100,13 +100,12 @@ def _run_suite_on(env: BenchEnv) -> Dict[str, Measurement]:
     return results
 
 
-def run_phoronix(
-    vmsh_mode: str = "ioregionfd", disk_size: int = 256 * MiB
-) -> List[PhoronixRow]:
-    """Figure 5: the full suite on qemu-blk vs vmsh-blk."""
-    qemu_env = make_env("qemu-blk", disk_size=disk_size)
+def run_phoronix() -> List[PhoronixRow]:
+    """Figure 5: the full suite on qemu-blk vs vmsh-blk (ioregionfd),
+    each on a 256 MiB disk."""
+    qemu_env = make_env("qemu-blk", disk_size=256 * MiB)
     qemu_results = _run_suite_on(qemu_env)
-    vmsh_env = make_env(f"vmsh-blk-{vmsh_mode}", disk_size=disk_size)
+    vmsh_env = make_env("vmsh-blk-ioregionfd", disk_size=256 * MiB)
     vmsh_results = _run_suite_on(vmsh_env)
     rows = []
     for name in qemu_results:

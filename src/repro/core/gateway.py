@@ -225,9 +225,10 @@ class GuestMemoryGateway:
             pos += chunk
         self.phys.write_vectored(iov)
 
-    def read_cstring(self, vaddr: int, max_length: int = 256) -> str:
-        """Read a NUL-terminated ASCII string from guest virtual memory."""
-        raw = self.read_virt(vaddr, max_length)
+    def read_cstring(self, vaddr: int) -> str:
+        """Read a NUL-terminated ASCII string of under 256 bytes from
+        guest virtual memory."""
+        raw = self.read_virt(vaddr, 256)
         nul = raw.find(b"\x00")
         if nul < 0:
             raise SideloadError(f"unterminated string at {vaddr:#x}")

@@ -34,6 +34,10 @@ from repro.core.gateway import GuestMemoryGateway
 from repro.errors import KernelNotFoundError
 from repro.units import PAGE_SIZE
 
+#: The image pass gives up on finding the image's end this far past
+#: its base.
+MAX_IMAGE_SIZE = 64 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class KernelLocation:
@@ -47,7 +51,7 @@ class KernelLocation:
         return self.vend - self.vbase
 
 
-def find_kernel(gateway: GuestMemoryGateway, max_image_size: int = 64 * 1024 * 1024) -> KernelLocation:
+def find_kernel(gateway: GuestMemoryGateway) -> KernelLocation:
     """Scan the architecture's KASLR range for the kernel image."""
     arch = gateway.arch
     start = arch.kernel_text_base
@@ -58,6 +62,7 @@ def find_kernel(gateway: GuestMemoryGateway, max_image_size: int = 64 * 1024 * 1
             raise KernelNotFoundError(
                 "no mapped pages in the KASLR range — is CR3 from a booted vCPU?"
             )
-        image = gateway.walk(vbase + PAGE_SIZE, vbase + max_image_size)
-        vend = next((vaddr for vaddr, mapped in image if not mapped), vbase + max_image_size)
+        image = gateway.walk(vbase + PAGE_SIZE, vbase + MAX_IMAGE_SIZE)
+        vend = next((vaddr for vaddr, mapped in image if not mapped),
+                    vbase + MAX_IMAGE_SIZE)
     return KernelLocation(vbase=vbase, vend=vend)

@@ -15,7 +15,7 @@ VMSH must *inject* a harmless ioctl to trigger collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.errors import PermissionDeniedError
 from repro.host.kernel import HostKernel
@@ -43,12 +43,10 @@ class MemslotSnooper:
         self._kernel = kernel
         self._owner = owner
         self._records: List[MemslotRecord] = []
-        self._target_vm: Optional[Any] = None
         self._attached = False
 
-    def attach(self, target_vm: Any = None) -> None:
-        """Load and attach the program (optionally scoped to one VM)."""
-        self._target_vm = target_vm
+    def attach(self) -> None:
+        """Load and attach the program."""
         self._kernel.ebpf_attach(self.ATTACH_POINT, self._program, self._owner)
         self._attached = True
 
@@ -60,8 +58,6 @@ class MemslotSnooper:
     def _program(self, vm: Any = None, **_ctx: Any) -> None:
         """The 'eBPF program': parses the memslot array off the ioctl path."""
         if vm is None:
-            return
-        if self._target_vm is not None and vm is not self._target_vm:
             return
         self._records = [
             MemslotRecord(slot=s.slot, gpa=s.gpa, size=s.size, hva=s.hva)

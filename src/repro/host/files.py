@@ -24,7 +24,6 @@ class HostFile(FileObject):
         size: int,
         costs: CostModel,
         direct: bool = False,
-        initial_data: bytes = b"",
     ):
         self.proc_link = path
         self.path = path
@@ -33,8 +32,6 @@ class HostFile(FileObject):
         self.direct = direct
         self._pages: Dict[int, bytearray] = {}
         self._host_cached: Set[int] = set()
-        if initial_data:
-            self.pwrite_raw(0, initial_data)
 
     # -- raw storage (no cost accounting; used for setup) -----------------------------
 

@@ -68,7 +68,7 @@ class HostKernel:
 
     # -- deferred wakeups --------------------------------------------------------
 
-    def wakeup(self, fn: Callable[[], None], delay_ns: int = 0,
+    def wakeup(self, fn: Callable[[], None],
                label: str = "wakeup") -> Optional[object]:
         """Run ``fn`` now, or defer it onto the event scheduler.
 
@@ -83,7 +83,7 @@ class HostKernel:
         sched = self.scheduler
         if sched is not None and sched.running:
             self._m_wakeups_deferred.inc()
-            return sched.after(delay_ns, fn, label=label)
+            return sched.after(0, fn, label=label)
         self._m_wakeups_inline.inc()
         fn()
         return None

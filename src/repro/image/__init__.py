@@ -2,7 +2,6 @@
 
 from repro.image.builder import (
     build_admin_image,
-    build_custom_image,
     build_rescue_image,
     build_scanner_image,
     build_serverless_debug_image,
@@ -25,5 +24,4 @@ __all__ = [
     "build_rescue_image",
     "build_scanner_image",
     "build_serverless_debug_image",
-    "build_custom_image",
 ]

@@ -100,13 +100,3 @@ def build_serverless_debug_image() -> memoryview:
     spec = _base_spec(extra_tools=("strace", "py-spy", "node-inspect", "tail"))
     spec.add_file("/etc/motd", b"vHive lambda debug shell (via VMSH)\n")
     return _canned(spec)
-
-
-def build_custom_image(
-    files: Dict[str, bytes], extra_space: int = 4 * 1024 * 1024
-) -> memoryview:
-    """An image from an explicit path->content map (plus /bin/sh)."""
-    spec = _base_spec()
-    for path, content in files.items():
-        spec.add_file(path, content)
-    return build_image(spec, extra_space=extra_space)

@@ -70,7 +70,7 @@ class Histogram:
 
     The simulator observes small discrete values (batch depths, iovec
     segment counts), so exact sample retention is cheaper than bucket
-    schemes and keeps shims like ``CostModel.batch_histogram`` lossless.
+    schemes and lossless.
     """
 
     kind = "histogram"

@@ -29,7 +29,7 @@ from repro.errors import RecordingError
 from repro.obs.spans import Span
 
 FORMAT = "vmsh-run-recording"
-VERSION = 2
+VERSION = 3
 
 
 def jsonable(value: Any) -> Any:

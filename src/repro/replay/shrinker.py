@@ -24,18 +24,20 @@ from typing import Callable
 
 from repro.replay.scenarios import AttachCase
 
+#: Candidate runs one shrink may spend.
+MAX_ATTEMPTS = 64
+
 
 def shrink(
     case: AttachCase,
     check: Callable[[AttachCase], bool],
-    max_attempts: int = 64,
 ) -> AttachCase:
     """Smallest case (by the order above) for which ``check`` holds."""
     attempts = 0
 
     def tryout(candidate: AttachCase) -> bool:
         nonlocal attempts
-        if attempts >= max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             return False
         attempts += 1
         try:
@@ -54,7 +56,7 @@ def shrink(
     # alive as the actual failure trigger).  Iterate both passes to a
     # joint fixpoint.
     changed_any = True
-    while changed_any and attempts < max_attempts:
+    while changed_any and attempts < MAX_ATTEMPTS:
         changed_any = False
 
         shrunk = True

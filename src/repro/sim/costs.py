@@ -39,7 +39,6 @@ class CostParams:
     # Generic host kernel costs
     syscall_ns: int = 500
     host_ctx_switch_ns: int = 2_000
-    sched_wakeup_ns: int = 1_500
 
     # Virtualisation costs
     vmexit_ns: int = 1_200          # VMEXIT + in-kernel KVM handling
@@ -177,7 +176,10 @@ class CostModel:
     # the MMIO/VMEXIT path it rides on, and a suppressed notification by
     # definition costs nothing.  They exist so tests and ablations can
     # assert the *mechanism* — how many doorbells rang, how many were
-    # elided, how deep the completion batches ran.
+    # elided, how many completions shared one interrupt.  Each used-ring
+    # publish is counted once, by its ring (``vring.used_publishes``,
+    # ``interrupts_suppressed``, ...) and its device's
+    # ``virtio.batch_depth`` histogram.
 
     def virtio_kick(self) -> None:
         """A doorbell actually rung (one MMIO store to QUEUE_NOTIFY)."""
@@ -190,22 +192,6 @@ class CostModel:
     def virtio_irq_coalesced(self, n: int = 1) -> None:
         """Per-completion interrupts folded into one batch interrupt."""
         self.bump("irq_coalesced", n)
-
-    def virtio_irq_suppressed(self) -> None:
-        """A used-ring publish whose interrupt EVENT_IDX elided outright."""
-        self.bump("irq_suppressed")
-
-    def virtio_batch(self, queue: str, depth: int) -> None:
-        """Histogram of completion-batch depths, per device queue kind."""
-        self.bump(f"virtio_{queue}_batch_{depth}")
-
-    def batch_histogram(self, queue: str) -> Dict[int, int]:
-        prefix = f"virtio_{queue}_batch_"
-        return {
-            int(name[len(prefix):]): counter.value
-            for name, counter in self._cache.items()
-            if name.startswith(prefix)
-        }
 
     # -- memory copies --------------------------------------------------------
 

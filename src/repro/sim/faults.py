@@ -227,12 +227,13 @@ class FaultPlan:
         cls,
         label: str,
         master_seed: int = simrng.MASTER_SEED,
-        sites: Sequence[str] = DEFAULT_CHAOS_SITES,
         faults: int = 3,
-        transient_ratio: float = 0.5,
-        max_occurrence: int = 4,
     ) -> "FaultPlan":
         """Seed-derived schedule: same ``(label, master_seed)`` — same plan.
+
+        Each fault picks a :data:`DEFAULT_CHAOS_SITES` site, fires at one
+        of its first four occurrences and is transient or permanent with
+        even odds.
 
         Draws from a dedicated RNG stream (``faults:<label>``) so other
         seeded subsystems are not perturbed.
@@ -242,9 +243,9 @@ class FaultPlan:
         for _ in range(faults):
             specs.append(
                 FaultSpec(
-                    site=stream.choice(list(sites)),
-                    occurrence=stream.randint(1, max_occurrence),
-                    kind=TRANSIENT if stream.random() < transient_ratio else PERMANENT,
+                    site=stream.choice(list(DEFAULT_CHAOS_SITES)),
+                    occurrence=stream.randint(1, 4),
+                    kind=TRANSIENT if stream.random() < 0.5 else PERMANENT,
                 )
             )
         return cls(specs, label=label, master_seed=master_seed)

@@ -235,24 +235,20 @@ class Testbed:
             hv = snap.clone_into(host, kvm)
         return hv
 
-    def migrate(self, hv, dst_host: Optional[HostKernel] = None,
-                session=None, **reattach_kwargs):
-        """Move a running VM to another simulated host.
+    def migrate(self, hv, session=None, **reattach_kwargs):
+        """Move a running VM to a new simulated host (:meth:`add_host`).
 
         Charges ``vm_migrate_ns``.  A live VMSH session triggers the
         capability fallback: detach on the source, re-attach on the
-        destination (a fresh vmsh process on ``dst_host``, keeping the
+        destination (a fresh vmsh process on the new host, keeping the
         session's overlay image and any ``reattach_kwargs``).  Returns
         a :class:`~repro.core.snapshot.MigrationResult`.
         """
         from repro.core.snapshot import migrate_vm
         from repro.core.vmsh import Vmsh
 
-        if dst_host is None:
-            dst_host = self.add_host()
-        dst_kvm = self.hosts.get(dst_host)
-        if dst_kvm is None:
-            raise KeyError("host is not part of this testbed — use add_host()")
+        dst_host = self.add_host()
+        dst_kvm = self.hosts[dst_host]
 
         reattach = None
         if session is not None and not session.detached:

@@ -105,15 +105,14 @@ def _version_key(version: str) -> Tuple:
 class SecurityScanner:
     """Agent-less package vulnerability scanning via VMSH."""
 
-    def __init__(self, vmsh: Vmsh, secdb: Optional[Dict] = None):
+    def __init__(self, vmsh: Vmsh):
         self.vmsh = vmsh
-        self.secdb = secdb if secdb is not None else DEFAULT_SECDB
 
     def scan(self, hypervisor: Hypervisor) -> ScanReport:
         """Attach, read the guest's apk db through the overlay, match."""
         if hypervisor.guest is None:
             raise VmshError("hypervisor has no running guest")
-        image = build_scanner_image(secdb=json.dumps(self.secdb).encode())
+        image = build_scanner_image(secdb=json.dumps(DEFAULT_SECDB).encode())
         session = self.vmsh.attach(hypervisor.pid, image=image)
         try:
             db_raw = session.console.run_command(

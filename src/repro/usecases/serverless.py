@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.core.vmsh import Vmsh, VmshSession
+from repro.core.vmsh import VmshSession
 from repro.errors import VmshError
 from repro.guestos.process import Credentials, GuestProcess
 from repro.hypervisors.flavors import Firecracker
@@ -372,9 +372,9 @@ class DebugSession:
 class ServerlessDebugger:
     """The paper's vHive integration: log-driven VMSH attach."""
 
-    def __init__(self, platform: VHivePlatform, vmsh: Optional[Vmsh] = None):
+    def __init__(self, platform: VHivePlatform):
         self.platform = platform
-        self.vmsh = vmsh if vmsh is not None else platform.testbed.vmsh()
+        self.vmsh = platform.testbed.vmsh()
 
     def find_faulty_instance(self) -> Optional[LogLine]:
         """Parse platform logs for the most recent lambda error."""

@@ -231,15 +231,15 @@ class TrafficPlane:
 
     # -- chaos legs -----------------------------------------------------------
 
-    def debug_attach_task(self, at_ns: int, rollback: bool = False,
-                          dwell_ns: int = 50 * MSEC):
+    def debug_attach_task(self, at_ns: int, rollback: bool = False):
         """The §6.5 debug path, mid-traffic (a generator task).
 
         Plants a synthetic lambda ERROR, then runs the log-driven VMSH
         attach against the hosting VM while requests keep flowing.
         With ``rollback=True`` a permanent fault is armed at the
         ``attach.install_dispatch`` step, so the attach rolls back —
-        the guest must keep serving as if nothing happened.
+        the guest must keep serving as if nothing happened.  An attached
+        shell stays open for 50 ms.
         """
         clock = self.testbed.clock
         if at_ns > clock.now:
@@ -271,16 +271,14 @@ class TrafficPlane:
             if plan is not None:
                 self.testbed.host.faults.disarm()
         self.attach_log.append("attached")
-        yield dwell_ns
+        yield 50 * MSEC
         session.close()
         self.attach_log.append("detached")
         return session
 
-    def noisy_neighbor_task(self, at_ns: int, bursts: int = 4,
-                            frames_per_burst: int = 128,
-                            gap_ns: int = 25 * MSEC,
-                            frame_bytes: int = 1400):
-        """Flood the first live instance's ingress from a rogue port.
+    def noisy_neighbor_task(self, at_ns: int, gap_ns: int = 25 * MSEC):
+        """Flood the first live instance's ingress from a rogue port:
+        four bursts of 128 1,400-byte frames, ``gap_ns`` apart.
 
         The fabric serializes the receiver's ingress, so the flood
         delays the victim's request/response frames — the tail the
@@ -291,11 +289,11 @@ class TrafficPlane:
             yield at_ns - clock.now
         if self._flooder is None:
             self._flooder = self.fabric.attach(f"{self.label}-flooder")
-        junk = b"\xa5" * frame_bytes
-        for _ in range(bursts):
+        junk = b"\xa5" * 1400
+        for _ in range(4):
             victim = self._victim_mac()
             if victim is not None:
-                for _ in range(frames_per_burst):
+                for _ in range(128):
                     self._flooder.transmit(
                         make_frame(victim, self._flooder.mac, junk)
                     )

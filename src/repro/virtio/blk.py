@@ -239,7 +239,7 @@ class VirtioBlkDevice(VirtioDeviceCore):
         # All completions of one notification window are published with
         # a single scattered write; under EVENT_IDX the ring decides
         # whether the driver asked to be interrupted for this batch.
-        self.publish_batch(0, batch, "blk", span=batch_span)
+        self.publish_batch(0, batch, span=batch_span)
 
     def _service_request(self, head: int, table: bytes) -> int:
         ring = self._ring(0)
@@ -346,9 +346,6 @@ class GuestVirtioBlkDisk(BlockDevice):
             span_name="blk.window",
             track=f"blk:{name}",
             per_chain_cost=costs.guest_block_submit,
-            windows=costs.obs.metrics.scope(
-                "blk", role="driver", device=name
-            ).counter("windows"),
         )
 
     @property

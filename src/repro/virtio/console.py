@@ -107,8 +107,7 @@ class VirtioConsoleDevice(VirtioDeviceCore):
             )
             batch.append((head, 0))
         self.publish_batch(
-            TX_QUEUE, batch, "console_tx",
-            before_publish=self.costs.vmsh_console_hop,
+            TX_QUEUE, batch, before_publish=self.costs.vmsh_console_hop
         )
 
     # -- host input path ------------------------------------------------------------------
@@ -126,8 +125,7 @@ class VirtioConsoleDevice(VirtioDeviceCore):
         while self._pending_input and posted:
             batch.append(self.fill_posted(RX_QUEUE, self._pending_input.pop(0)))
         self.publish_batch(
-            RX_QUEUE, batch, "console_rx",
-            before_publish=self.costs.vmsh_console_hop,
+            RX_QUEUE, batch, before_publish=self.costs.vmsh_console_hop
         )
 
 
@@ -145,16 +143,10 @@ class GuestVirtioConsole:
         self.rx_ring = transport.setup_queue(RX_QUEUE, 64)
         self.tx_ring = transport.setup_queue(TX_QUEUE, 64)
         transport.driver_ok()
-        # Queued-submission counters, mirroring what the blk driver
-        # reports: doorbell rings, coalesced completions per interrupt,
-        # and the per-harvest batch-depth distribution.
-        scope = guest_kernel.costs.obs.metrics.scope(
-            "console", role="driver", device=name
-        )
         self._rx = GuestRxPath(guest_kernel, transport, self.rx_ring, RX_QUEUE,
-                               self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT, scope)
-        self._tx = GuestTxPath(guest_kernel, transport, self.tx_ring, TX_QUEUE,
-                               1, scope)
+                               self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
+        self._tx = GuestTxPath(guest_kernel, transport, self.tx_ring,
+                               TX_QUEUE, 1)
         self._input_sink: Optional[Callable[[bytes], None]] = None
         guest_kernel.register_irq(transport.irq_gsi, self._on_irq)
         self._rx.post()

@@ -17,8 +17,8 @@ outside ``vring.py`` that adds chains, collects completions, writes
 * :class:`VirtioDeviceCore` — the device-side base.  It owns feature
   negotiation (via :class:`VirtioMmioDevice`, including device-specific
   feature bits passed as ``extra_features``), per-queue EVENT_IDX ring
-  state, per-device batch metrics, posted-buffer lists per queue, and
-  :meth:`publish_batch`: one scattered used-ring write per
+  state, the per-device batch-depth histogram, posted-buffer lists per
+  queue, and :meth:`publish_batch`: one scattered used-ring write per
   notification window, interrupt coalescing under EVENT_IDX, and the
   exact cost/span bookkeeping order the chaos suites pin.  Every
   device (blk, console, vm-exec, net) completes through it.
@@ -50,7 +50,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VirtioError, VmshError
-from repro.obs.metrics import Counter, MetricsRegistry
 from repro.sim.costs import CostModel
 from repro.sim.sched import Completion, Poll, Scheduler, Task
 from repro.units import PAGE_SIZE
@@ -65,8 +64,8 @@ class VirtioDeviceCore(VirtioMmioDevice):
 
     * ``extra_features`` — device-class feature bits (e.g. virtio-net's
       MAC/MQ) OR-ed into the offer after the transport-level bits;
-    * a per-device ``virtio{device=...}`` metrics scope with the batch
-      depth histogram and request counter every device reports;
+    * the ``virtio{device=...}.batch_depth`` histogram every device
+      reports (its requests are its rings' ``vring.used_entries``);
     * the posted-buffer list of a receive-style queue, kept by its
       :class:`DeviceRing` (:meth:`posted_heads` / :meth:`absorb_posted`),
       and :meth:`fill_posted` to write a payload into the next one;
@@ -94,9 +93,9 @@ class VirtioDeviceCore(VirtioMmioDevice):
             offer_event_idx=offer_event_idx,
         )
         self.device_features |= extra_features
-        scope = costs.obs.metrics.scope("virtio", device=name)
-        self._m_batch_depth = scope.histogram("batch_depth")
-        self._m_requests = scope.counter("requests")
+        self._m_batch_depth = costs.obs.metrics.scope(
+            "virtio", device=name
+        ).histogram("batch_depth")
 
     # -- posted receive buffers ----------------------------------------------
 
@@ -151,7 +150,6 @@ class VirtioDeviceCore(VirtioMmioDevice):
         self,
         index: int,
         batch,
-        kind: str,
         before_publish: Optional[Callable[[], None]] = None,
         span=None,
     ) -> bool:
@@ -168,9 +166,7 @@ class VirtioDeviceCore(VirtioMmioDevice):
         """
         if not batch:
             return False
-        self.costs.virtio_batch(kind, len(batch))
         self._m_batch_depth.observe(len(batch))
-        self._m_requests.inc(len(batch))
         if before_publish is not None:
             before_publish()
         if self._ring(index).push_used_batch(batch):
@@ -180,7 +176,6 @@ class VirtioDeviceCore(VirtioMmioDevice):
                 self.costs.obs.spans.end(span, interrupt="delivered")
             self.raise_interrupt()
             return True
-        self.costs.virtio_irq_suppressed()
         if span is not None:
             self.costs.obs.spans.end(span, interrupt="suppressed")
         return False
@@ -212,7 +207,6 @@ class QueuedWindowDriver:
         costs: CostModel,
         span_name: str,
         per_chain_cost: Callable[[], None],
-        windows: Counter,
         track: Optional[str] = None,
     ):
         self.ring = ring
@@ -222,8 +216,6 @@ class QueuedWindowDriver:
         self._costs = costs
         self._span_name = span_name
         self._track = track
-        # The owning driver's ``windows`` counter.
-        self._m_windows = windows
         self._per_chain_cost = per_chain_cost
 
     def kick(self) -> None:
@@ -273,13 +265,6 @@ class QueuedWindowDriver:
                 raise VirtioError(f"{self.name}: spurious completion {head}")
             consume(token, written)
 
-    def _begin_window_span(self, start: int, depth: int):
-        span = self._costs.obs.spans.begin(
-            self._span_name, track=self._track, start=start, depth=depth,
-        )
-        self._m_windows.inc()
-        return span
-
     def run_queued_task(self, ops, depth: int, prepare, consume):
         """Submit windows of ``depth`` ops, kick, harvest each whole.
 
@@ -293,7 +278,10 @@ class QueuedWindowDriver:
             window = ops[start : start + depth]
             # begin/end rather than the context manager: the span must
             # survive the scheduler yields between submit and harvest.
-            span = self._begin_window_span(start, len(window))
+            span = self._costs.obs.spans.begin(
+                self._span_name, track=self._track, start=start,
+                depth=len(window),
+            )
             waits = 0
             try:
                 inflight = self.post_window(start, window, prepare)
@@ -322,19 +310,11 @@ class _GuestQueuePath:
     (and a snapshot of the ring captures it).
     """
 
-    def __init__(self, kernel, transport, ring, index: int,
-                 metrics: Optional[MetricsRegistry]) -> None:
+    def __init__(self, kernel, transport, ring, index: int) -> None:
         self._kernel = kernel
         self.transport = transport
         self.ring = ring
         self.index = index
-        # The owning driver's ``kicks`` counter (no scope: no count).
-        self._m_kicks = metrics.counter("kicks") if metrics is not None else None
-
-    def kick(self) -> None:
-        if self._m_kicks is not None:
-            self._m_kicks.inc()
-        self.transport.notify(self.index)
 
 
 class GuestRxPath(_GuestQueuePath):
@@ -347,23 +327,17 @@ class GuestRxPath(_GuestQueuePath):
     """
 
     def __init__(self, kernel, transport, ring, index: int,
-                 size: int, count: int,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(kernel, transport, ring, index, metrics)
+                 size: int, count: int) -> None:
+        super().__init__(kernel, transport, ring, index)
         self.size = size
         self.count = count
         self.base = kernel.alloc_guest_pages((size * count + 4095) // 4096)
-        # Also the per-harvest batch depth and coalesced completions.
-        self._m_batch_depth = self._m_irq_coalesced = None
-        if metrics is not None:
-            self._m_batch_depth = metrics.histogram("batch_depth")
-            self._m_irq_coalesced = metrics.counter("irq_coalesced")
 
     def post(self) -> None:
         """Post every buffer and kick once."""
         for at in range(self.count):
             self._post_buffer(self.base + at * self.size)
-        self.kick()
+        self.transport.notify(self.index)
 
     def _post_buffer(self, gpa: int) -> None:
         self.ring.add_chain([(gpa, self.size, True)], gpa)
@@ -375,10 +349,6 @@ class GuestRxPath(_GuestQueuePath):
             (gpa, memory.read(gpa, written))
             for gpa, written in self.ring.collect_used()
         ]
-        if filled and self._m_batch_depth is not None:
-            self._m_batch_depth.observe(len(filled))
-            if len(filled) > 1:
-                self._m_irq_coalesced.inc(len(filled) - 1)
         for gpa, data in filled:
             self._post_buffer(gpa)
             yield data
@@ -395,9 +365,9 @@ class GuestTxPath(_GuestQueuePath):
     the only one.
     """
 
-    def __init__(self, kernel, transport, ring, index: int, pages: int,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(kernel, transport, ring, index, metrics)
+    def __init__(self, kernel, transport, ring, index: int,
+                 pages: int) -> None:
+        super().__init__(kernel, transport, ring, index)
         self.pages = pages
         self.slots = [kernel.alloc_guest_pages(pages)]
 
@@ -426,7 +396,7 @@ class GuestTxPath(_GuestQueuePath):
             self.slots.append(slot)
         self._kernel.memory.write(slot, data)
         self.ring.add_chain([(slot, len(data), False)], slot)
-        self.kick()
+        self.transport.notify(self.index)
         self.ring.collect_used()
 
 

@@ -187,7 +187,7 @@ class VirtioNetDevice(VirtioDeviceCore):
             if self._tx_sink is not None:
                 self._tx_sink(frame, pair)
             batch.append((head, 0))
-        self.publish_batch(txq, batch, "net_tx")
+        self.publish_batch(txq, batch)
 
     # -- host/fabric -> guest --------------------------------------------------
 
@@ -235,7 +235,7 @@ class VirtioNetDevice(VirtioDeviceCore):
             header = b"\x00" * C.VIRTIO_NET_HDR_SIZE
             batch.append(self.fill_posted(rxq, header + pending.pop(0)))
             self.frames_rx += 1
-        self.publish_batch(rxq, batch, "net_rx")
+        self.publish_batch(rxq, batch)
 
 
 class GuestVirtioNic:
@@ -272,8 +272,6 @@ class GuestVirtioNic:
             queue_pairs = 1
         self.queue_pairs = max(1, min(queue_pairs, max_pairs or 1))
         costs = guest_kernel.costs
-        scope = costs.obs.metrics.scope("net", role="driver", device=name)
-        windows = scope.counter("windows")
         self.rx_rings = []
         self.tx_rings = []
         self._engines: List[QueuedWindowDriver] = []
@@ -291,13 +289,12 @@ class GuestVirtioNic:
                     costs=costs,
                     span_name="net.window",
                     per_chain_cost=costs.guest_net_submit,
-                    windows=windows,
                 )
             )
         transport.driver_ok()
         self._rx = [
             GuestRxPath(guest_kernel, transport, ring, 2 * pair,
-                        self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT, scope)
+                        self.RX_BUFFER_SIZE, self.RX_BUFFER_COUNT)
             for pair, ring in enumerate(self.rx_rings)
         ]
         tx_pages = (self.RX_BUFFER_SIZE * self.MAX_TX_WINDOW + 4095) // 4096

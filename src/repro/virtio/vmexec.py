@@ -143,7 +143,7 @@ class VmExecDevice(VirtioDeviceCore):
                 self._responses[self._responses_seen] = unpack_response(payload)
                 self._responses_seen += 1
                 batch.append((head, 0))
-            self.publish_batch(RESPONSE_QUEUE, batch, "exec_rsp")
+            self.publish_batch(RESPONSE_QUEUE, batch)
         else:
             raise VirtioError(f"{self.name}: notify for unknown queue {index}")
 
@@ -166,7 +166,7 @@ class VmExecDevice(VirtioDeviceCore):
         self._requests_posted += 1
         # Numbered before the interrupt: taken inline, it runs the guest
         # agent, whose response lands before publish_batch returns.
-        self.publish_batch(REQUEST_QUEUE, [filled], "exec_req")
+        self.publish_batch(REQUEST_QUEUE, [filled])
         return number
 
     def submit_task(self, argv: List[str]):

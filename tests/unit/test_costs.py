@@ -25,8 +25,7 @@ def _model():
 
 def _engine(**charging):
     return QueuedWindowDriver(
-        ring=None, transport=None, queue_index=0, name="q",
-        windows=MetricsRegistry().counter("windows"), **charging
+        ring=None, transport=None, queue_index=0, name="q", **charging
     )
 
 

@@ -346,19 +346,20 @@ def test_clone_rehomes_device_and_driver_counters():
     # A detached session leaves its console and vmsh-blk guest drivers.
     tb.vmsh().attach(hv.pid).detach()
     clone = tb.clone(tb.snapshot(hv))
-    requests = tb.obs.metrics.scope(
-        "virtio", device=next(iter(clone._mmio_devices.values())).name
-    ).counter("requests")
-    before = requests.value
+    used = tb.obs.metrics.scope(
+        "vring", device=next(iter(clone._mmio_devices.values())).name,
+        queue=0,
+    ).counter("used_entries")
+    before = used.value
     disk = clone.guest.block_devices["vda"]
     for i in range(4):
         disk.write_sectors(8 * i, bytes([i + 1]) * 4096)
-    assert requests.value == before + 4
+    assert used.value == before + 4
     live = {id(metric) for metric in tb.obs.metrics._store.values()}
     cells = _metric_cells(clone, _environment_of(clone))
-    # kvm, memio, vring, virtio device, blk and console driver cells
-    assert {"vmexits", "reads", "used_publishes", "requests", "windows",
-            "kicks"} <= {cell.name for cell in cells}
+    # kvm, memio, vring and virtio device cells
+    assert {"vmexits", "reads", "used_publishes", "batch_depth"} <= {
+        cell.name for cell in cells}
     detached = [(c.name, c.labels) for c in cells if id(c) not in live]
     assert detached == []
 

@@ -24,6 +24,7 @@ from repro.virtio.console import (
 )
 from repro.virtio.memio import InProcessAccessor
 from repro.virtio.mmio import GuestVirtioTransport
+from repro.virtio.net import BROADCAST_MAC, make_frame
 
 
 @pytest.fixture()
@@ -185,8 +186,56 @@ def test_vm_exec_publishes_through_the_device_core():
     for _ in range(3):
         assert session.exec("uname").ok
     scope = tb.obs.metrics.scope("virtio", device="vmsh-exec")
-    assert scope.counter("requests").value == 6
     assert scope.histogram("batch_depth").samples == {1: 6}
+
+
+def test_each_notification_is_counted_once_where_it_happens():
+    """A used-ring publish is counted by its ring and its device's
+    ``batch_depth`` histogram only, a doorbell by ``costs.kicks`` /
+    ``kick_suppressed`` only: no cost-model batch series, no driver
+    series, and every device's histogram agrees with its rings."""
+    tb = Testbed()
+    hv = tb.launch_qemu(nic=True)
+    session = tb.vmsh().attach(hv.pid, exec_device=True)
+    assert session.console.run_command("echo one").output == "one"
+    assert session.exec("uname").ok
+    disk = hv.guest.vmsh_block
+    disk.set_iodepth(4)
+    try:
+        disk.read_sectors_queued([(8 * i, 8) for i in range(4)])
+    finally:
+        disk.set_iodepth(1)
+    nic, device = hv.guest.net_devices["eth0"], hv.nics["net0"]
+    sent = []
+    device.connect_tx(lambda frame, pair: sent.append(frame))
+    nic.send_burst([make_frame(BROADCAST_MAC, nic.mac, b"f%d" % i)
+                    for i in range(5)])
+    for frame in sent:
+        device.deliver(frame)
+
+    metrics = list(tb.obs.metrics.walk())
+    names = {f"{subsystem}.{name}" for (subsystem, name, _), _ in metrics}
+    assert not [n for n in names if n.startswith("costs.virtio_")]
+    assert "costs.irq_suppressed" not in names
+    assert not [key for key, _ in metrics if ("role", "driver") in key[2]]
+    rings = {}
+    for (subsystem, name, labels), metric in metrics:
+        if subsystem == "vring" and name in ("used_publishes", "used_entries"):
+            device_name = dict(labels)["device"]
+            totals = rings.setdefault(device_name, {})
+            totals[name] = totals.get(name, 0) + metric.value
+    depths = {dict(labels)["device"]: metric
+              for (subsystem, name, labels), metric in metrics
+              if subsystem == "virtio" and name == "batch_depth"}
+    assert {"vmsh-console", "vmsh-blk", "vmsh-exec",
+            device.name} <= set(depths)
+    assert set(depths) == set(rings)
+    for device_name, hist in depths.items():
+        assert hist.count > 0, device_name
+        assert (hist.count, hist.sum) == (
+            rings[device_name]["used_publishes"],
+            rings[device_name]["used_entries"],
+        ), device_name
 
 
 def test_vmsh_console_roundtrip():
