@@ -43,7 +43,11 @@ fresh gateway on a booted QEMU v5.10 VM, and one
 ``PhysicalMemory.read`` of a 2 MiB range with every page materialized.
 That read copies every page, the dense side of a read that otherwise
 copies only the pages memory holds; no suite workload runs it.  Also
-printed, not gated.
+printed, not gated.  Last a ``boot:`` line prints the median wall time
+of a warm ``Testbed.launch_firecracker()``: the guest boot (kernel
+image, page tables, root fs, init) plus the VMM's set-up.  The suite
+boots its VMs in set-up, outside every timed phase, so its ``setup_s``
+is where a slower boot shows; printed, not gated.
 
 A key measured but missing from the baseline, or in the baseline but
 no longer measured, fails the gate too, so no dimension goes unchecked.
@@ -74,6 +78,7 @@ WALL_TOLERANCE = 0.35    # wall rates >= 35% of the baseline rate
 CLONES = 256             # clones timed at the clone point
 RESTORES = 21            # restores timed per VM kind (printed only)
 PARSES = 21              # ksymtab parses timed per image (printed only)
+BOOTS = 21               # warm Firecracker launches timed (printed only)
 
 
 def clone_point(fleet: int, clones: int) -> dict:
@@ -208,6 +213,22 @@ def analyse_point(rounds: int = PARSES) -> dict:
             "dense_read": statistics.median(dense) * 1e3}
 
 
+def boot_point(rounds: int = BOOTS) -> float:
+    """Median wall ms of a warm ``Testbed.launch_firecracker()``."""
+    import statistics
+
+    from repro.testbed import Testbed
+
+    tb = Testbed()
+    tb.launch_firecracker()             # first-launch imports and caches
+    walls = []
+    for _ in range(rounds):
+        wall0 = time.perf_counter()
+        tb.launch_firecracker()
+        walls.append(time.perf_counter() - wall0)
+    return statistics.median(walls) * 1e3
+
+
 def measure() -> dict:
     from test_fleet_scaling import fleet_point, plane_point, sched_storm_point
 
@@ -247,6 +268,9 @@ def measure() -> dict:
     print(f"analyse: median find_kernel + parse_ksymtab {analyse['analyse']:.2f} ms "
           f"on a booted v5.10 VM, {analyse['dense_read']:.2f} ms for a 2 MiB "
           f"PhysicalMemory.read with every page materialized")
+    # Printed, not gated: the suite times its boots only as set-up.
+    print(f"boot: median {boot_point():.2f} ms for a warm "
+          f"Testbed.launch_firecracker()")
     return {
         "gate_fleet": GATE_FLEET,
         "plane_invocations_per_fn": PLANE_INVOCATIONS_PER_FN,

@@ -13,6 +13,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The temporary directories this run makes: the reports' copy, the fuzz
+# smoke's corpus and the recordings.  Each is named before any leg runs,
+# so the trap holds under ``set -u`` whichever leg fails, and the trap
+# removes them however the run ends.
+reports="" corpus="" recordings=""
+trap 'rm -rf -- "$reports" "$corpus" "$recordings"' EXIT
+
 python -m compileall -q src
 
 # Pin the chaos-suite seed ("VMSH"): identical fault schedules and
@@ -96,9 +103,10 @@ PYTHONPATH=src python -m repro trace --out benchmarks/results/fleet-trace.json -
 # Fuzz smoke on the pinned seed: ~200 time-boxed cases must rediscover
 # the planted invariant violation (and find nothing organic), and every
 # committed corpus entry must still replay-fail deterministically.
+corpus="$(mktemp -d)"
 PYTHONPATH=src python -m repro fuzz --cases 200 --time-box 120 \
     --seed "$VMSH_CHAOS_SEED" --plant-bug --require-planted \
-    --corpus-dir "$(mktemp -d)"
+    --corpus-dir "$corpus"
 PYTHONPATH=src python -m repro fuzz --replay tests/corpus
 
 # Record/replay round trips through the CLI: the traffic composite and
@@ -128,7 +136,6 @@ for export in "$recordings/metrics.json" benchmarks/results/fleet-trace.json \
         "$recordings/examples.txt"; do
     echo "$(basename "$export") $(wc -c < "$export" | tr -d ' ') $(sha256sum < "$export" | cut -d' ' -f1)"
 done > benchmarks/results/exports.txt
-rm -rf "$recordings"
 
 # Source size, tracked like a report: src/ lines of code, comment,
 # docstring and blank.  A change to src/ commits the new counts.
@@ -149,4 +156,3 @@ for name in benchmarks/results/*.txt; do
     fi
 done
 [ "$changed" = 0 ]
-rm -rf "$reports"

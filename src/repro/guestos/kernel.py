@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import GuestError, GuestPanicError
+from repro.errors import GuestError, GuestPanicError, VfsError
 from repro.guestos.blockcore import BlockDevice
 from repro.guestos.console import GuestShell
 from repro.guestos.fs import Filesystem
@@ -44,6 +44,7 @@ from repro.guestos.vfs import (
     MountNamespace,
     OpenFile,
     Vfs,
+    normalize,
 )
 from repro.kvm.api import GuestPhysMemory, VmFd
 from repro.kvm.vcpu import VcpuFd
@@ -212,20 +213,48 @@ class GuestKernel:
         return base
 
     def _mount_root(self) -> None:
+        """Mount a fresh root fs holding ``DEFAULT_ROOT_LAYOUT`` and the
+        config's ``root_files``, in path order.
+
+        The tree is built by inode, with the :class:`Filesystem` calls
+        ``Vfs.makedirs`` and ``Vfs.write_file`` make on it, in their
+        order: a ``mkdir`` per missing directory, then ``create``,
+        ``truncate`` and ``write`` per file.  So the inodes, timestamps
+        and charges are the VFS's, and so is the ``VfsError`` code a
+        malformed path raises.
+        """
         root_fs = Filesystem("ext4", costs=self.costs, label="rootfs")
         vfs = Vfs(self.root_ns)
         vfs.mount(root_fs, "/")
         layout = dict(DEFAULT_ROOT_LAYOUT)
         layout.update(self.config.root_files)
+        root = root_fs.inode(root_fs.root_ino)
         for path in sorted(layout):
             content = layout[path]
-            if content is None:
-                vfs.makedirs(path)
-            else:
-                parent = path.rsplit("/", 1)[0]
-                if parent:
-                    vfs.makedirs(parent)
-                vfs.write_file(path, content)
+            names = [name for name in normalize(path).split("/") if name]
+            # A path ending in "/" or "/." names the directory before it.
+            leaf = content is not None and path.rpartition("/")[2] not in ("", ".")
+            nodes = [root]                  # the walk's path
+            for depth, name in enumerate(names, 1):
+                if name == "..":            # as the VFS walk: "/.." is "/"
+                    if len(nodes) > 1:
+                        nodes.pop()
+                    continue
+                parent = nodes[-1]
+                if not parent.is_dir:
+                    raise VfsError("ENOTDIR", path)
+                ino = parent.entries.get(name)
+                if ino is not None:
+                    nodes.append(root_fs.inode(ino))
+                elif leaf and depth == len(names):
+                    nodes.append(root_fs.create(parent.no, name))
+                else:
+                    nodes.append(root_fs.mkdir(parent.no, name))
+            if content is not None:
+                if nodes[-1].is_dir:
+                    raise VfsError("EISDIR", path)
+                root_fs.truncate(nodes[-1].no, 0)
+                root_fs.write(nodes[-1].no, 0, content)
         self.kernel_vfs = vfs
 
     def _spawn_init(self) -> None:

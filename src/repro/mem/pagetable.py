@@ -22,8 +22,10 @@ supplies an :class:`EntryFormat`: x86-64's below, AArch64's in
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFaultError
@@ -419,18 +421,22 @@ class PageTableBuilder:
         intermediate tables on demand.
 
         It descends once per leaf table and writes the range's run of
-        entries in that table with one ``write_run`` call.
+        entries in that table with one ``write_run`` call.  An entry's
+        address field is linear in its frame, and its flags lie outside
+        that field, so the entries form one ``range``: the next frame's
+        entry is ``1 << addr_shift`` past the last one's.
         """
         if length <= 0:
             raise ValueError("length must be positive")
         if vaddr % PAGE_SIZE or paddr % PAGE_SIZE:
             raise ValueError("mappings must be page aligned")
-        encode, flags = self._fmt.encode, self._fmt.leaf_flags(writable, nx)
-        frames = range(paddr, paddr + length, PAGE_SIZE)
-        while frames:
+        fmt = self._fmt
+        first, step = fmt.encode(paddr) | fmt.leaf_flags(writable, nx), 1 << fmt.addr_shift
+        entries = range(first, first + len(range(paddr, paddr + length, PAGE_SIZE)) * step, step)
+        while entries:
             table, index = self._leaf_table(root, vaddr, allocate=True)
-            run, frames = frames[: ENTRIES_PER_TABLE - index], frames[ENTRIES_PER_TABLE - index :]
-            self._write_run(table + index * 8, [encode(frame) | flags for frame in run])
+            run, entries = entries[: ENTRIES_PER_TABLE - index], entries[ENTRIES_PER_TABLE - index :]
+            self._write_run(table + index * 8, run)
             vaddr += len(run) * PAGE_SIZE
 
     def unmap_page(self, root: int, vaddr: int) -> None:
@@ -467,6 +473,7 @@ class PageTableBuilder:
 
 _PAGE_MASK = PAGE_SIZE - 1
 _U64 = struct.Struct("<Q")
+_CHANGED = re.compile(b"\x01+")      # a run of changed words in a table diff
 
 
 class PageTableView:
@@ -482,17 +489,20 @@ class PageTableView:
     Pages inside ``fresh`` (memory nothing has written yet: VMSH's
     just-mmapped reserve, or guest RAM the boot allocator has not
     handed out) are known to be zero and are never read.  Writes land
-    in the copy; :meth:`flush` writes the words that changed in one
-    vectored call and journals the old value of each word outside
-    ``fresh``, which :meth:`undo` puts back.  Words in ``fresh`` need
-    no journal: VMSH's reserve goes away with its memslot on rollback.
+    in the copy, and a page's first write keeps the bytes it held
+    before.  :meth:`flush` diffs each written page against those bytes,
+    writes the words that changed in one vectored call and journals the
+    old value of each changed word on a page outside ``fresh``, which
+    :meth:`undo` puts back.  Words in ``fresh`` need no journal: VMSH's
+    reserve goes away with its memslot on rollback.
     """
 
     def __init__(self, phys, walker_factory: Callable, fresh: range = range(0)):
         self._phys = phys
         self._fresh = fresh
         self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
-        self._before: Dict[int, int] = {}        # word paddr -> value before
+        # written page paddr -> (its bytes before, written offsets' span)
+        self._before: Dict[int, Tuple[bytes, int, int]] = {}
         self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
         self.walker = walker_factory(self.read_u64, self.read_run)
 
@@ -521,34 +531,39 @@ class PageTableView:
 
     def write_run(self, paddr: int, words: Sequence[int]) -> None:
         """Write consecutive words from ``paddr`` on, all in one table
-        page: note the words they replace, then pack them with one
-        struct call."""
-        page = self._page(paddr & ~_PAGE_MASK)
-        offset, layout = paddr & _PAGE_MASK, f"<{len(words)}Q"
-        before = self._before
-        olds = zip(range(paddr, paddr + len(words) * 8, 8),
-                   struct.unpack_from(layout, page, offset))
-        before.update({addr: old for addr, old in olds if addr not in before})
-        struct.pack_into(layout, page, offset, *words)
+        page, packed with one struct call.  A page's first write keeps
+        its bytes for :meth:`flush` to diff against."""
+        base, offset = paddr & ~_PAGE_MASK, paddr & _PAGE_MASK
+        page, end = self._page(base), offset + len(words) * 8
+        before, low, high = self._before.get(base) or (bytes(page), offset, end)
+        self._before[base] = (before, min(low, offset), max(high, end))
+        struct.pack_into(f"<{len(words)}Q", page, offset, *words)
 
     def flush(self) -> None:
         """Write every changed word in one vectored call, adjacent
-        words merged into one segment."""
-        runs: List[Tuple[int, List[bytes]]] = []
+        words merged into one segment, across a page boundary too.
+
+        Each written page is diffed against its bytes before, over the
+        span its writes covered: one struct call decodes each side and
+        a regex finds the runs of changed words."""
+        runs: List[Tuple[int, List[bytearray]]] = []
         end = -1
-        pages = self._pages
-        for paddr in sorted(self._before):
-            old = self._before[paddr]
-            new = _U64.unpack_from(pages[paddr & ~_PAGE_MASK], paddr & _PAGE_MASK)[0]
-            if new == old:
-                continue
-            if paddr not in self._fresh:
-                self.journal.append((paddr, old))
-            if paddr == end:
-                runs[-1][1].append(_U64.pack(new))
-            else:
-                runs.append((paddr, [_U64.pack(new)]))
-            end = paddr + 8
+        for base in sorted(self._before):
+            before, low, high = self._before[base]
+            page, layout = self._pages[base], f"<{(high - low) // 8}Q"
+            old = struct.unpack_from(layout, before, low)
+            changed = bytes(map(ne, struct.unpack_from(layout, page, low), old))
+            for run in _CHANGED.finditer(changed):
+                first, last = run.span()
+                start, stop = base + low + first * 8, base + low + last * 8
+                if base not in self._fresh:
+                    self.journal.extend(zip(range(start, stop, 8), old[first:last]))
+                words = page[start - base : stop - base]
+                if start == end:
+                    runs[-1][1].append(words)
+                else:
+                    runs.append((start, [words]))
+                end = stop
         self._before.clear()
         if runs:
             self._phys.write_vectored(
