@@ -23,8 +23,6 @@ from conftest import write_report
 
 from repro.bench.harness import make_env
 from repro.bench.workloads.fio import FioJob, run_fio_blockdev
-from repro.sim.clock import Clock
-from repro.sim.sched import Scheduler
 from repro.testbed import Testbed
 from repro.units import KiB, MiB, SEC, SECTOR_SIZE
 from repro.usecases.fleet import FleetControlPlane
@@ -284,44 +282,6 @@ def plane_point(fleet: int, invocations_per_fn: int) -> dict:
         "throttled": plane.total_throttled() - warm_throttled,
         "latency_ns": pct,
         "live_instances": len(plane.live_instances()),
-    }
-
-
-def sched_storm_point(bare: bool = False) -> dict:
-    """Scheduler saturation at fleet-64 concurrency: 64 cooperative
-    tasks each yielding 3,000 times — the pure dispatch/observability
-    hot path (heap push and pop, one seeded tiebreak draw and one
-    ``sched.turn`` span per turn), no FaaS or I/O work diluting it.
-
-    ``bare`` runs the same storm on a ``Scheduler()`` with no
-    observability hub: the dispatch cost without the turn record.
-    """
-    tasks, turns = 64, 3000
-    if bare:
-        sched = Scheduler(Clock(), label="testbed", master_seed=SEED)
-    else:
-        sched = Testbed(seed=SEED).scheduler
-
-    def worker():
-        for _ in range(turns):
-            yield
-
-    handles = [sched.spawn(worker(), label=f"w{n}") for n in range(tasks)]
-    gc.collect()
-    gc.freeze()
-    events0 = sched.events_run
-    wall0 = time.perf_counter()
-    sched.run(*handles, max_events=50_000_000)
-    wall_s = time.perf_counter() - wall0
-    gc.unfreeze()
-    events = sched.events_run - events0
-    return {
-        "tasks": tasks,
-        "turns": turns,
-        "events_dispatched": events,
-        "wall_s": wall_s,
-        "events_per_s_wall": events / wall_s,
-        "ns_per_event": wall_s * 1e9 / events,
     }
 
 

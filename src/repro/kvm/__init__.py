@@ -3,7 +3,7 @@
 from repro.kvm.api import GuestPhysMemory, IoEventFd, IoRegionFd, KvmSystem, VmFd
 from repro.kvm.exits import KvmRunPage, MmioExit
 from repro.kvm.memslots import Memslot, MemslotTable
-from repro.kvm.vcpu import GP_REGISTERS, SPECIAL_REGISTERS, VcpuFd
+from repro.kvm.vcpu import VcpuFd
 
 __all__ = [
     "KvmSystem",
@@ -16,6 +16,4 @@ __all__ = [
     "KvmRunPage",
     "IoEventFd",
     "IoRegionFd",
-    "GP_REGISTERS",
-    "SPECIAL_REGISTERS",
 ]

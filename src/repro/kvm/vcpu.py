@@ -18,11 +18,6 @@ from repro.kvm.exits import KvmRunPage
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvm.api import VmFd
 
-# Kept as module-level x86-64 defaults for backwards compatibility;
-# per-vCPU register files come from the VM's Arch descriptor.
-from repro.arch import X86_GP_REGISTERS as GP_REGISTERS  # noqa: E402, F401
-from repro.arch import X86_SREGS as SPECIAL_REGISTERS    # noqa: E402, F401
-
 
 class VcpuFd(FileObject):
     """One virtual CPU of a VM."""

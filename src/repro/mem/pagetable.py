@@ -492,9 +492,10 @@ class PageTableView:
     in the copy, and a page's first write keeps the bytes it held
     before.  :meth:`flush` diffs each written page against those bytes,
     writes the words that changed in one vectored call and journals the
-    old value of each changed word on a page outside ``fresh``, which
-    :meth:`undo` puts back.  Words in ``fresh`` need no journal: VMSH's
-    reserve goes away with its memslot on rollback.
+    old value of each changed word on a page outside ``fresh``;
+    :meth:`undo` puts each back as it was before the view first wrote
+    it.  Words in ``fresh`` need no journal: VMSH's reserve goes away
+    with its memslot on rollback.
     """
 
     def __init__(self, phys, walker_factory: Callable, fresh: range = range(0)):
@@ -503,7 +504,7 @@ class PageTableView:
         self._pages: Dict[int, bytearray] = {}   # table page paddr -> copy
         # written page paddr -> (its bytes before, written offsets' span)
         self._before: Dict[int, Tuple[bytes, int, int]] = {}
-        self.journal: List[Tuple[int, int]] = []  # (paddr, pre-attach value)
+        self.journal: List[Tuple[int, int]] = []  # (paddr, value before a flush)
         self.walker = walker_factory(self.read_u64, self.read_run)
 
     def _page(self, base: int) -> bytearray:
@@ -571,8 +572,14 @@ class PageTableView:
             )
 
     def undo(self) -> None:
-        """Restore every journaled word (rollback), in one vectored call."""
-        if self.journal:
+        """Put back every journaled word as it was before the view first
+        wrote it (rollback), in one vectored call.  A word that several
+        flushes changed has one entry per flush; the first holds that
+        value."""
+        first: Dict[int, int] = {}
+        for paddr, old in self.journal:
+            first.setdefault(paddr, old)
+        if first:
             self._phys.write_vectored(
-                [(paddr, _U64.pack(old)) for paddr, old in self.journal]
+                [(paddr, _U64.pack(old)) for paddr, old in first.items()]
             )

@@ -1,6 +1,6 @@
 """Deterministic simulation substrate: clock, scheduler, costs, RNG."""
 
-from repro.sim.clock import Clock, Stopwatch, TimeSeries
+from repro.sim.clock import Clock, Stopwatch
 from repro.sim.costs import CostModel, CostParams
 from repro.sim.rng import derive_seed, stream
 from repro.sim.sched import (
@@ -18,7 +18,6 @@ from repro.sim.sched import (
 __all__ = [
     "Clock",
     "Stopwatch",
-    "TimeSeries",
     "CostModel",
     "CostParams",
     "derive_seed",

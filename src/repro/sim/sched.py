@@ -49,6 +49,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, List, Optional
 
+from repro.obs import Observability
 from repro.sim import rng as simrng
 from repro.sim.clock import Clock
 
@@ -232,32 +233,26 @@ class Task(Waitable):
             return
         self.steps += 1
         sched = self._sched
-        obs = sched.obs
-        turn = None
-        if obs is not None:
-            # Batched like the loop's events counter: accumulated here,
-            # flushed into the registry at loop exit — final totals are
-            # identical, one Counter.inc per run instead of per turn.
-            sched._turns_pending += 1
-            spans = obs.spans
-            turn = spans.open_turn(self._track, self.steps)
+        # Batched like the loop's events counter: accumulated here,
+        # flushed into the registry at loop exit — final totals are
+        # identical, one Counter.inc per run instead of per turn.
+        sched._turns_pending += 1
+        spans = sched.obs.spans
+        turn = spans.open_turn(self._track, self.steps)
         try:
             if throw is not None:
                 yielded = self._gen.throw(throw)
             else:
                 yielded = self._gen.send(value)
         except StopIteration as stop:
-            if turn is not None:
-                spans.close_turn(turn, "return")
+            spans.close_turn(turn, "return")
             self._finish(result=stop.value)
             return
         except BaseException as exc:
-            if turn is not None:
-                spans.close_turn(turn, type(exc).__name__)
+            spans.close_turn(turn, type(exc).__name__)
             self._finish(error=exc)
             return
-        if turn is not None:
-            spans.close_turn(turn)
+        spans.close_turn(turn)
         self._park(yielded)
 
     def _park(self, yielded: Any) -> None:
@@ -319,7 +314,8 @@ class Scheduler:
     """Deterministic discrete-event loop over a virtual clock."""
 
     def __init__(self, clock: Optional[Clock] = None, label: str = "sched",
-                 master_seed: int = simrng.MASTER_SEED, obs: Any = None):
+                 master_seed: int = simrng.MASTER_SEED,
+                 obs: Optional[Observability] = None):
         self.clock = clock if clock is not None else Clock()
         self.label = label
         self._tiebreak = simrng.stream(f"sched:{label}", master_seed)
@@ -343,17 +339,15 @@ class Scheduler:
         self.running = False
         #: total events dispatched over the scheduler's lifetime
         self.events_run = 0
-        #: observability hub (``repro.obs.Observability``) or ``None``:
-        #: when set, every task turn records a span on that task's
-        #: track and dispatch/spawn counts land in the registry.
-        self.obs = obs
-        if obs is not None:
-            scope = obs.metrics.scope("sched", loop=label)
-            self._m_events = scope.counter("events_dispatched")
-            self._m_spawned = scope.counter("tasks_spawned")
-            self._m_turns = scope.counter("task_turns")
-        else:
-            self._m_events = self._m_spawned = self._m_turns = None
+        #: observability hub (``repro.obs.Observability``; a private
+        #: one when none is given, as ``CostModel`` builds): every task
+        #: turn records a span on that task's track and dispatch/spawn
+        #: counts land in the registry.
+        self.obs = obs if obs is not None else Observability(self.clock)
+        scope = self.obs.metrics.scope("sched", loop=label)
+        self._m_events = scope.counter("events_dispatched")
+        self._m_spawned = scope.counter("tasks_spawned")
+        self._m_turns = scope.counter("task_turns")
 
     # -- scheduling primitives ------------------------------------------------
 
@@ -420,8 +414,7 @@ class Scheduler:
     def spawn(self, gen: Generator, label: str = "task") -> Task:
         """Wrap a generator into a :class:`Task`; first step runs soon."""
         task = Task(self, gen, label)
-        if self._m_spawned is not None:
-            self._m_spawned.inc()
+        self._m_spawned.inc()
         labels = self._start_labels
         start = labels.get(label)
         if start is None:
@@ -525,12 +518,11 @@ class Scheduler:
                 timer.fn()
         finally:
             self.running = False
-            if self._m_events is not None:
-                if ran:
-                    self._m_events.inc(ran)
-                if self._turns_pending:
-                    self._m_turns.inc(self._turns_pending)
-                    self._turns_pending = 0
+            if ran:
+                self._m_events.inc(ran)
+            if self._turns_pending:
+                self._m_turns.inc(self._turns_pending)
+                self._turns_pending = 0
         return ran
 
 

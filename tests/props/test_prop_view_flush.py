@@ -9,7 +9,8 @@ words and compares them one by one.  Over random sequences of
 outside ``fresh``, both must read the same words, write the same
 ``write_vectored`` segments in the same order at every flush (adjacent
 changed words merged into one segment, across a page boundary too),
-keep the same ``journal`` and put back the same words on ``undo``.
+keep the same ``journal`` and put back the same words on ``undo``:
+every word outside ``fresh`` as it was before the view first wrote it.
 The sequences rewrite words to the value they held, write runs that go
 on into the next page (as ``map_range`` splits them, one ``write_run``
 per page), and flush one view several times.
@@ -98,8 +99,11 @@ class _ReferenceView:
             self._phys.write_vectored([(start, b"".join(words)) for start, words in runs])
 
     def undo(self):
-        if self.journal:
-            self._phys.write_vectored([(paddr, _U64.pack(old)) for paddr, old in self.journal])
+        first = {}
+        for paddr, old in self.journal:
+            first.setdefault(paddr, old)
+        if first:
+            self._phys.write_vectored([(paddr, _U64.pack(old)) for paddr, old in first.items()])
 
 
 def _runs(paddr, words):
@@ -168,6 +172,11 @@ def test_flush_matches_the_per_word_view(memory, fresh_pages, ops):
     ref.undo()
     assert new_phys.writes == ref_phys.writes
     assert new_phys.mem == ref_phys.mem
+    # Every word outside ``fresh`` is back to its value before the view.
+    after = struct.unpack(f"<{PAGES * WORDS}Q", new_phys.mem)
+    assert [word for index, word in enumerate(after) if index * 8 not in fresh] == [
+        word for index, word in enumerate(memory) if index * 8 not in fresh
+    ]
 
 
 def test_a_run_into_the_next_page_flushes_as_one_segment():
@@ -179,3 +188,16 @@ def test_a_run_into_the_next_page_flushes_as_one_segment():
     view.flush()
     assert phys.writes == [[(PAGE_SIZE - 8, b"".join(_U64.pack(w) for w in (4, 2, 3)))]]
     assert view.journal == [(PAGE_SIZE - 8, 5), (PAGE_SIZE, 5), (PAGE_SIZE + 8, 5)]
+
+
+def test_undo_after_two_flushes_restores_the_word_before_the_view():
+    phys = _Phys([0xA] * WORDS)
+    view = PageTableView(phys, X86_64.walker)
+    view.write_u64(8, 0xB)
+    view.flush()
+    view.write_u64(8, 0xC)
+    view.flush()
+    assert view.journal == [(8, 0xA), (8, 0xB)]
+    view.undo()
+    assert phys.writes[-1] == [(8, _U64.pack(0xA))]
+    assert _U64.unpack_from(phys.mem, 8)[0] == 0xA

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import Clock, Stopwatch, TimeSeries
+from repro.sim.clock import Clock, Stopwatch
 
 
 def test_clock_starts_at_zero():
@@ -51,65 +51,3 @@ def test_stopwatch_live_reading():
     with sw:
         clock.advance(42)
         assert sw.elapsed == 42
-
-
-def test_timeseries_mean():
-    clock = Clock()
-    series = TimeSeries(clock)
-    series.record(1.0)
-    clock.advance(10)
-    series.record(3.0)
-    assert series.mean() == 2.0
-    assert series.values() == [1.0, 3.0]
-    assert series.samples[1][0] == 10
-
-
-def test_timeseries_empty_mean_raises():
-    with pytest.raises(ValueError):
-        TimeSeries(Clock()).mean()
-
-
-def test_clock_unsubscribe_stops_observer():
-    clock = Clock()
-    seen = []
-    observer = lambda old, new: seen.append(new)  # noqa: E731
-    clock.subscribe(observer)
-    clock.advance(10)
-    clock.unsubscribe(observer)
-    clock.advance(10)
-    assert seen == [10]
-
-
-def test_clock_unsubscribe_unknown_is_noop():
-    Clock().unsubscribe(lambda old, new: None)
-
-
-def test_timeseries_follow_samples_every_advance():
-    clock = Clock()
-    series = TimeSeries(clock)
-    count = {"value": 1}
-    series.follow(lambda: count["value"])
-    assert series.following
-    clock.advance(5)
-    count["value"] = 3
-    clock.advance(5)
-    assert series.samples == [(5, 1.0), (10, 3.0)]
-
-
-def test_timeseries_close_detaches_observer():
-    clock = Clock()
-    series = TimeSeries(clock)
-    series.follow(lambda: 1.0)
-    clock.advance(1)
-    series.close()
-    series.close()  # idempotent
-    clock.advance(1)
-    assert not series.following
-    assert len(series.samples) == 1
-
-
-def test_timeseries_follow_twice_raises():
-    series = TimeSeries(Clock())
-    series.follow(lambda: 0.0)
-    with pytest.raises(ValueError):
-        series.follow(lambda: 0.0)

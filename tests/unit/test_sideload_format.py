@@ -80,9 +80,10 @@ def test_symbol_name_length_limit():
 
 
 def test_scratch_area_sized_for_registers():
-    from repro.kvm.vcpu import GP_REGISTERS
+    from repro.arch import ARCHES
 
-    assert SCRATCH_SIZE >= len(GP_REGISTERS) * 8
+    for arch in ARCHES.values():
+        assert SCRATCH_SIZE >= len(arch.gp_registers) * 8, arch.name
 
 
 def test_config_tlv_roundtrip():
